@@ -4,15 +4,13 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-stream test-faults test-server bench bench-smoke bench-backends bench-tcp bench-check docs-check hygiene-check lint run-checks check
+.PHONY: test test-stream test-faults test-server bench bench-smoke bench-backends bench-tcp bench-e2e bench-e2e-smoke bench-check docs-check hygiene-check lint run-checks check
 
 # The static gates run first so doc drift, a stale benchmark JSON,
 # tracked build artifacts, or a lint invariant violation fail tier-1
 # locally, before the (slower) pytest pass starts.  `run-checks` wraps
 # docs-check, bench-check, hygiene-check and lint with uniform
-# PASS/FAIL reporting; each also remains an individual target.  The
-# legacy-engine equivalence baselines are opt-in (`pytest -m legacy`);
-# see pytest.ini.
+# PASS/FAIL reporting; each also remains an individual target.
 test: run-checks
 	$(PYTHON) -m pytest -x -q
 
@@ -52,13 +50,21 @@ bench-tcp:
 bench:
 	$(PYTHON) benchmarks/bench_sim_throughput.py
 
+# The end-to-end benchmark of BENCHMARK.json (benchmarks/e2e/README.md);
+# the smoke form runs one fast iteration per workload.
+bench-e2e:
+	python3 benchmarks/e2e/run.py
+
+bench-e2e-smoke:
+	python3 benchmarks/e2e/run.py --smoke
+
 # Fails when README/docs drift from the actual CLI flags (both
 # directions: stale flags mentioned, new flags undocumented).
 docs-check:
 	$(PYTHON) tools/docs_check.py
 
-# Fails when BENCH_sim_throughput.json misses a row for any
-# CLI-exposed engine or shard backend (lists imported from the code).
+# Fails when BENCH_sim_throughput.json misses a row for any shard
+# backend (list imported from the code) or a row reports a zero stage.
 bench-check:
 	$(PYTHON) tools/bench_check.py
 

@@ -1,16 +1,10 @@
-"""Simulation + ingest throughput: engines, sharding and block emission.
+"""Simulation + ingest throughput: sharding and block emission.
 
 Measures windows/sec and samples/sec on a large synthetic fleet (1000
 servers x 1000 windows) for:
 
-* the seed ``legacy`` per-sample path (measured over a window subset
-  and extrapolated — it is ~2 orders of magnitude slower);
-* the ``per-sample`` compatibility shim (vectorized emission, one
-  store call per sample — also measured over a subset), so every
-  CLI-exposed engine has a priced row (``tools/bench_check.py``
-  enforces this from ``make test``);
-* the PR 1 ``batch`` engine (per-window columnar emission + batched
-  ingest) — the baseline every later configuration is judged against;
+* the default configuration (``block_windows=1``, unsharded) — the
+  ``batch`` baseline row every other configuration is judged against;
 * a sweep of (shards, workers, block_windows, backend) configurations
   combining the sharded store (:class:`~repro.telemetry.sharding.\
 ShardedMetricStore`) with cross-window block emission
@@ -32,8 +26,8 @@ ShardedMetricStore`) with cross-window block emission
   (``tools/bench_check.py`` requires this row too).
 
 The best configuration must clear ``TARGET_BLOCK_SPEEDUP`` x the batch
-baseline (and batch itself ``TARGET_SPEEDUP`` x legacy); all results
-land in ``BENCH_sim_throughput.json`` for the perf trajectory.
+baseline; all results land in ``BENCH_sim_throughput.json`` for the
+perf trajectory.
 
 Run as a pytest benchmark (``pytest benchmarks/bench_sim_throughput.py``)
 or directly (``PYTHONPATH=src python benchmarks/bench_sim_throughput.py``;
@@ -67,17 +61,9 @@ from repro.telemetry.workers import DEFAULT_PIPELINE_DEPTH
 #: Headline configuration (the ISSUE's 1000-server x 1000-window run).
 SERVERS = 1000
 WINDOWS = 1000
-#: Windows actually executed on the slow legacy engine before
-#: extrapolating its per-window rate.
-LEGACY_WINDOWS = 60
-#: Windows for the per-sample compatibility shim (same emission as
-#: batch, one store call per sample — slow enough to subset too).
-PER_SAMPLE_WINDOWS = 120
 
-#: Required speedup of the columnar engine over the seed path.
-TARGET_SPEEDUP = 5.0
 #: Required speedup of the best (shards, workers, block) configuration
-#: over the plain per-window batch engine.
+#: over the default block-of-one baseline.
 TARGET_BLOCK_SPEEDUP = 1.5
 
 #: The (shards, workers, block_windows, backend) sweep.  Single-shard +
@@ -169,7 +155,6 @@ def _loopback_shard_server(max_sessions: int):
 
 
 def _measure(
-    engine: str,
     n_windows: int,
     servers: int = SERVERS,
     shards: int = 1,
@@ -202,13 +187,13 @@ def _measure(
                     max_sessions=shards * replicas
                 ) as replica_address:
                     return _measure(
-                        engine, n_windows, servers,
+                        n_windows, servers,
                         replica_addrs=[
                             [replica_address] * replicas
                         ] * shards,
                         **kwargs,
                     )
-            return _measure(engine, n_windows, servers, **kwargs)
+            return _measure(n_windows, servers, **kwargs)
     fleet = build_single_pool_fleet(
         "B", n_datacenters=1, servers_per_deployment=servers, seed=29
     )
@@ -233,7 +218,7 @@ def _measure(
         fleet,
         store=store,
         seed=29,
-        config=SimulationConfig(engine=engine, block_windows=block_windows),
+        config=SimulationConfig(block_windows=block_windows),
     )
     started = time.perf_counter()
     sim.run(n_windows)
@@ -246,7 +231,6 @@ def _measure(
         store.close()
     remote = store is not None and store.backend in ("processes", "tcp")
     return {
-        "engine": engine,
         "servers": servers,
         "windows": n_windows,
         "shards": shards,
@@ -270,8 +254,8 @@ def _measure(
         "samples": samples,
         "windows_per_sec": n_windows / elapsed,
         "samples_per_sec": samples / elapsed,
-        # Per-stage wall-clock of the blocked engine (demand tensor /
-        # counter emission / store ingest); zeros on per-window runs.
+        # Per-stage wall-clock (demand tensor / counter emission /
+        # store ingest).
         "stages": {k: round(v, 6) for k, v in sim.stage_seconds.items()},
     }
 
@@ -297,7 +281,7 @@ def _stream_row(
     sim = Simulator(
         fleet,
         seed=29,
-        config=SimulationConfig(engine="batch", block_windows=block_windows),
+        config=SimulationConfig(block_windows=block_windows),
     )
     stream = StreamingSimulator(sim, retain_windows=retain)
     started = time.perf_counter()
@@ -311,7 +295,6 @@ def _stream_row(
     else:
         peak_rss_mb = 0.0
     return {
-        "engine": "batch",
         "mode": "stream",
         "servers": servers,
         "windows": windows,
@@ -358,7 +341,7 @@ def _query_row(
     sim = Simulator(
         fleet,
         seed=29,
-        config=SimulationConfig(engine="batch", block_windows=block_windows),
+        config=SimulationConfig(block_windows=block_windows),
     )
     pool, counter = "B", Counter.REQUESTS.value
     stream = StreamingSimulator(
@@ -460,19 +443,13 @@ def _measure_streaming(
 def run_benchmark(
     windows: int = WINDOWS,
     servers: int = SERVERS,
-    legacy_windows: int = LEGACY_WINDOWS,
-    per_sample_windows: int = PER_SAMPLE_WINDOWS,
     stream_windows: int = STREAM_WINDOWS,
     stream_servers: int = STREAM_SERVERS,
     stream_retain: int = STREAM_RETAIN,
     result_path: Optional[Path] = RESULT_PATH,
 ) -> dict:
-    batch = _measure("batch", windows, servers)
-    legacy = _measure("legacy", legacy_windows, servers)
-    per_sample = _measure("per-sample", per_sample_windows, servers)
-    configs = [
-        _measure("batch", windows, servers, **config) for config in CONFIGS
-    ]
+    batch = _measure(windows, servers)
+    configs = [_measure(windows, servers, **config) for config in CONFIGS]
     streaming = _measure_streaming(
         windows=stream_windows, servers=stream_servers, retain=stream_retain
     )
@@ -480,21 +457,15 @@ def run_benchmark(
         windows=stream_windows, servers=stream_servers, retain=stream_retain
     )
     best = max(configs, key=lambda r: r["windows_per_sec"])
-    speedup = batch["windows_per_sec"] / legacy["windows_per_sec"]
     result = {
         "benchmark": "sim_throughput",
         "fleet": {"pool": "B", "servers": servers, "windows": windows},
         "batch": batch,
-        "legacy": legacy,
-        "per_sample": per_sample,
         "configs": configs,
         "streaming": streaming,
         "query_latency": query_latency,
         "best": best,
         "best_speedup_vs_batch": best["windows_per_sec"] / batch["windows_per_sec"],
-        "target_block_speedup": TARGET_BLOCK_SPEEDUP,
-        "speedup_windows_per_sec": speedup,
-        "target_speedup": TARGET_SPEEDUP,
     }
     if result_path is not None:
         result_path.write_text(json.dumps(result, indent=2) + "\n")
@@ -521,7 +492,6 @@ def run_backend_sweep(
     ):
         results.append(
             _measure(
-                "batch",
                 windows,
                 servers,
                 shards=shards,
@@ -550,14 +520,13 @@ def run_tcp_sweep(
     transport optimisation buy back?".
     """
     results = [
-        _measure("batch", windows, servers, block_windows=block_windows,
+        _measure(windows, servers, block_windows=block_windows,
                  backend="serial", shards=4),
     ]
     for shards in (1, 2, 4):
         for pipeline_depth, binary_frames in ((0, False), (None, True)):
             results.append(
                 _measure(
-                    "batch",
                     windows,
                     servers,
                     shards=shards,
@@ -587,22 +556,10 @@ def _config_label(entry: dict) -> str:
 
 def _print_result(result: dict) -> None:
     batch = result["batch"]
-    legacy = result["legacy"]
     print(
-        f"batch engine:    {batch['windows_per_sec']:8.1f} windows/s "
+        f"batch (block=1): {batch['windows_per_sec']:8.1f} windows/s "
         f"({batch['samples_per_sec']:,.0f} samples/s) over "
         f"{batch['windows']} windows x {batch['servers']} servers"
-    )
-    print(
-        f"legacy engine:   {legacy['windows_per_sec']:8.1f} windows/s "
-        f"({legacy['samples_per_sec']:,.0f} samples/s) over "
-        f"{legacy['windows']} windows (extrapolated)"
-    )
-    per_sample = result["per_sample"]
-    print(
-        f"per-sample shim: {per_sample['windows_per_sec']:8.1f} windows/s "
-        f"({per_sample['samples_per_sec']:,.0f} samples/s) over "
-        f"{per_sample['windows']} windows (extrapolated)"
     )
     for entry in result["configs"]:
         print(
@@ -641,8 +598,7 @@ def _print_result(result: dict) -> None:
     print(
         f"best config: shards={best['shards']} workers={best['workers']} "
         f"block={best['block_windows']} backend={best['backend']} -> "
-        f"{result['best_speedup_vs_batch']:.2f}x batch, "
-        f"batch {result['speedup_windows_per_sec']:.1f}x legacy"
+        f"{result['best_speedup_vs_batch']:.2f}x batch"
     )
 
 
@@ -651,7 +607,6 @@ def test_sim_throughput():
     print()
     _print_result(result)
     print(f"-> {RESULT_PATH.name}")
-    assert result["speedup_windows_per_sec"] >= TARGET_SPEEDUP
     assert result["best_speedup_vs_batch"] >= TARGET_BLOCK_SPEEDUP
 
 
@@ -712,8 +667,6 @@ if __name__ == "__main__":
         outcome = run_benchmark(
             windows=60,
             servers=100,
-            legacy_windows=10,
-            per_sample_windows=20,
             stream_windows=2000,
             stream_servers=32,
             stream_retain=256,

@@ -9,7 +9,7 @@ The simulation knobs mirror the CLI (``python -m repro simulate``):
 
 Run:
     python examples/quickstart.py
-    python examples/quickstart.py --windows 240 --engine batch
+    python examples/quickstart.py --windows 240
     python examples/quickstart.py --shards 4 --workers 2 --block-windows 32
     python examples/quickstart.py --shards 4 --shard-backend processes
 
@@ -31,7 +31,7 @@ from repro import (
 )
 from repro.cluster.builders import PAPER_DATACENTERS
 from repro.cluster.service import service_catalog
-from repro.cluster.simulation import ENGINES, SimulationConfig
+from repro.cluster.simulation import SimulationConfig
 
 
 def positive_int(text: str) -> int:
@@ -55,12 +55,8 @@ def parse_args() -> argparse.Namespace:
         help="windows to simulate (720 = 1 day; default 2 days)",
     )
     parser.add_argument(
-        "--engine", default="batch", choices=ENGINES,
-        help="simulation engine (batch = vectorized columnar default)",
-    )
-    parser.add_argument(
         "--block-windows", type=positive_int, default=1,
-        help="cross-window block size for the batch engine",
+        help="windows emitted per block (1 = per-window)",
     )
     parser.add_argument(
         "--shards", type=positive_int, default=1,
@@ -128,8 +124,7 @@ def main() -> None:
         f"simulating {fleet.total_servers()} servers, "
         f"{len(fleet.pool_ids)} micro-services, "
         f"{len(fleet.datacenters)} datacenters "
-        f"({args.windows} windows, engine={args.engine!r}, "
-        f"block={args.block_windows}, "
+        f"({args.windows} windows, block={args.block_windows}, "
         f"shards={store.n_shards if sharded else 1}, "
         f"backend={store.backend if sharded else '-'}) ..."
     )
@@ -139,7 +134,6 @@ def main() -> None:
         seed=args.seed,
         config=SimulationConfig(
             record_request_classes=True,
-            engine=args.engine,
             block_windows=args.block_windows,
         ),
     )

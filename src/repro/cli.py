@@ -250,8 +250,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(
         f"simulating {fleet.total_servers()} servers "
         f"({len(fleet.pool_ids)} pools x {len(datacenters)} DCs) "
-        f"{horizon} with the {args.engine!r} engine "
-        f"(block={args.block_windows}) into a {store_desc} ...",
+        f"{horizon} (block={args.block_windows}) into a {store_desc} ...",
         file=sys.stderr,
     )
     try:
@@ -272,7 +271,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 )
             config = SimulationConfig(
                 record_request_classes=True,
-                engine=args.engine,
                 block_windows=args.block_windows,
                 **({"counters": counters} if counters is not None else {}),
             )
@@ -506,10 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--pools", default=None, help="comma-separated pool letters")
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument(
-        "--engine", default="batch", choices=("batch", "per-sample", "legacy"),
-        help="simulation engine (batch = vectorized columnar default)",
-    )
-    simulate.add_argument(
         "--shards", type=_positive_int, default=1, metavar="N",
         help="hash-partition the metric store across N shards "
              "(1 = single store; sharded telemetry is bit-identical)",
@@ -576,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--block-windows", type=_positive_int, default=1, metavar="W",
         help="emit W windows per (pool, counter) block to amortize "
-             "per-window overhead (batch engine only; 1 = per-window)",
+             "per-window overhead (1 = per-window)",
     )
     simulate.add_argument(
         "--stream", action="store_true",

@@ -9,7 +9,7 @@ observes the fleet through the telemetry the simulator emits.
 
 from repro.cluster.hardware import HardwareSpec, GENERATION_2014, GENERATION_2017
 from repro.cluster.latency import LatencyModel
-from repro.cluster.server import Server, ServerArrays, ServerState, observe_pool
+from repro.cluster.server import Server, ServerArrays, ServerState, observe_pool_block
 from repro.cluster.service import MicroServiceProfile, service_catalog
 from repro.cluster.pool import ServerPool
 from repro.cluster.datacenter import Datacenter, Fleet, PoolDeployment
@@ -30,7 +30,7 @@ __all__ = [
     "Server",
     "ServerArrays",
     "ServerState",
-    "observe_pool",
+    "observe_pool_block",
     "MicroServiceProfile",
     "service_catalog",
     "ServerPool",

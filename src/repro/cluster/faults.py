@@ -33,9 +33,9 @@ class AvailabilityPolicy(Protocol):
     """Decides, deterministically, whether a server is online.
 
     Implementations may additionally provide the vectorized
-    ``online_mask(n_servers, window) -> np.ndarray`` used by the
-    simulator's batched hot path; :func:`policy_online_mask` falls back
-    to the per-index method for policies that don't.
+    ``online_mask_block(n_servers, windows) -> np.ndarray`` the
+    simulator's hot path uses; :func:`policy_online_mask_block` falls
+    back to the per-index method for policies that don't.
     """
 
     def is_online(self, server_index: int, n_servers: int, window: int) -> bool:
@@ -43,41 +43,25 @@ class AvailabilityPolicy(Protocol):
         ...
 
 
-def policy_online_mask(
-    policy: AvailabilityPolicy, n_servers: int, window: int
-) -> np.ndarray:
-    """Boolean online mask over all of a pool's servers for one window.
-
-    Uses the policy's vectorized ``online_mask`` when available,
-    otherwise loops ``is_online`` (custom user policies).
-    """
-    mask_fn = getattr(policy, "online_mask", None)
-    if mask_fn is not None:
-        return mask_fn(n_servers, window)
-    return np.fromiter(
-        (policy.is_online(i, n_servers, window) for i in range(n_servers)),
-        dtype=bool,
-        count=n_servers,
-    )
-
-
 def policy_online_mask_block(
     policy: AvailabilityPolicy, n_servers: int, windows: np.ndarray
 ) -> np.ndarray:
     """(n_windows, n_servers) boolean online grid for a window block.
 
-    The cross-window companion of :func:`policy_online_mask`, used by
-    the simulator's blocked engine.  Policies may provide a vectorized
-    ``online_mask_block(n_servers, windows)``; otherwise the per-window
-    mask is stacked, so every policy produces a grid whose rows equal
-    its per-window masks exactly.
+    Uses the policy's vectorized ``online_mask_block`` when available,
+    otherwise loops ``is_online`` per cell (custom user policies), so
+    every policy's grid equals its scalar answers exactly.
     """
     block_fn = getattr(policy, "online_mask_block", None)
     if block_fn is not None:
         return block_fn(n_servers, windows)
-    return np.stack(
-        [policy_online_mask(policy, n_servers, int(w)) for w in windows]
-    )
+    return np.array(
+        [
+            [policy.is_online(i, n_servers, int(w)) for i in range(n_servers)]
+            for w in windows
+        ],
+        dtype=bool,
+    ).reshape(len(windows), n_servers)
 
 
 @dataclass(frozen=True)
@@ -86,9 +70,6 @@ class AlwaysOnline:
 
     def is_online(self, server_index: int, n_servers: int, window: int) -> bool:
         return True
-
-    def online_mask(self, n_servers: int, window: int) -> np.ndarray:
-        return np.ones(n_servers, dtype=bool)
 
     def online_mask_block(self, n_servers: int, windows: np.ndarray) -> np.ndarray:
         return np.ones((len(windows), n_servers), dtype=bool)
@@ -122,19 +103,8 @@ class RollingMaintenance:
         # Slot wraps past midnight.
         return not (day_offset >= slot_start or day_offset < slot_end - WINDOWS_PER_DAY)
 
-    def online_mask(self, n_servers: int, window: int) -> np.ndarray:
-        """Vectorized :meth:`is_online` over the whole pool."""
-        return self.online_mask_block(
-            n_servers, np.array([window], dtype=np.int64)
-        )[0]
-
     def online_mask_block(self, n_servers: int, windows: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`online_mask` over a whole window block.
-
-        The single source of the slot math: :meth:`online_mask` is the
-        one-window slice of this grid, so the per-window and blocked
-        engines can never drift apart.
-        """
+        """Vectorized :meth:`is_online` over a whole window block."""
         windows = np.asarray(windows, dtype=np.int64)
         if self.daily_downtime_fraction == 0.0 or n_servers < 1:
             return np.ones((windows.size, max(n_servers, 0)), dtype=bool)
@@ -165,12 +135,6 @@ class MaintenancePolicy:
             daily_downtime_fraction=1.0 - self.target_availability
         )
         return rolling.is_online(server_index, n_servers, window)
-
-    def online_mask(self, n_servers: int, window: int) -> np.ndarray:
-        rolling = RollingMaintenance(
-            daily_downtime_fraction=1.0 - self.target_availability
-        )
-        return rolling.online_mask(n_servers, window)
 
     def online_mask_block(self, n_servers: int, windows: np.ndarray) -> np.ndarray:
         rolling = RollingMaintenance(
@@ -244,29 +208,13 @@ class RepurposingPolicy:
         position = (server_index - offset) % n_servers
         return position >= n_borrowed
 
-    def online_mask(self, n_servers: int, window: int) -> np.ndarray:
-        """Vectorized :meth:`is_online` over the whole pool."""
-        if n_servers < 1:
-            return np.ones(0, dtype=bool)
-        maintenance = RollingMaintenance(daily_downtime_fraction=self.base_maintenance)
-        mask = maintenance.online_mask(n_servers, window)
-        if self.borrowed_fraction == 0.0 or not self._in_night_window(window):
-            return mask
-        day = window // WINDOWS_PER_DAY
-        n_borrowed = int(math.floor(self.borrowed_fraction * n_servers))
-        if n_borrowed == 0:
-            return mask
-        offset = (day * n_borrowed) % n_servers
-        position = (np.arange(n_servers) - offset) % n_servers
-        return mask & (position >= n_borrowed)
-
     def online_mask_block(self, n_servers: int, windows: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`online_mask` over a whole window block.
+        """Vectorized :meth:`is_online` over a whole window block.
 
-        Rows equal the per-window masks exactly: the night-window test,
+        Cells equal the scalar answers exactly: the night-window test,
         the daily rotation offset and the borrowed-position test are all
-        evaluated on the window vector with the same expressions the
-        scalar path uses per window.
+        evaluated on the window vector with the same expressions
+        :meth:`is_online` uses per window.
         """
         windows = np.asarray(windows, dtype=np.int64)
         if n_servers < 1:
@@ -333,29 +281,12 @@ class RandomFailures:
         offset = window % WINDOWS_PER_DAY
         return start <= offset < start + self.duration_windows
 
-    def failed_mask(self, n_servers: int, window: int) -> np.ndarray:
-        """Vectorized :meth:`is_failed` over the whole pool.
-
-        The per-(server, day) draws are cached, so the per-server
-        generator seeding costs once per day rather than per window.
-        """
-        if self.daily_probability <= 0.0 or n_servers < 1:
-            return np.zeros(max(n_servers, 0), dtype=bool)
-        day = window // WINDOWS_PER_DAY
-        draws, starts = _failure_draws_for_day(self.seed, n_servers, day)
-        offset = window % WINDOWS_PER_DAY
-        return (
-            (draws < self.daily_probability)
-            & (starts <= offset)
-            & (offset < starts + self.duration_windows)
-        )
-
     def failed_mask_block(self, n_servers: int, windows: np.ndarray) -> np.ndarray:
-        """(n_windows, n_servers) grid of :meth:`failed_mask` rows.
+        """(n_windows, n_servers) grid of :meth:`is_failed` answers.
 
-        One cached per-day draw lookup per distinct day in the block
-        (instead of one per window), with the day's rows filled by a
-        single broadcast comparison.
+        One cached per-day draw lookup per distinct day in the block —
+        so the per-server generator seeding costs once per day — with
+        the day's rows filled by a single broadcast comparison.
         """
         windows = np.asarray(windows, dtype=np.int64)
         if self.daily_probability <= 0.0 or n_servers < 1:

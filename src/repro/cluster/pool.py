@@ -1,9 +1,10 @@
-"""Server pools and the load balancer.
+"""Server pools.
 
 "A server pool is a set of servers with a network load-balancer
 distributing incoming requests evenly across them.  All servers have
 the same software and hardware." (§I, footnote 1).  The pool is the
-unit of capacity: planning adds or removes whole servers.
+unit of capacity: planning adds or removes whole servers.  The even
+split itself happens in the simulator, over each window's online mask.
 """
 
 from __future__ import annotations
@@ -145,41 +146,3 @@ class ServerPool:
         for server in self.servers:
             server.version = version
             server.restart()
-
-    # ------------------------------------------------------------------
-    # Traffic
-    # ------------------------------------------------------------------
-    def route(
-        self,
-        class_volumes: Dict[str, float],
-    ) -> Dict[str, Dict[str, float]]:
-        """Evenly split per-class volume across online servers.
-
-        Returns server_id -> class -> RPS.  With no online servers the
-        traffic is dropped (callers decide whether that is an SLO
-        violation); we return an empty routing table.
-        """
-        online = self.online_servers()
-        if not online:
-            return {}
-        n = len(online)
-        per_server = {name: volume / n for name, volume in class_volumes.items()}
-        return {server.server_id: dict(per_server) for server in online}
-
-    def step(
-        self,
-        window: int,
-        class_volumes: Dict[str, float],
-        rng: np.random.Generator,
-    ) -> Dict[str, Dict[str, float]]:
-        """Advance one window: route traffic and collect observations.
-
-        Returns server_id -> counter -> value for *all* servers (offline
-        servers report only availability = 0).
-        """
-        routing = self.route(class_volumes)
-        observations: Dict[str, Dict[str, float]] = {}
-        for server in self.servers:
-            class_rps = routing.get(server.server_id, {})
-            observations[server.server_id] = server.observe(window, class_rps, rng)
-        return observations

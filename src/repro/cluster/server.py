@@ -4,14 +4,10 @@ A :class:`Server` converts the request volume routed to it into the
 observable counter values of Fig 2.  The translation is the simulator's
 ground truth; the planner only ever sees the emitted counters.
 
-Two implementations share the same ground-truth math:
-
-* :meth:`Server.observe` — the original per-server scalar path, kept
-  for direct use and tests;
-* :func:`observe_pool` over a :class:`ServerArrays` view — the batched
-  path: every counter for every online server of a pool is computed as
-  one NumPy expression, which is what lets the simulator advance
-  thousand-server fleets at array speed.
+The counter math has one home, :func:`observe_pool_block` over a
+:class:`ServerArrays` view: every counter for every online (window,
+server) cell of a pool is computed as one NumPy expression, which is
+what lets the simulator advance thousand-server fleets at array speed.
 
 Behaviours reproduced from the paper's measurements:
 
@@ -79,130 +75,9 @@ class Server:
         """Restart the service process: the working set resets."""
         self.working_set_mb = _BASE_WORKING_SET_MB
 
-    # ------------------------------------------------------------------
-    # Ground-truth resource math
-    # ------------------------------------------------------------------
-    def true_cpu_pct(self, class_rps: Dict[str, float]) -> float:
-        """Noise-free CPU percentage for a per-class request volume."""
-        work = self.profile.mix.cpu_for(class_rps)
-        scaled = work * self.hardware.cpu_scale * self.version.cpu_multiplier
-        return self.profile.noise.idle_cpu_pct + scaled
-
-    def true_latency_p95_ms(self, rps: float, utilization: float) -> float:
-        """Noise-free 95th-percentile latency for a load point."""
-        model = self.profile.latency
-        base = model.p95_ms(rps, utilization)
-        queue_part = base - model.base_ms - model.cold_ms * np.exp(
-            -rps / model.warmup_rps
-        )
-        adjusted_queue = queue_part * self.version.latency_queue_multiplier
-        return (
-            model.base_ms
-            + self.version.latency_base_delta_ms
-            + model.cold_ms * np.exp(-rps / model.warmup_rps)
-            + adjusted_queue
-        )
-
-    def _log_upload_active(self, window: int) -> bool:
-        noise = self.profile.noise
-        if noise.log_upload_period_windows <= 0:
-            return False
-        phase = (window + self.noise_phase) % noise.log_upload_period_windows
-        return phase < noise.log_upload_duration_windows
-
-    # ------------------------------------------------------------------
-    # Observation
-    # ------------------------------------------------------------------
-    def observe(
-        self,
-        window: int,
-        class_rps: Dict[str, float],
-        rng: np.random.Generator,
-    ) -> Dict[str, float]:
-        """Emit one window of counter values.
-
-        ``class_rps`` is the per-request-class volume the load balancer
-        routed to this server for the window.  Offline servers emit only
-        the availability counter.
-        """
-        if not self.state.is_online:
-            return {Counter.AVAILABILITY.value: 0.0}
-
-        profile = self.profile
-        noise = profile.noise
-        total_rps = float(sum(class_rps.values()))
-
-        # --- CPU ------------------------------------------------------
-        cpu = self.true_cpu_pct(class_rps)
-        cpu += rng.normal(0.0, noise.idle_cpu_noise_pct)
-        if self._log_upload_active(window):
-            cpu += noise.log_upload_cpu_pct
-        cpu *= rng.normal(1.0, profile.cpu_observation_noise)
-        cpu = float(np.clip(cpu, 0.0, 100.0))
-
-        # --- Latency ----------------------------------------------------
-        utilization = cpu / 100.0
-        p95 = self.true_latency_p95_ms(total_rps, utilization)
-        p95 *= rng.normal(1.0, profile.latency_observation_noise)
-        p95 = max(p95, 0.1)
-        p50 = profile.latency.median_fraction * p95
-
-        # --- Network ----------------------------------------------------
-        by_name = {c.name: c for c in profile.mix.classes}
-        bytes_total = sum(
-            by_name[name].bytes_per_request * rps
-            for name, rps in class_rps.items()
-            if name in by_name
-        )
-        # Network counters are linear in workload but visibly noisier
-        # than CPU (Fig 2 "we see more variation of bytes and packets"):
-        # retransmits, connection churn and co-located control traffic.
-        bytes_total *= rng.normal(1.0, 0.15)
-        bytes_total = max(bytes_total, 0.0)
-        packets = bytes_total / _PACKET_BYTES
-
-        # --- Disk and memory (background-dominated; Fig 2's bands) -----
-        disk_read = abs(rng.normal(0.0, noise.disk_noise_bytes))
-        if self._log_upload_active(window):
-            disk_read += noise.log_upload_disk_bytes
-        memory_pages = abs(rng.normal(0.0, noise.memory_pages_noise))
-        # Paging correlates with disk reads (the paper infers most disk
-        # activity is paging); couple them loosely.
-        memory_pages += disk_read / 8e3 * rng.uniform(0.5, 1.5)
-        disk_queue = max(rng.normal(noise.disk_queue_mean, 1.0), 0.0)
-
-        # --- Memory working set (leak accounting) ----------------------
-        self.working_set_mb += self.version.memory_leak_mb_per_window
-
-        # --- Errors -----------------------------------------------------
-        # Near zero in steady state; grows only at extreme utilization.
-        error_rate = 0.0
-        if utilization > 0.9:
-            error_rate = (utilization - 0.9) * total_rps * 0.5
-        errors = max(rng.normal(error_rate, 0.01), 0.0)
-
-        return {
-            Counter.AVAILABILITY.value: 1.0,
-            Counter.REQUESTS.value: total_rps,
-            Counter.PROCESSOR_UTILIZATION.value: cpu,
-            Counter.LATENCY_P95.value: float(p95),
-            Counter.LATENCY_P50.value: float(p50),
-            Counter.NETWORK_BYTES_TOTAL.value: float(bytes_total),
-            Counter.NETWORK_PACKETS.value: float(packets),
-            Counter.DISK_READ_BYTES.value: float(disk_read),
-            Counter.DISK_QUEUE_LENGTH.value: float(disk_queue),
-            Counter.MEMORY_PAGES.value: float(memory_pages),
-            Counter.MEMORY_WORKING_SET.value: float(self.working_set_mb * 1e6),
-            Counter.ERRORS.value: float(errors),
-            **{
-                workload_counter(name): float(rps)
-                for name, rps in class_rps.items()
-            },
-        }
-
 
 # ----------------------------------------------------------------------
-# Batched (columnar) observation path
+# Columnar observation
 # ----------------------------------------------------------------------
 
 
@@ -268,9 +143,8 @@ class _Gates:
     dependency-aware: CPU must be computed whenever latency or errors
     need the utilization, disk reads whenever memory paging couples to
     them, and so on.  Skipping a group skips both its math *and* its
-    RNG draws — callers on different engines must therefore pass the
-    same set for their streams to coincide, which the simulator
-    guarantees by deriving the set once from its config.
+    RNG draws, so the stream depends on the set — which the simulator
+    derives once from its config.
     """
 
     __slots__ = (
@@ -301,137 +175,6 @@ class _Gates:
         self.working_set = want(Counter.MEMORY_WORKING_SET)
 
 
-def observe_pool(
-    profile: MicroServiceProfile,
-    arrays: ServerArrays,
-    online: np.ndarray,
-    window: int,
-    class_rps: Dict[str, float],
-    rng: np.random.Generator,
-    counters: Optional[FrozenSet[str]] = None,
-) -> Dict[str, np.ndarray]:
-    """One window of counter values for a pool's *online* servers.
-
-    ``online`` is the integer index array of online servers (positions
-    into ``arrays``); ``class_rps`` is the per-class volume the load
-    balancer routes to each of them (even split, so one scalar per
-    class).  Returns counter name -> value array aligned with
-    ``online``.  Offline servers emit only availability, which the
-    caller derives from the mask; this function also advances the leak
-    accounting for online servers.
-
-    ``counters`` restricts emission to the named counters (plus the
-    intermediates they depend on); ``None`` emits everything.  Skipped
-    counters skip their RNG draws too, so the stream depends on the
-    set — but not on anything else, and the emitted draws always come
-    in the same relative order.  Leak accounting advances regardless.
-
-    The math is the vectorized transcription of :meth:`Server.observe`;
-    each draw that was per-server scalar becomes one array draw.
-    """
-    m = int(online.size)
-    noise = profile.noise
-    gates = _Gates(counters)
-    total_rps = float(sum(class_rps.values()))
-    observations: Dict[str, np.ndarray] = {}
-
-    if gates.availability:
-        observations[Counter.AVAILABILITY.value] = np.ones(m)
-    if gates.requests:
-        observations[Counter.REQUESTS.value] = np.full(m, total_rps)
-
-    if noise.log_upload_period_windows > 0 and (gates.cpu or gates.disk):
-        phase = arrays.noise_phase[online]
-        upload_active = (
-            (window + phase) % noise.log_upload_period_windows
-        ) < noise.log_upload_duration_windows
-    else:
-        upload_active = np.zeros(m, dtype=bool)
-
-    # --- CPU ----------------------------------------------------------
-    if gates.cpu:
-        work = profile.mix.cpu_for(class_rps)
-        cpu = noise.idle_cpu_pct + work * arrays.cpu_scale_mult[online]
-        cpu = cpu + rng.normal(0.0, noise.idle_cpu_noise_pct, size=m)
-        cpu = cpu + noise.log_upload_cpu_pct * upload_active
-        cpu = cpu * rng.normal(1.0, profile.cpu_observation_noise, size=m)
-        cpu = np.clip(cpu, 0.0, 100.0)
-        utilization = cpu / 100.0
-        if gates.cpu_value:
-            observations[Counter.PROCESSOR_UTILIZATION.value] = cpu
-
-    # --- Latency ------------------------------------------------------
-    if gates.p95:
-        model = profile.latency
-        util_clamped = np.minimum(utilization, model.utilization_cap - 1e-6)
-        cold = model.cold_ms * np.exp(-total_rps / model.warmup_rps)
-        queue = model.queue_coeff_ms * util_clamped**2 / (1.0 - util_clamped)
-        p95 = (
-            model.base_ms
-            + arrays.latency_base_delta_ms[online]
-            + cold
-            + queue * arrays.latency_queue_multiplier[online]
-        )
-        p95 = p95 * rng.normal(1.0, profile.latency_observation_noise, size=m)
-        p95 = np.maximum(p95, 0.1)
-        if gates.p95_value:
-            observations[Counter.LATENCY_P95.value] = p95
-        if gates.p50:
-            observations[Counter.LATENCY_P50.value] = model.median_fraction * p95
-
-    # --- Network ------------------------------------------------------
-    if gates.bytes:
-        by_name = {c.name: c for c in profile.mix.classes}
-        bytes_total = sum(
-            by_name[name].bytes_per_request * rps
-            for name, rps in class_rps.items()
-            if name in by_name
-        )
-        bytes_total = bytes_total * rng.normal(1.0, 0.15, size=m)
-        bytes_total = np.maximum(bytes_total, 0.0)
-        if gates.bytes_value:
-            observations[Counter.NETWORK_BYTES_TOTAL.value] = bytes_total
-        if gates.packets:
-            observations[Counter.NETWORK_PACKETS.value] = bytes_total / _PACKET_BYTES
-
-    # --- Disk and memory (background-dominated; Fig 2's bands) --------
-    if gates.disk:
-        disk_read = np.abs(rng.normal(0.0, noise.disk_noise_bytes, size=m))
-        disk_read = disk_read + noise.log_upload_disk_bytes * upload_active
-        if gates.disk_value:
-            observations[Counter.DISK_READ_BYTES.value] = disk_read
-    if gates.pages:
-        memory_pages = np.abs(rng.normal(0.0, noise.memory_pages_noise, size=m))
-        memory_pages = memory_pages + disk_read / 8e3 * rng.uniform(0.5, 1.5, size=m)
-        observations[Counter.MEMORY_PAGES.value] = memory_pages
-    if gates.queue:
-        observations[Counter.DISK_QUEUE_LENGTH.value] = np.maximum(
-            rng.normal(noise.disk_queue_mean, 1.0, size=m), 0.0
-        )
-
-    # --- Memory working set (leak accounting; always advanced) --------
-    arrays.working_set_mb[online] += arrays.memory_leak_mb_per_window[online]
-    if gates.working_set:
-        observations[Counter.MEMORY_WORKING_SET.value] = (
-            arrays.working_set_mb[online] * 1e6
-        )
-
-    # --- Errors -------------------------------------------------------
-    if gates.errors:
-        error_rate = np.where(
-            utilization > 0.9, (utilization - 0.9) * total_rps * 0.5, 0.0
-        )
-        observations[Counter.ERRORS.value] = np.maximum(
-            rng.normal(error_rate, 0.01), 0.0
-        )
-
-    for name, rps in class_rps.items():
-        name = workload_counter(name)
-        if counters is None or name in counters:
-            observations[name] = np.full(m, rps)
-    return observations
-
-
 def observe_pool_block(
     profile: MicroServiceProfile,
     arrays: ServerArrays,
@@ -442,41 +185,42 @@ def observe_pool_block(
     rng: np.random.Generator,
     counters: Optional[FrozenSet[str]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, Dict[str, np.ndarray]]:
-    """A whole block of windows of counter values in one vectorized pass.
+    """A block of windows of counter values in one vectorized pass.
 
-    The blocked mode of :func:`observe_pool`: instead of one emission
-    per window, the counter math for ``len(windows)`` consecutive
-    windows runs as a single set of NumPy expressions over the
-    flattened (window, online server) grid, amortizing the per-window
-    Python and RNG-call overhead that dominates per-window stepping.
+    The single home of the Fig 2 counter math: the counters of
+    ``len(windows)`` consecutive windows are computed as one set of
+    NumPy expressions over the flattened (window, online server) grid.
+    A block of one window is plain per-window emission; larger blocks
+    amortize the per-call Python and RNG overhead.
 
     ``online_mask`` is the boolean (n_windows, n_servers) online grid;
     ``class_rps`` is the ``(n_windows, n_classes)`` per-*server* RPS
     matrix (the even load-balancer split of each window's volume),
-    with columns in ``class_names`` order — the columnar replacement
-    of the former per-window dict list.  Per-window totals and cost
-    reductions accumulate column by column in class order, matching
-    the scalar dict iteration term for term.
+    with columns in ``class_names`` order.  Per-window totals and cost
+    reductions accumulate column by column in class order, so the
+    summation order — and hence every bit — is fixed.
 
     Returns ``(flat_windows, flat_positions, observations)`` where the
     flat arrays enumerate the online (window, server) cells in
-    window-major order — exactly the row order the per-window batch
-    engine appends — and ``observations`` maps counter name to the
-    aligned value array.  Availability is *not* included: the caller
-    derives it from ``online_mask`` for all servers, offline included.
+    window-major order — the store's canonical row order — and
+    ``observations`` maps counter name to the aligned value array.
+    Availability is *not* included: the caller derives it from
+    ``online_mask`` for all servers, offline included (offline servers
+    emit nothing else).
 
-    ``counters`` gates emission exactly as in :func:`observe_pool`
-    (same dependency rules, same draw-skipping), so per-window and
-    blocked runs given the same set stay stream-compatible.
+    ``counters`` restricts emission to the named counters (plus the
+    intermediates they depend on); ``None`` emits everything.  Skipped
+    counters skip their RNG draws too, so the stream depends on the
+    set — but not on anything else, and the emitted draws always come
+    in the same relative order.
 
-    RNG draws happen in the same counter order as :func:`observe_pool`
-    but sized for the whole block, so a block of W windows consumes
-    different draw shapes than W per-window calls: for ``W == 1`` the
-    streams coincide and the output is bit-identical to the batch
-    engine; for ``W > 1`` it is statistically equivalent (same
-    distributions, different draws).  Leak accounting is advanced for
-    the whole block, with each emitted working set reflecting the
-    cumulative online windows up to and including its own.
+    Each draw is sized for the whole block, so a block of W windows
+    consumes different draw shapes than W one-window calls: output is
+    bit-reproducible per block size and statistically equivalent
+    across block sizes (same distributions, different draws).  Leak
+    accounting advances for the whole block regardless of ``counters``,
+    with each emitted working set reflecting the cumulative online
+    windows up to and including its own.
     """
     n_windows, n_servers = online_mask.shape
     class_rps = np.asarray(class_rps, dtype=float)
@@ -486,7 +230,7 @@ def observe_pool_block(
         raise ValueError("class_rps columns must match class_names")
     windows = np.asarray(windows, dtype=np.int64)
     # Window-major enumeration of online cells: np.nonzero on a 2-D
-    # array walks rows first, matching per-window append order.
+    # array walks rows first.
     window_pos, flat_positions = np.nonzero(online_mask)
     flat_windows = windows[window_pos]
     flat_count = int(window_pos.size)
@@ -495,8 +239,7 @@ def observe_pool_block(
     mix = profile.mix
 
     # Per-window reductions over the class axis, accumulated column by
-    # column so the summation order (and hence every bit) matches the
-    # scalar engines' Python sums over the class dicts.
+    # column so the summation order (and hence every bit) is fixed.
     total_rps_w = np.zeros(n_windows)
     for k in range(class_rps.shape[1]):
         total_rps_w += class_rps[:, k]
@@ -561,6 +304,9 @@ def observe_pool_block(
         bytes_w = np.zeros(n_windows)
         for k in range(class_rps.shape[1]):
             bytes_w += bytes_coeffs[k] * class_rps[:, k]
+        # Network counters are linear in workload but visibly noisier
+        # than CPU (Fig 2 "we see more variation of bytes and packets"):
+        # retransmits, connection churn and co-located control traffic.
         bytes_total = bytes_w[window_pos] * rng.normal(1.0, 0.15, size=flat_count)
         bytes_total = np.maximum(bytes_total, 0.0)
         if gates.bytes_value:
@@ -580,6 +326,8 @@ def observe_pool_block(
         memory_pages = np.abs(
             rng.normal(0.0, noise.memory_pages_noise, size=flat_count)
         )
+        # Paging correlates with disk reads (the paper infers most disk
+        # activity is paging); couple them loosely.
         memory_pages = memory_pages + disk_read / 8e3 * rng.uniform(
             0.5, 1.5, size=flat_count
         )
@@ -606,6 +354,7 @@ def observe_pool_block(
         arrays.working_set_mb += leak * online_mask.sum(axis=0)
 
     # --- Errors -------------------------------------------------------
+    # Near zero in steady state; grows only at extreme utilization.
     if gates.errors:
         error_rate = np.where(
             utilization > 0.9, (utilization - 0.9) * total_rps * 0.5, 0.0

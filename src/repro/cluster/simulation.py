@@ -1,40 +1,26 @@
 """Discrete-time fleet simulation engine (columnar hot path).
 
-Advances the fleet window by window (one telemetry window = 120 s):
+Advances the fleet in blocks of telemetry windows (one window = 120 s):
 
 1. compute each deployment's offered demand from its diurnal pattern,
-   multiplicative noise, active surges, and outage-driven failover;
+   multiplicative noise, active surges, and outage-driven failover —
+   one (windows x deployments) tensor per block;
 2. apply availability policies, random failures and outages to decide
-   which servers are online — as one boolean mask per pool;
+   which servers are online — one boolean (windows x servers) grid per
+   pool;
 3. route traffic evenly across online servers and emit each counter for
-   *all* of a pool's servers as one NumPy array
-   (:func:`repro.cluster.server.observe_pool`), which the
-   :class:`~repro.telemetry.store.MetricStore` ingests through its
-   batched :meth:`~repro.telemetry.store.MetricStore.record_batch` API.
+   every online (window, server) cell of a pool as one NumPy array
+   (:func:`repro.cluster.server.observe_pool_block`), which the store
+   ingests with one ``record_columns`` call per counter.
 
-The columnar data flow — mask arrays in, counter arrays out, whole
-arrays appended per (pool, counter, window) — is what lets thousand
-server fleets advance at array speed instead of per-sample Python
-speed.  Three interchangeable engines share the experiment controls:
-
-* ``"batch"`` (default) — vectorized emission, batched ingest;
-* ``"per-sample"`` — the *same* vectorized emission (identical RNG
-  draws, hence bit-identical counter values) ingested one sample at a
-  time through the compatibility shims; exists to prove old/new
-  equivalence and to measure ingest overhead in isolation;
-* ``"legacy"`` — the original per-server ``Server.observe`` loop, kept
-  as the seed-faithful baseline for throughput benchmarks.
-
-The ``batch`` engine additionally supports **cross-window block
-emission** (:attr:`SimulationConfig.block_windows` > 1): the fleet
-advances ``block_windows`` windows per step, each deployment emitting
-one (windows x servers) block per counter through
-:func:`repro.cluster.server.observe_pool_block` and ingesting it with a
-single ``record_columns`` call — amortizing the per-window Python and
-RNG-call overhead that dominates small fleets.  A block of one window
-is bit-identical to per-window batch stepping; larger blocks are
-statistically equivalent (identical availability masks and sample
-counts, same distributions, different RNG draw shapes).
+There is one emission path.  :attr:`SimulationConfig.block_windows`
+sets how many windows advance per block: 1 (the default) emits window
+by window; larger blocks amortize the per-block Python and RNG-call
+overhead that dominates small fleets.  Every block size yields
+identical availability masks and sample counts; noisy counters are
+drawn from the same distributions but in block-sized RNG calls, so
+their values are bit-reproducible per (seed, block size) and
+statistically equivalent across block sizes.
 
 The store may be a single :class:`~repro.telemetry.store.MetricStore`
 or a :class:`~repro.telemetry.sharding.ShardedMetricStore`; the
@@ -62,10 +48,9 @@ from repro.cluster.faults import (
     RepurposingPolicy,
     TrafficSurge,
     policy_for_availability,
-    policy_online_mask,
     policy_online_mask_block,
 )
-from repro.cluster.server import ServerState, observe_pool, observe_pool_block
+from repro.cluster.server import ServerState, observe_pool_block
 from repro.telemetry.counters import Counter, workload_counter
 from repro.telemetry.sharding import ShardedMetricStore
 from repro.telemetry.store import MetricStore
@@ -81,11 +66,6 @@ DEFAULT_COUNTERS: Tuple[str, ...] = (
     Counter.LATENCY_P95.value,
     Counter.AVAILABILITY.value,
 )
-
-#: Valid values of :attr:`SimulationConfig.engine`.
-ENGINES: Tuple[str, ...] = ("batch", "per-sample", "legacy")
-
-_WORKLOAD_PREFIX = "Requests/sec["
 
 
 @dataclass
@@ -106,30 +86,14 @@ class SimulationConfig:
     #: Apply each profile's availability_mean as a policy (True for
     #: fleet studies; False for controlled reduction experiments).
     apply_availability_policies: bool = True
-    #: Simulation engine: "batch" (vectorized emission + batched
-    #: ingest, the default), "per-sample" (same emission, per-sample
-    #: ingest — bit-identical telemetry, used for equivalence tests),
-    #: or "legacy" (the original per-server Python loop).
-    engine: str = "batch"
-    #: Cross-window block size for the batch engine: :meth:`Simulator.run`
-    #: advances the fleet this many windows per step, emitting one
+    #: Windows advanced per block: :meth:`Simulator.run` emits one
     #: (windows x servers) block per counter per deployment.  1 (the
-    #: default) is plain per-window batch stepping; >1 requires the
-    #: "batch" engine.
+    #: default) emits window by window.
     block_windows: int = 1
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; expected one of {ENGINES}"
-            )
         if self.block_windows < 1:
             raise ValueError("block_windows must be >= 1")
-        if self.block_windows > 1 and self.engine != "batch":
-            raise ValueError(
-                "block_windows > 1 requires the 'batch' engine "
-                f"(got engine={self.engine!r})"
-            )
 
 
 class Simulator:
@@ -137,10 +101,7 @@ class Simulator:
 
     ``store`` may be a :class:`~repro.telemetry.store.MetricStore`
     (default) or a :class:`~repro.telemetry.sharding.ShardedMetricStore`
-    — telemetry recorded through either is bit-identical.  ``config``
-    picks the engine and, for the batch engine, the cross-window block
-    size (see :class:`SimulationConfig` and :meth:`run` for the
-    equivalence guarantees of each path).
+    — telemetry recorded through either is bit-identical.
     """
 
     def __init__(
@@ -164,16 +125,14 @@ class Simulator:
         self._index_cache: Dict[
             Tuple[str, str], Tuple[Tuple[str, ...], np.ndarray]
         ] = {}
-        self._wanted_set: frozenset = frozenset()
         #: Columnar demand engine: holds references to the (growing)
         #: outage/surge lists, so events added mid-run are picked up.
         self._demand_engine = DemandEngine(fleet, self._outages, self._surges)
         #: Per-deployment cache of the emission counter set passed to
         #: the observe functions (None = emit everything).
         self._emit_cache: Dict[Tuple[str, str], Tuple[tuple, FrozenSet[str]]] = {}
-        #: Cumulative seconds per stage of the blocked engine
-        #: (demand tensor build / counter emission / store ingest);
-        #: per-window engines leave these at zero.
+        #: Cumulative seconds per stage (demand tensor build / counter
+        #: emission / store ingest).
         self.stage_seconds: Dict[str, float] = {
             "demand": 0.0, "observe": 0.0, "ingest": 0.0,
         }
@@ -250,18 +209,14 @@ class Simulator:
     def _outage_active(self, datacenter_id: str, window: int) -> bool:
         return self._demand_engine.outage_active(datacenter_id, window)
 
-    def _surge_factor(self, pool_id: str, datacenter_id: str, window: int) -> float:
-        return self._demand_engine.surge_factor(pool_id, datacenter_id, window)
-
     def offered_demand(self, window: int) -> Dict[Tuple[str, str], float]:
         """Noise-free demand per (pool, datacenter) after failover.
 
         Base diurnal demand, scaled by surges, with failed datacenters'
         demand redistributed proportionally over survivors of the same
-        pool.  Literally the one-window slice of the columnar
-        :meth:`~repro.workload.demand_engine.DemandEngine.compute_demand_block`,
-        so the per-window and blocked engines share one demand code path
-        and can never drift apart.
+        pool: the one-window slice of the columnar
+        :meth:`~repro.workload.demand_engine.DemandEngine.compute_demand_block`
+        the simulator itself steps through.
         """
         block = self._demand_engine.compute_demand_block(
             np.array([window], dtype=np.int64)
@@ -271,27 +226,8 @@ class Simulator:
     # ------------------------------------------------------------------
     # Server state
     # ------------------------------------------------------------------
-    def _online_mask(self, deployment: PoolDeployment, window: int) -> np.ndarray:
-        """Boolean online mask over a deployment's servers.
-
-        Online-ness matches the legacy per-server state machine: a
-        server serves traffic iff its datacenter is up, it has not
-        randomly crashed, and its availability policy keeps it online.
-        """
-        n = deployment.pool.size
-        if self._outage_active(deployment.datacenter_id, window):
-            return np.zeros(n, dtype=bool)
-        mask = np.ones(n, dtype=bool)
-        failures = self.config.random_failures
-        if failures is not None:
-            mask &= ~failures.failed_mask(n, window)
-        policy = self._policies.get((deployment.pool_id, deployment.datacenter_id))
-        if policy is not None:
-            mask &= policy_online_mask(policy, n, window)
-        return mask
-
     def _update_server_states(self, deployment: PoolDeployment, window: int) -> None:
-        """Per-server state writes — the legacy engine's bookkeeping."""
+        """Write one window's online-ness onto the ``Server`` objects."""
         pool = deployment.pool
         key = (deployment.pool_id, deployment.datacenter_id)
         policy = self._policies.get(key)
@@ -311,26 +247,8 @@ class Simulator:
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
-    def _noisy(self, demand: float) -> float:
-        noise = self.config.workload_noise
-        if noise <= 0 or demand <= 0:
-            return demand
-        sigma = np.sqrt(np.log1p(noise**2))
-        return float(demand * self._rng.lognormal(-0.5 * sigma**2, sigma))
-
-    def _wanted_counter(self, counter: str) -> bool:
-        # Falsy counters (None or empty) means "record everything",
-        # matching the legacy engine's truthiness check.
-        if not self.config.counters:
-            return True
-        if counter in self._wanted_set:
-            return True
-        return self.config.record_request_classes and counter.startswith(
-            _WORKLOAD_PREFIX
-        )
-
     def _emit_counters(self, deployment: PoolDeployment) -> Optional[FrozenSet[str]]:
-        """The counter set the observe functions should emit (None = all).
+        """The counter set ``observe_pool_block`` should emit (None = all).
 
         The config's wanted counters plus, when request classes are
         recorded, the deployment's per-class workload counters.  Cached
@@ -365,80 +283,17 @@ class Simulator:
         self._index_cache[key] = (server_ids, indices)
         return indices
 
-    def _step_deployment_vector(
-        self,
-        deployment: PoolDeployment,
-        window: int,
-        base_demand: float,
-        batch: bool,
-    ) -> None:
-        """Advance one deployment one window through the columnar path."""
-        pool = deployment.pool
-        pool_id = deployment.pool_id
-        dc_id = deployment.datacenter_id
-        mask = self._online_mask(deployment, window)
-        total = self._noisy(base_demand)
-        class_volumes = deployment.mix.split_volume(total, window, self._rng)
-        online = np.flatnonzero(mask)
-        arrays = pool.server_arrays()
-
-        observations: Dict[str, np.ndarray] = {}
-        if online.size:
-            m = int(online.size)
-            per_server_rps = {
-                name: volume / m for name, volume in class_volumes.items()
-            }
-            observations = observe_pool(
-                pool.profile, arrays, online, window, per_server_rps, self._rng,
-                self._emit_counters(deployment),
-            )
-            observations.pop(Counter.AVAILABILITY.value, None)
-
-        store = self.store
-        availability = Counter.AVAILABILITY.value
-        if batch:
-            indices = self._store_indices(deployment, arrays.server_ids)
-            if self._wanted_counter(availability):
-                store.record_batch(
-                    pool_id, dc_id, availability, window, indices, mask.astype(float)
-                )
-            if online.size:
-                online_indices = indices[online]
-                for counter, values in observations.items():
-                    if self._wanted_counter(counter):
-                        store.record_batch(
-                            pool_id, dc_id, counter, window, online_indices, values
-                        )
-        else:
-            record = store.record_fast
-            server_ids = arrays.server_ids
-            if self._wanted_counter(availability):
-                for index, value in enumerate(mask):
-                    record(
-                        window, server_ids[index], pool_id, dc_id,
-                        availability, float(value),
-                    )
-            for counter, values in observations.items():
-                if self._wanted_counter(counter):
-                    for position, value in zip(online, values):
-                        record(
-                            window, server_ids[position], pool_id, dc_id,
-                            counter, float(value),
-                        )
-
-    # ------------------------------------------------------------------
-    # Blocked (cross-window) stepping
-    # ------------------------------------------------------------------
     def _online_mask_block(
         self, deployment: PoolDeployment, windows: np.ndarray
     ) -> np.ndarray:
-        """(n_windows, n_servers) online grid; rows == :meth:`_online_mask`.
+        """(n_windows, n_servers) online grid.
 
-        Fully vectorized: policy grid, random-failure grid (one cached
-        day-draw lookup per distinct day) and per-window outage rows.
-        Failures are applied before outage rows are zeroed, which
-        commutes with the per-window order (an outage row is all-False
-        either way).
+        A server serves traffic iff its datacenter is up, it has not
+        randomly crashed, and its availability policy keeps it online
+        (the same rule :meth:`_update_server_states` applies per
+        server).  Fully vectorized: policy grid, random-failure grid
+        (one cached day-draw lookup per distinct day) and per-window
+        outage rows.
         """
         n = deployment.pool.size
         policy = self._policies.get((deployment.pool_id, deployment.datacenter_id))
@@ -466,10 +321,10 @@ class Simulator:
 
         Consumes one column of the block demand tensor: noisy totals,
         then the ``(n_windows, n_classes)`` share matrix from
-        :meth:`~repro.workload.request_mix.RequestMix.shares_block` —
-        one jitter draw for the whole block, consuming the RNG stream
-        in the same order as the former per-window ``split_volume``
-        loop — divided by the online counts into the per-server RPS
+        :meth:`~repro.workload.request_mix.RequestMix.shares_block`
+        (one jitter draw for the whole block), divided by the online
+        counts — the load balancer's even split; a window with no
+        online server drops its traffic — into the per-server RPS
         matrix :func:`~repro.cluster.server.observe_pool_block` takes.
         """
         pool = deployment.pool
@@ -480,9 +335,7 @@ class Simulator:
         t_start = perf_counter()
 
         # Noisy demand per window.  Draws are skipped for windows with
-        # zero demand (or zero noise), matching the per-window engine's
-        # _noisy; with one active window per block the stream coincides
-        # with per-window stepping exactly.
+        # zero demand (or zero noise).
         noise = self.config.workload_noise
         totals = np.array(base_demand, dtype=float)
         if noise > 0:
@@ -506,17 +359,17 @@ class Simulator:
         )
 
         arrays = pool.server_arrays()
+        emit = self._emit_counters(deployment)
         flat_windows, flat_positions, observations = observe_pool_block(
             pool.profile, arrays, mask_block, windows,
-            mix.class_names, per_server_rps, self._rng,
-            self._emit_counters(deployment),
+            mix.class_names, per_server_rps, self._rng, emit,
         )
         t_observe = perf_counter()
 
         store = self.store
         indices = self._store_indices(deployment, arrays.server_ids)
         availability = Counter.AVAILABILITY.value
-        if self._wanted_counter(availability):
+        if emit is None or availability in emit:
             store.record_columns(
                 pool_id,
                 dc_id,
@@ -527,11 +380,11 @@ class Simulator:
             )
         if flat_windows.size:
             flat_indices = indices[flat_positions]
+            # observe_pool_block emitted only the wanted counters.
             for counter, values in observations.items():
-                if self._wanted_counter(counter):
-                    store.record_columns(
-                        pool_id, dc_id, counter, flat_windows, flat_indices, values
-                    )
+                store.record_columns(
+                    pool_id, dc_id, counter, flat_windows, flat_indices, values
+                )
         t_ingest = perf_counter()
         stage["demand"] += t_demand - t_start
         stage["observe"] += t_observe - t_demand
@@ -553,71 +406,29 @@ class Simulator:
             )
         self._window += n_windows
 
-    def _step_legacy(self, window: int, demand: Dict[Tuple[str, str], float]) -> None:
-        """The seed per-sample path: per-server observe, per-sample record."""
-        wanted = set(self.config.counters) if self.config.counters else None
-        record = self.store.record_fast
-        for deployment in self.fleet.deployments():
-            self._update_server_states(deployment, window)
-            total = self._noisy(
-                demand[(deployment.pool_id, deployment.datacenter_id)]
-            )
-            class_volumes = deployment.mix.split_volume(total, window, self._rng)
-            observations = deployment.pool.step(window, class_volumes, self._rng)
-            pool_id = deployment.pool_id
-            dc_id = deployment.datacenter_id
-            record_classes = self.config.record_request_classes
-            for server_id, counters in observations.items():
-                for counter, value in counters.items():
-                    if wanted is not None and counter not in wanted:
-                        if not (
-                            record_classes and counter.startswith(_WORKLOAD_PREFIX)
-                        ):
-                            continue
-                    record(window, server_id, pool_id, dc_id, counter, value)
-
     def step(self) -> None:
-        """Simulate one telemetry window.
+        """Simulate one telemetry window (a block of one).
 
-        On the vector engines, per-server ``Server.state`` /
-        ``working_set_mb`` are *not* maintained window to window (that
-        per-server loop is exactly the cost the columnar path removes);
-        :meth:`run` reconciles them on completion.  Callers driving
-        ``step()`` directly and reading pool state mid-run must call
-        :meth:`sync_server_state` first — telemetry in the store is
-        always correct either way.
+        Per-server ``Server.state`` / ``working_set_mb`` are *not*
+        maintained window to window (that per-server loop is exactly
+        the cost the columnar path removes); :meth:`run` reconciles
+        them on completion.  Callers driving ``step()`` directly and
+        reading pool state mid-run must call :meth:`sync_server_state`
+        first — telemetry in the store is always correct either way.
         """
-        window = self._window
-        demand = self.offered_demand(window)
-        engine = self.config.engine
-        if engine == "legacy":
-            self._step_legacy(window, demand)
-        else:
-            self._wanted_set = (
-                set(self.config.counters) if self.config.counters else frozenset()
-            )
-            batch = engine == "batch"
-            for deployment in self.fleet.deployments():
-                self._step_deployment_vector(
-                    deployment,
-                    window,
-                    demand[(deployment.pool_id, deployment.datacenter_id)],
-                    batch,
-                )
-        self._window += 1
+        self.run_block(1)
 
     def sync_server_state(self) -> None:
-        """Write the vector engines' state back onto the Server objects.
+        """Write the columnar state back onto the Server objects.
 
-        The columnar hot path tracks online-ness as masks and working
-        sets as cached arrays, leaving ``Server.state`` /
+        The hot path tracks online-ness as masks and working sets as
+        cached arrays, leaving ``Server.state`` /
         ``Server.working_set_mb`` untouched window to window.  This
-        reconciles them with the last simulated window so post-run
-        introspection (``pool.online_servers()``, leak inspection)
-        sees what the legacy engine would have left behind.  Called
-        automatically at the end of :meth:`run`.
+        reconciles them with the last simulated window for post-run
+        introspection (``pool.online_servers()``, leak inspection).
+        Called automatically at the end of :meth:`run`.
         """
-        if self._window == 0 or self.config.engine == "legacy":
+        if self._window == 0:
             return
         last_window = self._window - 1
         for deployment in self.fleet.deployments():
@@ -627,19 +438,8 @@ class Simulator:
     def run(self, n_windows: int) -> None:
         """Simulate ``n_windows`` consecutive windows.
 
-        The main entry point of all three engines:
-
-        * ``"batch"`` with ``block_windows == 1`` (the default) steps
-          per window; with ``block_windows > 1`` it advances in blocks
-          through the cross-window emission path (the last block is
-          truncated to the remaining windows).  A block size of one is
-          bit-identical to per-window stepping; larger blocks are
-          statistically equivalent.
-        * ``"per-sample"`` produces bit-identical telemetry to
-          ``"batch"`` (same emission and RNG draws, per-sample ingest).
-        * ``"legacy"`` is the seed per-server loop: identical
-          availability, statistically equivalent noisy counters.
-
+        Advances in blocks of :attr:`SimulationConfig.block_windows`
+        windows (the last block is truncated to the remaining windows).
         Per-server ``Server.state`` / ``working_set_mb`` are reconciled
         by :meth:`sync_server_state` on completion.
         """
@@ -660,18 +460,11 @@ class Simulator:
         if n_windows < 0:
             raise ValueError("n_windows must be non-negative")
         block = self.config.block_windows
-        if block > 1 and self.config.engine == "batch":
-            self._wanted_set = (
-                set(self.config.counters) if self.config.counters else frozenset()
-            )
-            remaining = n_windows
-            while remaining > 0:
-                step = min(block, remaining)
-                self._step_block(step)
-                remaining -= step
-        else:
-            for _ in range(n_windows):
-                self.step()
+        remaining = n_windows
+        while remaining > 0:
+            step = min(block, remaining)
+            self._step_block(step)
+            remaining -= step
 
     def run_days(self, days: float) -> None:
         """Simulate a number of days (720 windows per day)."""

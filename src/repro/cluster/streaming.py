@@ -1,8 +1,8 @@
 """Streaming simulation: an unbounded clock loop over a batch core.
 
 Both related fleet simulators are *step-forever* loops — a clock
-advances, demand arrives, state updates, repeat — while our engines
-were batch-only: fixed horizon, memoized full-recompute queries.
+advances, demand arrives, state updates, repeat — while ours was
+batch-only: fixed horizon, memoized full-recompute queries.
 :class:`StreamingSimulator` closes that gap without forking the
 engine: it drives the existing :class:`~repro.cluster.simulation.\
 Simulator` one emission block at a time via

@@ -169,10 +169,9 @@ class RequestMix:
         the sinusoidal drift is evaluated on the whole window vector at
         once, and the jitter is one ``rng.uniform`` call for the whole
         block, which consumes the generator stream in exactly the order
-        the per-window calls would (row-major, one row per window) —
-        the property that keeps block=1 simulation bit-identical to
-        per-window stepping.  Drift-free (or single-class) mixes draw
-        nothing, like :meth:`shares_at`.
+        the per-window calls would (row-major, one row per window).
+        Drift-free (or single-class) mixes draw nothing, like
+        :meth:`shares_at`.
         """
         windows = np.asarray(windows, dtype=np.int64)
         base = self.proportions_array
@@ -186,19 +185,6 @@ class RequestMix:
         if rng is not None:
             shares *= rng.uniform(0.97, 1.03, size=shares.shape)
         return shares / shares.sum(axis=1, keepdims=True)
-
-    def split_volume(
-        self,
-        total_rps: float,
-        window: int,
-        rng: Optional[np.random.Generator] = None,
-    ) -> Dict[str, float]:
-        """Partition a total RPS across classes for one window."""
-        shares = self.shares_at(window, rng)
-        return {
-            cls.name: float(total_rps * share)
-            for cls, share in zip(self.classes, shares)
-        }
 
     def cpu_for(self, class_rps: Dict[str, float]) -> float:
         """Ground-truth CPU (percentage points) for a per-class volume."""

@@ -119,13 +119,11 @@ def generate_trace(
     else:
         totals = demand.copy()
 
-    class_volumes: Dict[str, np.ndarray] = {
-        name: np.zeros(n_windows, dtype=float) for name in mix.class_names
+    windows = np.arange(start_window, start_window + n_windows, dtype=np.int64)
+    volumes = totals[:, None] * mix.shares_block(windows, rng)
+    class_volumes = {
+        name: volumes[:, k].copy() for k, name in enumerate(mix.class_names)
     }
-    for i in range(n_windows):
-        split = mix.split_volume(totals[i], start_window + i, rng)
-        for name, value in split.items():
-            class_volumes[name][i] = value
     return WorkloadTrace(
         start_window=start_window,
         totals=totals,

@@ -1,9 +1,9 @@
-"""CLI argument parsing and the simulate command's store/engine wiring.
+"""CLI argument parsing and the simulate command's store wiring.
 
-Covers the engine/shards/workers/shard-backend/block-windows
-combinations, the archive-optional path of ``python -m repro
-simulate``, and the distributed path: ``repro shard-server`` hosting
-remote shards that ``simulate --shard-backend tcp`` writes through.
+Covers the shards/workers/shard-backend/block-windows combinations,
+the archive-optional path of ``python -m repro simulate``, and the
+distributed path: ``repro shard-server`` hosting remote shards that
+``simulate --shard-backend tcp`` writes through.
 """
 
 import importlib.util
@@ -31,7 +31,6 @@ class TestSimulateParsing:
     def test_defaults(self):
         args = self.parser.parse_args(["simulate"])
         assert args.output is None
-        assert args.engine == "batch"
         assert args.shards == 1
         assert args.workers == 1
         assert args.block_windows == 1
@@ -47,15 +46,6 @@ class TestSimulateParsing:
     def test_unknown_shard_backend_rejected(self):
         with pytest.raises(SystemExit):
             self.parser.parse_args(["simulate", "--shard-backend", "rayon"])
-
-    @pytest.mark.parametrize("engine", ["batch", "per-sample", "legacy"])
-    def test_engine_choices(self, engine):
-        args = self.parser.parse_args(["simulate", "--engine", engine])
-        assert args.engine == engine
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(SystemExit):
-            self.parser.parse_args(["simulate", "--engine", "warp"])
 
     def test_shard_flags(self):
         args = self.parser.parse_args(
@@ -147,8 +137,6 @@ class TestSimulateExecution:
         "extra",
         [
             [],
-            ["--engine", "per-sample"],
-            ["--engine", "legacy"],
             ["--shards", "2"],
             ["--shards", "2", "--workers", "2"],
             ["--block-windows", "2"],
@@ -179,9 +167,6 @@ class TestSimulateExecution:
             base + ["--shards", "2", "--block-windows", "1", str(sharded)]
         ) == 0
         assert single.read_text() == sharded.read_text()
-
-    def test_block_windows_with_legacy_engine_fails_cleanly(self):
-        assert main(self.BASE + ["--engine", "legacy", "--block-windows", "4"]) == 2
 
     def test_serial_backend_with_workers_fails_cleanly(self):
         assert main(

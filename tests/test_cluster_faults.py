@@ -12,7 +12,6 @@ from repro.cluster.faults import (
     RollingMaintenance,
     TrafficSurge,
     policy_for_availability,
-    policy_online_mask,
     policy_online_mask_block,
 )
 from repro.workload.diurnal import WINDOWS_PER_DAY
@@ -125,8 +124,18 @@ class TestRandomFailures:
         assert 60 <= failed_days <= 140  # ~100 expected
 
 
+def _scalar_grid(policy, n_servers, windows):
+    """The reference grid: one scalar ``is_online`` call per cell."""
+    return np.array(
+        [
+            [policy.is_online(i, n_servers, int(w)) for i in range(n_servers)]
+            for w in windows
+        ]
+    )
+
+
 class TestBlockMasks:
-    """Cross-window mask grids match the per-window masks row for row."""
+    """Cross-window mask grids match the scalar policies cell for cell."""
 
     POLICIES = (
         AlwaysOnline(),
@@ -139,22 +148,17 @@ class TestBlockMasks:
         "policy", POLICIES, ids=lambda p: type(p).__name__
     )
     def test_block_rows_equal_per_window_masks(self, policy):
-        windows = np.arange(700, 740)
+        # Across midnight and into the repurposing night window.
+        windows = np.arange(700, 800)
         block = policy_online_mask_block(policy, 13, windows)
         assert block.shape == (windows.size, 13)
-        for row, window in zip(block, windows):
-            np.testing.assert_array_equal(
-                row, policy_online_mask(policy, 13, int(window))
-            )
+        np.testing.assert_array_equal(block, _scalar_grid(policy, 13, windows))
 
     def test_rolling_block_wraps_midnight(self):
         policy = RollingMaintenance(daily_downtime_fraction=0.3)
         windows = np.arange(WINDOWS_PER_DAY - 5, WINDOWS_PER_DAY + 5)
         block = policy_online_mask_block(policy, 10, windows)
-        for row, window in zip(block, windows):
-            np.testing.assert_array_equal(
-                row, policy.online_mask(10, int(window))
-            )
+        np.testing.assert_array_equal(block, _scalar_grid(policy, 10, windows))
 
     def test_block_fallback_for_custom_policy(self):
         class OddWindowsOnly:
@@ -162,7 +166,18 @@ class TestBlockMasks:
                 return window % 2 == 1
 
         block = policy_online_mask_block(OddWindowsOnly(), 4, np.arange(6))
+        assert block.shape == (6, 4)
         np.testing.assert_array_equal(block[:, 0], [False, True] * 3)
+
+    def test_failure_block_equals_is_failed(self):
+        failures = RandomFailures(daily_probability=0.5, duration_windows=10, seed=1)
+        windows = np.arange(WINDOWS_PER_DAY - 40, WINDOWS_PER_DAY + 40)
+        block = failures.failed_mask_block(9, windows)
+        expected = np.array(
+            [[failures.is_failed(i, int(w)) for i in range(9)] for w in windows]
+        )
+        assert expected.any()
+        np.testing.assert_array_equal(block, expected)
 
 
 class TestEvents:

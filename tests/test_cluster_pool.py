@@ -7,8 +7,9 @@ from repro.cluster.datacenter import Datacenter, Fleet, PoolDeployment
 from repro.cluster.deployment import SoftwareVersion
 from repro.cluster.hardware import GENERATION_2014, GENERATION_2017
 from repro.cluster.pool import ServerPool
-from repro.cluster.server import ServerState
 from repro.cluster.service import service_catalog
+from repro.cluster.simulation import SimulationConfig, Simulator
+from repro.telemetry.counters import Counter
 from repro.workload.diurnal import DiurnalPattern
 
 
@@ -71,32 +72,65 @@ class TestResize:
             pool.resize(0, rng)
 
 
+class _Offline:
+    """Availability policy holding a fixed set of server indices offline."""
+
+    def __init__(self, offline):
+        self.offline = frozenset(offline)
+
+    def is_online(self, server_index, n_servers, window):
+        return server_index not in self.offline
+
+
+def _route_one_window(pool, offline=()):
+    """Window 0 of ``pool`` alone in a fleet, demand noise off.
+
+    Returns the window's total demand and server_id -> recorded
+    Requests/sec — the load balancer's split as the block path computes
+    it — plus server_id -> recorded availability.
+    """
+    dc = Datacenter("DC1", "us-west", -8.0)
+    fleet = Fleet([dc])
+    fleet.add_deployment(
+        PoolDeployment(pool=pool, datacenter=dc, pattern=DiurnalPattern(base_rps=1000.0))
+    )
+    sim = Simulator(
+        fleet,
+        config=SimulationConfig(workload_noise=0.0, apply_availability_policies=False),
+    )
+    sim.set_availability_policy("B", "DC1", _Offline(offline))
+    total = sim.offered_demand(0)[("B", "DC1")]
+    sim.step()
+    rps = sim.store.per_server_values("B", Counter.REQUESTS.value)
+    online = sim.store.per_server_values("B", Counter.AVAILABILITY.value)
+    return total, rps, online
+
+
 class TestRouting:
     def test_even_split(self, pool):
-        routing = pool.route({"query": 1000.0})
-        assert len(routing) == 10
-        for per_server in routing.values():
-            assert per_server["query"] == pytest.approx(100.0)
+        total, rps, _ = _route_one_window(pool)
+        assert len(rps) == 10
+        for per_server in rps.values():
+            assert per_server[0] == pytest.approx(total / 10)
 
     def test_offline_servers_excluded(self, pool):
-        pool.servers[0].state = ServerState.OFFLINE_MAINTENANCE
-        routing = pool.route({"query": 900.0})
-        assert len(routing) == 9
-        assert pool.servers[0].server_id not in routing
-        for per_server in routing.values():
-            assert per_server["query"] == pytest.approx(100.0)
+        total, rps, _ = _route_one_window(pool, offline=[0])
+        assert len(rps) == 9
+        assert pool.servers[0].server_id not in rps
+        for per_server in rps.values():
+            assert per_server[0] == pytest.approx(total / 9)
 
     def test_no_online_servers_drops_traffic(self, pool):
-        for server in pool.servers:
-            server.state = ServerState.OFFLINE_FAILED
-        assert pool.route({"query": 100.0}) == {}
+        _, rps, online = _route_one_window(pool, offline=range(10))
+        assert rps == {}
+        assert all(value[0] == 0.0 for value in online.values())
 
-    def test_step_reports_all_servers(self, pool, rng):
-        pool.servers[0].state = ServerState.OFFLINE_MAINTENANCE
-        obs = pool.step(0, {"query": 900.0}, rng)
-        assert len(obs) == 10  # offline servers still report availability
+    def test_step_reports_all_servers(self, pool):
+        _, rps, online = _route_one_window(pool, offline=[0])
+        assert len(online) == 10  # offline servers still report availability
         offline_id = pool.servers[0].server_id
-        assert obs[offline_id] == {"Server Online": 0.0}
+        assert online[offline_id][0] == 0.0
+        assert offline_id not in rps
 
 
 class TestFleet:

@@ -111,6 +111,14 @@ class TestSimulatorBasics:
 
         np.testing.assert_array_equal(run(), run())
 
+    def test_stage_timers_populated_by_default_config(self):
+        fleet = build_single_pool_fleet("B", servers_per_deployment=4, seed=5)
+        sim = Simulator(fleet, seed=5)
+        assert sim.config.block_windows == 1
+        sim.run(10)
+        assert set(sim.stage_seconds) == {"demand", "observe", "ingest"}
+        assert all(seconds > 0 for seconds in sim.stage_seconds.values())
+
     def test_resize_changes_per_server_load(self, small_sim):
         small_sim.run(20)
         before = small_sim.store.pool_window_aggregate(

@@ -147,9 +147,10 @@ class TestWorkloadProperties:
             proportions=(0.5, 0.3, 0.2),
             drift=drift,
         )
-        split = mix.split_volume(total, window)
-        assert sum(split.values()) == pytest.approx(total, rel=1e-9, abs=1e-9)
-        assert all(v >= 0 for v in split.values())
+        # The split the simulator and generate_trace apply per window.
+        split = total * mix.shares_block(np.array([window]))[0]
+        assert split.sum() == pytest.approx(total, rel=1e-9, abs=1e-9)
+        assert np.all(split >= 0)
 
 
 class TestLatencyModelProperties:

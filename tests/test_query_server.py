@@ -68,7 +68,6 @@ def _simulator(seed=41, store=None, block_windows=BLOCK):
         store=store,
         seed=seed,
         config=SimulationConfig(
-            engine="batch",
             block_windows=block_windows,
             random_failures=RandomFailures(daily_probability=0.3, seed=7),
         ),

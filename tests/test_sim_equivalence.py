@@ -1,21 +1,13 @@
-"""Old-vs-new engine equivalence and determinism of the columnar path.
+"""Determinism and sharded/blocked equivalence of the columnar path.
 
-Guarantees protecting the vectorized rewrite and the sharded/blocked
-extensions:
-
-* the batched ingest path stores *bit-identical* telemetry to the
-  per-sample compatibility path (same emission, same RNG draws);
-* a fixed seed reproduces bit-identical store contents run over run;
+* a fixed seed reproduces bit-identical store contents run over run
+  (the exact bytes are pinned by ``tests/test_sim_golden.py``);
 * a :class:`~repro.telemetry.sharding.ShardedMetricStore` — any shard
   count, any backend (serial, thread-pool, worker-process or
   loopback-TCP ingest) — answers every query bit-identically to a
-  single store fed by the same engine;
-* blocked emission with ``block_windows=1`` is bit-identical to
-  per-window batch stepping; larger blocks keep identical availability
-  masks and sample counts and agree statistically on noisy counters;
-* the legacy per-server engine — the seed implementation — agrees
-  statistically with the columnar engine (identical availability,
-  matching means for the noisy counters).
+  single store fed by the same run;
+* every block size keeps identical availability masks and sample
+  counts, and agrees statistically on the noisy counters.
 """
 
 import numpy as np
@@ -38,7 +30,7 @@ def _sharded(n_shards=3, backend="serial", server=None):
     )
 
 
-def _run(engine: str, seed: int = 41, windows: int = 180, store=None, **config_kwargs):
+def _run(seed: int = 41, windows: int = 180, store=None, **config_kwargs):
     fleet = build_single_pool_fleet(
         "B", n_datacenters=2, servers_per_deployment=6, seed=seed
     )
@@ -47,7 +39,6 @@ def _run(engine: str, seed: int = 41, windows: int = 180, store=None, **config_k
         store=store,
         seed=seed,
         config=SimulationConfig(
-            engine=engine,
             random_failures=RandomFailures(daily_probability=0.3, seed=7),
             **config_kwargs,
         ),
@@ -77,111 +68,81 @@ def _assert_stores_identical(a, b):
 
 
 class TestBatchedEquivalence:
-    def test_batch_matches_per_sample_bit_identical(self):
-        """Batched and per-sample ingest store identical telemetry."""
-        _assert_stores_identical(_run("batch"), _run("per-sample"))
-
-    def test_batch_matches_per_sample_all_counters(self):
-        """Equivalence also holds with every counter persisted."""
-        a = _run("batch", counters=None, windows=60)
-        b = _run("per-sample", counters=None, windows=60)
-        _assert_stores_identical(a, b)
-
     def test_deterministic_bit_identical(self):
         """Same seed => bit-identical store contents."""
-        _assert_stores_identical(_run("batch"), _run("batch"))
-
-    def test_request_class_counters_equivalent(self):
-        a = _run("batch", record_request_classes=True, windows=60)
-        b = _run("per-sample", record_request_classes=True, windows=60)
-        assert "Requests/sec[query]" in a.counters_for_pool("B")
-        _assert_stores_identical(a, b)
+        _assert_stores_identical(_run(), _run())
 
     def test_empty_counter_tuple_means_record_everything(self):
-        """counters=() is falsy => all counters, matching legacy."""
-        batch = _run("batch", counters=(), windows=30)
-        legacy = _run("legacy", counters=(), windows=30)
-        assert batch.sample_count() > 0
-        assert batch.counters_for_pool("B") == legacy.counters_for_pool("B")
-        assert batch.sample_count() == legacy.sample_count()
+        """counters=() is falsy => all counters, exactly like None."""
+        empty = _run(counters=(), windows=30)
+        everything = _run(counters=None, windows=30)
+        assert len(empty.counters_for_pool("B")) > len(
+            _run(windows=30).counters_for_pool("B")
+        )
+        _assert_stores_identical(empty, everything)
 
 
 class TestShardedEquivalence:
-    """Sharded batch ingest is bit-identical to the single-store engine,
+    """Sharded ingest is bit-identical to the single-store run,
     whichever backend (serial / threads / processes / tcp) holds the
     shards."""
 
     @pytest.mark.parametrize("n_shards", [2, 3, 5])
     def test_sharded_matches_single_store(self, n_shards):
-        single = _run("batch")
-        sharded = _run("batch", store=ShardedMetricStore(n_shards=n_shards))
+        single = _run()
+        sharded = _run(store=ShardedMetricStore(n_shards=n_shards))
         _assert_stores_identical(single, sharded)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_backend_matches_single_store(self, backend, shard_server):
         """Every backend stores and answers exactly like one store."""
-        single = _run("batch")
+        single = _run()
         with _sharded(n_shards=4, backend=backend, server=shard_server) as store:
-            sharded = _run("batch", store=store)
+            sharded = _run(store=store)
             _assert_stores_identical(single, sharded)
 
     def test_worker_pool_matches_serial(self):
         """Thread fan-out stores the same rows as serial fan-out."""
-        serial = _run("batch", store=ShardedMetricStore(n_shards=4, workers=1))
+        serial = _run(store=ShardedMetricStore(n_shards=4, workers=1))
         with ShardedMetricStore(n_shards=4, workers=4) as store:
-            threaded = _run("batch", store=store)
+            threaded = _run(store=store)
             _assert_stores_identical(serial, threaded)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_sharded_blocked_matches_single_blocked(self, backend, shard_server):
         """Sharding composes with cross-window block emission."""
-        single = _run("batch", block_windows=16)
+        single = _run(block_windows=16)
         with _sharded(n_shards=3, backend=backend, server=shard_server) as store:
-            sharded = _run("batch", store=store, block_windows=16)
+            sharded = _run(store=store, block_windows=16)
             _assert_stores_identical(single, sharded)
 
     def test_sharded_all_counters(self):
-        single = _run("batch", counters=None, windows=60)
-        sharded = _run(
-            "batch", counters=None, windows=60, store=ShardedMetricStore(3)
-        )
+        single = _run(counters=None, windows=60)
+        sharded = _run(counters=None, windows=60, store=ShardedMetricStore(3))
         _assert_stores_identical(single, sharded)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_sharded_per_sample_shim(self, backend, shard_server):
-        """Even the per-sample compatibility path shards identically —
-        through the remote ingest buffer too."""
-        single = _run("per-sample", windows=60)
-        with _sharded(backend=backend, server=shard_server) as store:
-            sharded = _run("per-sample", windows=60, store=store)
-            _assert_stores_identical(single, sharded)
 
     @pytest.mark.parametrize("backend", ("threads", "processes", "tcp"))
     def test_backend_exports_byte_identical(self, backend, tmp_path, shard_server):
         """The archive written through any backend is byte-identical."""
         from repro.telemetry.export import export_store
 
-        single = _run("batch", windows=60)
+        single = _run(windows=60)
         single_path = tmp_path / "single.csv"
         export_store(single, single_path)
         with _sharded(n_shards=4, backend=backend, server=shard_server) as store:
-            sharded = _run("batch", windows=60, store=store)
+            sharded = _run(windows=60, store=store)
             sharded_path = tmp_path / f"{backend}.csv"
             export_store(sharded, sharded_path)
         assert single_path.read_bytes() == sharded_path.read_bytes()
 
 
 class TestBlockedEquivalence:
-    """Cross-window block emission vs per-window batch stepping."""
-
-    def test_block_of_one_bit_identical(self):
-        """block_windows=1 consumes the same RNG stream as per-window."""
-        _assert_stores_identical(_run("batch"), _run("batch", block_windows=1))
+    """Cross-window block emission vs window-by-window stepping."""
 
     def test_blocked_availability_and_counts_identical(self):
         """Masks are RNG-free, so any block size keeps them identical."""
-        batch = _run("batch")
-        blocked = _run("batch", block_windows=32)
+        batch = _run()
+        blocked = _run(block_windows=32)
         assert batch.sample_count() == blocked.sample_count()
         for dc in batch.datacenters_for_pool("B"):
             a = batch.pool_window_aggregate(
@@ -195,13 +156,11 @@ class TestBlockedEquivalence:
 
     def test_blocked_truncates_final_partial_block(self):
         """n_windows not divisible by block_windows still runs them all."""
-        blocked = _run("batch", block_windows=50, windows=130)
+        blocked = _run(block_windows=50, windows=130)
         assert blocked.max_window == 129
 
     def test_blocked_deterministic(self):
-        _assert_stores_identical(
-            _run("batch", block_windows=16), _run("batch", block_windows=16)
-        )
+        _assert_stores_identical(_run(block_windows=16), _run(block_windows=16))
 
     @pytest.mark.parametrize(
         "counter, tolerance",
@@ -212,71 +171,19 @@ class TestBlockedEquivalence:
         ],
     )
     def test_blocked_statistically_equivalent(self, counter, tolerance):
-        batch = _run("batch", windows=720)
-        blocked = _run("batch", block_windows=48, windows=720)
+        batch = _run(windows=720)
+        blocked = _run(block_windows=48, windows=720)
         a = batch.pool_window_aggregate("B", counter).values
         b = blocked.pool_window_aggregate("B", counter).values
         assert a.mean() == pytest.approx(b.mean(), rel=tolerance)
         assert a.std() == pytest.approx(b.std(), rel=0.15)
 
     def test_blocked_request_classes(self):
-        batch = _run("batch", record_request_classes=True, windows=60)
-        blocked = _run(
-            "batch", record_request_classes=True, windows=60, block_windows=8
-        )
+        batch = _run(record_request_classes=True, windows=60)
+        blocked = _run(record_request_classes=True, windows=60, block_windows=8)
         assert "Requests/sec[query]" in blocked.counters_for_pool("B")
         assert batch.sample_count() == blocked.sample_count()
 
-    def test_block_requires_batch_engine(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(engine="legacy", block_windows=8)
+    def test_block_windows_must_be_positive(self):
         with pytest.raises(ValueError):
             SimulationConfig(block_windows=0)
-
-
-@pytest.mark.legacy
-@pytest.mark.slow
-class TestLegacyEquivalence:
-    """The seed per-server engine agrees with the columnar engine.
-
-    Opt-in (``pytest -m legacy``): the legacy engine runs ~35 windows/s,
-    so these 720-window baselines cost more than the rest of the suite
-    combined and are excluded from the default tier-1 run.
-    """
-
-    @pytest.fixture(scope="class")
-    def stores(self):
-        return _run("batch", windows=720), _run("legacy", windows=720)
-
-    def test_availability_identical(self, stores):
-        batch, legacy = stores
-        for dc in batch.datacenters_for_pool("B"):
-            a = batch.pool_window_aggregate(
-                "B", Counter.AVAILABILITY.value, datacenter_id=dc
-            )
-            b = legacy.pool_window_aggregate(
-                "B", Counter.AVAILABILITY.value, datacenter_id=dc
-            )
-            np.testing.assert_array_equal(a.windows, b.windows)
-            np.testing.assert_array_equal(a.values, b.values)
-
-    def test_sample_counts_identical(self, stores):
-        batch, legacy = stores
-        assert batch.sample_count() == legacy.sample_count()
-
-    @pytest.mark.parametrize(
-        "counter, tolerance",
-        [
-            (Counter.REQUESTS.value, 0.02),
-            (Counter.PROCESSOR_UTILIZATION.value, 0.02),
-            (Counter.LATENCY_P95.value, 0.02),
-        ],
-    )
-    def test_noisy_counters_statistically_equivalent(
-        self, stores, counter, tolerance
-    ):
-        batch, legacy = stores
-        a = batch.pool_window_aggregate("B", counter).values
-        b = legacy.pool_window_aggregate("B", counter).values
-        assert a.mean() == pytest.approx(b.mean(), rel=tolerance)
-        assert a.std() == pytest.approx(b.std(), rel=0.15)

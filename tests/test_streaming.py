@@ -51,7 +51,6 @@ def _simulator(seed=41, store=None, block_windows=1, **config_kwargs):
         store=store,
         seed=seed,
         config=SimulationConfig(
-            engine="batch",
             block_windows=block_windows,
             random_failures=RandomFailures(daily_probability=0.3, seed=7),
             **config_kwargs,
@@ -277,9 +276,7 @@ def _alarm_run(inject: bool, seed: int = ALARM_SEED):
     sim = Simulator(
         fleet,
         seed=seed,
-        config=SimulationConfig(
-            engine="batch", block_windows=ALARM_BLOCK, counters=counters
-        ),
+        config=SimulationConfig(block_windows=ALARM_BLOCK, counters=counters),
     )
     alarm = OnlineRegressionAlarm("B")
     stream = StreamingSimulator(sim, retain_windows=512, alarm=alarm)

@@ -93,8 +93,8 @@ class TestShares:
             proportions=(0.7, 0.3),
             drift=0.3,
         )
-        split = mix.split_volume(1000.0, window=42)
-        assert sum(split.values()) == pytest.approx(1000.0)
+        split = 1000.0 * mix.shares_block(np.array([42]))[0]
+        assert split.sum() == pytest.approx(1000.0)
 
     def test_cpu_for_known_volume(self):
         mix = RequestMix(

@@ -1,14 +1,13 @@
-"""Guard: the committed benchmark JSON covers every engine and backend.
+"""Guard: the committed benchmark JSON covers every shard backend.
 
-``make test`` runs this before pytest, so a new simulation engine
-(:data:`repro.cluster.simulation.ENGINES`) or shard backend
+``make test`` runs this before pytest, so a new shard backend
 (:data:`repro.telemetry.sharding.BACKENDS`) cannot land without a row
 in ``BENCH_sim_throughput.json`` pricing it — the perf trajectory
 stays complete by construction instead of by reviewer vigilance.
 
-The engine and backend lists are imported from the code, not repeated
-here: adding ``"gpu"`` to ``ENGINES`` makes this check fail until
-``make bench`` regenerates the JSON with a ``gpu`` row.
+The backend list is imported from the code, not repeated here: adding
+``"gpu"`` to ``BACKENDS`` makes this check fail until ``make bench``
+regenerates the JSON with a ``gpu`` row.
 
 Usage: ``python tools/bench_check.py [path-to-json]``.
 """
@@ -23,7 +22,6 @@ from typing import List
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.cluster.simulation import ENGINES  # noqa: E402
 from repro.telemetry.sharding import BACKENDS  # noqa: E402
 
 DEFAULT_PATH = REPO_ROOT / "BENCH_sim_throughput.json"
@@ -32,8 +30,18 @@ DEFAULT_PATH = REPO_ROOT / "BENCH_sim_throughput.json"
 STAGE_KEYS = ("demand", "observe", "ingest")
 
 
+def _has_stages(row: dict) -> bool:
+    """The row breaks its time into exactly STAGE_KEYS, none of them zero."""
+    stages = row.get("stages")
+    return (
+        isinstance(stages, dict)
+        and set(stages) == set(STAGE_KEYS)
+        and all(stages.values())
+    )
+
+
 def check(path: Path) -> List[str]:
-    """Every engine, every backend, and stage breakdowns: return errors."""
+    """Every backend, and non-zero stage breakdowns: return errors."""
     if not path.exists():
         return [f"{path.name} missing — run `make bench` to generate it"]
     try:
@@ -43,19 +51,12 @@ def check(path: Path) -> List[str]:
 
     errors: List[str] = []
     configs = data.get("configs", [])
-    engine_rows = [
-        row
-        for row in (data.get("batch"), data.get("legacy"), data.get("per_sample"))
-        if row
-    ] + configs
-
-    engines_priced = {row.get("engine") for row in engine_rows}
-    for engine in ENGINES:
-        if engine not in engines_priced:
-            errors.append(
-                f"no benchmark row for engine {engine!r} "
-                f"(have: {sorted(engines_priced)})"
-            )
+    batch = data.get("batch")
+    if not batch:
+        errors.append(
+            "no 'batch' baseline row (block_windows=1, unsharded) — "
+            "regenerate with `make bench`"
+        )
 
     backends_priced = {row.get("backend") for row in configs}
     for backend in BACKENDS:
@@ -77,12 +78,11 @@ def check(path: Path) -> List[str]:
             "replicas >= 1) — regenerate with `make bench`"
         )
 
-    for row in engine_rows:
-        stages = row.get("stages")
-        if not isinstance(stages, dict) or set(stages) != set(STAGE_KEYS):
+    for row in ([batch] if batch else []) + configs:
+        if not _has_stages(row):
             errors.append(
-                f"row engine={row.get('engine')!r} "
-                f"backend={row.get('backend')!r} lacks a "
+                f"row block_windows={row.get('block_windows')!r} "
+                f"backend={row.get('backend')!r} lacks a non-zero "
                 f"{'/'.join(STAGE_KEYS)} stage breakdown — regenerate "
                 f"with `make bench`"
             )
@@ -98,10 +98,9 @@ def check(path: Path) -> List[str]:
             "`make bench`"
         )
     else:
-        stages = streaming.get("stages")
-        if not isinstance(stages, dict) or set(stages) != set(STAGE_KEYS):
+        if not _has_stages(streaming):
             errors.append(
-                f"streaming row lacks a {'/'.join(STAGE_KEYS)} stage "
+                f"streaming row lacks a non-zero {'/'.join(STAGE_KEYS)} stage "
                 f"breakdown — regenerate with `make bench`"
             )
         rss = streaming.get("peak_rss_mb")
@@ -143,8 +142,8 @@ def main(argv: List[str]) -> int:
             print(f"bench-check: {error}", file=sys.stderr)
         return 1
     print(
-        f"bench-check: {path.name} covers engines {list(ENGINES)} "
-        f"and backends {list(BACKENDS)}"
+        f"bench-check: {path.name} covers backends {list(BACKENDS)} "
+        f"with non-zero stages on every row"
     )
     return 0
 
