@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-stream test-faults test-server bench bench-smoke bench-backends bench-tcp bench-e2e bench-e2e-smoke bench-check docs-check hygiene-check lint run-checks check
+.PHONY: test test-stream test-faults test-server bench bench-smoke bench-tcp bench-e2e bench-e2e-smoke bench-check docs-check hygiene-check lint run-checks check
 
 # The static gates run first so doc drift, a stale benchmark JSON,
 # tracked build artifacts, or a lint invariant violation fail tier-1
@@ -15,7 +15,7 @@ test: run-checks
 	$(PYTHON) -m pytest -x -q
 
 # The streaming suite on its own: streaming-vs-batch bit-identity
-# across all four shard backends (including post-eviction reads and
+# across both shard backends (including post-eviction reads and
 # exports), the hot-memory bound, and the online regression alarm
 # (all of it also rides in `make test`).
 test-stream:
@@ -28,7 +28,7 @@ test-faults:
 	$(PYTHON) -m pytest tests/test_fault_tolerance.py -q
 
 # The live-query-server suite on its own: bit-identity at every block
-# boundary on all four backends, the concurrent hammer, and the
+# boundary on both backends, the concurrent hammer, and the
 # kill-mid-query bound (all of it also rides in `make test`).
 test-server:
 	$(PYTHON) -m pytest tests/test_query_server.py -q
@@ -37,11 +37,7 @@ test-server:
 bench-smoke:
 	$(PYTHON) benchmarks/bench_sim_throughput.py --smoke
 
-# Small serial/threads/processes/tcp shard-backend comparison (no JSON).
-bench-backends:
-	$(PYTHON) benchmarks/bench_sim_throughput.py --backends
-
-# Loopback-TCP shard sweep against a real `repro shard-server`
+# Serial-vs-loopback-TCP shard sweep against a real `repro shard-server`
 # subprocess: the distribution seam's cost by shard count (no JSON).
 bench-tcp:
 	$(PYTHON) benchmarks/bench_sim_throughput.py --tcp
@@ -76,8 +72,7 @@ hygiene-check:
 # AST-based invariant checks over src/repro: determinism (no hidden
 # entropy or wall-clock reads), lock discipline (single-owner seam),
 # rpc-surface (string dispatch resolves; query surface stays
-# read-only), wire-capabilities (advertised == probed).  See
-# docs/LINTING.md; `--json` gives machine-readable findings.
+# read-only).  See docs/LINTING.md; `--json` gives machine-readable findings.
 lint:
 	$(PYTHON) tools/repro_lint
 

@@ -5,15 +5,14 @@ servers x 1000 windows) for:
 
 * the default configuration (``block_windows=1``, unsharded) — the
   ``batch`` baseline row every other configuration is judged against;
-* a sweep of (shards, workers, block_windows, backend) configurations
+* a sweep of (shards, block_windows, backend) configurations
   combining the sharded store (:class:`~repro.telemetry.sharding.\
 ShardedMetricStore`) with cross-window block emission
-  (``SimulationConfig.block_windows``) across all four shard backends.
-  The remote backends pay one pickle crossing per row, so on a single
-  CPU they document the distribution seam's cost, not a speedup; the
+  (``SimulationConfig.block_windows``) across both shard backends.
+  The tcp backend pays one wire crossing per row, so on a single host
+  it documents the distribution seam's cost, not a speedup; the
   ``tcp`` rows run against a real ``repro shard-server`` subprocess on
-  loopback, so they additionally price the length-prefixed socket
-  framing vs the processes backend's pipe;
+  loopback, so they price a true process boundary plus socket framing;
 * a ``streaming`` row: a 100k-window ``simulate --stream`` clock loop
   with rolling retention, run in its own subprocess so its
   ``peak_rss_mb`` (``ru_maxrss``) prices exactly the streaming run —
@@ -31,10 +30,8 @@ perf trajectory.
 
 Run as a pytest benchmark (``pytest benchmarks/bench_sim_throughput.py``)
 or directly (``PYTHONPATH=src python benchmarks/bench_sim_throughput.py``;
-pass ``--smoke`` for a fast, JSON-less sanity run, ``--backends`` for a
-small serial/threads/processes/tcp comparison — the ``make
-bench-backends`` target — or ``--tcp`` for the loopback-TCP-focused
-sweep behind ``make bench-tcp``).
+pass ``--smoke`` for a fast, JSON-less sanity run or ``--tcp`` for the
+serial-vs-loopback-TCP sweep behind ``make bench-tcp``).
 """
 
 from __future__ import annotations
@@ -62,41 +59,30 @@ from repro.telemetry.workers import DEFAULT_PIPELINE_DEPTH
 SERVERS = 1000
 WINDOWS = 1000
 
-#: Required speedup of the best (shards, workers, block) configuration
-#: over the default block-of-one baseline.
+#: Required speedup of the best (shards, block) configuration over the
+#: default block-of-one baseline.
 TARGET_BLOCK_SPEEDUP = 1.5
 
-#: The (shards, workers, block_windows, backend) sweep.  Single-shard +
-#: blocks is the expected winner on small machines; the sharded
-#: variants document the fan-out cost of each backend at the same
-#: (4-shard, block=64) point: serial = partitioning pass only, threads
-#: = GIL-bound pool dispatch, processes = one pickle crossing per row,
-#: tcp = the same crossing through a loopback socket to a real
-#: shard-server subprocess (the price of the distribution seam, paid
-#: off only with real cores or machines behind it).  The tcp point
-#: appears twice: once restricted to the PR 4 wire behaviour (pickle
-#: frames, synchronous per-shard sendall) and once with the current
-#: default (negotiated binary column frames + pipelined writers), so
-#: the JSON records the transport optimisation's before/after.
+#: The (shards, block_windows, backend) sweep.  Single-shard + blocks
+#: is the expected winner on small machines; the sharded variants
+#: document the fan-out cost of each backend at the same (4-shard,
+#: block=64) point: serial = partitioning pass only, tcp = one wire
+#: crossing per row through a loopback socket to a real shard-server
+#: subprocess (the price of the distribution seam, paid off only with
+#: real cores or machines behind it).
 CONFIGS = (
-    {"shards": 1, "workers": 1, "block_windows": 16},
-    {"shards": 1, "workers": 1, "block_windows": 64},
-    {"shards": 4, "workers": 1, "block_windows": 64, "backend": "serial"},
-    {"shards": 4, "workers": 4, "block_windows": 64, "backend": "threads"},
-    {"shards": 4, "workers": 1, "block_windows": 64, "backend": "processes"},
-    {"shards": 4, "workers": 1, "block_windows": 64, "backend": "tcp",
-     "pipeline_depth": 0, "binary_frames": False},  # the PR 4 wire
-    {"shards": 4, "workers": 1, "block_windows": 64, "backend": "tcp"},
+    {"shards": 1, "block_windows": 16},
+    {"shards": 1, "block_windows": 64},
+    {"shards": 4, "block_windows": 64, "backend": "serial"},
+    {"shards": 4, "block_windows": 64, "backend": "tcp"},
     # Replicated tcp: every ingest frame is mirrored to a replica
     # session on a second shard-server subprocess — the steady-state
     # price of surviving a primary's death (tools/bench_check.py
     # requires this row).
-    {"shards": 4, "workers": 1, "block_windows": 64, "backend": "tcp",
-     "replicas": 1},
+    {"shards": 4, "block_windows": 64, "backend": "tcp", "replicas": 1},
 )
 
-#: The small backend comparison behind ``make bench-backends``
-#: (``--backends``) and the loopback-TCP sweep behind ``make bench-tcp``
+#: Fleet size of the loopback-TCP sweep behind ``make bench-tcp``
 #: (``--tcp``).
 BACKEND_SWEEP_SERVERS = 200
 BACKEND_SWEEP_WINDOWS = 200
@@ -158,12 +144,10 @@ def _measure(
     n_windows: int,
     servers: int = SERVERS,
     shards: int = 1,
-    workers: int = 1,
     block_windows: int = 1,
     backend: Optional[str] = None,
     shard_addrs: Optional[list] = None,
     pipeline_depth: Optional[int] = None,
-    binary_frames: bool = True,
     replicas: int = 0,
     replica_addrs: Optional[list] = None,
 ) -> dict:
@@ -174,12 +158,10 @@ def _measure(
         with _loopback_shard_server(max_sessions=shards) as address:
             kwargs = dict(
                 shards=shards,
-                workers=workers,
                 block_windows=block_windows,
                 backend=backend,
                 shard_addrs=[address] * shards,
                 pipeline_depth=pipeline_depth,
-                binary_frames=binary_frames,
                 replicas=replicas,
             )
             if replicas:
@@ -205,10 +187,8 @@ def _measure(
     store = (
         ShardedMetricStore(
             n_shards=shards,
-            workers=workers,
             backend=backend,
             shard_addrs=shard_addrs,
-            binary_frames=binary_frames,
             **store_kwargs,
         )
         if shards > 1 or backend is not None
@@ -222,30 +202,24 @@ def _measure(
     )
     started = time.perf_counter()
     sim.run(n_windows)
-    # sample_count() is the read barrier: on the processes backend it
-    # flushes every worker and waits for the answer, so buffered ingest
+    # sample_count() is the read barrier: on the tcp backend it
+    # flushes every shard and waits for the answer, so buffered ingest
     # cannot hide outside the timed region.
     samples = sim.store.sample_count()
     elapsed = time.perf_counter() - started
     if store is not None:
         store.close()
-    remote = store is not None and store.backend in ("processes", "tcp")
+    remote = store is not None and store.backend == "tcp"
     return {
         "servers": servers,
         "windows": n_windows,
         "shards": shards,
-        "workers": workers,
         "block_windows": block_windows,
         "backend": store.backend if store is not None else "none",
         "pipeline_depth": (
             (pipeline_depth if pipeline_depth is not None
              else DEFAULT_PIPELINE_DEPTH)
             if remote else 0
-        ),
-        "wire": (
-            ("binary" if binary_frames else "pickle")
-            if store is not None and store.backend == "tcp"
-            else "n/a"
         ),
         # Replica sessions mirrored per shard (tcp only); the
         # replicated-tcp row prices the fan-out's ingest cost.
@@ -472,37 +446,6 @@ def run_benchmark(
     return result
 
 
-def run_backend_sweep(
-    windows: int = BACKEND_SWEEP_WINDOWS,
-    servers: int = BACKEND_SWEEP_SERVERS,
-    shards: int = 4,
-    block_windows: int = 64,
-) -> list:
-    """Small serial/threads/processes/tcp comparison at one sweep point.
-
-    The fast local answer to "which backend should I use here?" —
-    prints one line per backend, writes no JSON.
-    """
-    results = []
-    for backend, workers in (
-        ("serial", 1),
-        ("threads", 4),
-        ("processes", 1),
-        ("tcp", 1),
-    ):
-        results.append(
-            _measure(
-                windows,
-                servers,
-                shards=shards,
-                workers=workers,
-                block_windows=block_windows,
-                backend=backend,
-            )
-        )
-    return results
-
-
 def run_tcp_sweep(
     windows: int = BACKEND_SWEEP_WINDOWS,
     servers: int = BACKEND_SWEEP_SERVERS,
@@ -511,20 +454,17 @@ def run_tcp_sweep(
     """Loopback-TCP shard sweep: distribution cost vs shard count.
 
     One ``repro shard-server`` subprocess hosts every session; rows
-    compare the unsharded baseline, the serial reference, and tcp at
-    increasing shard counts — each shard count measured twice, once
-    over the PR 4 wire (pickle frames, synchronous sends) and once
-    with the current default (binary column frames + pipelined
-    writers) — the `make bench-tcp` answer to "what does putting
-    shards behind the network cost on this machine, and what does the
-    transport optimisation buy back?".
+    compare the serial reference and tcp at increasing shard counts —
+    each shard count measured with synchronous sends and with the
+    default pipelined writers — the `make bench-tcp` answer to "what
+    does putting shards behind the network cost on this machine?".
     """
     results = [
         _measure(windows, servers, block_windows=block_windows,
                  backend="serial", shards=4),
     ]
     for shards in (1, 2, 4):
-        for pipeline_depth, binary_frames in ((0, False), (None, True)):
+        for pipeline_depth in (0, None):
             results.append(
                 _measure(
                     windows,
@@ -533,7 +473,6 @@ def run_tcp_sweep(
                     block_windows=block_windows,
                     backend="tcp",
                     pipeline_depth=pipeline_depth,
-                    binary_frames=binary_frames,
                 )
             )
     return results
@@ -541,14 +480,11 @@ def run_tcp_sweep(
 
 def _config_label(entry: dict) -> str:
     label = (
-        f"shards={entry['shards']} workers={entry['workers']} "
+        f"shards={entry['shards']} "
         f"block={entry['block_windows']} backend={entry['backend']}"
     )
     if entry.get("backend") == "tcp":
-        label += (
-            f" wire={entry.get('wire', 'pickle')}"
-            f" pipeline={entry.get('pipeline_depth', 0)}"
-        )
+        label += f" pipeline={entry.get('pipeline_depth', 0)}"
         if entry.get("replicas"):
             label += f" replicas={entry['replicas']}"
     return label
@@ -596,7 +532,7 @@ def _print_result(result: dict) -> None:
         )
         print(f"best config stages: {breakdown}")
     print(
-        f"best config: shards={best['shards']} workers={best['workers']} "
+        f"best config: shards={best['shards']} "
         f"block={best['block_windows']} backend={best['backend']} -> "
         f"{result['best_speedup_vs_batch']:.2f}x batch"
     )
@@ -634,17 +570,6 @@ if __name__ == "__main__":
             block_windows=_argv_int(argv, "--block", STREAM_BLOCK),
         )
         print(json.dumps(row))
-    elif "--backends" in argv:
-        sweep = run_backend_sweep()
-        print(
-            f"backend sweep: {BACKEND_SWEEP_SERVERS} servers x "
-            f"{BACKEND_SWEEP_WINDOWS} windows, 4 shards, block=64"
-        )
-        for entry in sweep:
-            print(
-                f"  {entry['backend']:10s} {entry['windows_per_sec']:8.1f} windows/s "
-                f"({entry['samples_per_sec']:,.0f} samples/s)"
-            )
     elif "--tcp" in argv:
         sweep = run_tcp_sweep()
         print(
@@ -654,7 +579,7 @@ if __name__ == "__main__":
         )
         for entry in sweep:
             wire = (
-                f" wire={entry['wire']:6s} pipeline={entry['pipeline_depth']}"
+                f" pipeline={entry['pipeline_depth']}"
                 if entry["backend"] == "tcp"
                 else ""
             )

@@ -10,8 +10,7 @@ The simulation knobs mirror the CLI (``python -m repro simulate``):
 Run:
     python examples/quickstart.py
     python examples/quickstart.py --windows 240
-    python examples/quickstart.py --shards 4 --workers 2 --block-windows 32
-    python examples/quickstart.py --shards 4 --shard-backend processes
+    python examples/quickstart.py --shards 4 --block-windows 32
 
     # distributed: `python -m repro shard-server` in another terminal,
     # then point the shards at it (docs/DISTRIBUTED.md):
@@ -32,6 +31,7 @@ from repro import (
 from repro.cluster.builders import PAPER_DATACENTERS
 from repro.cluster.service import service_catalog
 from repro.cluster.simulation import SimulationConfig
+from repro.telemetry import BACKENDS
 
 
 def positive_int(text: str) -> int:
@@ -63,15 +63,9 @@ def parse_args() -> argparse.Namespace:
         help="metric store shard count (1 = single store)",
     )
     parser.add_argument(
-        "--workers", type=positive_int, default=1,
-        help="thread fan-out for the 'threads' shard backend",
-    )
-    parser.add_argument(
-        "--shard-backend", default=None,
-        choices=("serial", "threads", "processes", "tcp"),
-        help="where shards live (default: serial, or threads when "
-             "--workers > 1; 'processes' runs one worker per shard, "
-             "'tcp' one shard-server session per --shard-addrs entry)",
+        "--shard-backend", default=None, choices=BACKENDS,
+        help="where shards live (default: serial; 'tcp' runs one "
+             "shard-server session per --shard-addrs entry)",
     )
     parser.add_argument(
         "--shard-addrs", default=None, metavar="HOST:PORT,...",
@@ -111,7 +105,6 @@ def main() -> None:
     store = (
         ShardedMetricStore(
             n_shards=args.shards,
-            workers=args.workers,
             backend=args.shard_backend,
             shard_addrs=shard_addrs,
             pipeline_depth=args.pipeline_depth,
@@ -161,7 +154,7 @@ def main() -> None:
     for summary in plan.summaries:
         print(f"  {summary.validation.describe().splitlines()[0]}")
 
-    # Reap worker processes when --shard-backend processes was used.
+    # End the shard sessions when --shard-backend tcp was used.
     if isinstance(store, ShardedMetricStore):
         store.close()
 

@@ -25,7 +25,7 @@ from typing import List, Optional
 from repro.cluster.builders import PAPER_DATACENTERS, build_paper_fleet
 from repro.cluster.service import service_catalog
 from repro.cluster.simulation import DEFAULT_COUNTERS, SimulationConfig, Simulator
-from repro.telemetry.sharding import ShardedMetricStore
+from repro.telemetry.sharding import BACKENDS, ShardedMetricStore
 from repro.telemetry.store import MetricStore
 from repro.telemetry.workers import ShardServer
 from repro.core.availability import study_fleet_availability
@@ -208,7 +208,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if args.shards > 1 or args.shard_backend is not None:
             store = ShardedMetricStore(
                 n_shards=args.shards,
-                workers=args.workers,
                 backend=args.shard_backend,
                 shard_addrs=shard_addrs,
                 connect_timeout=args.connect_timeout,
@@ -217,8 +216,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 replica_addrs=replica_addrs,
             )
             store_desc = (
-                f"{store.n_shards}-shard store "
-                f"(backend={store.backend!r}, {store.workers} worker(s))"
+                f"{store.n_shards}-shard store (backend={store.backend!r})"
             )
             if shard_addrs is not None:
                 store_desc += f" at {','.join(shard_addrs)}"
@@ -300,8 +298,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 1
     finally:
-        # Worker processes (shard-backend=processes) must be reaped even
-        # when the run fails; close() is a no-op for in-process stores.
+        # Shard sessions (shard-backend=tcp) must be ended even when
+        # the run fails; close() is a no-op for in-process stores.
         if isinstance(store, ShardedMetricStore):
             store.close()
     return 0
@@ -509,20 +507,11 @@ def build_parser() -> argparse.ArgumentParser:
              "(1 = single store; sharded telemetry is bit-identical)",
     )
     simulate.add_argument(
-        "--workers", type=_positive_int, default=1, metavar="N",
-        help="ingest fan-out width for the 'threads' shard backend "
-             "(>1 dispatches shard appends through a thread pool; "
-             "no-op with a single shard)",
-    )
-    simulate.add_argument(
-        "--shard-backend", default=None,
-        choices=("serial", "threads", "processes", "tcp"),
-        help="where shards live: 'serial' (in-process, caller thread), "
-             "'threads' (in-process, thread-pool fan-out), 'processes' "
-             "(one worker process per shard, pickled-ndarray ingest + "
-             "query RPC), or 'tcp' (one shard-server session per address "
-             "in --shard-addrs — same protocol over the network); "
-             "default infers serial/threads from --workers",
+        "--shard-backend", default=None, choices=BACKENDS,
+        help="where shards live: 'serial' (in-process, caller thread; "
+             "the default) or 'tcp' (one shard-server session per "
+             "address in --shard-addrs: coalesced ingest frames + query "
+             "RPC over the network)",
     )
     simulate.add_argument(
         "--shard-addrs", default=None, metavar="HOST:PORT,...",
@@ -555,8 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--pipeline-depth", type=_nonnegative_int, default=4, metavar="N",
-        help="remote shard backends (processes/tcp): how many coalesced "
-             "ingest frames may be queued or in flight per shard before "
+        help="tcp shards: how many coalesced ingest frames may be "
+             "queued or in flight per shard before "
              "the next flush blocks (0 = synchronous sends, no "
              "pipelining); queries still observe all prior ingest",
     )

@@ -16,15 +16,13 @@ from repro.telemetry.counters import (
 from repro.telemetry.series import TimeSeries
 from repro.telemetry.sharding import BACKENDS, ShardedMetricStore
 from repro.telemetry.store import MetricKey, MetricStore, ServerInterner
-from repro.telemetry.transport import PipeTransport, TcpTransport
-from repro.telemetry.workers import ShardServer, ShardWorker, TcpShardClient
+from repro.telemetry.transport import TcpTransport
+from repro.telemetry.workers import ShardServer, TcpShardClient
 
 __all__ = [
     "BACKENDS",
-    "PipeTransport",
     "TcpTransport",
     "ShardServer",
-    "ShardWorker",
     "TcpShardClient",
     "Counter",
     "CounterSample",

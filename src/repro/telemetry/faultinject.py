@@ -1,7 +1,7 @@
 """Deterministic fault injection for the tcp shard transport.
 
 The fault-tolerance claims of the replicated tcp backend — failover on
-the PR 5 timeout/EOF paths, bounded errors instead of hangs, rejoin
+the timeout/EOF paths, bounded errors instead of hangs, rejoin
 after restart — are only worth anything if they are *provoked* under
 test.  Real networks misbehave in ways a unit test cannot wait for, so
 this module wraps a :class:`~repro.telemetry.transport.TcpTransport`
@@ -115,8 +115,8 @@ class FaultyTransport:
     """A transport wrapper that misbehaves on cue (see module docs).
 
     Duck-types the transport surface the client stack uses — ``send``,
-    ``send_ingest``, ``recv``, ``close`` and the ``binary_frames``
-    negotiation flag — so it can be swapped in front of any
+    ``send_ingest``, ``recv``, ``close`` and ``detach`` — so it can be
+    swapped in front of any
     :class:`~repro.telemetry.transport.TcpTransport` (including one
     already owned by a live ``TcpShardClient``, which reads the
     attribute on every operation).  Frame counting covers both send
@@ -148,14 +148,6 @@ class FaultyTransport:
         self._frames_sent = 0
         self._corrupted = False
         self._closed = threading.Event()
-
-    @property
-    def binary_frames(self) -> bool:
-        return self._inner.binary_frames
-
-    @binary_frames.setter
-    def binary_frames(self, value: bool) -> None:
-        self._inner.binary_frames = value
 
     @property
     def frames_sent(self) -> int:
@@ -228,6 +220,10 @@ class FaultyTransport:
     def close(self) -> None:
         self._closed.set()
         self._inner.close()
+
+    def detach(self) -> None:
+        self._closed.set()
+        self._inner.detach()
 
 
 def inject_client(client: Any, spec: FaultSpec) -> FaultyTransport:

@@ -6,39 +6,26 @@ the partitions.  :class:`ShardedMetricStore` is that topology behind
 one facade: N shards, rows routed by
 ``interned_server_index % n_shards``, one shared
 :class:`~repro.telemetry.store.ServerInterner` (or a replicated copy
-per worker process) so indices — and thus query ordering — stay
+per remote shard) so indices — and thus query ordering — stay
 globally consistent.
 
-Four interchangeable **backends** decide where the shards live:
+Two interchangeable **backends** decide where the shards live:
 
 ``"serial"``
     N local :class:`~repro.telemetry.store.MetricStore` objects,
     appended to one after another on the caller's thread.  Zero
-    dispatch overhead; the baseline every other backend must match
+    dispatch overhead; the baseline the other backend must match
     bit-for-bit.
-``"threads"``
-    The same local shards, fanned out through a
-    ``concurrent.futures`` thread pool (``workers`` wide).  Each
-    partition lands on exactly one shard per call, so the fan-out
-    needs no locks; NumPy append work releases the GIL, which is
-    where overlap pays on multi-core machines.
-``"processes"``
-    Each shard is a :class:`~repro.telemetry.workers.ShardWorker` —
-    a ``MetricStore`` owned by a ``multiprocessing`` child, fed
-    pickled-ndarray command messages over a pipe (coalesced by a
-    batching/flush protocol) and queried over synchronous RPC.  Every
-    row pays one pickling crossing, so on a single CPU this is
-    strictly slower than serial — its value is moving shard memory
-    and query CPU off the ingesting process, the stepping stone to
-    shards on other machines.  See :mod:`repro.telemetry.workers`
-    for the message protocol.
 ``"tcp"``
     Each shard is a :class:`~repro.telemetry.workers.TcpShardClient`
     session on a ``repro shard-server`` (one ``host:port`` per shard
     in ``shard_addrs``; the same address may repeat — every
-    connection gets its own fresh store).  Identical protocol and
-    coalescing as the processes backend, over length-prefixed pickle
-    frames instead of a pipe — true multi-machine shards.  See
+    connection gets its own fresh store), fed coalesced ingest frames
+    and queried over synchronous RPC.  Every row pays one wire
+    crossing, so on one host this is strictly slower than serial —
+    its value is moving shard memory and query CPU off the ingesting
+    process, onto loopback server processes or other machines.  See
+    :mod:`repro.telemetry.workers` for the message protocol and
     ``docs/DISTRIBUTED.md`` for the wire format and operations.
 
 **Queries** merge shard results shard-wise, identically for every
@@ -59,7 +46,7 @@ backend:
 The result: every query on a :class:`ShardedMetricStore` fed by the
 batch (or blocked-batch) simulation engine is **bit-identical** to the
 same query on a single :class:`MetricStore` fed by the same engine —
-for all four backends, including byte-identical archive exports —
+for both backends, including byte-identical archive exports —
 proven by ``tests/test_sharded_store.py`` and
 ``tests/test_sim_equivalence.py``.
 """
@@ -69,7 +56,6 @@ from __future__ import annotations
 import pickle
 import tempfile
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -85,8 +71,6 @@ from repro.telemetry.workers import (
     DEFAULT_FLUSH_ROWS,
     DEFAULT_PIPELINE_DEPTH,
     ReplicatedShardClient,
-    ShardClient,
-    ShardWorker,
     TcpShardClient,
 )
 from repro.telemetry.store import (
@@ -101,17 +85,13 @@ from repro.telemetry.store import (
 _REDUCERS = ("mean", "sum", "max", "count")
 
 #: Valid values of the ``backend`` constructor knob.
-BACKENDS = ("serial", "threads", "processes", "tcp")
+BACKENDS = ("serial", "tcp")
 
-#: Backends whose shards live behind a connection (buffered ingest,
-#: explicit flush, close() tears the connection down).
-_REMOTE_BACKENDS = ("processes", "tcp")
-
-#: A shard handle: a local store or a remote-shard client proxy
-#: (worker process, TCP session, or replicated TCP group).  All expose
-#: the same ingest/query surface, which is what lets the facade treat
-#: "where does this shard live" as a construction detail.
-Shard = Union[MetricStore, ShardClient, ReplicatedShardClient]
+#: A shard handle: a local store or a remote-shard client proxy (TCP
+#: session or replicated TCP group).  All expose the same ingest/query
+#: surface, which is what lets the facade treat "where does this shard
+#: live" as a construction detail.
+Shard = Union[MetricStore, TcpShardClient, ReplicatedShardClient]
 
 
 class ShardJournal:
@@ -245,22 +225,14 @@ class ShardedMetricStore:
         Number of partitions.  Rows are routed by
         ``server_index % n_shards``, so one server's history always
         lives on one shard.
-    workers:
-        Ingest fan-out width for the ``"threads"`` backend (capped at
-        ``n_shards`` — more workers than shards cannot help).  The
-        other backends reject ``workers > 1`` to catch confused call
-        sites: serial has no fan-out at all, and processes/tcp always
-        run exactly one remote shard per partition.
     backend:
-        ``"serial"``, ``"threads"``, ``"processes"`` or ``"tcp"`` (see
-        the module docstring for the trade-offs).  ``None`` (default)
-        keeps the historical behaviour: ``"threads"`` when
-        ``workers > 1``, ``"serial"`` otherwise.
+        ``"serial"`` or ``"tcp"`` (see the module docstring for the
+        trade-offs).  ``None`` (default) means ``"serial"``.
     flush_rows:
-        Remote backends (processes/tcp) only: how many buffered rows
-        trigger one coalesced ingest message to a shard (see
-        :meth:`ShardClient.flush`).  Smaller values lower peak memory;
-        larger values amortise pickling better.
+        TCP backend only: how many buffered rows trigger one coalesced
+        ingest message to a shard (see :meth:`TcpShardClient.flush`).
+        Smaller values lower peak memory; larger values amortise
+        encoding better.
     shard_addrs:
         TCP backend only (and required by it): one ``host:port`` per
         shard, each dialled as its own ``repro shard-server`` session.
@@ -272,24 +244,19 @@ class ShardedMetricStore:
         refused dial before failing (covers starting client and
         server concurrently).
     pipeline_depth:
-        Remote backends only: how many coalesced ingest frames may be
+        TCP backend only: how many coalesced ingest frames may be
         queued or in flight per shard before the next flush blocks
         (each shard gets one writer thread, so partitioning the next
         block overlaps with the wire).  0 sends synchronously on the
-        caller's thread — the pre-pipelining behaviour.  Ordering is
-        unaffected either way: queries drain the queue first, so
-        reads always observe all previously buffered ingest.
+        caller's thread.  Ordering is unaffected either way: queries
+        drain the queue first, so reads always observe all previously
+        buffered ingest.
     io_timeout:
         TCP backend only: per-operation socket bound (seconds).  A
         send or recv that makes no progress for this long raises a
         per-shard ``RuntimeError`` naming the shard and address
         instead of hanging on a hung-but-alive peer; ``None`` (or
         ``<= 0``) disables the bound.
-    binary_frames:
-        TCP backend only: offer the pickle-free binary column frame
-        to each shard server (used when the peer advertises it; a PR 4
-        server transparently keeps receiving pickle frames).  False
-        forces pickle framing for benchmarking or debugging.
     replica_addrs:
         TCP backend only: replica addresses aligned with
         ``shard_addrs`` — entry *i* is the replica (a ``host:port``
@@ -310,46 +277,33 @@ class ShardedMetricStore:
         (default) disables journaling — and with it ``rejoin_shard``
         — at zero cost.
 
-    A store with remote shards owns connections (and, for processes,
-    child processes), so treat it like a file: use the
-    context-manager form or call :meth:`close` when done.  ``close``
-    is idempotent, fork-safe, and safe to call while another thread
-    is mid-ingest — the racing ingest either completes or raises a
-    clean ``RuntimeError``, never a torn dispatch.
+    A store with remote shards owns connections, so treat it like a
+    file: use the context-manager form or call :meth:`close` when
+    done.  ``close`` is idempotent and fork-safe, and ingest after it
+    raises a clean ``RuntimeError``.
     """
 
     def __init__(
         self,
         n_shards: int = 4,
-        workers: int = 1,
         backend: Optional[str] = None,
         flush_rows: int = DEFAULT_FLUSH_ROWS,
         shard_addrs: Optional[Sequence[str]] = None,
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
         pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
         io_timeout: Optional[float] = DEFAULT_IO_TIMEOUT,
-        binary_frames: bool = True,
         replica_addrs: Optional[Sequence] = None,
         journal_rows: Optional[int] = None,
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         if pipeline_depth < 0:
             raise ValueError("pipeline_depth must be >= 0")
         if backend is None:
-            backend = "threads" if workers > 1 else "serial"
+            backend = "serial"
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
-        if backend == "serial" and workers > 1:
-            raise ValueError("backend='serial' cannot use workers > 1")
-        if backend in _REMOTE_BACKENDS and workers > 1:
-            raise ValueError(
-                f"backend={backend!r} always runs one remote shard per "
-                "partition; workers > 1 is meaningless"
             )
         shard_addresses: Optional[List[Tuple[str, ...]]] = None
         if backend == "tcp":
@@ -386,7 +340,6 @@ class ShardedMetricStore:
             flush_rows=flush_rows,
             connect_timeout=connect_timeout,
             io_timeout=io_timeout,
-            binary_frames=binary_frames,
             pipeline_depth=pipeline_depth,
         )
         self._journals: Optional[List[ShardJournal]] = (
@@ -395,15 +348,7 @@ class ShardedMetricStore:
             else None
         )
         self._shards: List[Shard]
-        if backend == "processes":
-            self._shards = [
-                ShardWorker(
-                    shard_id, self._interner, flush_rows=flush_rows,
-                    pipeline_depth=pipeline_depth,
-                )
-                for shard_id in range(n_shards)
-            ]
-        elif backend == "tcp":
+        if backend == "tcp":
             self._shards = []
             try:
                 for shard_id, addresses in enumerate(shard_addresses):
@@ -421,10 +366,6 @@ class ShardedMetricStore:
             self._shards = [
                 MetricStore(interner=self._interner) for _ in range(n_shards)
             ]
-        if backend == "threads" and workers == 1:
-            workers = n_shards
-        self._workers = min(workers, n_shards)
-        self._executor: Optional[ThreadPoolExecutor] = None
         self._agg_cache: Dict[Tuple, TimeSeries] = {}
         #: Streaming state mirrored at the facade: the eviction
         #: watermark applied to every shard, and the incrementally
@@ -451,7 +392,7 @@ class ShardedMetricStore:
     def lock(self) -> "threading.RLock":
         """Reentrant lock serializing a clock-loop writer and readers.
 
-        Queries on remote backends flush shard ingest buffers, so a
+        Queries on the tcp backend flush shard ingest buffers, so a
         reader thread must never interleave with the writer's block —
         the streaming loop holds this across each ingest→seal→evict
         span and :class:`~repro.telemetry.query_server.\
@@ -468,23 +409,17 @@ LiveQuerySurface` takes it around every read.
 
     @property
     def backend(self) -> str:
-        """The shard placement backend: serial, threads, processes or tcp."""
+        """The shard placement backend: serial or tcp."""
         return self._backend
-
-    @property
-    def workers(self) -> int:
-        """Thread fan-out width (``"threads"`` backend; 1 otherwise means
-        the caller's thread does all appends)."""
-        return self._workers
 
     @property
     def shards(self) -> Tuple[Shard, ...]:
         """The underlying shard handles (read-only view, for tests).
 
-        Local :class:`MetricStore` objects for the serial/threads
-        backends, :class:`ShardWorker` / :class:`TcpShardClient`
-        proxies for the remote backends — all answer the same query
-        methods (the proxies over RPC).
+        Local :class:`MetricStore` objects for the serial backend,
+        :class:`TcpShardClient` / :class:`ReplicatedShardClient`
+        proxies for tcp — all answer the same query methods (the
+        proxies over RPC).
         """
         return tuple(self._shards)
 
@@ -563,37 +498,26 @@ LiveQuerySurface` takes it around every read.
         self._agg_cache.clear()
 
     def close(self) -> None:
-        """Release backend resources; idempotent, fork- and race-safe.
+        """Release backend resources; idempotent and fork-safe.
 
-        Threads backend: shuts the executor down, letting already
-        submitted shard appends finish.  Remote backends (processes /
-        tcp): stops every remote shard (graceful ``stop`` message;
-        worker children additionally get ``terminate()`` after a
-        timeout), after which the store no longer answers queries —
-        archive first.  Calling ``close`` a second time, or from a
-        process that forked after construction, is a safe no-op for
-        the original owner's shards: only the creating process ever
-        tears remote shards down, so a forked child closing its
-        inherited copy cannot yank live shards out from under the
-        parent (regression-tested via
-        ``multiprocessing.active_children()``).
+        TCP backend: ends every shard session (graceful ``stop``
+        message), after which the store no longer answers queries —
+        archive first.  Calling ``close`` a second time is a no-op, and
+        from a process that forked after construction it only releases
+        the inherited descriptors: only the creating process ever ends
+        a session, so a forked child closing its copy cannot yank live
+        shards out from under the parent.
 
         ``close`` may also race an in-flight ingest on another thread:
-        the lifecycle lock makes the closed flag and the executor
-        handoff atomic, so the racing ``record_*`` call either runs to
-        completion before the executor drains or raises a clean
-        ``RuntimeError("ShardedMetricStore is closed")`` — never the
-        executor's own "cannot schedule new futures" surprise or a
-        send on a torn-down worker connection.
+        the closed flag is a lock-guarded test-and-set, and the racing
+        ``record_*`` call either runs to completion or raises a clean
+        ``RuntimeError`` — never a torn shard state.
         """
         with self._lifecycle_lock:
             if self._closed:
                 return
             self._closed = True
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-        if self._backend in _REMOTE_BACKENDS:
+        if self._backend == "tcp":
             for shard in self._shards:
                 shard.close()
         if self._journals is not None:
@@ -607,46 +531,34 @@ LiveQuerySurface` takes it around every read.
         self.close()
 
     def flush(self) -> None:
-        """Force buffered remote ingest out (processes/tcp backends).
+        """Force buffered remote ingest out (tcp backend).
 
-        No-op for serial/threads, where appends are synchronous.  Not
+        No-op for serial, where appends are synchronous.  Not
         normally needed — every query flushes the shard it reads — but
         useful to bound parent-side buffer memory at a known point.
         With pipelining the flushed frames may still be queued or in
         flight afterwards (bounded by ``pipeline_depth``); any query
         acts as the full drain barrier.
         """
-        if self._backend in _REMOTE_BACKENDS:
+        if self._backend == "tcp":
             for shard in self._shards:
                 shard.flush()
 
     def _ensure_open(self) -> None:
         """Ingest guard: a closed store must fail loudly, not race.
 
-        Raised eagerly on every ``record_*`` entry point so the
-        threads backend cannot submit to a drained executor and the
-        remote backends cannot write to a torn-down connection.
+        Raised eagerly on every ``record_*`` entry point so the tcp
+        backend cannot write to a torn-down connection.
         """
         if self._closed:
             raise RuntimeError("ShardedMetricStore is closed")
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        with self._lifecycle_lock:
-            if self._closed:
-                raise RuntimeError("ShardedMetricStore is closed")
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self._workers,
-                    thread_name_prefix="metric-shard",
-                )
-            return self._executor
 
     # ------------------------------------------------------------------
     # Server interning (shared across shards)
     # ------------------------------------------------------------------
     @property
     def interner(self) -> ServerInterner:
-        """The facade's authoritative id space.  Worker processes hold
+        """The facade's authoritative id space.  Remote shards hold
         replicas, synced by name-delta messages (see
         :mod:`repro.telemetry.workers`)."""
         return self._interner
@@ -665,40 +577,6 @@ LiveQuerySurface` takes it around every read.
     # ------------------------------------------------------------------
     # Ingest (shard fan-out)
     # ------------------------------------------------------------------
-    def _dispatch(self, parts: List[Tuple[int, tuple]], method: str) -> None:
-        """Run ``shard.<method>(*args)`` for every (shard id, args) part.
-
-        Each partition touches exactly one shard, so concurrent
-        dispatch needs no locking; the caller thread owns the interner
-        and all bookkeeping that spans shards.  Backends differ only
-        here: serial runs parts inline; threads submits them to the
-        pool and waits; processes hands them to the worker proxies,
-        whose buffered ingest returns immediately (the pickling cost is
-        paid at flush time, the ack — if an ingest error occurred — at
-        the next query).
-        """
-        if (
-            self._backend == "threads"
-            and self._workers > 1
-            and len(parts) > 1
-        ):
-            executor = self._ensure_executor()
-            try:
-                futures = [
-                    executor.submit(getattr(self._shards[shard_id], method), *args)
-                    for shard_id, args in parts
-                ]
-            except RuntimeError as error:
-                # Lost the race with close(): the executor drained
-                # between _ensure_executor and submit.  Surface the
-                # same clean error a pre-checked caller would see.
-                raise RuntimeError("ShardedMetricStore is closed") from error
-            for future in futures:
-                future.result()
-        else:
-            for shard_id, args in parts:
-                getattr(self._shards[shard_id], method)(*args)
-
     def record_columns(
         self,
         pool_id: str,
@@ -713,11 +591,11 @@ LiveQuerySurface` takes it around every read.
         Same contract as :meth:`MetricStore.record_columns`; the
         relative row order within each shard is preserved, which is
         what keeps shard tables in the canonical (window, server)
-        order the merge layer relies on — for the processes backend
-        too, because each worker applies its command stream FIFO.
-        With remote shards (processes/tcp), the partitioned arrays are
-        buffered and later pickled once each; with serial/threads they
-        are appended to local chunk lists with no copy.
+        order the merge layer relies on — for the tcp backend too,
+        because each serve loop applies its command stream FIFO.  With
+        remote shards the partitioned arrays are buffered and later
+        sent once each; with serial they are appended to local chunk
+        lists with no copy.
         """
         self._ensure_open()
         if values.size == 0:
@@ -781,7 +659,8 @@ LiveQuerySurface` takes it around every read.
                     self._journals[shard_id].append(
                         "record_columns", args, int(args[5].size)
                     )
-            self._dispatch(parts, "record_columns")
+            for shard_id, args in parts:
+                self._shards[shard_id].record_columns(*args)
         if self._agg_cache:
             self._agg_cache.clear()
 
@@ -799,7 +678,8 @@ LiveQuerySurface` takes it around every read.
         Same contract as :meth:`MetricStore.record_batch` (string ids
         or pre-interned index arrays; buffers may be reused by the
         caller afterwards — the facade copies before partitioning, so
-        even process-buffered parts never alias caller memory).
+        even parts buffered for a remote shard never alias caller
+        memory).
         """
         if isinstance(server_ids, np.ndarray) and server_ids.dtype.kind in "iu":
             indices = np.array(server_ids, dtype=np.int64)
@@ -826,7 +706,7 @@ LiveQuerySurface` takes it around every read.
     ) -> None:
         """Append one sample (compatibility shim; routes to one shard).
 
-        On the remote backends the scalar rides the owner shard's
+        On the tcp backend the scalar rides the owner shard's
         coalescing ingest buffer, so even sample-at-a-time callers pay
         ~one message per ``flush_rows`` samples, not per sample.
         """
@@ -1005,7 +885,7 @@ LiveQuerySurface` takes it around every read.
         """Total number of stored samples across all shards.
 
         Doubles as the cheapest read-your-writes barrier on the
-        processes backend: it flushes and round-trips every worker.
+        tcp backend: it flushes and round-trips every shard.
         """
         return sum(shard.sample_count() for shard in self._shards)
 
@@ -1018,8 +898,8 @@ LiveQuerySurface` takes it around every read.
         servers' slice of the table); the archive exporter regroups
         rows per server, and every server lives on exactly one shard,
         so exports come out **byte-identical** to a single store's —
-        the processes backend ships each shard's tables back as one
-        pickled list, in the same shard order.
+        a remote shard ships its tables back as one pickled list, in
+        the same shard order.
         """
         for shard in self._shards:
             yield from shard.iter_tables()
@@ -1052,7 +932,7 @@ LiveQuerySurface` takes it around every read.
         would hand its own aggregation kernel — including the float
         accumulation order of downstream ``np.bincount`` sums.  Shard
         placement is invisible here: local shards return array views,
-        workers return pickled copies, and the merge is the same.
+        remote shards return pickled copies, and the merge is the same.
         """
         dcs = [datacenter_id] if datacenter_id is not None else self._dcs_for(
             pool_id, counter
@@ -1099,12 +979,12 @@ LiveQuerySurface` takes it around every read.
 
         ``count`` and ``max`` merge per-shard bincount partials over
         the union of windows (associative, hence exact — and the
-        cheapest plan for process shards, since only the small partial
-        series crosses the pipe).  ``sum`` and ``mean`` instead
+        cheapest plan for remote shards, since only the small partial
+        series crosses the wire).  ``sum`` and ``mean`` instead
         aggregate the canonically re-ordered gather of all shard rows,
         so their float accumulation order — and therefore every output
         bit — matches the unsharded store, at the cost of moving the
-        raw columns (one pickled copy per process shard).  Results are
+        raw columns (one pickled copy per remote shard).  Results are
         memoized until the next ingest, like the single store's cache.
         """
         if reducer not in _REDUCERS:
@@ -1192,7 +1072,7 @@ LiveQuerySurface` takes it around every read.
 
         Every server lives on exactly one shard, so the merge is a
         plain dict union — per-server arrays are the shard's arrays
-        (or, for process shards, their pickled copies), bit-identical
+        (or, for remote shards, their pickled copies), bit-identical
         to the unsharded ones.
         """
         out: Dict[str, np.ndarray] = {}
@@ -1214,7 +1094,7 @@ LiveQuerySurface` takes it around every read.
     ) -> TimeSeries:
         """Series of one counter on one server (routed to its shard).
 
-        Exactly one shard — local object or worker RPC — answers; no
+        Exactly one shard — local object or remote RPC — answers; no
         merging, hence trivially bit-identical on every backend.
         """
         index = self._interner.index.get(server_id)
@@ -1235,7 +1115,7 @@ LiveQuerySurface` takes it around every read.
         """Dense (windows, server_ids, values) cube stacked from shards.
 
         Each shard contributes the column slice of the servers it owns
-        (process shards build theirs in the child and ship one dense
+        (remote shards build theirs server-side and ship one dense
         matrix back); rows are aligned on the union of the shards'
         windows.  Every cell is a single stored value, so stacking is
         exact on all backends.

@@ -26,9 +26,9 @@ Horizontal scaling lives one layer up:
 rows across several ``MetricStore`` shards that share one global
 :class:`ServerInterner` id space, and merges query results shard-wise
 so callers see the exact same answers as a single store.  Shards can
-be held in-process or owned by worker processes
-(:class:`~repro.telemetry.workers.ShardWorker`), in which case each
-worker runs a plain ``MetricStore`` exactly like this one and replays
+be held in-process or served by a
+:class:`~repro.telemetry.workers.ShardServer`, in which case each
+session runs a plain ``MetricStore`` exactly like this one and replays
 interner names from per-message deltas.
 """
 

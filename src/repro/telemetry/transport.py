@@ -1,28 +1,14 @@
-"""Shard transports: the byte pipe under the worker message protocol.
+"""The shard transport: the byte pipe under the shard message protocol.
 
-:mod:`repro.telemetry.workers` defines a placement-agnostic actor
-protocol (coalesced ``ingest`` messages, synchronous ``call`` RPC,
-interner name-delta replication, ``stop``/EOF shutdown) and was built
-on the explicit assumption that the two sides share **nothing** — not
-memory, not an interner, not a process.  That makes the pipe the only
-process-specific piece, and this module turns the pipe into an
-interface:
-
-:class:`PipeTransport`
-    A ``multiprocessing.Pipe`` connection end.  Framing and pickling
-    are the connection's own; this is the transport the
-    ``"processes"`` backend has always used.
-:class:`TcpTransport`
-    A TCP socket speaking length-prefixed pickle frames (the wire
-    format below).  This is the ``"tcp"`` backend's pipe: the same
-    protocol messages, now able to cross machines.  The full
-    operator-facing spec lives in ``docs/DISTRIBUTED.md``.
-
-Both expose the same surface — ``send(message)``, ``send_ingest(names,
-commands)`` (the ingest fast path, free to pick a wire encoding),
-``recv()`` (raising :class:`EOFError` on clean peer close) and
-``close()`` — so the worker serve loop and the client proxies never
-know which one they hold.
+:mod:`repro.telemetry.workers` defines the actor protocol (coalesced
+``ingest`` messages, synchronous ``call`` RPC, interner name-delta
+replication, ``stop``/EOF shutdown) on the explicit assumption that the
+two sides share **nothing** — not memory, not an interner, not a
+process.  :class:`TcpTransport` is the one pipe under it: a TCP socket
+speaking the length-prefixed frames below, exposing ``send(message)``,
+``send_ingest(names, commands)`` (the ingest fast path), ``recv()``
+(raising :class:`EOFError` on clean peer close) and ``close()``.  The
+full operator-facing spec lives in ``docs/DISTRIBUTED.md``.
 
 Wire format of :class:`TcpTransport` (one *frame* per protocol
 message)::
@@ -34,12 +20,9 @@ message)::
     +------------------------------------+---------------------------+
 
 Frame kind 0 (``pickle``) carries ``pickle.dumps(message,
-protocol=HIGHEST_PROTOCOL)`` — any protocol message; ndarray columns
-inside ingest messages cross the wire as raw buffers, exactly as they
-cross a ``multiprocessing`` pipe.  PR 4 peers only ever produced this
-kind (their top header byte was always zero because payloads are
-capped far below 2^56), so kind-0 frames are bit-compatible with the
-original wire format.
+protocol=HIGHEST_PROTOCOL)`` — any protocol message; the control-plane
+encoding (calls, replies, ``stop``) and the fallback for ingest
+messages kind 1 cannot carry.
 
 Frame kind 1 (``binary ingest``) is a pickle-free encoding of the one
 hot message, ``("ingest", names, commands)`` where every command is a
@@ -56,20 +39,17 @@ little-endian)::
         n_rows x i64 (LE)                  server indices
         n_rows x f64 (LE)                  values
 
-A client only emits kind 1 after the per-session capability probe (see
-:mod:`repro.telemetry.workers`) confirmed the peer decodes it — old
-peers keep receiving kind 0 and never see an unknown frame.  Frames
-are strictly sequential per connection (the protocol is FIFO by
-design); a frame claiming an unknown kind or more than
-``MAX_FRAME_BYTES`` is treated as evidence the peer is not speaking
-this protocol and kills the connection rather than attempting a giant
-allocation.
+Both ends of a connection must run the same tree — nothing is
+negotiated.  Frames are strictly sequential per connection (the
+protocol is FIFO by design); a frame claiming an unknown kind or more
+than ``MAX_FRAME_BYTES``, or whose payload does not decode, is treated
+as evidence the peer is not speaking this protocol and kills the
+connection rather than attempting a giant allocation.
 
 **Security**: pickle deserialisation executes arbitrary code by
 design.  A shard server must only ever listen on loopback or an
-otherwise trusted, access-controlled network — the same trust model as
-a ``multiprocessing`` pipe, stretched across machines, and the reason
-the default listen address is ``127.0.0.1``.
+otherwise trusted, access-controlled network — the reason the default
+listen address is ``127.0.0.1``.
 """
 
 from __future__ import annotations
@@ -90,8 +70,7 @@ _HEADER = struct.Struct(">Q")
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 
-#: Header frame kinds.  PR 4 peers only ever emitted kind 0 (their
-#: header was a bare length, and lengths never reach the top byte).
+#: Header frame kinds.
 FRAME_PICKLE = 0
 FRAME_BINARY_INGEST = 1
 
@@ -110,9 +89,8 @@ DEFAULT_CONNECT_TIMEOUT = 5.0
 
 #: Default per-operation socket timeout (seconds): how long one send
 #: or recv may sit with *no progress* before the connection is declared
-#: dead.  Bounds every RPC against a hung-but-alive peer — the PR 4
-#: behaviour (``settimeout(None)``) blocked forever.  ``None`` disables
-#: the bound and restores the old semantics.
+#: dead.  Bounds every RPC against a hung-but-alive peer; ``None``
+#: disables the bound (block forever).
 DEFAULT_IO_TIMEOUT = 60.0
 
 _RETRY_INTERVAL = 0.05
@@ -178,32 +156,6 @@ def format_address(host: str, port: int) -> str:
     return f"{host}:{port}"
 
 
-class PipeTransport:
-    """A ``multiprocessing`` connection end behind the transport surface.
-
-    The connection already frames and pickles messages itself, so this
-    is a naming shim — its value is that the serve loop and the client
-    proxies depend on the three-method transport surface instead of a
-    concrete connection type.
-    """
-
-    def __init__(self, conn) -> None:
-        self._conn = conn
-
-    def send(self, message: Any) -> None:
-        self._conn.send(message)
-
-    def send_ingest(self, names: List[str], commands: List[tuple]) -> None:
-        """Ingest fast path: the pipe has no binary frame, plain send."""
-        self._conn.send(("ingest", names, commands))
-
-    def recv(self) -> Any:
-        return self._conn.recv()
-
-    def close(self) -> None:
-        self._conn.close()
-
-
 class TcpTransport:
     """Length-prefixed frames (pickle or binary) over one TCP connection.
 
@@ -220,13 +172,6 @@ class TcpTransport:
     hung-but-alive peer (``None`` disables the bound).  The connection
     is unusable after a timeout — a partial frame may be in flight —
     so callers must treat it as lost.
-
-    ``binary_frames`` controls the *outgoing* encoding of
-    :meth:`send_ingest`: when ``True`` (set by the client after the
-    capability probe confirmed the peer decodes kind-1 frames),
-    all-``record_columns`` ingest messages skip pickle entirely and
-    cross as the raw column layout in the module docstring.  Incoming
-    frames need no flag — the header names their kind.
     """
 
     def __init__(
@@ -235,7 +180,6 @@ class TcpTransport:
         io_timeout: float | None = None,
     ) -> None:
         self._sock = sock
-        self.binary_frames = False
         sock.settimeout(io_timeout)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -285,18 +229,16 @@ class TcpTransport:
     def send_ingest(self, names: List[str], commands: List[tuple]) -> None:
         """Send one ``("ingest", names, commands)`` message.
 
-        Uses the kind-1 binary frame when the session negotiated it and
-        every command fits the fixed column layout; anything else (an
-        un-negotiated session, a ``record_fast`` compatibility command,
-        exotic dtypes) falls back to the kind-0 pickle frame, so the
-        fast path never restricts what the protocol can carry.
+        Uses the kind-1 binary frame when every command fits the fixed
+        column layout; anything else (a ``record_fast`` compatibility
+        command, exotic dtypes) falls back to the kind-0 pickle frame,
+        so the fast path never restricts what the protocol can carry.
         """
-        if self.binary_frames:
-            buffers = _encode_binary_ingest(names, commands)
-            if buffers is not None:
-                self._sendv(buffers)
-                return
-        self.send(("ingest", names, commands))
+        buffers = _encode_binary_ingest(names, commands)
+        if buffers is None:
+            self.send(("ingest", names, commands))
+        else:
+            self._sendv(buffers)
 
     def _sendv(self, buffers: Sequence) -> None:
         """Write a buffer sequence: small fields coalesce into one
@@ -339,15 +281,19 @@ class TcpTransport:
         payload = self._recv_exact(length)
         if kind == FRAME_BINARY_INGEST:
             return _decode_binary_ingest(payload)
-        return pickle.loads(payload)
+        try:
+            return pickle.loads(payload)
+        except Exception as error:  # noqa: BLE001 — garbage raises anything
+            raise ConnectionError(
+                f"malformed pickle frame: {error!r}"
+            ) from None
 
     def _recv_exact(self, n: int, eof_ok: bool = False) -> bytearray:
         """Read exactly ``n`` bytes into one (writable) buffer.
 
         EOF on a frame boundary (``eof_ok``) is the peer's clean
-        goodbye and raises :class:`EOFError`, mirroring
-        ``multiprocessing`` connections; EOF mid-frame means the peer
-        died and raises :class:`ConnectionError`.  Returning a
+        goodbye and raises :class:`EOFError`; EOF mid-frame means the
+        peer died and raises :class:`ConnectionError`.  Returning a
         ``bytearray`` lets the binary decoder hand out writable ndarray
         views of the payload with zero further copies.
         """
@@ -370,14 +316,25 @@ class TcpTransport:
             pass
         self._sock.close()
 
+    def detach(self) -> None:
+        """Release this process's descriptor and nothing else.
+
+        What a forked copy does instead of :meth:`close`:
+        ``shutdown()`` acts on the connection itself, which the owner
+        still shares, so it would end the owner's session.
+        """
+        self._sock.close()
+
 
 def _encode_binary_ingest(names, commands):
     """Encode an ingest message as kind-1 buffers, or ``None``.
 
     ``None`` means "not encodable, use pickle": a non-``record_columns``
     command, or columns that are not the fixed contiguous
-    ``(int64, int64, float64)`` layout.  On success returns the full
-    buffer sequence — header first — ready for a vectored send; column
+    ``(int64, int64, float64)`` layout with one length (the frame
+    carries a single row count; misaligned columns must reach the
+    remote ``record_columns`` intact so *it* rejects them).  On
+    success returns the full buffer sequence — header first — ready for a vectored send; column
     arrays are passed through as memoryviews, so large arrays are never
     copied on the way out.
     """
@@ -394,6 +351,8 @@ def _encode_binary_ingest(names, commands):
                 not isinstance(array, np.ndarray)
                 or array.dtype != dtype
                 or not array.flags.c_contiguous
+                or array.ndim != 1
+                or array.shape != windows.shape
             ):
                 return None
     fields = bytearray()

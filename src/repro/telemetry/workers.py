@@ -1,4 +1,4 @@
-"""Remote shards: worker processes and TCP servers behind one protocol.
+"""Remote shards: TCP shard servers behind one client and one protocol.
 
 The paper's pipeline spreads its ~3 GB/s counter stream across many
 trace-store *machines*; :class:`~repro.telemetry.sharding.\
@@ -6,25 +6,19 @@ ShardedMetricStore` reproduces the partitioning in-process, and this
 module moves each partition behind a real placement boundary.  The
 shape is the classic actor: one
 :class:`~repro.telemetry.store.MetricStore` owned by a serve loop on
-the far side of a :mod:`~repro.telemetry.transport` connection, a
-command channel in front of it, and a parent-side proxy object whose
-surface mirrors the store's query API — the facade cannot tell a
-remote shard from a local one.
+the far side of a :class:`~repro.telemetry.transport.TcpTransport`
+connection, a command channel in front of it, and a client-side proxy
+object whose surface mirrors the store's query API — the facade cannot
+tell a remote shard from a local one.
 
-Two placements share everything but the pipe:
-
-:class:`ShardWorker`
-    One ``multiprocessing`` daemon child per shard, reached over a
-    duplex pipe (:class:`~repro.telemetry.transport.PipeTransport`).
-    The ``"processes"`` backend.
 :class:`TcpShardClient` / :class:`ShardServer`
-    One TCP session per shard, reached over length-prefixed pickle
-    frames (:class:`~repro.telemetry.transport.TcpTransport`).  A
-    :class:`ShardServer` — also exposed as the ``repro shard-server``
-    CLI command — accepts any number of sessions and gives each one
-    its own fresh ``MetricStore``, so *one connection is one shard*
-    and a facade pointed at ``host:port,host:port,...`` has true
-    multi-machine shards.  The ``"tcp"`` backend.
+    One TCP session per shard.  A :class:`ShardServer` — also exposed
+    as the ``repro shard-server`` CLI command — accepts any number of
+    sessions and gives each one its own fresh ``MetricStore``, so *one
+    connection is one shard* and a facade pointed at
+    ``host:port,host:port,...`` has true multi-machine shards.  The
+    ``"tcp"`` backend.  Client and server must run the same tree:
+    there is no version negotiation on the wire.
 
 Message protocol (one connection per shard, all messages tuples,
 strictly FIFO; the wire encoding is the transport's business):
@@ -32,50 +26,40 @@ strictly FIFO; the wire encoding is the transport's business):
 ``("ingest", names, commands)``
     Fire-and-forget bulk append.  ``commands`` is a list of
     ``(method, args)`` pairs — ``record_columns`` / ``record_fast``
-    calls whose ndarray arguments pickle as raw buffers — applied in
-    order by the serve loop.  Small parts coalesce: the proxy buffers
-    commands until ``flush_rows`` rows are pending (or a query/close
-    forces a flush), so one message amortises pickling and wakeup
-    cost across many appends.
+    calls — applied in order by the serve loop.  Small parts coalesce:
+    the proxy buffers commands until ``flush_rows`` rows are pending
+    (or a query/close forces a flush), so one message amortises
+    encoding and wakeup cost across many appends.
 ``("call", names, method, args, kwargs)``
     Synchronous query RPC.  The serve loop resolves ``method`` on its
     store (plain attributes answer property reads, generators are
     materialised into lists so they can cross the connection) and
     replies ``("ok", result)`` or ``("err", exception)``.  Any
     exception a previous *ingest* message raised is delivered here
-    instead — ingest errors are deferred, never lost.  One method
-    name is reserved: ``protocol_capabilities`` is answered by the
-    serve loop itself (:data:`SESSION_CAPABILITIES`) without touching
-    the store — the capability probe a client sends once per session
-    to learn whether the peer decodes binary ingest frames.  A PR 4
-    serve loop answers it with an ``AttributeError``, which a probing
-    client reads as "pickle frames only" — so old and new peers
-    interoperate in both directions.
+    instead — ingest errors are deferred, never lost.
 ``("stop",)``
     Graceful shutdown of this session; so is a clean EOF (the client
     vanishing ends the session, never the server).
 
-A second method name is reserved: ``resync`` makes the serve loop
-drop this session's store and start over from the client's
-authoritative state — the *full* interner name table rides the resync
-call's names field (not a delta), and the client follows up with
-ordinary ingest frames replaying its journal.  This is the rejoin
-path for a restarted shard server: the rebuilt session reconverges to
-the exact pre-crash store state (see
+One method name is reserved: ``resync`` makes the serve loop drop this
+session's store and start over from the client's authoritative state —
+the *full* interner name table rides the resync call's names field
+(not a delta), and the client follows up with ordinary ingest frames
+replaying its journal.  This is the rejoin path for a restarted shard
+server: the rebuilt session reconverges to the exact pre-crash store
+state (see
 :meth:`~repro.telemetry.sharding.ShardedMetricStore.rejoin_shard`).
-A PR 5 serve loop answers ``resync`` with an ``AttributeError``,
-which the client reports as "peer does not support resync".
 
 **Replication**: :class:`ReplicatedShardClient` mirrors one shard
 across several TCP sessions (a primary plus replicas).  Every ingest
 call fans out to every live member, so each member buffers and
 coalesces the identical command stream into identical frames; queries
 are answered by the first live member.  When a member dies or times
-out (a :class:`ShardConnectionError` — the PR 5 timeout/EOF paths) it
-is retired and the survivors carry on: queries and subsequent ingest
-fail over with **bit-identical** answers, because every member's store
-consumed the same calls in the same order.  Only when every member of
-a shard has failed does the error reach the caller.
+out (a :class:`ShardConnectionError`) it is retired and the survivors
+carry on: queries and subsequent ingest fail over with
+**bit-identical** answers, because every member's store consumed the
+same calls in the same order.  Only when every member of a shard has
+failed does the error reach the caller.
 
 **Pipelined ingest**: with ``pipeline_depth > 0`` (the default), a
 proxy's ``flush`` hands the coalesced frame to a per-shard writer
@@ -99,27 +83,25 @@ serve loop replays the slice into its own
 the global id space without sharing memory — ingest ships only
 ``int64`` index columns, and name-returning queries
 (``per_server_values``, ``pool_matrix``, ``servers_in_pool``) still
-answer with the right strings.  This replication discipline is what
-lets the identical protocol run over a pipe or a socket unchanged.
+answer with the right strings.
 
 Cost model: every row crosses the placement boundary exactly once as
-part of a pickled ``int64``/``float64`` ndarray (~24 bytes/row of
-payload), and every query result crosses back once.  On a single CPU
-that serialisation is pure overhead — the threads backend exists for
-exactly that reason — but a remote shard keeps its entire store,
-freeze, and aggregate-cache workload off the simulating process, which
-is what pays once shards outgrow one core or one host.
+part of an ``int64``/``float64`` column (~24 bytes/row of payload),
+and every query result crosses back once.  On a single host that
+serialisation is pure overhead — the serial backend exists for exactly
+that reason — but a remote shard keeps its entire store, freeze, and
+aggregate-cache workload off the simulating process, which is what
+pays once shards outgrow one core or one host.
 
 Equivalence: a remote shard applies the identical ``record_columns``
 calls in the identical order a local shard would see, so its tables —
 and therefore every query answer and export — are bit-identical to the
 serial backend's.  ``tests/test_sharded_store.py`` and
-``tests/test_sim_equivalence.py`` enforce this for all four backends.
+``tests/test_sim_equivalence.py`` enforce this for both backends.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import socket
 import threading
@@ -132,7 +114,6 @@ from repro.telemetry.store import MetricStore, ServerInterner, TableKey
 from repro.telemetry.transport import (
     DEFAULT_CONNECT_TIMEOUT,
     DEFAULT_IO_TIMEOUT,
-    PipeTransport,
     TcpTransport,
     format_address,
 )
@@ -143,18 +124,11 @@ DEFAULT_FLUSH_ROWS = 65536
 #: Default bound on a shard's pipelined send queue: how many coalesced
 #: ingest frames may be queued or in flight before the next ``flush``
 #: blocks (backpressure).  0 disables pipelining — every flush sends
-#: synchronously on the caller's thread, the PR 4 behaviour.
+#: synchronously on the caller's thread.
 DEFAULT_PIPELINE_DEPTH = 4
 
-#: What this serve loop can do beyond the PR 4 protocol, answered to
-#: the ``protocol_capabilities`` probe RPC.  A PR 4 server has no
-#: probe handler and answers the probe with an ``AttributeError``,
-#: which clients treat as "no capabilities" — that asymmetry is the
-#: whole negotiation.
-SESSION_CAPABILITIES = {"binary_ingest": True, "resync": True}
-
-#: How long ``close`` waits for a graceful child exit before escalating
-#: to ``terminate()`` (seconds).
+#: How long ``ShardServer.stop`` and a pipeline abort wait for a thread
+#: to exit (seconds).
 _JOIN_TIMEOUT = 5.0
 
 #: How long ``close`` lets an in-flight pipelined frame finish before
@@ -167,79 +141,67 @@ _ABORT_JOIN_TIMEOUT = 1.0
 def serve_shard(transport, store: Optional[MetricStore] = None) -> None:
     """Serve one shard session: own one ``MetricStore``, drain messages.
 
-    The placement-agnostic half of the actor — the same loop runs in a
-    ``multiprocessing`` child (pipe transport) and in a
-    :class:`ShardServer` session thread (TCP transport).  Runs until a
-    ``("stop",)`` message, a clean EOF (the client closed), or a
-    transport error (the client died).  Ingest exceptions are
-    remembered and surfaced on the next ``call`` so the fire-and-forget
-    fast path never needs an acknowledgement round trip.
+    The far half of the actor, run by a :class:`ShardServer` session
+    thread.  Runs until a ``("stop",)`` message, a clean EOF (the
+    client closed), or a transport error (the client died or sent a
+    frame that does not decode); the transport is closed on every exit
+    path, so the peer of a broken session sees EOF instead of waiting
+    out its ``io_timeout``.  Ingest exceptions are remembered and
+    surfaced on the next ``call`` so the fire-and-forget fast path
+    never needs an acknowledgement round trip.
     """
     store = store if store is not None else MetricStore()
     deferred: Optional[BaseException] = None
-    while True:
-        try:
-            message = transport.recv()
-        except (EOFError, OSError):
-            break
-        kind = message[0]
-        if kind == "ingest":
-            _replay_names(store.interner, message[1])
+    try:
+        while True:
             try:
-                for method, args in message[2]:
-                    getattr(store, method)(*args)
-            except BaseException as error:  # noqa: BLE001 — re-raised on next call
-                deferred = error
-        elif kind == "call":
-            _method, args, kwargs = message[2], message[3], message[4]
-            if _method == "resync":
-                # Session-level rejoin: drop whatever this session's
-                # store holds and rebuild from the client's
-                # authoritative state.  The *full* interner name table
-                # rides this message (the client reset its delta
-                # counter), so it must replay into the fresh store,
-                # not the one being discarded; the journal replay
-                # follows as ordinary ingest frames.
-                store = MetricStore()
-                deferred = None
-                _replay_names(store.interner, message[1])
-                if not _send_reply(transport, ("ok", True)):
-                    break
-                continue
-            _replay_names(store.interner, message[1])
-            if _method == "protocol_capabilities":
-                # Session-level probe, answered here: capabilities
-                # describe the serve loop, not the store — and old
-                # loops without this branch answer AttributeError,
-                # which probing clients read as "no capabilities".
-                if not _send_reply(
-                    transport, ("ok", dict(SESSION_CAPABILITIES))
-                ):
-                    break
-                continue
-            if deferred is not None:
-                error, deferred = deferred, None
-                if not _send_reply(transport, ("err", error)):
-                    break
-                continue
-            try:
-                attr = getattr(store, _method)
-                result = attr(*args, **kwargs) if callable(attr) else attr
-                if isinstance(result, Iterator):
-                    result = list(result)
-                reply = ("ok", result)
-            except BaseException as error:  # noqa: BLE001
-                reply = ("err", error)
-            if not _send_reply(transport, reply):
+                message = transport.recv()
+            except (EOFError, OSError):
                 break
-        elif kind == "stop":
-            break
-    transport.close()
-
-
-def _worker_main(conn) -> None:
-    """Child-process entry point: one shard session over the pipe."""
-    serve_shard(PipeTransport(conn))
+            kind = message[0]
+            if kind == "ingest":
+                _replay_names(store.interner, message[1])
+                try:
+                    for method, args in message[2]:
+                        getattr(store, method)(*args)
+                except BaseException as error:  # noqa: BLE001 — re-raised on next call
+                    deferred = error
+            elif kind == "call":
+                _method, args, kwargs = message[2], message[3], message[4]
+                if _method == "resync":
+                    # Session-level rejoin: drop whatever this session's
+                    # store holds and rebuild from the client's
+                    # authoritative state.  The *full* interner name table
+                    # rides this message (the client reset its delta
+                    # counter), so it must replay into the fresh store,
+                    # not the one being discarded; the journal replay
+                    # follows as ordinary ingest frames.
+                    store = MetricStore()
+                    deferred = None
+                    _replay_names(store.interner, message[1])
+                    if not _send_reply(transport, ("ok", True)):
+                        break
+                    continue
+                _replay_names(store.interner, message[1])
+                if deferred is not None:
+                    error, deferred = deferred, None
+                    if not _send_reply(transport, ("err", error)):
+                        break
+                    continue
+                try:
+                    attr = getattr(store, _method)
+                    result = attr(*args, **kwargs) if callable(attr) else attr
+                    if isinstance(result, Iterator):
+                        result = list(result)
+                    reply = ("ok", result)
+                except BaseException as error:  # noqa: BLE001
+                    reply = ("err", error)
+                if not _send_reply(transport, reply):
+                    break
+            elif kind == "stop":
+                break
+    finally:
+        transport.close()
 
 
 def _replay_names(interner: ServerInterner, names: List[str]) -> None:
@@ -273,9 +235,9 @@ def _send_reply(transport, reply) -> bool:
 class ShardConnectionError(RuntimeError):
     """A shard's connection died, reset, or timed out.
 
-    The error every ``ShardClient`` raises on the PR 5 failure paths
-    (peer vanished → ``EOFError``/``OSError``, hung-but-alive peer →
-    ``TimeoutError``), distinct from exceptions the *remote store*
+    The error every shard client raises on the connection failure
+    paths (peer vanished → ``EOFError``/``OSError``, hung-but-alive peer
+    → ``TimeoutError``), distinct from exceptions the *remote store*
     raised and shipped back (a bad query argument is a ``ValueError``
     here exactly as it would be locally).  The distinction is what
     replication keys failover on: a connection-level failure means
@@ -291,7 +253,7 @@ class _ShardQuerySurface:
 
     Every method routes through ``self.call`` (provided by the
     subclass), mirroring :class:`~repro.telemetry.store.MetricStore`'s
-    read API — shared by :class:`ShardClient` (one session) and
+    read API — shared by :class:`TcpShardClient` (one session) and
     :class:`ReplicatedShardClient` (a failover group), so the facade
     cannot tell them apart.
     """
@@ -369,8 +331,9 @@ class _ShardQuerySurface:
         return self.call("all_values", *args, **kwargs)
 
 
-class ShardClient(_ShardQuerySurface):
-    """Parent-side proxy to one remote ``MetricStore``, any transport.
+class TcpShardClient(_ShardQuerySurface):
+    """Client-side proxy to one ``MetricStore`` session on a
+    :class:`ShardServer`.
 
     Duck-types the slice of the :class:`MetricStore` surface the
     sharded facade uses — buffered ``record_columns`` / ``record_fast``
@@ -379,41 +342,52 @@ class ShardClient(_ShardQuerySurface):
     remote-shard handles where it would otherwise hold local stores.
     All answers are bit-identical to a local shard fed the same calls
     (the serve loop applies the same methods in the same order); the
-    difference is purely *where* the rows live and the one pickling
-    round trip each row (ingest) and each result (query) pays.
+    difference is purely *where* the rows live and the one wire
+    crossing each row (ingest) and each result (query) pays.
+
+    Dials ``address`` eagerly in ``__init__`` (with the transport's
+    refused-connection retry window, so starting client and server
+    "at the same time" works) and owns exactly one server session —
+    the server made a fresh store when this connection arrived and
+    will drop it when the connection ends.  A vanished server surfaces
+    as a ``RuntimeError`` naming the address, and ``io_timeout`` bounds
+    every socket operation so even a hung-but-alive server is an error
+    naming the shard and address — never a hang.
 
     Not thread-safe: one owner (the facade) talks to one shard.
-    Subclasses set ``self._transport`` and implement
-    :meth:`_shutdown` (orderly teardown of whatever is on the far
-    side) and :meth:`_peer` (a human-readable locator for error
-    messages).  :meth:`close` is idempotent and fork-safe: a forked
-    copy of the proxy only drops its inherited connection end — the
-    remote shard belongs to the original owner, and shutting it down
-    from the fork would yank a live store out from under that owner.
+    :meth:`close` is idempotent and fork-safe: a forked copy of the
+    proxy only drops its inherited descriptor — the session belongs to
+    the original owner, and ending it from the fork would yank a live
+    store out from under that owner.
     """
 
     def __init__(
         self,
         shard_id: int,
         interner: ServerInterner,
+        address: str,
         flush_rows: int = DEFAULT_FLUSH_ROWS,
+        connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
+        io_timeout: Optional[float] = DEFAULT_IO_TIMEOUT,
         pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
     ) -> None:
         if flush_rows < 1:
             raise ValueError("flush_rows must be >= 1")
         if pipeline_depth < 0:
             raise ValueError("pipeline_depth must be >= 0")
+        if io_timeout is not None and io_timeout <= 0:
+            io_timeout = None  # 0 / negative = "no bound", like the CLI
         self._shard_id = shard_id
         self._interner = interner
+        self._address = address
         self._flush_rows = flush_rows
+        self._io_timeout = io_timeout
         self._synced_names = 0
         self._pending: List[Tuple[str, tuple]] = []
         self._pending_rows = 0
         self._closed = False
         self._close_lock = threading.Lock()
         self._owner_pid = os.getpid()
-        self._transport = None  # set by subclasses
-        self._io_timeout: Optional[float] = None  # set by tcp subclass
         # Pipelined send state: a bounded FIFO of coalesced ingest
         # frames drained by one writer thread (started on first use).
         # _unsent counts queued plus in-flight frames; the condition
@@ -425,6 +399,9 @@ class ShardClient(_ShardQuerySurface):
         self._unsent = 0
         self._writer: Optional[threading.Thread] = None
         self._writer_stop = False
+        self._transport = TcpTransport.connect(
+            address, timeout=connect_timeout, io_timeout=io_timeout
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -437,22 +414,25 @@ class ShardClient(_ShardQuerySurface):
     def closed(self) -> bool:
         return self._closed
 
-    def _peer(self) -> str:
-        """Where the remote shard lives, for error messages."""
-        raise NotImplementedError
+    @property
+    def address(self) -> str:
+        """The ``host:port`` this shard's session is connected to."""
+        return self._address
 
-    def _shutdown(self) -> None:
-        """Orderly teardown, called exactly once by the owning process."""
-        raise NotImplementedError
+    @property
+    def addresses(self) -> Tuple[str, ...]:
+        """The member address list (one entry — no replicas here)."""
+        return (self._address,)
 
     def close(self) -> None:
-        """Stop the remote shard; idempotent and fork-safe.
+        """End the session (a ``("stop",)`` goodbye, then the socket);
+        idempotent and fork-safe.
 
         Called from a *forked* copy of the owner (``os.getpid()``
-        differs from the pid that created the proxy) it only drops the
-        inherited connection end: the remote shard belongs to the
-        original parent, so the fork neither signals nor terminates
-        it.  Double-close is a no-op — including *concurrent*
+        differs from the pid that created the proxy) it only releases
+        the inherited descriptor: the session belongs to the original
+        parent, so the fork neither says ``stop`` nor shuts the shared
+        connection down.  Double-close is a no-op — including *concurrent*
         double-close: a replication group retiring a dead member races
         the facade's own ``close()`` against the same proxy, so the
         closed flag is a lock-guarded test-and-set and exactly one
@@ -467,14 +447,18 @@ class ShardClient(_ShardQuerySurface):
             self._pending.clear()
             self._pending_rows = 0
             if os.getpid() != self._owner_pid:
-                # Forked copy: the shard is the original owner's.  Drop
-                # our duplicated connection end and leave the far side
-                # alone (the writer thread, if any, did not survive the
-                # fork).
-                self._transport.close()
+                # Forked copy: the session is the original owner's.
+                # Release our duplicated descriptor and leave the
+                # connection alone (the writer thread, if any, did not
+                # survive the fork).
+                self._transport.detach()
                 return
             self._abort_pipeline()
-            self._shutdown()
+            try:
+                self._transport.send(("stop",))
+            except (EOFError, OSError):
+                pass
+            self._transport.close()
 
     def _connection_lost(self, error: BaseException) -> ShardConnectionError:
         if isinstance(error, TimeoutError):
@@ -484,11 +468,11 @@ class ShardClient(_ShardQuerySurface):
                 else ""
             )
             return ShardConnectionError(
-                f"shard {self._shard_id} ({self._peer()}): I/O timed "
+                f"shard {self._shard_id} ({self._address}): I/O timed "
                 f"out{bound} — peer is alive but not making progress"
             )
         return ShardConnectionError(
-            f"shard {self._shard_id} ({self._peer()}): connection lost"
+            f"shard {self._shard_id} ({self._address}): connection lost"
         )
 
     # ------------------------------------------------------------------
@@ -546,7 +530,7 @@ class ShardClient(_ShardQuerySurface):
             ):
                 self._send_cond.wait()
             if self._writer_stop:
-                raise RuntimeError("ShardClient is closed")
+                raise RuntimeError("TcpShardClient is closed")
             error = self._send_error
             if error is not None:
                 raise self._connection_lost(error) from error
@@ -619,7 +603,7 @@ class ShardClient(_ShardQuerySurface):
         never a hang.
         """
         if self._closed:
-            raise RuntimeError("ShardClient is closed")
+            raise RuntimeError("TcpShardClient is closed")
         if not self._pending:
             error = self._send_error
             if error is not None:
@@ -666,20 +650,12 @@ class ShardClient(_ShardQuerySurface):
         (:meth:`~repro.telemetry.sharding.ShardedMetricStore.\
 rejoin_shard`) then replays its journal as ordinary ingest, after
         which the rejoined shard's store is bit-identical to the one
-        that crashed.  A PR 5 peer has no ``resync`` branch and
-        answers with ``AttributeError``, reported here as an
-        unsupported-peer error.
+        that crashed.
         """
         if self._closed:
-            raise RuntimeError("ShardClient is closed")
+            raise RuntimeError("TcpShardClient is closed")
         self._synced_names = 0
-        try:
-            self.call("resync")
-        except AttributeError as error:
-            raise RuntimeError(
-                f"shard {self._shard_id} ({self._peer()}): peer does "
-                f"not support the resync RPC (pre-replication server)"
-            ) from error
+        self.call("resync")
 
     # ------------------------------------------------------------------
     # Ingest (buffered, fire-and-forget)
@@ -697,13 +673,13 @@ rejoin_shard`) then replays its journal as ordinary ingest, after
 
         Same contract as :meth:`MetricStore.record_columns` — the
         proxy takes ownership of the arrays (they are held until the
-        next flush, then pickled across the connection).  Nothing
+        next flush, then sent across the connection).  Nothing
         crosses the placement boundary until the batching threshold is
         hit, so per-window parts from a blocked simulation coalesce
         into few large messages.
         """
         if self._closed:
-            raise RuntimeError("ShardClient is closed")
+            raise RuntimeError("TcpShardClient is closed")
         if values.size == 0:
             return
         self._pending.append(
@@ -733,151 +709,13 @@ rejoin_shard`) then replays its journal as ordinary ingest, after
         shard exactly.
         """
         if self._closed:
-            raise RuntimeError("ShardClient is closed")
+            raise RuntimeError("TcpShardClient is closed")
         self._pending.append(
             ("record_fast", (window, server_id, pool_id, datacenter_id, counter, value))
         )
         self._pending_rows += 1
         if self._pending_rows >= self._flush_rows:
             self.flush()
-
-
-class ShardWorker(ShardClient):
-    """Proxy to one ``MetricStore`` in a child process (pipe transport).
-
-    The process is started eagerly in ``__init__`` with the default
-    start method and marked ``daemon`` so an abandoned store cannot
-    outlive the interpreter; :meth:`close` is the orderly path — a
-    ``("stop",)`` message, a bounded join, then ``terminate()`` as the
-    escalation — and inherits :class:`ShardClient`'s idempotence and
-    fork-safety.
-    """
-
-    def __init__(
-        self,
-        shard_id: int,
-        interner: ServerInterner,
-        flush_rows: int = DEFAULT_FLUSH_ROWS,
-        pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
-    ) -> None:
-        super().__init__(
-            shard_id, interner, flush_rows=flush_rows,
-            pipeline_depth=pipeline_depth,
-        )
-        context = multiprocessing.get_context()
-        conn, child_conn = context.Pipe(duplex=True)
-        self._transport = PipeTransport(conn)
-        self._process = context.Process(
-            target=_worker_main,
-            args=(child_conn,),
-            name=f"metric-shard-{shard_id}",
-            daemon=True,
-        )
-        self._process.start()
-        child_conn.close()
-
-    @property
-    def pid(self) -> Optional[int]:
-        """The child's OS pid (``None`` once closed)."""
-        return None if self._closed else self._process.pid
-
-    def _peer(self) -> str:
-        return f"worker pid {self._process.pid}"
-
-    def _shutdown(self) -> None:
-        """Send ``stop``, join briefly, escalate to ``terminate()`` —
-        so a wedged child can never hang interpreter shutdown."""
-        try:
-            self._transport.send(("stop",))
-        except (BrokenPipeError, OSError):
-            pass
-        self._process.join(_JOIN_TIMEOUT)
-        if self._process.is_alive():  # pragma: no cover - wedged child
-            self._process.terminate()
-            self._process.join(_JOIN_TIMEOUT)
-        self._transport.close()
-
-
-class TcpShardClient(ShardClient):
-    """Proxy to one ``MetricStore`` session on a :class:`ShardServer`.
-
-    Dials ``address`` eagerly in ``__init__`` (with the transport's
-    refused-connection retry window, so starting client and server
-    "at the same time" works) and owns exactly one server session —
-    the server made a fresh store when this connection arrived and
-    will drop it when the connection ends.  Construction then probes
-    the session's capabilities (one ``protocol_capabilities`` RPC):
-    a peer that advertises ``binary_ingest`` receives pickle-free
-    binary column frames for the rest of the session, a PR 4 peer
-    answers the probe with ``AttributeError`` and keeps receiving
-    pickle frames (set ``binary_frames=False`` to skip the probe and
-    force pickle).  :meth:`close` says goodbye with a ``("stop",)``
-    message before closing the socket; a vanished server surfaces as
-    a ``RuntimeError`` naming the address, and ``io_timeout`` bounds
-    every socket operation so even a hung-but-alive server is an
-    error naming the shard and address — never a hang.
-    """
-
-    def __init__(
-        self,
-        shard_id: int,
-        interner: ServerInterner,
-        address: str,
-        flush_rows: int = DEFAULT_FLUSH_ROWS,
-        connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
-        io_timeout: Optional[float] = DEFAULT_IO_TIMEOUT,
-        binary_frames: bool = True,
-        pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
-    ) -> None:
-        super().__init__(
-            shard_id, interner, flush_rows=flush_rows,
-            pipeline_depth=pipeline_depth,
-        )
-        if io_timeout is not None and io_timeout <= 0:
-            io_timeout = None  # 0 / negative = "no bound", like the CLI
-        self._address = address
-        self._io_timeout = io_timeout
-        self._transport = TcpTransport.connect(
-            address, timeout=connect_timeout, io_timeout=io_timeout
-        )
-        if binary_frames:
-            try:
-                try:
-                    capabilities = self.call("protocol_capabilities")
-                except AttributeError:
-                    # A PR 4 peer: no probe handler, so its serve loop
-                    # answered the reserved method with AttributeError.
-                    # Speak pickle frames for the whole session.
-                    capabilities = {}
-            except BaseException:
-                # Probe failed hard (peer hung or died): the dial
-                # already succeeded, so close the session instead of
-                # leaking the socket and its server-side thread.
-                self._transport.close()
-                raise
-            self._transport.binary_frames = bool(
-                capabilities.get("binary_ingest", False)
-            )
-
-    @property
-    def address(self) -> str:
-        """The ``host:port`` this shard's session is connected to."""
-        return self._address
-
-    @property
-    def addresses(self) -> Tuple[str, ...]:
-        """The member address list (one entry — no replicas here)."""
-        return (self._address,)
-
-    def _peer(self) -> str:
-        return self._address
-
-    def _shutdown(self) -> None:
-        try:
-            self._transport.send(("stop",))
-        except (EOFError, OSError):
-            pass
-        self._transport.close()
 
 
 class ReplicatedShardClient(_ShardQuerySurface):
@@ -894,10 +732,9 @@ class ReplicatedShardClient(_ShardQuerySurface):
     answered by the first live member.
 
     When any operation on a member raises
-    :class:`ShardConnectionError` (dead peer, reset, I/O timeout — the
-    PR 5 failure paths), the member is retired (closed and removed)
-    and the survivors carry on; an interrupted query is retried on the
-    next member, whose answer is **bit-identical** because its store
+    :class:`ShardConnectionError` (dead peer, reset, I/O timeout), the
+    member is retired (closed and removed) and the survivors carry on;
+    an interrupted query is retried on the next member, whose answer is **bit-identical** because its store
     consumed the same calls in the same order.  Store-level exceptions
     (a bad query argument) are *not* failed over — every member would
     answer the same — and propagate unchanged.  Only when the last
@@ -909,8 +746,8 @@ class ReplicatedShardClient(_ShardQuerySurface):
     single-session contract; and a member that fails is gone for good
     — re-attach a replacement via the facade's ``rejoin_shard``, which
     needs the journal.  Not thread-safe for ingest (one owner, like
-    ``ShardClient``); ``close`` may race a concurrent retirement and
-    is safe (see :meth:`ShardClient.close`).
+    ``TcpShardClient``); ``close`` may race a concurrent retirement and
+    is safe (see :meth:`TcpShardClient.close`).
     """
 
     def __init__(
@@ -921,7 +758,6 @@ class ReplicatedShardClient(_ShardQuerySurface):
         flush_rows: int = DEFAULT_FLUSH_ROWS,
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
         io_timeout: Optional[float] = DEFAULT_IO_TIMEOUT,
-        binary_frames: bool = True,
         pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
     ) -> None:
         if not addresses:
@@ -945,7 +781,6 @@ class ReplicatedShardClient(_ShardQuerySurface):
                         flush_rows=flush_rows,
                         connect_timeout=connect_timeout,
                         io_timeout=io_timeout,
-                        binary_frames=binary_frames,
                         pipeline_depth=pipeline_depth,
                     )
                 )
@@ -996,7 +831,7 @@ class ReplicatedShardClient(_ShardQuerySurface):
         The member is closed *outside* the membership lock (close can
         block for the bounded pipeline-abort grace) — safe against a
         concurrent ``close()`` of the whole group because
-        :meth:`ShardClient.close` is itself lock-guarded and
+        :meth:`TcpShardClient.close` is itself lock-guarded and
         idempotent, so the transport is never double-closed.
         """
         with self._members_lock:
@@ -1037,7 +872,7 @@ class ReplicatedShardClient(_ShardQuerySurface):
         only fails upward when it leaves *no* live member.
         """
         if self._closed:
-            raise RuntimeError("ShardClient is closed")
+            raise RuntimeError("ReplicatedShardClient is closed")
         members = self._live_members()
         if not members:
             raise self._all_members_dead()
@@ -1071,7 +906,7 @@ class ReplicatedShardClient(_ShardQuerySurface):
         answer is equal; the first live member's count is returned.
         """
         if self._closed:
-            raise RuntimeError("ShardClient is closed")
+            raise RuntimeError("ReplicatedShardClient is closed")
         self._fan_out("flush", ())
         members = self._live_members()
         if not members:
@@ -1100,7 +935,7 @@ class ReplicatedShardClient(_ShardQuerySurface):
         to the next member.
         """
         if self._closed:
-            raise RuntimeError("ShardClient is closed")
+            raise RuntimeError("ReplicatedShardClient is closed")
         self._fan_out("flush", ())
         while True:
             members = self._live_members()

@@ -1,6 +1,6 @@
 """CLI argument parsing and the simulate command's store wiring.
 
-Covers the shards/workers/shard-backend/block-windows combinations,
+Covers the shards/shard-backend/block-windows combinations,
 the archive-optional path of ``python -m repro simulate``, and the
 distributed path: ``repro shard-server`` hosting remote shards that
 ``simulate --shard-backend tcp`` writes through.
@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.telemetry.sharding import BACKENDS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,13 +33,12 @@ class TestSimulateParsing:
         args = self.parser.parse_args(["simulate"])
         assert args.output is None
         assert args.shards == 1
-        assert args.workers == 1
         assert args.block_windows == 1
         assert args.shard_backend is None
         assert args.windows is None
         assert args.days == 2.0
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_shard_backend_choices(self, backend):
         args = self.parser.parse_args(["simulate", "--shard-backend", backend])
         assert args.shard_backend == backend
@@ -53,23 +53,22 @@ class TestSimulateParsing:
                 "simulate",
                 "out.csv",
                 "--shards", "4",
-                "--workers", "2",
                 "--block-windows", "32",
                 "--windows", "10",
             ]
         )
         assert args.output == "out.csv"
-        assert (args.shards, args.workers, args.block_windows) == (4, 2, 32)
+        assert (args.shards, args.block_windows) == (4, 32)
         assert args.windows == 10
 
     def test_archive_is_optional(self):
         args = self.parser.parse_args(["simulate", "--windows", "5"])
         assert args.output is None
 
-    @pytest.mark.parametrize("flag", ["--shards", "--workers", "--block-windows"])
+    @pytest.mark.parametrize("flag", ["--shards", "--block-windows"])
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_out_of_range_values_rejected_cleanly(self, flag, value):
-        """Invalid shard/worker/block values exit 2 via argparse."""
+        """Invalid shard/block values exit 2 via argparse."""
         with pytest.raises(SystemExit) as excinfo:
             self.parser.parse_args(["simulate", flag, value])
         assert excinfo.value.code == 2
@@ -138,13 +137,10 @@ class TestSimulateExecution:
         [
             [],
             ["--shards", "2"],
-            ["--shards", "2", "--workers", "2"],
             ["--block-windows", "2"],
-            ["--shards", "3", "--workers", "2", "--block-windows", "2"],
+            ["--shards", "3", "--block-windows", "2"],
             ["--shards", "2", "--shard-backend", "serial"],
-            ["--shards", "2", "--shard-backend", "threads"],
-            ["--shards", "2", "--shard-backend", "processes"],
-            ["--shard-backend", "processes"],  # implies a sharded store
+            ["--shard-backend", "serial"],  # implies a sharded store
         ],
         ids=lambda extra: " ".join(extra) or "defaults",
     )
@@ -168,33 +164,12 @@ class TestSimulateExecution:
         ) == 0
         assert single.read_text() == sharded.read_text()
 
-    def test_serial_backend_with_workers_fails_cleanly(self):
-        assert main(
-            self.BASE + ["--shards", "2", "--workers", "2",
-                         "--shard-backend", "serial"]
-        ) == 2
-
-    def test_processes_archive_matches_single(self, tmp_path):
-        """CLI process-backed export is byte-identical to unsharded."""
-        import multiprocessing
-
-        single = tmp_path / "single.csv"
-        procs = tmp_path / "procs.csv"
-        assert main(self.BASE + [str(single)]) == 0
-        assert main(
-            self.BASE + ["--shards", "2", "--shard-backend", "processes",
-                         str(procs)]
-        ) == 0
-        assert single.read_bytes() == procs.read_bytes()
-        # The command must have reaped its worker processes.
-        assert multiprocessing.active_children() == []
-
     def test_shard_addrs_without_tcp_backend_fails_cleanly(self):
         assert main(
             self.BASE + ["--shard-addrs", "127.0.0.1:9400"]
         ) == 2
         assert main(
-            self.BASE + ["--shard-backend", "processes",
+            self.BASE + ["--shard-backend", "serial",
                          "--shard-addrs", "127.0.0.1:9400"]
         ) == 2
 
@@ -392,7 +367,7 @@ class TestDocsCheck:
         docs_check = _load_docs_check()
         ok = tmp_path / "README.md"
         ok.write_text(
-            "Run the benchmark with `--smoke` or `--backends`.\n"
+            "Run the benchmark with `--smoke` or `--tcp`.\n"
             + "".join(
                 f"`{flag}` "
                 for flag in sorted(docs_check.cli_options()["simulate"])

@@ -6,9 +6,9 @@ The contract ``repro query`` rides on, pinned four ways:
   ``w <= sealed_through`` is bit-identical to the same query against a
   finished same-seed batch run: per answer, the series is the exact
   prefix slice of the batch twin's series.  Checked on every shard
-  backend (serial / threads / processes / tcp), across the rolling
-  retention boundary (most of the compared span has been evicted to
-  spill), and for the wire snapshot (a client-side export from
+  backend (serial / tcp), across the rolling retention boundary (most
+  of the compared span has been evicted to spill), and for the wire
+  snapshot (a client-side export from
   :class:`StoreSnapshot` is *byte-identical* to the batch export);
 * **a genuinely concurrent hammer** — a client querying in a tight
   loop WHILE the clock loop ingests never sees a half-ingested block:
@@ -75,13 +75,10 @@ def _simulator(seed=41, store=None, block_windows=BLOCK):
 
 
 def _sharded(n_shards=3, backend="serial", server=None):
-    workers = n_shards if backend == "threads" else 1
     kwargs = {}
     if backend == "tcp":
         kwargs["shard_addrs"] = [server.address] * n_shards
-    return ShardedMetricStore(
-        n_shards=n_shards, workers=workers, backend=backend, **kwargs
-    )
+    return ShardedMetricStore(n_shards=n_shards, backend=backend, **kwargs)
 
 
 def _assert_prefix_of(answer, reference):

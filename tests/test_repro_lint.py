@@ -211,28 +211,6 @@ class TestRpcSurface:
         assert any("departed_method" in f.message for f in found)
 
 
-class TestWireCapabilities:
-    def test_unimplemented_advertisement_fires(self, engine, tree):
-        _edit(
-            tree,
-            "src/repro/telemetry/workers.py",
-            '"binary_ingest": True, "resync": True}',
-            '"binary_ingest": True, "resync": True, "qqzz_frames": True}',
-        )
-        found = _findings(engine, tree, "wire-capabilities")
-        assert any("qqzz_frames" in f.message for f in found)
-
-    def test_unadvertised_probe_fires(self, engine, tree):
-        _edit(
-            tree,
-            "src/repro/telemetry/workers.py",
-            'capabilities.get("binary_ingest", False)',
-            'capabilities.get("zzq_mode", False)',
-        )
-        found = _findings(engine, tree, "wire-capabilities")
-        assert any("zzq_mode" in f.message for f in found)
-
-
 class TestCliSurface:
     def test_json_output_and_exit_codes(self, engine, tree, capsys):
         (tree / "src" / "repro" / "canary.py").write_text(
@@ -257,7 +235,7 @@ class TestCliSurface:
             "import time\n\ndef f():\n    return time.time()\n"
         )
         code = engine.main(
-            ["--root", str(tree), "--only", "wire-capabilities"]
+            ["--root", str(tree), "--only", "lock-discipline"]
         )
         capsys.readouterr()
         assert code == 0  # the determinism canary is out of scope

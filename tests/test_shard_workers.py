@@ -1,22 +1,21 @@
-"""Lifecycle and protocol tests of the process-backed shard workers.
+"""Lifecycle and protocol tests of the remote (tcp) shard client.
 
-The equivalence guarantees (process shards answer bit-identically to a
+The equivalence guarantees (remote shards answer bit-identically to a
 single store) live in ``test_sharded_store.py`` /
-``test_sim_equivalence.py``, which parametrize over all backends.  This
-file covers what is specific to the worker actor itself: process
-lifecycle (close is orderly, idempotent and fork-safe — no leaked
-children), the batching/flush ingest protocol, interner replication,
-and deferred ingest-error delivery.
+``test_sim_equivalence.py``, which parametrize over ``BACKENDS``.  This
+file covers what is specific to the client/serve-loop actor itself:
+session lifecycle (close is orderly, idempotent and fork-safe — no
+leaked sessions), the batching/flush ingest protocol, interner
+replication, and deferred ingest-error delivery.
 """
 
-import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
 
 from repro.telemetry.sharding import ShardedMetricStore
-from repro.telemetry.workers import ShardWorker
 
 
 def _fill(store, n_servers=6, n_windows=4):
@@ -30,35 +29,42 @@ def _fill(store, n_servers=6, n_windows=4):
     return store
 
 
-def _assert_no_active_children():
-    # active_children() also joins finished processes, so a passing
-    # assertion proves the workers were reaped, not merely signalled.
-    assert multiprocessing.active_children() == []
+def _tcp(shard_server, n_shards=2, **kwargs):
+    return ShardedMetricStore(
+        backend="tcp", shard_addrs=[shard_server.address] * n_shards, **kwargs
+    )
+
+
+def _live_sessions(server) -> int:
+    with server._lock:
+        return len(server._sessions)
+
+
+def _assert_sessions_end(server, baseline: int) -> None:
+    """The server prunes a session once its serve loop has exited, so
+    falling back to ``baseline`` proves close() ended the sessions it
+    opened (a session ends asynchronously after the client's goodbye)."""
+    deadline = time.monotonic() + 10
+    while _live_sessions(server) > baseline and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert _live_sessions(server) <= baseline
 
 
 class TestLifecycle:
-    def test_backend_validation(self):
+    def test_backend_validation(self, shard_server):
         with pytest.raises(ValueError):
             ShardedMetricStore(n_shards=2, backend="rayon")
         with pytest.raises(ValueError):
-            ShardedMetricStore(n_shards=2, backend="serial", workers=2)
-        with pytest.raises(ValueError):
-            # processes always runs one worker child per shard.
-            ShardedMetricStore(n_shards=2, backend="processes", workers=2)
-        with pytest.raises(ValueError):
-            ShardedMetricStore(n_shards=2, backend="processes", flush_rows=0)
+            _tcp(shard_server, flush_rows=0)
         with pytest.raises(ValueError):
             # tcp cannot guess where its shard servers live ...
             ShardedMetricStore(n_shards=2, backend="tcp")
         with pytest.raises(ValueError):
-            # ... runs one session per address ...
-            ShardedMetricStore(
-                backend="tcp", shard_addrs=["127.0.0.1:1"], workers=2
-            )
-        with pytest.raises(ValueError):
             # ... and owns the shard_addrs knob exclusively.
             ShardedMetricStore(n_shards=2, backend="serial",
                                shard_addrs=["127.0.0.1:1"])
+        # No backend named means the in-process one.
+        assert ShardedMetricStore(n_shards=2).backend == "serial"
 
     def test_tcp_shard_count_follows_addresses(self, shard_server):
         addrs = [shard_server.address] * 3
@@ -67,62 +73,53 @@ class TestLifecycle:
             assert store.n_shards == 3
             assert [shard.address for shard in store.shards] == addrs
 
-    def test_backend_defaults_keep_historic_behaviour(self):
-        serial = ShardedMetricStore(n_shards=2)
-        assert serial.backend == "serial"
-        threaded = ShardedMetricStore(n_shards=2, workers=2)
-        assert threaded.backend == "threads"
-        threaded.close()
-        # Explicit threads backend defaults its pool to one thread per
-        # shard instead of a pointless single-thread pool.
-        explicit = ShardedMetricStore(n_shards=3, backend="threads")
-        assert explicit.workers == 3
-        explicit.close()
-
-    def test_processes_spawn_one_worker_per_shard(self):
-        with ShardedMetricStore(n_shards=3, backend="processes") as store:
-            assert store.backend == "processes"
-            assert all(isinstance(s, ShardWorker) for s in store.shards)
-            pids = {shard.pid for shard in store.shards}
-            assert len(pids) == 3 and os.getpid() not in pids
-            assert len(multiprocessing.active_children()) == 3
-        _assert_no_active_children()
-
-    def test_double_close_leaks_no_children(self):
-        store = ShardedMetricStore(n_shards=2, backend="processes")
+    def test_double_close_is_a_noop(self, shard_server):
+        baseline = _live_sessions(shard_server)
+        store = _tcp(shard_server)
         _fill(store)
+        assert store.sample_count() == 24
         store.close()
         store.close()  # must be a no-op, not an error
-        _assert_no_active_children()
-        for shard in store.shards:
-            assert shard.closed and shard.pid is None
+        assert all(shard.closed for shard in store.shards)
+        _assert_sessions_end(shard_server, baseline)
 
-    def test_close_after_fork_leaks_no_children(self):
-        """A forked copy of the store must not kill the parent's workers.
+    def test_close_after_fork_leaves_owner_sessions_alive(self, shard_server):
+        """A forked copy of the store must not end the parent's sessions.
 
-        Forks inherit the proxy objects (and their pipe fds); only the
-        creating process may terminate the worker children, otherwise a
-        fork that exits cleanly would yank live shards out from under
-        the parent.
+        Forks inherit the proxy objects (and their socket descriptors,
+        which share one connection with the parent's); only the
+        creating process may end a session, otherwise a fork that exits
+        cleanly would yank live shards out from under the parent.
         """
-        store = ShardedMetricStore(n_shards=2, backend="processes")
-        _fill(store)
-        expected = store.sample_count()
+        store = _tcp(shard_server)
+        try:
+            _fill(store)
+            expected = store.sample_count()
 
-        child = multiprocessing.get_context("fork").Process(
-            target=ShardedMetricStore.close, args=(store,)
-        )
-        child.start()
-        child.join(30)
-        assert child.exitcode == 0
+            pid = os.fork()
+            if pid == 0:  # the forked copy: close, report, vanish
+                try:
+                    store.close()
+                    os._exit(0)
+                except BaseException:
+                    os._exit(1)
+            deadline = time.monotonic() + 30
+            while True:
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    break
+                assert time.monotonic() < deadline, "forked close() hung"
+                time.sleep(0.01)
+            assert os.waitstatus_to_exitcode(status) == 0
 
-        # Parent's workers survived the fork's close() and still answer.
-        assert store.sample_count() == expected
-        store.close()
-        _assert_no_active_children()
+            # The parent's sessions survived the fork's close() and
+            # still answer.
+            assert store.sample_count() == expected
+        finally:
+            store.close()
 
-    def test_query_after_close_raises(self):
-        store = ShardedMetricStore(n_shards=2, backend="processes")
+    def test_query_after_close_raises(self, shard_server):
+        store = _tcp(shard_server)
         _fill(store)
         store.close()
         with pytest.raises(RuntimeError):
@@ -132,97 +129,123 @@ class TestLifecycle:
                 "P", "dc", "cpu", 99, np.array([0], dtype=np.int64), np.ones(1)
             )
 
-    def test_context_manager_reaps_on_exception(self):
+    def test_context_manager_closes_sessions_on_exception(self, shard_server):
+        baseline = _live_sessions(shard_server)
         with pytest.raises(RuntimeError, match="boom"):
-            with ShardedMetricStore(n_shards=2, backend="processes") as store:
+            with _tcp(shard_server) as store:
                 _fill(store)
                 raise RuntimeError("boom")
-        _assert_no_active_children()
+        assert all(shard.closed for shard in store.shards)
+        _assert_sessions_end(shard_server, baseline)
 
 
 class TestIngestProtocol:
-    def test_small_parts_coalesce_until_flush(self):
+    def test_small_parts_coalesce_until_flush(self, shard_server):
         """Ingest buffers parts and ships them as one message."""
-        with ShardedMetricStore(
-            n_shards=2, backend="processes", flush_rows=10_000
-        ) as store:
+        with _tcp(shard_server, flush_rows=10_000) as store:
             _fill(store, n_servers=4, n_windows=5)
             # Nothing forced a flush yet: every part is still pending
-            # parent-side (5 windows x 1 part per shard per window).
+            # client-side (5 windows x 1 part per shard per window).
             assert all(shard._pending for shard in store.shards)
             assert all(shard._pending_rows == 10 for shard in store.shards)
             # The first query flushes and observes all writes.
             assert store.sample_count() == 20
             assert all(not shard._pending for shard in store.shards)
 
-    def test_flush_rows_threshold_triggers_send(self):
-        with ShardedMetricStore(
-            n_shards=2, backend="processes", flush_rows=8
-        ) as store:
+    def test_flush_rows_threshold_triggers_send(self, shard_server):
+        with _tcp(shard_server, flush_rows=8) as store:
             _fill(store, n_servers=4, n_windows=5)
             # 2 rows/shard/window with an 8-row threshold: the buffer
             # must have been shipped at least once before any query.
             assert all(shard._pending_rows < 8 for shard in store.shards)
             assert store.sample_count() == 20
 
-    def test_facade_flush_is_explicit_barrier(self):
-        with ShardedMetricStore(
-            n_shards=2, backend="processes", flush_rows=10_000
-        ) as store:
+    def test_facade_flush_is_explicit_barrier(self, shard_server):
+        with _tcp(shard_server, flush_rows=10_000) as store:
             _fill(store, n_servers=4, n_windows=2)
             store.flush()
             assert all(not shard._pending for shard in store.shards)
             assert store.sample_count() == 8
 
-    def test_deferred_ingest_error_surfaces_on_next_query(self):
-        """A bad ingest command fails in the child; the error is
+    def test_deferred_ingest_error_surfaces_on_next_query(self, shard_server):
+        """A bad ingest command fails in the serve loop; the error is
         delivered on the next RPC instead of being dropped."""
-        with ShardedMetricStore(n_shards=2, backend="processes") as store:
-            worker = store.shards[0]
+        with _tcp(shard_server) as store:
+            shard = store.shards[0]
             empty = np.array([], dtype=np.int64)
-            # values non-empty but windows empty: the child's
+            # values non-empty but windows empty: the remote
             # record_columns calls windows.max() and raises.
-            worker.record_columns("P", "dc", "cpu", empty, empty, np.ones(1))
+            shard.record_columns("P", "dc", "cpu", empty, empty, np.ones(1))
             with pytest.raises(ValueError):
-                worker.sample_count()
-            # The worker survives its own error and keeps serving.
-            assert worker.sample_count() >= 0
+                shard.sample_count()
+            # The session survives its own error and keeps serving.
+            assert shard.sample_count() >= 0
 
-    def test_interner_replication_names_queries(self):
-        """Workers learn names via deltas, never via shared memory."""
-        with ShardedMetricStore(n_shards=2, backend="processes") as store:
+    def test_interner_replication_names_queries(self, shard_server):
+        """Sessions learn names via deltas, never via shared memory."""
+        with _tcp(shard_server) as store:
             _fill(store, n_servers=5, n_windows=3)
             per_server = store.per_server_values("P", "cpu")
             assert set(per_server) == {f"s{i:02d}" for i in range(5)}
-            # Late-interned servers reach workers with later messages.
+            # Late-interned servers reach sessions with later messages.
             late = store.intern_servers(["late0", "late1"])
             store.record_batch("P", "dc", "cpu", 7, late, np.ones(2))
             assert "late0" in store.per_server_values("P", "cpu")
             _windows, names, _matrix = store.pool_matrix("P", "cpu")
             assert "late1" in names
 
-    def test_record_fast_and_record_many_ride_the_buffer(self):
+    def test_record_fast_and_record_many_ride_the_buffer(
+        self, shard_server, monkeypatch
+    ):
+        """Also pins the two ingest encodings storing identically:
+        ``record_fast`` commands have no binary layout and cross as a
+        kind-0 pickle frame, the ``record_many`` columns as a kind-1
+        binary frame, and the result equals a local store's exactly."""
+        from repro.telemetry import transport
         from repro.telemetry.counters import CounterSample
+        from repro.telemetry.store import MetricStore
 
-        with ShardedMetricStore(n_shards=2, backend="processes") as store:
+        samples = [
+            CounterSample(
+                window_index=1,
+                server_id="a",
+                pool_id="P",
+                datacenter_id="dc",
+                counter="cpu",
+                value=3.0,
+            )
+        ]
+        local = MetricStore()
+        local.record_fast(0, "a", "P", "dc", "cpu", 1.0)
+        local.record_fast(0, "b", "P", "dc", "cpu", 2.0)
+        local.record_many(samples)
+
+        binary_encoded = []
+        encode = transport._encode_binary_ingest
+
+        def spy(names, commands):
+            buffers = encode(names, commands)
+            binary_encoded.append(buffers is not None)
+            return buffers
+
+        monkeypatch.setattr(transport, "_encode_binary_ingest", spy)
+        with _tcp(shard_server) as store:
             store.record_fast(0, "a", "P", "dc", "cpu", 1.0)
             store.record_fast(0, "b", "P", "dc", "cpu", 2.0)
-            store.record_many(
-                [
-                    CounterSample(
-                        window_index=1,
-                        server_id="a",
-                        pool_id="P",
-                        datacenter_id="dc",
-                        counter="cpu",
-                        value=3.0,
-                    )
-                ]
-            )
+            store.flush()  # the scalars leave as their own frames
+            store.record_many(samples)
             assert store.sample_count() == 3
+            # One record_fast frame per shard, one column frame for
+            # the shard that owns "a".
+            assert sorted(binary_encoded) == [False, False, True]
             sums = store.pool_window_aggregate("P", "cpu", reducer="sum")
             np.testing.assert_array_equal(sums.windows, [0, 1])
             np.testing.assert_array_equal(sums.values, [3.0, 3.0])
+            expected = local.per_server_values("P", "cpu")
+            actual = store.per_server_values("P", "cpu")
+            assert actual.keys() == expected.keys()
+            for name, values in expected.items():
+                np.testing.assert_array_equal(actual[name], values)
 
 
 class TestCloseFailoverRace:
@@ -231,7 +254,7 @@ class TestCloseFailoverRace:
     The regression: ``ReplicatedShardClient._retire`` closes a failed
     member on whichever thread observed the failure, *outside* the
     membership lock, while a concurrent group ``close()`` walks the
-    same member list — before ``ShardClient.close`` became a
+    same member list — before ``TcpShardClient.close`` became a
     lock-guarded test-and-set, both paths could run the full teardown
     (pipeline abort + ``stop`` + transport close) twice on one member.
     These hammers lose the race on purpose, many times in a row.

@@ -3,9 +3,8 @@
 * a fixed seed reproduces bit-identical store contents run over run
   (the exact bytes are pinned by ``tests/test_sim_golden.py``);
 * a :class:`~repro.telemetry.sharding.ShardedMetricStore` — any shard
-  count, any backend (serial, thread-pool, worker-process or
-  loopback-TCP ingest) — answers every query bit-identically to a
-  single store fed by the same run;
+  count, any backend (serial or loopback-TCP ingest) — answers every
+  query bit-identically to a single store fed by the same run;
 * every block size keeps identical availability masks and sample
   counts, and agrees statistically on the noisy counters.
 """
@@ -21,13 +20,10 @@ from repro.telemetry.sharding import BACKENDS, ShardedMetricStore
 
 
 def _sharded(n_shards=3, backend="serial", server=None):
-    workers = n_shards if backend == "threads" else 1
     kwargs = {}
     if backend == "tcp":
         kwargs["shard_addrs"] = [server.address] * n_shards
-    return ShardedMetricStore(
-        n_shards=n_shards, workers=workers, backend=backend, **kwargs
-    )
+    return ShardedMetricStore(n_shards=n_shards, backend=backend, **kwargs)
 
 
 def _run(seed: int = 41, windows: int = 180, store=None, **config_kwargs):
@@ -101,13 +97,6 @@ class TestShardedEquivalence:
             sharded = _run(store=store)
             _assert_stores_identical(single, sharded)
 
-    def test_worker_pool_matches_serial(self):
-        """Thread fan-out stores the same rows as serial fan-out."""
-        serial = _run(store=ShardedMetricStore(n_shards=4, workers=1))
-        with ShardedMetricStore(n_shards=4, workers=4) as store:
-            threaded = _run(store=store)
-            _assert_stores_identical(serial, threaded)
-
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_sharded_blocked_matches_single_blocked(self, backend, shard_server):
         """Sharding composes with cross-window block emission."""
@@ -121,7 +110,7 @@ class TestShardedEquivalence:
         sharded = _run(counters=None, windows=60, store=ShardedMetricStore(3))
         _assert_stores_identical(single, sharded)
 
-    @pytest.mark.parametrize("backend", ("threads", "processes", "tcp"))
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_backend_exports_byte_identical(self, backend, tmp_path, shard_server):
         """The archive written through any backend is byte-identical."""
         from repro.telemetry.export import export_store

@@ -5,10 +5,9 @@ Guarantees protecting ``simulate --stream``:
 * streaming a fleet block by block through
   :class:`~repro.cluster.streaming.StreamingSimulator` stores telemetry
   **bit-identical** to one batch ``run()`` of the same horizon — on
-  every shard backend (serial / threads / processes / tcp), with block
-  sizes 1 and 64, *including after rolling retention has evicted most
-  of the run to the spill archive* — and its CSV export is
-  **byte-identical**;
+  every shard backend (serial / tcp), with block sizes 1 and 64,
+  *including after rolling retention has evicted most of the run to
+  the spill archive* — and its CSV export is **byte-identical**;
 * rolling retention keeps the hot store bounded: after any block, hot
   rows never exceed the retained window span times the fleet's rows
   per window, while totals (and every query) still see all history;
@@ -59,13 +58,10 @@ def _simulator(seed=41, store=None, block_windows=1, **config_kwargs):
 
 
 def _sharded(n_shards=3, backend="serial", server=None):
-    workers = n_shards if backend == "threads" else 1
     kwargs = {}
     if backend == "tcp":
         kwargs["shard_addrs"] = [server.address] * n_shards
-    return ShardedMetricStore(
-        n_shards=n_shards, workers=workers, backend=backend, **kwargs
-    )
+    return ShardedMetricStore(n_shards=n_shards, backend=backend, **kwargs)
 
 
 def _stream(store=None, block_windows=1, retain=RETAIN, windows=WINDOWS):

@@ -4,9 +4,8 @@ Equivalence of the ``tcp`` backend (bit-identical queries,
 byte-identical exports) is proven by the backend-parametrized suites
 in ``test_sharded_store.py`` / ``test_sim_equivalence.py``; this file
 covers what is specific to the transport itself: the length-prefixed
-frame codec (pickle and binary column frames, including the
-per-session capability negotiation with PR 4 peers), ``host:port``
-parsing, the connect-retry window, the one-connection-one-shard
+frame codec (pickle and binary column frames, and the rejection of
+frames that do not decode), ``host:port`` parsing, the connect-retry window, the one-connection-one-shard
 server (``ShardServer``), both shutdown paths (``stop`` message vs
 clean EOF), the pipelined ingest path (bounded queue, ordering,
 close-with-frames-in-flight) and — the operational headline — that a
@@ -29,7 +28,11 @@ from repro.telemetry.transport import (
     format_address,
     parse_address,
 )
-from repro.telemetry.workers import ShardServer, TcpShardClient
+from repro.telemetry.workers import (
+    ShardConnectionError,
+    ShardServer,
+    TcpShardClient,
+)
 
 
 def _loopback_pair():
@@ -229,6 +232,24 @@ class TestShardServer:
             assert survivor.sample_count() == 0
             survivor.close()
 
+    def test_undecodable_frame_ends_only_its_session(self):
+        """A well-formed header followed by bytes that are not a pickle
+        must end that session with a prompt EOF for the peer — not kill
+        the session thread with the socket left open, stranding the
+        peer until its I/O timeout — and the server keeps serving."""
+        interner = ServerInterner()
+        with ShardServer() as server:
+            rude = socket.create_connection(parse_address(server.address))
+            rude.settimeout(10)
+            try:
+                rude.sendall((16).to_bytes(8, "big") + b"\xff" * 16)
+                assert rude.recv(1) == b""  # the server hung up on us
+            finally:
+                rude.close()
+            survivor = TcpShardClient(0, interner, server.address)
+            assert survivor.sample_count() == 0
+            survivor.close()
+
     def test_ended_sessions_are_pruned(self):
         """The session list tracks live sessions, not history —
         a long-running server must not accumulate dead entries."""
@@ -344,39 +365,8 @@ def _serving_listener(serve, host="127.0.0.1"):
     return format_address(*listener.getsockname()[:2])
 
 
-def _pr4_serve(transport):
-    """A faithful PR 4 serve loop: pickle frames only, and *no*
-    ``protocol_capabilities`` handler — the probe resolves against the
-    store and answers ``AttributeError``, exactly like the old code."""
-    store = MetricStore()
-    while True:
-        try:
-            message = transport.recv()
-        except (EOFError, OSError):
-            break
-        kind = message[0]
-        if kind == "ingest":
-            for name in message[1]:
-                store.interner.intern(name)
-            for method, args in message[2]:
-                getattr(store, method)(*args)
-        elif kind == "call":
-            for name in message[1]:
-                store.interner.intern(name)
-            try:
-                attr = getattr(store, message[2])
-                result = attr(*message[3], **message[4]) if callable(attr) else attr
-                reply = ("ok", result)
-            except BaseException as error:  # noqa: BLE001
-                reply = ("err", error)
-            transport.send(reply)
-        elif kind == "stop":
-            break
-    transport.close()
-
-
 class TestBinaryFrames:
-    """The kind-1 binary column frame and its per-session negotiation."""
+    """The kind-1 binary column frame and its kind-0 fallback."""
 
     def _ingest_message(self, n_rows=1000):
         return (
@@ -406,7 +396,6 @@ class TestBinaryFrames:
     def test_binary_roundtrip_bit_identical(self):
         client, server = _loopback_pair()
         try:
-            client.binary_frames = True
             names, commands = self._ingest_message()
             client.send_ingest(names, commands)
             kind, got_names, got_commands = server.recv()
@@ -427,26 +416,11 @@ class TestBinaryFrames:
             client.close()
             server.close()
 
-    def test_unnegotiated_session_sends_pickle(self):
-        """Without the capability handshake the encoder must not be
-        used, whatever the message looks like."""
-        client, server = _loopback_pair()
-        try:
-            assert client.binary_frames is False
-            names, commands = self._ingest_message(n_rows=8)
-            client.send_ingest(names, commands)
-            message = server.recv()
-            assert message[0] == "ingest" and message[1] == names
-        finally:
-            client.close()
-            server.close()
-
     def test_record_fast_commands_fall_back_to_pickle(self):
         """A compatibility command in the batch degrades the whole
         frame to pickle — never a partial/mixed encoding."""
         client, server = _loopback_pair()
         try:
-            client.binary_frames = True
             commands = [
                 ("record_fast", (3, "s0", "P", "dc", "cpu", 1.5)),
                 (
@@ -468,83 +442,6 @@ class TestBinaryFrames:
             client.close()
             server.close()
 
-    def test_client_negotiates_binary_with_live_server(self, shard_server):
-        interner = ServerInterner()
-        client = TcpShardClient(0, interner, shard_server.address)
-        try:
-            assert client._transport.binary_frames is True
-            idx = np.array([interner.intern("s0")], dtype=np.int64)
-            for window in range(5):
-                client.record_columns(
-                    "P", "dc", "cpu", np.array([window]), idx, np.ones(1)
-                )
-            assert client.sample_count() == 5
-            series = client.pool_window_aggregate("P", "cpu", reducer="sum")
-            np.testing.assert_array_equal(series.windows, np.arange(5))
-        finally:
-            client.close()
-
-    def test_pr4_peer_falls_back_to_pickle(self):
-        """New client, old server: the probe's AttributeError answer
-        downgrades the session to pickle frames and everything works."""
-        address = _serving_listener(_pr4_serve)
-        interner = ServerInterner()
-        client = TcpShardClient(0, interner, address)
-        try:
-            assert client._transport.binary_frames is False
-            idx = np.array([interner.intern("s0")], dtype=np.int64)
-            client.record_columns(
-                "P", "dc", "cpu", np.array([7]), idx, np.full(1, 3.0)
-            )
-            assert client.sample_count() == 1
-        finally:
-            client.close()
-
-    def test_binary_frames_false_skips_probe(self, shard_server):
-        interner = ServerInterner()
-        client = TcpShardClient(
-            0, interner, shard_server.address, binary_frames=False
-        )
-        try:
-            assert client._transport.binary_frames is False
-            idx = np.array([interner.intern("s0")], dtype=np.int64)
-            client.record_columns("P", "dc", "cpu", np.array([0]), idx, np.ones(1))
-            assert client.sample_count() == 1
-        finally:
-            client.close()
-
-    def test_wire_formats_store_identically(self, shard_server):
-        """Pickle session and binary session build bit-identical shards."""
-        results = []
-        for binary in (False, True):
-            interner = ServerInterner()
-            client = TcpShardClient(
-                0, interner, shard_server.address,
-                binary_frames=binary, pipeline_depth=0,
-            )
-            try:
-                ids = np.array(
-                    [interner.intern(f"s{i}") for i in range(6)], dtype=np.int64
-                )
-                rng = np.random.default_rng(5)
-                for window in range(8):
-                    client.record_columns(
-                        "P", "dc", "cpu",
-                        np.full(6, window, dtype=np.int64),
-                        ids,
-                        rng.uniform(0, 100, 6),
-                    )
-                results.append(
-                    (
-                        client.sample_count(),
-                        client.pool_window_aggregate("P", "cpu", reducer="sum"),
-                    )
-                )
-            finally:
-                client.close()
-        assert results[0][0] == results[1][0] == 48
-        np.testing.assert_array_equal(results[0][1].values, results[1][1].values)
-
 
 class TestIoTimeout:
     """A hung-but-alive peer must become a clear error, not a hang."""
@@ -561,8 +458,7 @@ class TestIoTimeout:
         address = _serving_listener(hang)
         interner = ServerInterner()
         client = TcpShardClient(
-            3, interner, address, io_timeout=0.4, binary_frames=False,
-            pipeline_depth=0,
+            3, interner, address, io_timeout=0.4, pipeline_depth=0,
         )
         started = time.monotonic()
         with pytest.raises(RuntimeError) as excinfo:
@@ -583,17 +479,28 @@ class TestIoTimeout:
         finally:
             client.close()
 
-    def test_probe_against_hung_peer_is_bounded_too(self):
-        def hang(transport):
+    def test_garbage_reply_is_a_named_connection_error(self):
+        """A reply that is not a pickle is the peer not speaking the
+        protocol: the named per-shard error, never a raw unpickling
+        exception leaking out of the client."""
+        def babble(transport):
             try:
-                while True:
-                    transport.recv()
+                transport.recv()
+                transport._sock.sendall((16).to_bytes(8, "big") + b"\xff" * 16)
+                transport.recv()  # hold the socket until the client leaves
             except (EOFError, OSError):
                 pass
+            transport.close()
 
-        address = _serving_listener(hang)
-        with pytest.raises(RuntimeError, match="timed out"):
-            TcpShardClient(0, ServerInterner(), address, io_timeout=0.4)
+        address = _serving_listener(babble)
+        client = TcpShardClient(4, ServerInterner(), address, io_timeout=10)
+        try:
+            with pytest.raises(ShardConnectionError, match="shard 4") as excinfo:
+                client.sample_count()
+            assert address in str(excinfo.value)
+            assert "malformed pickle frame" in str(excinfo.value.__cause__)
+        finally:
+            client.close()
 
 
 class TestPipelinedIngest:
@@ -601,7 +508,7 @@ class TestPipelinedIngest:
 
     def _slow_reader(self):
         """An accepted connection nobody reads until ``release`` is set;
-        afterwards a PR 4-faithful loop drains it.  A small receive
+        afterwards a minimal serve loop drains it.  A small receive
         buffer — set on the *listener*, before accept, because
         shrinking it on a live connection stalls the TCP window —
         makes the writer thread block in sendall quickly."""
@@ -645,7 +552,7 @@ class TestPipelinedIngest:
         address = format_address(*listener.getsockname()[:2])
         return address, release, store, done
 
-    #: Rows per frame in the slow-reader tests: ~9.6 MB pickled, far
+    #: Rows per frame in the slow-reader tests: ~9.6 MB on the wire, far
     #: beyond any combination of loopback socket buffers, so one frame
     #: reliably wedges the writer's sendall until the reader drains.
     BIG_ROWS = 400_000
@@ -663,8 +570,7 @@ class TestPipelinedIngest:
         interner = ServerInterner()
         client = TcpShardClient(
             0, interner, address,
-            flush_rows=1, pipeline_depth=2,
-            binary_frames=False, io_timeout=30,
+            flush_rows=1, pipeline_depth=2, io_timeout=30,
         )
         try:
             blocked = threading.Event()
@@ -730,8 +636,7 @@ class TestPipelinedIngest:
         # ride on the I/O timeout expiring.
         client = TcpShardClient(
             0, interner, address,
-            flush_rows=1, pipeline_depth=2,
-            binary_frames=False, io_timeout=30,
+            flush_rows=1, pipeline_depth=2, io_timeout=30,
         )
         try:
             # Two frames: one wedges in the writer's sendall, one sits

@@ -47,21 +47,19 @@ WORKERS = "src/repro/telemetry/workers.py"
 QUERY = "src/repro/telemetry/query_server.py"
 
 #: Wire verbs the serve loop answers itself, before ``getattr``.
-RESERVED_WIRE_METHODS = {"resync", "protocol_capabilities"}
+RESERVED_WIRE_METHODS = {"resync"}
 #: Classes whose union is the client-proxy surface ``getattr(member,
 #: method)`` resolves against (replica fan-out, journal replay).
 CLIENT_CLASSES = (
     "_ShardQuerySurface",
-    "ShardClient",
-    "ShardWorker",
     "TcpShardClient",
     "ReplicatedShardClient",
 )
 #: The deny-list constant the query server must define.
 MUTATOR_CONSTANT = "STORE_MUTATORS"
 #: ``self.<attr>`` writes that are memoization/lazy-init, not logical
-#: store mutations (aggregate caches, partition plans, executors).
-CACHE_ATTRS = {"_agg_cache", "_partition_cache", "_executor"}
+#: store mutations (aggregate caches, partition plans).
+CACHE_ATTRS = {"_agg_cache", "_partition_cache"}
 
 Findings = List[Tuple[str, int, str]]
 
@@ -147,7 +145,7 @@ def _check_workers_dispatch(
             ))
 
 
-def _check_sharding_dispatch(
+def _check_sharding_journal(
     sharding: SourceFile,
     metric_surface: Set[str],
     client_surface: Set[str],
@@ -158,16 +156,7 @@ def _check_sharding_dispatch(
             continue
         func = node.func
         attr = func.attr if isinstance(func, ast.Attribute) else None
-        if attr == "_dispatch" and len(node.args) >= 2:
-            name = str_const(node.args[1])
-            if name is not None and name not in metric_surface:
-                out.append((
-                    sharding.rel,
-                    node.lineno,
-                    f"dispatches method {name!r} to shards, but MetricStore "
-                    f"defines no such method",
-                ))
-        elif attr == "append" and len(node.args) >= 2:
+        if attr == "append" and len(node.args) >= 2:
             # Journal appends: self._journals[i].append("method", args, n)
             # or `for journal in ...: journal.append(...)`.
             is_journal = self_attr_root(func.value) == "_journals" or (
@@ -319,7 +308,7 @@ def run(files: Dict[str, SourceFile]) -> Findings:
             workers_src, metric_surface, client_surface, findings
         )
     if sharding_src is not None and metric_surface is not None:
-        _check_sharding_dispatch(
+        _check_sharding_journal(
             sharding_src, metric_surface, client_surface, findings
         )
 
