@@ -53,7 +53,6 @@ from typing import Optional
 from repro.cluster.builders import build_single_pool_fleet
 from repro.cluster.simulation import SimulationConfig, Simulator
 from repro.telemetry.sharding import ShardedMetricStore
-from repro.telemetry.workers import DEFAULT_PIPELINE_DEPTH
 
 #: Headline configuration (the ISSUE's 1000-server x 1000-window run).
 SERVERS = 1000
@@ -147,7 +146,6 @@ def _measure(
     block_windows: int = 1,
     backend: Optional[str] = None,
     shard_addrs: Optional[list] = None,
-    pipeline_depth: Optional[int] = None,
     replicas: int = 0,
     replica_addrs: Optional[list] = None,
 ) -> dict:
@@ -161,7 +159,6 @@ def _measure(
                 block_windows=block_windows,
                 backend=backend,
                 shard_addrs=[address] * shards,
-                pipeline_depth=pipeline_depth,
                 replicas=replicas,
             )
             if replicas:
@@ -180,8 +177,6 @@ def _measure(
         "B", n_datacenters=1, servers_per_deployment=servers, seed=29
     )
     store_kwargs = {}
-    if pipeline_depth is not None:
-        store_kwargs["pipeline_depth"] = pipeline_depth
     if replica_addrs is not None:
         store_kwargs["replica_addrs"] = replica_addrs
     store = (
@@ -209,18 +204,12 @@ def _measure(
     elapsed = time.perf_counter() - started
     if store is not None:
         store.close()
-    remote = store is not None and store.backend == "tcp"
     return {
         "servers": servers,
         "windows": n_windows,
         "shards": shards,
         "block_windows": block_windows,
         "backend": store.backend if store is not None else "none",
-        "pipeline_depth": (
-            (pipeline_depth if pipeline_depth is not None
-             else DEFAULT_PIPELINE_DEPTH)
-            if remote else 0
-        ),
         # Replica sessions mirrored per shard (tcp only); the
         # replicated-tcp row prices the fan-out's ingest cost.
         "replicas": replicas,
@@ -455,26 +444,18 @@ def run_tcp_sweep(
 
     One ``repro shard-server`` subprocess hosts every session; rows
     compare the serial reference and tcp at increasing shard counts —
-    each shard count measured with synchronous sends and with the
-    default pipelined writers — the `make bench-tcp` answer to "what
-    does putting shards behind the network cost on this machine?".
+    the `make bench-tcp` answer to "what does putting shards behind
+    the network cost on this machine?".
     """
     results = [
         _measure(windows, servers, block_windows=block_windows,
                  backend="serial", shards=4),
     ]
     for shards in (1, 2, 4):
-        for pipeline_depth in (0, None):
-            results.append(
-                _measure(
-                    windows,
-                    servers,
-                    shards=shards,
-                    block_windows=block_windows,
-                    backend="tcp",
-                    pipeline_depth=pipeline_depth,
-                )
-            )
+        results.append(
+            _measure(windows, servers, shards=shards,
+                     block_windows=block_windows, backend="tcp")
+        )
     return results
 
 
@@ -483,10 +464,8 @@ def _config_label(entry: dict) -> str:
         f"shards={entry['shards']} "
         f"block={entry['block_windows']} backend={entry['backend']}"
     )
-    if entry.get("backend") == "tcp":
-        label += f" pipeline={entry.get('pipeline_depth', 0)}"
-        if entry.get("replicas"):
-            label += f" replicas={entry['replicas']}"
+    if entry.get("replicas"):
+        label += f" replicas={entry['replicas']}"
     return label
 
 
@@ -578,13 +557,8 @@ if __name__ == "__main__":
             f"subprocess hosting every session"
         )
         for entry in sweep:
-            wire = (
-                f" pipeline={entry['pipeline_depth']}"
-                if entry["backend"] == "tcp"
-                else ""
-            )
             print(
-                f"  {entry['backend']:10s} shards={entry['shards']}{wire} "
+                f"  {entry['backend']:10s} shards={entry['shards']} "
                 f"{entry['windows_per_sec']:8.1f} windows/s "
                 f"({entry['samples_per_sec']:,.0f} samples/s)"
             )

@@ -41,13 +41,6 @@ def positive_int(text: str) -> int:
     return value
 
 
-def nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
 def parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -71,11 +64,6 @@ def parse_args() -> argparse.Namespace:
         "--shard-addrs", default=None, metavar="HOST:PORT,...",
         help="shard-server addresses for --shard-backend tcp "
              "(one session = one shard)",
-    )
-    parser.add_argument(
-        "--pipeline-depth", type=nonnegative_int, default=4, metavar="N",
-        help="ingest frames queued/in flight per remote shard "
-             "(0 = synchronous sends)",
     )
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
@@ -107,7 +95,6 @@ def main() -> None:
             n_shards=args.shards,
             backend=args.shard_backend,
             shard_addrs=shard_addrs,
-            pipeline_depth=args.pipeline_depth,
         )
         if args.shards > 1 or args.shard_backend is not None
         else MetricStore()

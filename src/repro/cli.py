@@ -211,7 +211,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 backend=args.shard_backend,
                 shard_addrs=shard_addrs,
                 connect_timeout=args.connect_timeout,
-                pipeline_depth=args.pipeline_depth,
                 io_timeout=args.io_timeout,
                 replica_addrs=replica_addrs,
             )
@@ -541,13 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--connect-timeout", type=float, default=5.0, metavar="SECONDS",
         help="how long each tcp shard connection retries a refused dial "
              "before failing (--shard-backend tcp only)",
-    )
-    simulate.add_argument(
-        "--pipeline-depth", type=_nonnegative_int, default=4, metavar="N",
-        help="tcp shards: how many coalesced ingest frames may be "
-             "queued or in flight per shard before "
-             "the next flush blocks (0 = synchronous sends, no "
-             "pipelining); queries still observe all prior ingest",
     )
     simulate.add_argument(
         "--io-timeout", type=float, default=60.0, metavar="SECONDS",

@@ -232,9 +232,6 @@ def inject_client(client: Any, spec: FaultSpec) -> FaultyTransport:
     For a :class:`~repro.telemetry.workers.ReplicatedShardClient` the
     fault lands on the *primary* member only — the replicas stay
     healthy, which is exactly the failover scenario worth provoking.
-    Must run before ingest begins (the writer thread reads the
-    transport attribute per frame, but swapping it mid-stream would
-    interleave fault accounting with in-flight frames).
     """
     from repro.telemetry.workers import ReplicatedShardClient
 

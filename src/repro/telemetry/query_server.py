@@ -132,9 +132,11 @@ class LiveQuerySurface:
         with self._lock:
             return self._store.counters_for_pool(pool_id)
 
-    def servers_in_pool(self, pool_id: str) -> Tuple[str, ...]:
+    def servers_in_pool(
+        self, pool_id: str, datacenter_id: Optional[str] = None
+    ) -> Tuple[str, ...]:
         with self._lock:
-            return self._store.servers_in_pool(pool_id)
+            return self._store.servers_in_pool(pool_id, datacenter_id)
 
     def datacenters_for_pool(self, pool_id: str) -> Tuple[str, ...]:
         with self._lock:

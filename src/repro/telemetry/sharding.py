@@ -60,7 +60,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from repro.telemetry.counters import CounterSample
 from repro.telemetry.series import TimeSeries
 from repro.telemetry.transport import (
     DEFAULT_CONNECT_TIMEOUT,
@@ -69,7 +68,6 @@ from repro.telemetry.transport import (
 )
 from repro.telemetry.workers import (
     DEFAULT_FLUSH_ROWS,
-    DEFAULT_PIPELINE_DEPTH,
     ReplicatedShardClient,
     TcpShardClient,
 )
@@ -77,8 +75,9 @@ from repro.telemetry.store import (
     MetricStore,
     ServerInterner,
     TableKey,
+    _check_columns,
+    _RecordVerbs,
     _TrackedAggregate,
-    columnise_samples,
     window_aggregate_arrays,
 )
 
@@ -205,7 +204,7 @@ def _shard_member_addresses(
     return members
 
 
-class ShardedMetricStore:
+class ShardedMetricStore(_RecordVerbs):
     """N hash-partitioned metric-store shards behind one facade.
 
     Drop-in replacement for a single :class:`MetricStore`: the public
@@ -243,14 +242,6 @@ class ShardedMetricStore:
         TCP backend only: how long each shard connection retries a
         refused dial before failing (covers starting client and
         server concurrently).
-    pipeline_depth:
-        TCP backend only: how many coalesced ingest frames may be
-        queued or in flight per shard before the next flush blocks
-        (each shard gets one writer thread, so partitioning the next
-        block overlaps with the wire).  0 sends synchronously on the
-        caller's thread.  Ordering is unaffected either way: queries
-        drain the queue first, so reads always observe all previously
-        buffered ingest.
     io_timeout:
         TCP backend only: per-operation socket bound (seconds).  A
         send or recv that makes no progress for this long raises a
@@ -290,15 +281,12 @@ class ShardedMetricStore:
         flush_rows: int = DEFAULT_FLUSH_ROWS,
         shard_addrs: Optional[Sequence[str]] = None,
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
-        pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
         io_timeout: Optional[float] = DEFAULT_IO_TIMEOUT,
         replica_addrs: Optional[Sequence] = None,
         journal_rows: Optional[int] = None,
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if pipeline_depth < 0:
-            raise ValueError("pipeline_depth must be >= 0")
         if backend is None:
             backend = "serial"
         if backend not in BACKENDS:
@@ -340,7 +328,6 @@ class ShardedMetricStore:
             flush_rows=flush_rows,
             connect_timeout=connect_timeout,
             io_timeout=io_timeout,
-            pipeline_depth=pipeline_depth,
         )
         self._journals: Optional[List[ShardJournal]] = (
             [ShardJournal(journal_rows) for _ in range(n_shards)]
@@ -536,9 +523,8 @@ LiveQuerySurface` takes it around every read.
         No-op for serial, where appends are synchronous.  Not
         normally needed — every query flushes the shard it reads — but
         useful to bound parent-side buffer memory at a known point.
-        With pipelining the flushed frames may still be queued or in
-        flight afterwards (bounded by ``pipeline_depth``); any query
-        acts as the full drain barrier.
+        Frames are sent on the caller's thread; ``sendall`` under
+        ``io_timeout`` is the backpressure against a slow shard.
         """
         if self._backend == "tcp":
             for shard in self._shards:
@@ -598,20 +584,16 @@ LiveQuerySurface` takes it around every read.
         lists with no copy.
         """
         self._ensure_open()
+        windows, server_indices, values = _check_columns(
+            windows, server_indices, values
+        )
         if values.size == 0:
             return
         n = len(self._shards)
+        parts: List[Tuple[int, tuple]]
         if n == 1:
-            if self._journals is not None:
-                self._journals[0].append(
-                    "record_columns",
-                    (pool_id, datacenter_id, counter, windows,
-                     server_indices, values),
-                    int(values.size),
-                )
-            self._shards[0].record_columns(
-                pool_id, datacenter_id, counter, windows, server_indices, values
-            )
+            parts = [(0, (pool_id, datacenter_id, counter, windows,
+                          server_indices, values))]
         else:
             cached = self._partition_cache
             if (
@@ -638,110 +620,25 @@ LiveQuerySurface` takes it around every read.
                     )
                 cached = (windows, server_indices, routing)
                 self._partition_cache = cached
-            parts: List[Tuple[int, tuple]] = [
+            parts = [
                 (
                     shard_id,
-                    (
-                        pool_id,
-                        datacenter_id,
-                        counter,
-                        shard_windows,
-                        shard_indices,
-                        values[rows],
-                    ),
+                    (pool_id, datacenter_id, counter, shard_windows,
+                     shard_indices, values[rows]),
                 )
                 for shard_id, rows, shard_windows, shard_indices in cached[2]
             ]
-            if self._journals is not None:
-                # Journal before dispatch: rows being sent to a shard
-                # that dies mid-dispatch must still be replayable.
-                for shard_id, args in parts:
-                    self._journals[shard_id].append(
-                        "record_columns", args, int(args[5].size)
-                    )
-            for shard_id, args in parts:
-                self._shards[shard_id].record_columns(*args)
-        if self._agg_cache:
-            self._agg_cache.clear()
-
-    def record_batch(
-        self,
-        pool_id: str,
-        datacenter_id: str,
-        counter: str,
-        window: int,
-        server_ids: Sequence[str],
-        values: np.ndarray,
-    ) -> None:
-        """Append one window of one counter for many servers at once.
-
-        Same contract as :meth:`MetricStore.record_batch` (string ids
-        or pre-interned index arrays; buffers may be reused by the
-        caller afterwards — the facade copies before partitioning, so
-        even parts buffered for a remote shard never alias caller
-        memory).
-        """
-        if isinstance(server_ids, np.ndarray) and server_ids.dtype.kind in "iu":
-            indices = np.array(server_ids, dtype=np.int64)
-        else:
-            indices = self.intern_servers(server_ids)
-        values = np.array(values, dtype=float)
-        if indices.size != values.size:
-            raise ValueError("server_ids and values must be aligned")
-        if indices.size == 0:
-            return
-        windows = np.full(indices.size, window, dtype=np.int64)
-        self.record_columns(
-            pool_id, datacenter_id, counter, windows, indices, values
-        )
-
-    def record_fast(
-        self,
-        window: int,
-        server_id: str,
-        pool_id: str,
-        datacenter_id: str,
-        counter: str,
-        value: float,
-    ) -> None:
-        """Append one sample (compatibility shim; routes to one shard).
-
-        On the tcp backend the scalar rides the owner shard's
-        coalescing ingest buffer, so even sample-at-a-time callers pay
-        ~one message per ``flush_rows`` samples, not per sample.
-        """
-        self._ensure_open()
-        index = self._interner.intern(server_id)
-        shard_id = index % len(self._shards)
         if self._journals is not None:
-            self._journals[shard_id].append(
-                "record_fast",
-                (window, server_id, pool_id, datacenter_id, counter, value),
-                1,
-            )
-        self._shards[shard_id].record_fast(
-            window, server_id, pool_id, datacenter_id, counter, value
-        )
+            # Journal before dispatch: rows being sent to a shard that
+            # dies mid-dispatch must still be replayable.
+            for shard_id, args in parts:
+                self._journals[shard_id].append(
+                    "record_columns", args, int(args[5].size)
+                )
+        for shard_id, args in parts:
+            self._shards[shard_id].record_columns(*args)
         if self._agg_cache:
             self._agg_cache.clear()
-
-    def record(self, sample: CounterSample) -> None:
-        """Append one counter sample (compatibility shim)."""
-        self.record_fast(
-            sample.window_index,
-            sample.server_id,
-            sample.pool_id,
-            sample.datacenter_id,
-            sample.counter,
-            sample.value,
-        )
-
-    def record_many(self, samples) -> None:
-        """Append many samples, columnised per table then fanned out."""
-        for (pool_id, dc_id, counter), windows, indices, values in columnise_samples(
-            samples, self.intern_server
-        ):
-            self.record_columns(pool_id, dc_id, counter, windows, indices, values)
 
     # ------------------------------------------------------------------
     # Streaming: rolling retention and incremental aggregates

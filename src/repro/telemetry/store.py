@@ -10,8 +10,10 @@ around an end-to-end columnar data flow:
   :meth:`MetricStore.record_batch`, which appends whole arrays to the
   matching table.  Server ids are interned once into integer indices
   (:meth:`MetricStore.intern_servers`), so the hot path never hashes
-  strings per sample.  ``record`` / ``record_many`` / ``record_fast``
-  remain as thin compatibility shims over the same tables.
+  strings per sample.  Every ingest verb reduces to one
+  :meth:`MetricStore.record_columns` call, which checks the
+  ``(int64, int64, float64)`` equal-length column layout once, where
+  rows enter.
 * **Storage** is one table per (pool, datacenter, counter): three
   parallel column chunk lists (window, server index, value) that are
   concatenated lazily into frozen arrays on first query.
@@ -258,8 +260,7 @@ class MetricKey:
 class _Table:
     """Columnar (window, server index, value) rows of one table.
 
-    Appends go to chunk lists (one ndarray per batch, plus a scalar
-    spill buffer for the per-sample compatibility shims); queries read
+    Appends go to chunk lists (one ndarray per batch); queries read
     the lazily concatenated frozen arrays.
     """
 
@@ -267,9 +268,6 @@ class _Table:
         "_window_chunks",
         "_server_chunks",
         "_value_chunks",
-        "_scalar_windows",
-        "_scalar_servers",
-        "_scalar_values",
         "_frozen",
         "n_rows",
         "spilled_rows",
@@ -279,29 +277,10 @@ class _Table:
         self._window_chunks: List[np.ndarray] = []
         self._server_chunks: List[np.ndarray] = []
         self._value_chunks: List[np.ndarray] = []
-        self._scalar_windows: List[int] = []
-        self._scalar_servers: List[int] = []
-        self._scalar_values: List[float] = []
         self._frozen: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self.n_rows: int = 0
         #: Rows evicted to the spill archive (still counted in n_rows).
         self.spilled_rows: int = 0
-
-    def _spill_scalars(self) -> None:
-        if self._scalar_windows:
-            self._window_chunks.append(np.asarray(self._scalar_windows, dtype=np.int64))
-            self._server_chunks.append(np.asarray(self._scalar_servers, dtype=np.int64))
-            self._value_chunks.append(np.asarray(self._scalar_values, dtype=float))
-            self._scalar_windows.clear()
-            self._scalar_servers.clear()
-            self._scalar_values.clear()
-
-    def append(self, window: int, server_index: int, value: float) -> None:
-        self._scalar_windows.append(window)
-        self._scalar_servers.append(server_index)
-        self._scalar_values.append(value)
-        self._frozen = None
-        self.n_rows += 1
 
     def append_batch(
         self,
@@ -309,7 +288,6 @@ class _Table:
         server_indices: np.ndarray,
         values: np.ndarray,
     ) -> None:
-        self._spill_scalars()
         self._window_chunks.append(windows)
         self._server_chunks.append(server_indices)
         self._value_chunks.append(values)
@@ -319,7 +297,6 @@ class _Table:
     def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(windows, server indices, values) in append order."""
         if self._frozen is None:
-            self._spill_scalars()
             if not self._value_chunks:
                 empty = np.array([], dtype=np.int64)
                 self._frozen = (empty, empty, np.array([], dtype=float))
@@ -376,33 +353,140 @@ class _Table:
 TableKey = Tuple[str, str, str]
 
 
-def columnise_samples(
-    samples: Iterable[CounterSample],
-    intern,
-) -> Iterator[Tuple[TableKey, np.ndarray, np.ndarray, np.ndarray]]:
-    """Group loose samples into per-table (windows, indices, values).
+#: The one layout rows enter a table in — (windows, server indices,
+#: values) — and the kind-1 wire frame's column layout.
+_COLUMN_DTYPES = (np.dtype(np.int64), np.dtype(np.int64), np.dtype(np.float64))
 
-    The shared grouping behind ``record_many`` on both the single store
-    and the sharded facade; ``intern`` maps a server id to its integer
-    index.  Yields one ``(table key, windows, server indices, values)``
-    tuple per (pool, datacenter, counter), rows in input order.
+
+def _check_columns(*columns: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Check ``(windows, server_indices, values)`` once, where rows enter.
+
+    Every public ``record_columns`` (store, sharded facade, shard
+    client) runs this first, so nothing downstream — tables, the
+    partitioner, the wire encoder — re-discovers a malformed batch.
+    The invariant: three 1-D columns of one length, contiguous
+    ``(int64, int64, float64)``.  Columns already in layout come back
+    as the same objects (O(1); the facade's partition memo keys on
+    identity); lossless casts (``int32`` indices, a list) are
+    converted; anything else is an eager ``ValueError``.
     """
-    grouped: Dict[TableKey, Tuple[List[int], List[int], List[float]]] = {}
-    for sample in samples:
-        key = (sample.pool_id, sample.datacenter_id, sample.counter)
-        bucket = grouped.get(key)
-        if bucket is None:
-            bucket = ([], [], [])
-            grouped[key] = bucket
-        bucket[0].append(sample.window_index)
-        bucket[1].append(intern(sample.server_id))
-        bucket[2].append(sample.value)
-    for key, (windows, indices, values) in grouped.items():
-        yield (
-            key,
-            np.asarray(windows, dtype=np.int64),
-            np.asarray(indices, dtype=np.int64),
-            np.asarray(values, dtype=float),
+    if not all(
+        type(column) is np.ndarray
+        and column.dtype == dtype
+        and column.flags.c_contiguous
+        for column, dtype in zip(columns, _COLUMN_DTYPES)
+    ):
+        columns = tuple(np.asarray(column) for column in columns)
+        if all(
+            np.can_cast(column.dtype, dtype, casting="safe")
+            for column, dtype in zip(columns, _COLUMN_DTYPES)
+        ):
+            columns = tuple(
+                np.asarray(column, dtype=dtype, order="C")
+                for column, dtype in zip(columns, _COLUMN_DTYPES)
+            )
+    windows, server_indices, values = columns
+    if not (
+        windows.ndim == 1
+        and windows.shape == server_indices.shape == values.shape
+        and tuple(column.dtype for column in columns) == _COLUMN_DTYPES
+    ):
+        raise ValueError(
+            "record_columns takes (windows, server_indices, values) as "
+            "three 1-D columns of one length, castable without loss to "
+            "(int64, int64, float64); got shapes "
+            f"{tuple(column.shape for column in columns)} and dtypes "
+            f"{tuple(str(column.dtype) for column in columns)}"
+        )
+    return columns
+
+
+class _RecordVerbs:
+    """The convenience ingest verbs, each one ``record_columns`` call.
+
+    Written once for :class:`MetricStore` and
+    :class:`~repro.telemetry.sharding.ShardedMetricStore`, which supply
+    ``intern_server`` / ``intern_servers`` / ``record_columns``; what
+    ``record_columns`` does with the rows (append, partition, journal,
+    buffer for the wire) is the only thing that differs between them.
+    """
+
+    def record_batch(
+        self,
+        pool_id: str,
+        datacenter_id: str,
+        counter: str,
+        window: int,
+        server_ids: Sequence[str],
+        values: np.ndarray,
+    ) -> None:
+        """Append one window of one counter for many servers at once.
+
+        ``server_ids`` may be a sequence of id strings or an integer
+        ndarray previously obtained from ``intern_servers``.
+        ``values`` must be aligned with ``server_ids``.  Both arrays
+        are copied, so callers may reuse scratch buffers across calls.
+        """
+        if isinstance(server_ids, np.ndarray) and server_ids.dtype.kind in "iu":
+            indices = np.array(server_ids, dtype=np.int64)
+        else:
+            indices = self.intern_servers(server_ids)
+        values = np.array(values, dtype=float)
+        windows = np.full(indices.size, window, dtype=np.int64)
+        self.record_columns(
+            pool_id, datacenter_id, counter, windows, indices, values
+        )
+
+    def record_many(self, samples: Iterable[CounterSample]) -> None:
+        """Append loose samples: one ``record_columns`` call per
+        (pool, datacenter, counter), rows in input order."""
+        grouped: Dict[TableKey, Tuple[List[int], List[int], List[float]]] = {}
+        for sample in samples:
+            key = (sample.pool_id, sample.datacenter_id, sample.counter)
+            windows, indices, values = grouped.setdefault(key, ([], [], []))
+            windows.append(sample.window_index)
+            indices.append(self.intern_server(sample.server_id))
+            values.append(sample.value)
+        for key, (windows, indices, values) in grouped.items():
+            self.record_columns(
+                *key,
+                np.asarray(windows, dtype=np.int64),
+                np.asarray(indices, dtype=np.int64),
+                np.asarray(values, dtype=float),
+            )
+
+    def record_fast(
+        self,
+        window: int,
+        server_id: str,
+        pool_id: str,
+        datacenter_id: str,
+        counter: str,
+        value: float,
+    ) -> None:
+        """Append one sample: a one-row ``record_columns`` call.
+
+        For tests and ad-hoc use; bulk callers build arrays and call
+        ``record_columns`` (or ``record_batch``) themselves.
+        """
+        self.record_columns(
+            pool_id,
+            datacenter_id,
+            counter,
+            np.array([window], dtype=np.int64),
+            np.array([self.intern_server(server_id)], dtype=np.int64),
+            np.array([value], dtype=float),
+        )
+
+    def record(self, sample: CounterSample) -> None:
+        """Append one :class:`CounterSample` (see :meth:`record_fast`)."""
+        self.record_fast(
+            sample.window_index,
+            sample.server_id,
+            sample.pool_id,
+            sample.datacenter_id,
+            sample.counter,
+            sample.value,
         )
 
 
@@ -435,26 +519,22 @@ class _ServerMembership:
         self._ensure(int(indices.max()))
         self._seen[indices] = True
 
-    def add(self, index: int) -> None:
-        self._ensure(index)
-        self._seen[index] = True
-
     def indices(self) -> np.ndarray:
         """All marked indices, ascending (``int64``)."""
         return np.flatnonzero(self._seen)
 
 
-class MetricStore:
+class MetricStore(_RecordVerbs):
     """Columnar store of counter samples with pool/DC-scoped queries.
 
     The single-node building block of the telemetry layer.  Ingest via
-    :meth:`record_batch` (one window, many servers) or
-    :meth:`record_columns` (pre-columnised rows); query via
+    :meth:`record_columns` (pre-columnised rows) or the convenience
+    verbs over it (:meth:`record_batch`, :meth:`record_many`,
+    :meth:`record_fast`, :meth:`record`); query via
     :meth:`pool_window_aggregate`, :meth:`per_server_values`,
     :meth:`pool_matrix` and :meth:`server_series`.  All query results
-    are independent of ingest batching: the per-sample shims
-    (:meth:`record` / :meth:`record_fast`) and the batch path store
-    bit-identical tables given the same rows in the same order.
+    are independent of ingest batching: the same rows in the same
+    order store bit-identical tables whichever verb delivered them.
 
     ``interner`` optionally shares a :class:`ServerInterner` with other
     stores — the mechanism :class:`~repro.telemetry.sharding.\
@@ -512,8 +592,8 @@ LiveQuerySurface` takes it around every read, so a live reader only
     def intern_servers(self, server_ids: Sequence[str]) -> np.ndarray:
         """Intern many server ids at once (the batch hot path setup).
 
-        Returns the integer index array to pass to :meth:`record_batch`
-        in place of the string ids; callers cache it per pool.
+        Returns the integer index array to pass to
+        :meth:`record_columns`; callers cache it per pool.
         """
         return self._interner.intern_many(server_ids)
 
@@ -534,41 +614,6 @@ LiveQuerySurface` takes it around every read, so a live reader only
             self._datacenters.add(datacenter_id)
         return table
 
-    def record_batch(
-        self,
-        pool_id: str,
-        datacenter_id: str,
-        counter: str,
-        window: int,
-        server_ids: Sequence[str],
-        values: np.ndarray,
-    ) -> None:
-        """Append one window of one counter for many servers at once.
-
-        ``server_ids`` may be a sequence of id strings or an integer
-        ndarray previously obtained from :meth:`intern_servers` (the
-        simulator's zero-hash hot path).  ``values`` must be aligned
-        with ``server_ids``.  Both arrays are copied, so callers may
-        reuse scratch buffers across calls.
-        """
-        if isinstance(server_ids, np.ndarray) and server_ids.dtype.kind in "iu":
-            indices = np.array(server_ids, dtype=np.int64)
-        else:
-            indices = self.intern_servers(server_ids)
-        values = np.array(values, dtype=float)
-        if indices.size != values.size:
-            raise ValueError("server_ids and values must be aligned")
-        if indices.size == 0:
-            return
-        table = self._table(pool_id, datacenter_id, counter)
-        windows = np.full(indices.size, window, dtype=np.int64)
-        table.append_batch(windows, indices, values)
-        self._servers_by_pool_dc[(pool_id, datacenter_id)].update_from(indices)
-        if window > self._max_window:
-            self._max_window = window
-        if self._agg_cache:
-            self._agg_cache.clear()
-
     def record_columns(
         self,
         pool_id: str,
@@ -578,15 +623,19 @@ LiveQuerySurface` takes it around every read, so a live reader only
         server_indices: np.ndarray,
         values: np.ndarray,
     ) -> None:
-        """Append pre-columnised rows with mixed windows (bulk loads).
+        """Append pre-columnised rows: the one ingest primitive.
 
         ``server_indices`` are interned indices from
-        :meth:`intern_server` / :meth:`intern_servers`.  The store
-        takes ownership of the arrays — callers must not mutate them
-        afterwards.  This is the bulk-ingest primitive behind
-        :meth:`record_many` and the archive importer;
-        :meth:`record_batch` is the single-window convenience over it.
+        :meth:`intern_server` / :meth:`intern_servers`.  The columns
+        must satisfy the layout :func:`_check_columns` states (a
+        malformed batch raises ``ValueError`` and stores nothing).  The
+        store takes ownership of the arrays — callers must not mutate
+        them afterwards.  Every other ``record*`` verb and the archive
+        importer reduce to this call.
         """
+        windows, server_indices, values = _check_columns(
+            windows, server_indices, values
+        )
         if values.size == 0:
             return
         table = self._table(pool_id, datacenter_id, counter)
@@ -597,47 +646,6 @@ LiveQuerySurface` takes it around every read, so a live reader only
         max_w = int(windows.max())
         if max_w > self._max_window:
             self._max_window = max_w
-        if self._agg_cache:
-            self._agg_cache.clear()
-
-    def record(self, sample: CounterSample) -> None:
-        """Append one counter sample (compatibility shim)."""
-        self.record_fast(
-            sample.window_index,
-            sample.server_id,
-            sample.pool_id,
-            sample.datacenter_id,
-            sample.counter,
-            sample.value,
-        )
-
-    def record_many(self, samples: Iterable[CounterSample]) -> None:
-        """Append many samples, columnised per table (the batch path)."""
-        for (pool_id, dc_id, counter), windows, indices, values in columnise_samples(
-            samples, self.intern_server
-        ):
-            self.record_columns(pool_id, dc_id, counter, windows, indices, values)
-
-    def record_fast(
-        self,
-        window: int,
-        server_id: str,
-        pool_id: str,
-        datacenter_id: str,
-        counter: str,
-        value: float,
-    ) -> None:
-        """Append one sample without constructing a CounterSample.
-
-        .. deprecated::
-            Per-sample ingestion survives for compatibility and tests;
-            new code should build arrays and call :meth:`record_batch`.
-        """
-        index = self.intern_server(server_id)
-        self._table(pool_id, datacenter_id, counter).append(window, index, value)
-        self._servers_by_pool_dc[(pool_id, datacenter_id)].add(index)
-        if window > self._max_window:
-            self._max_window = window
         if self._agg_cache:
             self._agg_cache.clear()
 

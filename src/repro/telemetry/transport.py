@@ -20,14 +20,16 @@ message)::
     +------------------------------------+---------------------------+
 
 Frame kind 0 (``pickle``) carries ``pickle.dumps(message,
-protocol=HIGHEST_PROTOCOL)`` — any protocol message; the control-plane
-encoding (calls, replies, ``stop``) and the fallback for ingest
-messages kind 1 cannot carry.
+protocol=HIGHEST_PROTOCOL)`` and is the control plane only: calls,
+replies, ``stop``.  An ``ingest`` message arriving as kind 0 is
+refused like any other malformed frame.
 
-Frame kind 1 (``binary ingest``) is a pickle-free encoding of the one
-hot message, ``("ingest", names, commands)`` where every command is a
-``record_columns`` call over the fixed ``(int64, int64, float64)``
-column layout.  Layout of the payload (lengths big-endian, array data
+Frame kind 1 (``binary ingest``) is the pickle-free data plane: the
+one hot message, ``("ingest", names, commands)``, where every command
+is the argument tuple of one ``record_columns`` call over the fixed
+``(int64, int64, float64)`` column layout (checked where rows enter —
+see :func:`repro.telemetry.store._check_columns` — so the encoder
+trusts it).  Layout of the payload (lengths big-endian, array data
 little-endian)::
 
     u32 n_names; n_names x (u32 byte_len, utf-8 bytes)
@@ -46,10 +48,10 @@ than ``MAX_FRAME_BYTES``, or whose payload does not decode, is treated
 as evidence the peer is not speaking this protocol and kills the
 connection rather than attempting a giant allocation.
 
-**Security**: pickle deserialisation executes arbitrary code by
-design.  A shard server must only ever listen on loopback or an
-otherwise trusted, access-controlled network — the reason the default
-listen address is ``127.0.0.1``.
+**Security**: kind-0 frames are unpickled, and pickle deserialisation
+executes arbitrary code by design.  A shard server must only ever
+listen on loopback or an otherwise trusted, access-controlled network
+— the reason the default listen address is ``127.0.0.1``.
 """
 
 from __future__ import annotations
@@ -101,10 +103,11 @@ _RETRY_INTERVAL = 0.05
 _SENDV_COALESCE_BYTES = 1 << 16
 
 #: The binary ingest frame's column dtypes (explicitly little-endian;
-#: on a big-endian host the encoder falls back to pickle rather than
-#: silently shipping native-endian bytes).
-_I64 = np.dtype("<i8")
-_F64 = np.dtype("<f8")
+#: a big-endian host byte-swaps on the way out and in).
+_COLUMN_DTYPES = (np.dtype("<i8"), np.dtype("<i8"), np.dtype("<f8"))
+
+#: Bytes one row occupies across the three columns of a kind-1 frame.
+_ROW_BYTES = sum(dtype.itemsize for dtype in _COLUMN_DTYPES)
 
 
 def parse_address(address: str) -> Tuple[str, int]:
@@ -227,18 +230,9 @@ class TcpTransport:
         self._sock.sendall(_HEADER.pack(len(payload)) + payload)
 
     def send_ingest(self, names: List[str], commands: List[tuple]) -> None:
-        """Send one ``("ingest", names, commands)`` message.
-
-        Uses the kind-1 binary frame when every command fits the fixed
-        column layout; anything else (a ``record_fast`` compatibility
-        command, exotic dtypes) falls back to the kind-0 pickle frame,
-        so the fast path never restricts what the protocol can carry.
-        """
-        buffers = _encode_binary_ingest(names, commands)
-        if buffers is None:
-            self.send(("ingest", names, commands))
-        else:
-            self._sendv(buffers)
+        """Send one ``("ingest", names, commands)`` message as a
+        kind-1 binary frame — the only encoding ingest has."""
+        self._sendv(_encode_binary_ingest(names, commands))
 
     def _sendv(self, buffers: Sequence) -> None:
         """Write a buffer sequence: small fields coalesce into one
@@ -282,11 +276,17 @@ class TcpTransport:
         if kind == FRAME_BINARY_INGEST:
             return _decode_binary_ingest(payload)
         try:
-            return pickle.loads(payload)
+            message = pickle.loads(payload)
         except Exception as error:  # noqa: BLE001 — garbage raises anything
             raise ConnectionError(
                 f"malformed pickle frame: {error!r}"
             ) from None
+        if isinstance(message, tuple) and message[:1] == ("ingest",):
+            raise ConnectionError(
+                "ingest message in a pickle frame: peer is not speaking "
+                "the shard protocol"
+            )
+        return message
 
     def _recv_exact(self, n: int, eof_ok: bool = False) -> bytearray:
         """Read exactly ``n`` bytes into one (writable) buffer.
@@ -326,35 +326,16 @@ class TcpTransport:
         self._sock.close()
 
 
-def _encode_binary_ingest(names, commands):
-    """Encode an ingest message as kind-1 buffers, or ``None``.
+def _encode_binary_ingest(names, commands) -> List:
+    """Encode an ingest message as the buffers of one kind-1 frame.
 
-    ``None`` means "not encodable, use pickle": a non-``record_columns``
-    command, or columns that are not the fixed contiguous
-    ``(int64, int64, float64)`` layout with one length (the frame
-    carries a single row count; misaligned columns must reach the
-    remote ``record_columns`` intact so *it* rejects them).  On
-    success returns the full buffer sequence — header first — ready for a vectored send; column
-    arrays are passed through as memoryviews, so large arrays are never
-    copied on the way out.
+    ``commands`` are ``record_columns`` argument tuples whose columns
+    already passed the layout check at the public entry points, so
+    nothing is re-validated here.  Returns the full buffer sequence —
+    header first — ready for a vectored send; column arrays are passed
+    through as memoryviews, so large arrays are never copied on the way
+    out.
     """
-    for method, args in commands:
-        if method != "record_columns":
-            return None
-        windows, server_indices, values = args[3], args[4], args[5]
-        for array, dtype in (
-            (windows, _I64),
-            (server_indices, _I64),
-            (values, _F64),
-        ):
-            if (
-                not isinstance(array, np.ndarray)
-                or array.dtype != dtype
-                or not array.flags.c_contiguous
-                or array.ndim != 1
-                or array.shape != windows.shape
-            ):
-                return None
     fields = bytearray()
     buffers: List = [b""]  # header placeholder, filled in below
     fields += _U32.pack(len(names))
@@ -364,17 +345,17 @@ def _encode_binary_ingest(names, commands):
     fields += _U32.pack(len(commands))
     buffers.append(fields)
     total = len(fields)
-    for _method, args in commands:
-        pool_id, datacenter_id, counter = args[0], args[1], args[2]
-        windows, server_indices, values = args[3], args[4], args[5]
+    for pool_id, datacenter_id, counter, *columns in commands:
         meta = bytearray()
         for text in (pool_id, datacenter_id, counter):
             encoded = text.encode("utf-8")
             meta += _U32.pack(len(encoded)) + encoded
-        meta += _U64.pack(windows.size)
+        meta += _U64.pack(columns[0].size)
         buffers.append(meta)
         total += len(meta)
-        for array in (windows, server_indices, values):
+        for array, dtype in zip(columns, _COLUMN_DTYPES):
+            if not dtype.isnative:  # pragma: no cover - BE hosts
+                array = array.astype(dtype)
             data = memoryview(array).cast("B")
             buffers.append(data)
             total += len(data)
@@ -382,54 +363,61 @@ def _encode_binary_ingest(names, commands):
     return buffers
 
 
+def _decode_text(view: memoryview, offset: int) -> Tuple[str, int]:
+    """One ``(u32 byte_len, utf-8 bytes)`` field; returns (text, end)."""
+    (byte_len,) = _U32.unpack_from(view, offset)
+    offset += _U32.size
+    if byte_len > len(view) - offset:
+        raise ValueError(f"text field of {byte_len} bytes overruns the frame")
+    return bytes(view[offset:offset + byte_len]).decode("utf-8"), offset + byte_len
+
+
 def _decode_binary_ingest(payload: bytearray):
     """Decode a kind-1 payload back into ``("ingest", names, commands)``.
 
     Column arrays are writable ndarray views sharing the received
     buffer — one allocation per frame, no per-array copy (the store
-    takes ownership of them, exactly as it does for unpickled arrays).
-    A malformed payload raises :class:`ConnectionError`, the same
-    not-speaking-the-protocol verdict as a bad frame header.
+    takes ownership of them).  Every count and length the payload
+    claims is bounded by the bytes actually left *before* anything is
+    allocated or sliced, and every failure raises
+    :class:`ConnectionError`: the same not-speaking-the-protocol
+    verdict as a bad frame header.
     """
     view = memoryview(payload)
     try:
-        offset = 0
-        (n_names,) = _U32.unpack_from(view, offset)
-        offset += _U32.size
+        (n_names,) = _U32.unpack_from(view, 0)
+        offset = _U32.size
+        if n_names * _U32.size > len(view) - offset:
+            raise ValueError(f"{n_names} names overrun the frame")
         names = []
         for _ in range(n_names):
-            (byte_len,) = _U32.unpack_from(view, offset)
-            offset += _U32.size
-            names.append(bytes(view[offset:offset + byte_len]).decode("utf-8"))
-            offset += byte_len
+            name, offset = _decode_text(view, offset)
+            names.append(name)
         (n_commands,) = _U32.unpack_from(view, offset)
         offset += _U32.size
+        if n_commands * (3 * _U32.size + _U64.size) > len(view) - offset:
+            raise ValueError(f"{n_commands} commands overrun the frame")
         commands = []
         for _ in range(n_commands):
-            texts = []
+            command = []
             for _field in range(3):
-                (byte_len,) = _U32.unpack_from(view, offset)
-                offset += _U32.size
-                texts.append(
-                    bytes(view[offset:offset + byte_len]).decode("utf-8")
-                )
-                offset += byte_len
+                text, offset = _decode_text(view, offset)
+                command.append(text)
             (n_rows,) = _U64.unpack_from(view, offset)
             offset += _U64.size
-            columns = []
-            for dtype in (_I64, _I64, _F64):
+            if n_rows * _ROW_BYTES > len(view) - offset:
+                raise ValueError(f"{n_rows} rows overrun the frame")
+            for dtype in _COLUMN_DTYPES:
                 array = np.frombuffer(view, dtype=dtype, count=n_rows,
                                       offset=offset)
-                if not array.dtype.isnative:  # pragma: no cover - BE hosts
-                    array = array.astype(array.dtype.newbyteorder("="))
-                columns.append(array)
-                offset += n_rows * 8
-            commands.append(
-                ("record_columns", (*texts, *columns))
-            )
+                if not dtype.isnative:  # pragma: no cover - BE hosts
+                    array = array.astype(dtype.newbyteorder("="))
+                command.append(array)
+                offset += n_rows * dtype.itemsize
+            commands.append(tuple(command))
         if offset != len(payload):
             raise ValueError("trailing bytes")
-    except (struct.error, ValueError, UnicodeDecodeError) as error:
+    except (struct.error, ValueError) as error:
         raise ConnectionError(
             f"malformed binary ingest frame: {error}"
         ) from None

@@ -25,11 +25,13 @@ strictly FIFO; the wire encoding is the transport's business):
 
 ``("ingest", names, commands)``
     Fire-and-forget bulk append.  ``commands`` is a list of
-    ``(method, args)`` pairs — ``record_columns`` / ``record_fast``
-    calls — applied in order by the serve loop.  Small parts coalesce:
-    the proxy buffers commands until ``flush_rows`` rows are pending
-    (or a query/close forces a flush), so one message amortises
-    encoding and wakeup cost across many appends.
+    ``(pool, datacenter, counter, windows, server_indices, values)``
+    tuples — the arguments of one ``record_columns`` call each —
+    applied in order by the serve loop.  Small parts coalesce: the
+    proxy buffers commands until ``flush_rows`` rows are pending (or a
+    query/close forces a flush), so one message amortises encoding
+    and wakeup cost across many appends.  This is the one message that
+    never crosses as pickle (see :mod:`repro.telemetry.transport`).
 ``("call", names, method, args, kwargs)``
     Synchronous query RPC.  The serve loop resolves ``method`` on its
     store (plain attributes answer property reads, generators are
@@ -61,20 +63,12 @@ carry on: queries and subsequent ingest fail over with
 same calls in the same order.  Only when every member of a shard has
 failed does the error reach the caller.
 
-**Pipelined ingest**: with ``pipeline_depth > 0`` (the default), a
-proxy's ``flush`` hands the coalesced frame to a per-shard writer
-thread and returns — the facade partitions its next block while prior
-frames are still crossing the wire.  The queue is bounded at
-``pipeline_depth`` frames (a full queue blocks the next flush:
-backpressure, not unbounded memory), the writer preserves FIFO order,
-and every query RPC first drains the queue — so reads still observe
-all previously buffered ingest, and the protocol on the wire is
-byte-for-byte what a synchronous client would have sent.  A send
-error in the writer (dead or timed-out peer) is raised from the next
-``flush`` or query as the usual per-shard ``RuntimeError``;
-``close()`` — which must stay safe inside ``finally:`` blocks —
-discards a pending error together with the unsent frames, the same
-archive-before-close contract buffered rows have always had.
+**Sending**: a proxy's ``flush`` encodes and sends the coalesced frame
+on the caller's thread.  ``sendall`` under ``io_timeout`` is the
+backpressure against a slow shard, and a dead or timed-out peer raises
+the per-shard :class:`ShardConnectionError` from the very ``flush`` or
+query that hit it.  Every query RPC flushes first, so reads observe
+all previously buffered ingest.
 
 ``names`` on every message is the **interner delta**: the slice of
 server names the parent interned since the previous message.  The
@@ -105,12 +99,16 @@ from __future__ import annotations
 import os
 import socket
 import threading
-from collections import deque
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.telemetry.store import MetricStore, ServerInterner, TableKey
+from repro.telemetry.store import (
+    MetricStore,
+    ServerInterner,
+    TableKey,
+    _check_columns,
+)
 from repro.telemetry.transport import (
     DEFAULT_CONNECT_TIMEOUT,
     DEFAULT_IO_TIMEOUT,
@@ -121,21 +119,8 @@ from repro.telemetry.transport import (
 #: Default number of pending rows that triggers an ingest flush.
 DEFAULT_FLUSH_ROWS = 65536
 
-#: Default bound on a shard's pipelined send queue: how many coalesced
-#: ingest frames may be queued or in flight before the next ``flush``
-#: blocks (backpressure).  0 disables pipelining — every flush sends
-#: synchronously on the caller's thread.
-DEFAULT_PIPELINE_DEPTH = 4
-
-#: How long ``ShardServer.stop`` and a pipeline abort wait for a thread
-#: to exit (seconds).
+#: How long ``ShardServer.stop`` waits for a thread to exit (seconds).
 _JOIN_TIMEOUT = 5.0
-
-#: How long ``close`` lets an in-flight pipelined frame finish before
-#: aborting it by closing the transport (seconds).  Deliberately short:
-#: close() already drops buffered rows by contract, so finishing the
-#: frame is a courtesy, not a guarantee worth waiting long for.
-_ABORT_JOIN_TIMEOUT = 1.0
 
 
 def serve_shard(transport, store: Optional[MetricStore] = None) -> None:
@@ -143,12 +128,14 @@ def serve_shard(transport, store: Optional[MetricStore] = None) -> None:
 
     The far half of the actor, run by a :class:`ShardServer` session
     thread.  Runs until a ``("stop",)`` message, a clean EOF (the
-    client closed), or a transport error (the client died or sent a
-    frame that does not decode); the transport is closed on every exit
-    path, so the peer of a broken session sees EOF instead of waiting
-    out its ``io_timeout``.  Ingest exceptions are remembered and
-    surfaced on the next ``call`` so the fire-and-forget fast path
-    never needs an acknowledgement round trip.
+    client closed), a transport error (the client died or sent a frame
+    that does not decode), or a message with any other tag (the peer
+    is not speaking the protocol) — each ends this session only.  The
+    transport is closed on every exit path, so the peer of a broken
+    session sees EOF instead of waiting out its ``io_timeout``.
+    Ingest exceptions are remembered and surfaced on the next ``call``
+    so the fire-and-forget fast path never needs an acknowledgement
+    round trip.
     """
     store = store if store is not None else MetricStore()
     deferred: Optional[BaseException] = None
@@ -158,12 +145,13 @@ def serve_shard(transport, store: Optional[MetricStore] = None) -> None:
                 message = transport.recv()
             except (EOFError, OSError):
                 break
-            kind = message[0]
+            # A non-tuple falls through with the other unknown tags.
+            kind = message[0] if isinstance(message, tuple) and message else None
             if kind == "ingest":
                 _replay_names(store.interner, message[1])
                 try:
-                    for method, args in message[2]:
-                        getattr(store, method)(*args)
+                    for command in message[2]:
+                        store.record_columns(*command)
                 except BaseException as error:  # noqa: BLE001 — re-raised on next call
                     deferred = error
             elif kind == "call":
@@ -198,7 +186,7 @@ def serve_shard(transport, store: Optional[MetricStore] = None) -> None:
                     reply = ("err", error)
                 if not _send_reply(transport, reply):
                     break
-            elif kind == "stop":
+            else:  # "stop", or a peer not speaking the protocol
                 break
     finally:
         transport.close()
@@ -296,8 +284,8 @@ class _ShardQuerySurface:
     def evict_windows(self, before: int) -> int:
         """Evict windows below ``before`` on the remote store.
 
-        Rides the ordered command stream like ingest (``call`` drains
-        buffered frames first), so eviction observes every previously
+        Rides the ordered command stream like ingest (``call`` flushes
+        buffered rows first), so eviction observes every previously
         ingested row.
         """
         return self.call("evict_windows", before)
@@ -336,12 +324,12 @@ class TcpShardClient(_ShardQuerySurface):
     :class:`ShardServer`.
 
     Duck-types the slice of the :class:`MetricStore` surface the
-    sharded facade uses — buffered ``record_columns`` / ``record_fast``
-    ingest plus every query and introspection method — so
+    sharded facade uses — buffered ``record_columns`` ingest plus
+    every query and introspection method — so
     :class:`~repro.telemetry.sharding.ShardedMetricStore` can hold
     remote-shard handles where it would otherwise hold local stores.
     All answers are bit-identical to a local shard fed the same calls
-    (the serve loop applies the same methods in the same order); the
+    (the serve loop applies the same calls in the same order); the
     difference is purely *where* the rows live and the one wire
     crossing each row (ingest) and each result (query) pays.
 
@@ -369,12 +357,9 @@ class TcpShardClient(_ShardQuerySurface):
         flush_rows: int = DEFAULT_FLUSH_ROWS,
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
         io_timeout: Optional[float] = DEFAULT_IO_TIMEOUT,
-        pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
     ) -> None:
         if flush_rows < 1:
             raise ValueError("flush_rows must be >= 1")
-        if pipeline_depth < 0:
-            raise ValueError("pipeline_depth must be >= 0")
         if io_timeout is not None and io_timeout <= 0:
             io_timeout = None  # 0 / negative = "no bound", like the CLI
         self._shard_id = shard_id
@@ -383,22 +368,12 @@ class TcpShardClient(_ShardQuerySurface):
         self._flush_rows = flush_rows
         self._io_timeout = io_timeout
         self._synced_names = 0
-        self._pending: List[Tuple[str, tuple]] = []
+        #: Buffered ``record_columns`` argument tuples, oldest first.
+        self._pending: List[tuple] = []
         self._pending_rows = 0
         self._closed = False
         self._close_lock = threading.Lock()
         self._owner_pid = os.getpid()
-        # Pipelined send state: a bounded FIFO of coalesced ingest
-        # frames drained by one writer thread (started on first use).
-        # _unsent counts queued plus in-flight frames; the condition
-        # guards every field below.
-        self._pipeline_depth = pipeline_depth
-        self._send_cond = threading.Condition()
-        self._send_queue: deque = deque()
-        self._send_error: Optional[BaseException] = None
-        self._unsent = 0
-        self._writer: Optional[threading.Thread] = None
-        self._writer_stop = False
         self._transport = TcpTransport.connect(
             address, timeout=connect_timeout, io_timeout=io_timeout
         )
@@ -436,9 +411,9 @@ class TcpShardClient(_ShardQuerySurface):
         double-close: a replication group retiring a dead member races
         the facade's own ``close()`` against the same proxy, so the
         closed flag is a lock-guarded test-and-set and exactly one
-        caller runs the teardown (the transport is never closed twice,
-        the pipeline never aborted twice); late callers wait for it
-        and return.
+        caller runs the teardown (the transport is never closed
+        twice); late callers wait for it and return.  Rows still
+        buffered are dropped — archive before closing.
         """
         with self._close_lock:
             if self._closed:
@@ -449,11 +424,9 @@ class TcpShardClient(_ShardQuerySurface):
             if os.getpid() != self._owner_pid:
                 # Forked copy: the session is the original owner's.
                 # Release our duplicated descriptor and leave the
-                # connection alone (the writer thread, if any, did not
-                # survive the fork).
+                # connection alone.
                 self._transport.detach()
                 return
-            self._abort_pipeline()
             try:
                 self._transport.send(("stop",))
             except (EOFError, OSError):
@@ -475,112 +448,6 @@ class TcpShardClient(_ShardQuerySurface):
             f"shard {self._shard_id} ({self._address}): connection lost"
         )
 
-    # ------------------------------------------------------------------
-    # Pipelined sending (one writer thread per shard, bounded queue)
-    # ------------------------------------------------------------------
-    def _writer_loop(self) -> None:
-        """Drain the send queue in FIFO order, one frame at a time.
-
-        The first send failure is remembered (and every later frame
-        skipped); it surfaces on the owner thread at the next
-        ``flush`` or query (``close()`` deliberately discards it — it
-        runs in ``finally:`` blocks where raising would mask the
-        primary error).  ``_unsent`` is decremented in a ``finally``
-        so a waiter can never be left hanging.
-        """
-        while True:
-            with self._send_cond:
-                while not self._send_queue and not self._writer_stop:
-                    self._send_cond.wait()
-                if not self._send_queue:  # stop requested, queue drained
-                    return
-                names, commands = self._send_queue.popleft()
-            try:
-                if self._send_error is None:
-                    self._transport.send_ingest(names, commands)
-            except BaseException as error:  # noqa: BLE001 — re-raised on owner thread
-                with self._send_cond:
-                    if self._send_error is None:
-                        self._send_error = error
-            finally:
-                with self._send_cond:
-                    self._unsent -= 1
-                    self._send_cond.notify_all()
-
-    def _enqueue_ingest(self, names: List[str], commands: List[tuple]) -> None:
-        """Queue one coalesced frame; blocks while the queue is full.
-
-        The block is the backpressure contract: at most
-        ``pipeline_depth`` frames are ever buffered beyond the pending
-        list, so a slow peer stalls the producer instead of growing an
-        unbounded queue.
-        """
-        with self._send_cond:
-            if self._writer is None:
-                self._writer = threading.Thread(
-                    target=self._writer_loop,
-                    name=f"shard-{self._shard_id}-writer",
-                    daemon=True,
-                )
-                self._writer.start()
-            while (
-                self._unsent >= self._pipeline_depth
-                and self._send_error is None
-                and not self._writer_stop
-            ):
-                self._send_cond.wait()
-            if self._writer_stop:
-                raise RuntimeError("TcpShardClient is closed")
-            error = self._send_error
-            if error is not None:
-                raise self._connection_lost(error) from error
-            self._send_queue.append((names, commands))
-            self._unsent += 1
-            self._send_cond.notify_all()
-
-    def _drain_pipeline(self) -> None:
-        """Wait until every queued/in-flight frame hit the wire.
-
-        Called before each RPC so the call frame is strictly ordered
-        after all ingest — the read-your-writes guarantee — and before
-        inspecting ``_send_error`` so a writer failure is never
-        observed late.
-        """
-        if self._writer is not None:
-            with self._send_cond:
-                while self._unsent and self._send_error is None:
-                    self._send_cond.wait()
-        error = self._send_error
-        if error is not None:
-            raise self._connection_lost(error) from error
-
-    def _abort_pipeline(self) -> None:
-        """Stop the writer for close(): drop queued frames, let the
-        in-flight one finish (bounded), abort it if wedged.
-
-        Queued-but-unsent frames are dropped deliberately — close()
-        has always discarded buffered rows no query needed (archive
-        before closing).  A writer stuck mid-send past the join
-        timeout has its transport closed out from under it, which
-        fails the send and frees the thread: never a deadlock.
-        """
-        writer = self._writer
-        if writer is None:
-            return
-        with self._send_cond:
-            self._writer_stop = True
-            self._unsent -= len(self._send_queue)
-            self._send_queue.clear()
-            self._send_cond.notify_all()
-        writer.join(_ABORT_JOIN_TIMEOUT)
-        if writer.is_alive():
-            # Wedged mid-send: close the transport out from under it —
-            # the sendall fails and the thread exits.  The peer sees a
-            # mid-frame EOF, i.e. "client died", which close() is.
-            self._transport.close()
-            writer.join(_JOIN_TIMEOUT)
-        self._writer = None
-
     def _names_delta(self) -> List[str]:
         """Server names interned since the last message to this shard."""
         names = self._interner.names
@@ -595,26 +462,17 @@ class TcpShardClient(_ShardQuerySurface):
 
         Called automatically when ``flush_rows`` rows are pending and
         before every query RPC, so readers always observe their own
-        writes.  With ``pipeline_depth > 0`` the frame is handed to the
-        shard's writer thread (blocking only when ``pipeline_depth``
-        frames are already outstanding — backpressure); with depth 0 it
-        is sent synchronously.  A dead or timed-out peer surfaces here
-        as a ``RuntimeError`` naming the shard and where it lived —
-        never a hang.
+        writes.  The frame is sent on the caller's thread; a dead or
+        timed-out peer surfaces here as a :class:`ShardConnectionError`
+        naming the shard and where it lived — never a hang.
         """
         if self._closed:
             raise RuntimeError("TcpShardClient is closed")
         if not self._pending:
-            error = self._send_error
-            if error is not None:
-                raise self._connection_lost(error) from error
             return
         names = self._names_delta()
         pending, self._pending = self._pending, []
         self._pending_rows = 0
-        if self._pipeline_depth:
-            self._enqueue_ingest(names, pending)
-            return
         try:
             self._transport.send_ingest(names, pending)
         except (EOFError, OSError) as error:
@@ -623,15 +481,14 @@ class TcpShardClient(_ShardQuerySurface):
     def call(self, method: str, *args: Any, **kwargs: Any) -> Any:
         """Synchronous RPC: flush pending ingest, run ``store.method``.
 
-        Drains the pipelined send queue first, so the call frame — and
-        therefore the answer — is ordered after every buffered ingest.
+        The flush puts every buffered row on the wire ahead of the
+        call frame, so the answer is ordered after all prior ingest.
         Exceptions raised in the remote shard — including deferred
         ingest errors — are re-raised here.  The result pays one pickle
         round trip; everything else about it (values, dtypes, ordering)
         is exactly what the local shard would have returned.
         """
         self.flush()
-        self._drain_pipeline()
         try:
             self._transport.send(("call", self._names_delta(), method, args, kwargs))
             kind, payload = self._transport.recv()
@@ -672,48 +529,25 @@ rejoin_shard`) then replays its journal as ordinary ingest, after
         """Buffer one pre-partitioned column append for the remote shard.
 
         Same contract as :meth:`MetricStore.record_columns` — the
-        proxy takes ownership of the arrays (they are held until the
-        next flush, then sent across the connection).  Nothing
-        crosses the placement boundary until the batching threshold is
-        hit, so per-window parts from a blocked simulation coalesce
-        into few large messages.
+        layout is checked here, at the caller, so a malformed batch
+        raises before anything is buffered or sent; the proxy takes
+        ownership of the arrays (they are held until the next flush,
+        then sent across the connection).  Nothing crosses the
+        placement boundary until the batching threshold is hit, so
+        per-window parts from a blocked simulation coalesce into few
+        large messages.
         """
         if self._closed:
             raise RuntimeError("TcpShardClient is closed")
+        windows, server_indices, values = _check_columns(
+            windows, server_indices, values
+        )
         if values.size == 0:
             return
         self._pending.append(
-            (
-                "record_columns",
-                (pool_id, datacenter_id, counter, windows, server_indices, values),
-            )
+            (pool_id, datacenter_id, counter, windows, server_indices, values)
         )
         self._pending_rows += int(values.size)
-        if self._pending_rows >= self._flush_rows:
-            self.flush()
-
-    def record_fast(
-        self,
-        window: int,
-        server_id: str,
-        pool_id: str,
-        datacenter_id: str,
-        counter: str,
-        value: float,
-    ) -> None:
-        """Buffer one scalar append (compatibility shim, same batching).
-
-        Rides the same coalescing ingest channel as
-        :meth:`record_columns`; the serve loop executes a real
-        ``record_fast``, so scalar-spill table layout matches a local
-        shard exactly.
-        """
-        if self._closed:
-            raise RuntimeError("TcpShardClient is closed")
-        self._pending.append(
-            ("record_fast", (window, server_id, pool_id, datacenter_id, counter, value))
-        )
-        self._pending_rows += 1
         if self._pending_rows >= self._flush_rows:
             self.flush()
 
@@ -724,8 +558,8 @@ class ReplicatedShardClient(_ShardQuerySurface):
     Holds a :class:`TcpShardClient` per address — the first is the
     primary, the rest replicas — and duck-types the single-session
     surface, so the facade treats a replicated shard exactly like a
-    plain one.  Every ingest call (``record_columns`` /
-    ``record_fast`` / ``flush``) fans out to every live member: each
+    plain one.  Every ingest call (``record_columns`` / ``flush``)
+    fans out to every live member: each
     member buffers the identical command stream with the same
     ``flush_rows`` threshold, so the coalesced frames on every wire —
     and therefore every member's store — are identical.  Queries are
@@ -741,8 +575,8 @@ class ReplicatedShardClient(_ShardQuerySurface):
     member dies does a ``ShardConnectionError`` naming every failed
     address reach the caller.
 
-    What replication cannot save: rows buffered parent-side (pending
-    lists, pipelined frames) when the *caller* dies, same as the
+    What replication cannot save: rows buffered parent-side (the
+    pending lists) when the *caller* dies, same as the
     single-session contract; and a member that fails is gone for good
     — re-attach a replacement via the facade's ``rejoin_shard``, which
     needs the journal.  Not thread-safe for ingest (one owner, like
@@ -758,7 +592,6 @@ class ReplicatedShardClient(_ShardQuerySurface):
         flush_rows: int = DEFAULT_FLUSH_ROWS,
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
         io_timeout: Optional[float] = DEFAULT_IO_TIMEOUT,
-        pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
     ) -> None:
         if not addresses:
             raise ValueError("ReplicatedShardClient needs at least one address")
@@ -781,7 +614,6 @@ class ReplicatedShardClient(_ShardQuerySurface):
                         flush_rows=flush_rows,
                         connect_timeout=connect_timeout,
                         io_timeout=io_timeout,
-                        pipeline_depth=pipeline_depth,
                     )
                 )
         except BaseException:
@@ -828,8 +660,8 @@ class ReplicatedShardClient(_ShardQuerySurface):
     def _retire(self, member: TcpShardClient, error: BaseException) -> None:
         """Drop a failed member: survivors own the shard from now on.
 
-        The member is closed *outside* the membership lock (close can
-        block for the bounded pipeline-abort grace) — safe against a
+        The member is closed *outside* the membership lock (its
+        goodbye ``stop`` is a socket send) — safe against a
         concurrent ``close()`` of the whole group because
         :meth:`TcpShardClient.close` is itself lock-guarded and
         idempotent, so the transport is never double-closed.
@@ -887,9 +719,6 @@ class ReplicatedShardClient(_ShardQuerySurface):
     def record_columns(self, *args: Any) -> None:
         self._fan_out("record_columns", args)
 
-    def record_fast(self, *args: Any) -> None:
-        self._fan_out("record_fast", args)
-
     def flush(self) -> None:
         self._fan_out("flush", ())
 
@@ -928,9 +757,8 @@ class ReplicatedShardClient(_ShardQuerySurface):
 
         Flushes *every* live member first, so whichever member ends up
         answering — even after a mid-call failover — has consumed all
-        buffered ingest (each member's own ``call`` additionally
-        drains its pipelined frames: read-your-writes holds across
-        failover).  Exceptions the remote store raised propagate
+        buffered ingest: read-your-writes holds across failover.
+        Exceptions the remote store raised propagate
         without failover; only :class:`ShardConnectionError` moves on
         to the next member.
         """
@@ -968,7 +796,7 @@ class ShardServer:
     ``stop()`` closes the listener and every live session; it is
     idempotent.  Sessions end individually on their client's
     ``("stop",)`` or clean EOF — a client vanishing never takes the
-    server down.  Security note: the protocol is pickle-based, so
+    server down.  Security note: ``call`` frames are unpickled, so
     listen only on loopback or a trusted network (see
     :mod:`repro.telemetry.transport`).
     """

@@ -82,22 +82,10 @@ class TestSimulateParsing:
         assert args.shard_addrs == "127.0.0.1:9400,127.0.0.1:9401"
         assert self.parser.parse_args(["simulate"]).shard_addrs is None
 
-    def test_pipeline_and_timeout_defaults(self):
-        args = self.parser.parse_args(["simulate"])
-        assert args.pipeline_depth == 4
-        assert args.io_timeout == 60.0
-
-    def test_pipeline_and_timeout_flags(self):
-        args = self.parser.parse_args(
-            ["simulate", "--pipeline-depth", "0", "--io-timeout", "2.5"]
-        )
-        assert args.pipeline_depth == 0
+    def test_io_timeout_default_and_flag(self):
+        assert self.parser.parse_args(["simulate"]).io_timeout == 60.0
+        args = self.parser.parse_args(["simulate", "--io-timeout", "2.5"])
         assert args.io_timeout == 2.5
-
-    def test_negative_pipeline_depth_rejected(self):
-        with pytest.raises(SystemExit) as excinfo:
-            self.parser.parse_args(["simulate", "--pipeline-depth", "-1"])
-        assert excinfo.value.code == 2
 
     def test_shard_server_defaults(self):
         args = self.parser.parse_args(["shard-server"])
@@ -237,24 +225,23 @@ class TestSimulateExecution:
             shard_server_processes.reap(server)
 
     @pytest.mark.slow
-    def test_tcp_pipeline_flags_through_cli(
+    def test_tcp_io_timeout_flag_through_cli(
         self, tmp_path, shard_server_processes
     ):
-        """--pipeline-depth / --io-timeout reach the store: a pipelined
-        run and a synchronous (depth 0) run both write archives
-        byte-identical to the unsharded baseline."""
+        """--io-timeout reaches the store: bounded (30) and unbounded
+        (0) runs both write archives byte-identical to the unsharded
+        baseline."""
         server, address = shard_server_processes.spawn(max_sessions=4)
         try:
             single = tmp_path / "single.csv"
             assert main(self.BASE + [str(single)]) == 0
-            for depth, name in (("2", "pipelined.csv"), ("0", "sync.csv")):
-                archive = tmp_path / name
+            for io_timeout in ("30", "0"):
+                archive = tmp_path / f"timeout-{io_timeout}.csv"
                 assert main(
                     self.BASE + [
                         "--shard-backend", "tcp",
                         "--shard-addrs", f"{address},{address}",
-                        "--pipeline-depth", depth,
-                        "--io-timeout", "30",
+                        "--io-timeout", io_timeout,
                         str(archive),
                     ]
                 ) == 0

@@ -6,8 +6,7 @@ test-faults``, and small enough to ride in tier-1 too):
 * **kill -9 a real primary mid-ingest** — a subprocess
   ``repro shard-server`` hosting both primaries is SIGKILLed halfway
   through ingest; the run completes via replica failover and the
-  exported archive is *byte-identical* to an unsharded twin's,
-  synchronous and pipelined alike.
+  exported archive is *byte-identical* to an unsharded twin's.
 * **restart/rejoin round-trip** — a shard's server is stopped, a fresh
   one started, and ``rejoin_shard`` replays the ingest journal through
   the ``resync`` RPC; every query class and the export then match a
@@ -101,9 +100,8 @@ class TestKillPrimaryMidIngest:
     """The tentpole acceptance test: SIGKILL the primary, keep going."""
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("pipeline_depth", [0, 4], ids=["sync", "pipelined"])
     def test_archive_byte_identical_after_kill9(
-        self, tmp_path, pipeline_depth, shard_server_processes
+        self, tmp_path, shard_server_processes
     ):
         primary, primary_addr = shard_server_processes.spawn()
         replica, replica_addr = shard_server_processes.spawn()
@@ -115,7 +113,6 @@ class TestKillPrimaryMidIngest:
                 shard_addrs=[primary_addr, primary_addr],
                 replica_addrs=[replica_addr, replica_addr],
                 flush_rows=256,
-                pipeline_depth=pipeline_depth,
                 io_timeout=30,
             )
             _fill_windows(store, 0, 20)
@@ -127,7 +124,7 @@ class TestKillPrimaryMidIngest:
             # Ingest straight into the corpse: the dead sessions fail
             # mid-run and both shards fail over to their replicas.
             _fill_windows(store, 20, 40)
-            _assert_twins(single, store, tmp_path, f"kill9-{pipeline_depth}")
+            _assert_twins(single, store, tmp_path, "kill9")
             for shard in store.shards:
                 assert shard.live_addresses == (replica_addr,)
                 assert shard.address == primary_addr  # identity is stable
@@ -256,7 +253,7 @@ class TestFaultMatrix:
         with ShardServer("127.0.0.1:0") as server:
             store = ShardedMetricStore(
                 backend="tcp", shard_addrs=[server.address],
-                flush_rows=64, pipeline_depth=0, io_timeout=2,
+                flush_rows=64, io_timeout=2,
             )
             try:
                 indices = store.intern_servers([f"s{i}" for i in range(8)])
@@ -296,8 +293,7 @@ class TestFaultMatrix:
     def test_after_frames_defers_the_fault(self):
         with ShardServer("127.0.0.1:0") as server:
             store = ShardedMetricStore(
-                backend="tcp", shard_addrs=[server.address],
-                pipeline_depth=0, io_timeout=2,
+                backend="tcp", shard_addrs=[server.address], io_timeout=2,
             )
             try:
                 wrapped = inject_store(store, FaultSpec("kill", after_frames=2))
@@ -323,7 +319,7 @@ class TestFaultMatrix:
                 backend="tcp",
                 shard_addrs=[server.address],
                 replica_addrs=[server.address],
-                flush_rows=32, pipeline_depth=0, io_timeout=30,
+                flush_rows=32, io_timeout=30,
             )
             try:
                 inject_store(store, FaultSpec("kill", after_frames=3))

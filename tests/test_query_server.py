@@ -269,6 +269,20 @@ class TestReadOnlySurface:
                 ref = store.pool_window_aggregate("A", "cpu", reducer="sum")
                 _assert_prefix_of(answer, ref)
 
+    def test_servers_in_pool_takes_the_stores_datacenter_filter(self):
+        store = MetricStore()
+        for dc, names in (("dc1", ["a", "b"]), ("dc2", ["c"])):
+            store.record_batch(
+                "A", dc, "cpu", 0, store.intern_servers(names), np.ones(len(names))
+            )
+        with QueryServer(LiveQuerySurface(store)) as server:
+            with QueryClient(server.address) as client:
+                assert client.call("servers_in_pool", "A") == ("a", "b", "c")
+                assert client.call("servers_in_pool", "A", "dc2") == ("c",)
+                assert client.call(
+                    "servers_in_pool", "A", datacenter_id="dc1"
+                ) == ("a", "b")
+
 
 class TestServerDeath:
     """Kill the server mid-session: named error, bounded, never a hang."""

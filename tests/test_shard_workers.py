@@ -167,19 +167,73 @@ class TestIngestProtocol:
             assert all(not shard._pending for shard in store.shards)
             assert store.sample_count() == 8
 
-    def test_deferred_ingest_error_surfaces_on_next_query(self, shard_server):
-        """A bad ingest command fails in the serve loop; the error is
-        delivered on the next RPC instead of being dropped."""
-        with _tcp(shard_server) as store:
+    def test_deferred_ingest_error_surfaces_on_next_query(self):
+        """An ingest command that fails in the serve loop is delivered
+        on the next RPC instead of being dropped.  Malformed columns
+        never get that far (the client refuses them), so the failure is
+        provoked server-side: a session store that rejects a counter."""
+        from repro.telemetry.store import MetricStore
+        from repro.telemetry.workers import ShardServer
+
+        class PickyStore(MetricStore):
+            def record_columns(self, pool_id, datacenter_id, counter, *columns):
+                if counter == "forbidden":
+                    raise KeyError("no such counter here")
+                super().record_columns(pool_id, datacenter_id, counter, *columns)
+
+        class PickyServer(ShardServer):
+            def _session_store(self):
+                return PickyStore()
+
+        with PickyServer() as server, _tcp(server, n_shards=1) as store:
+            indices = store.intern_servers(["a", "b"])
+            store.record_batch("P", "dc", "forbidden", 0, indices, np.ones(2))
+            store.record_batch("P", "dc", "cpu", 0, indices, np.ones(2))
+            store.flush()  # fire-and-forget: the failure is not seen yet
+            with pytest.raises(KeyError, match="no such counter"):
+                store.sample_count()
+            # The session survives its own error and keeps serving; the
+            # failed frame's later commands were dropped with it.
+            assert store.sample_count() == 0
+            store.record_batch("P", "dc", "cpu", 1, indices, np.ones(2))
+            assert store.sample_count() == 2
+
+    def test_malformed_columns_raise_at_the_caller(self, shard_server):
+        """The layout check runs client-side: the call raises, nothing
+        is buffered, no frame is sent, and the session keeps serving."""
+        with _tcp(shard_server, n_shards=1) as store:
             shard = store.shards[0]
-            empty = np.array([], dtype=np.int64)
-            # values non-empty but windows empty: the remote
-            # record_columns calls windows.max() and raises.
-            shard.record_columns("P", "dc", "cpu", empty, empty, np.ones(1))
-            with pytest.raises(ValueError):
-                shard.sample_count()
-            # The session survives its own error and keeps serving.
-            assert shard.sample_count() >= 0
+            sent = []
+            send_ingest = shard._transport.send_ingest
+
+            def spy(names, commands):
+                sent.append(len(commands))
+                send_ingest(names, commands)
+
+            shard._transport.send_ingest = spy
+            one = np.zeros(1, dtype=np.int64)
+            for target in (shard, store):
+                with pytest.raises(ValueError, match=r"shapes \(\(2,\), \(1,\)"):
+                    target.record_columns(
+                        "P", "dc", "cpu", np.zeros(2, dtype=np.int64), one,
+                        np.ones(1),
+                    )
+                with pytest.raises(ValueError, match=r"dtypes \('float64',"):
+                    target.record_columns(
+                        "P", "dc", "cpu", np.zeros(1), one, np.ones(1)
+                    )
+            assert not shard._pending
+            assert store.sample_count() == 0 and sent == []
+            # int32 indices are a lossless cast, stored as int64.
+            store.record_columns(
+                "P", "dc", "cpu", np.zeros(1, dtype=np.int32),
+                np.zeros(1, dtype=np.int32), np.ones(1, dtype=np.float32),
+            )
+            assert store.sample_count() == 1 and sent == [1]
+            windows, servers, values = store.gather_columns("P", "cpu")
+            assert (windows.dtype, servers.dtype, values.dtype) == (
+                np.int64, np.int64, np.float64
+            )
 
     def test_interner_replication_names_queries(self, shard_server):
         """Sessions learn names via deltas, never via shared memory."""
@@ -197,50 +251,62 @@ class TestIngestProtocol:
     def test_record_fast_and_record_many_ride_the_buffer(
         self, shard_server, monkeypatch
     ):
-        """Also pins the two ingest encodings storing identically:
-        ``record_fast`` commands have no binary layout and cross as a
-        kind-0 pickle frame, the ``record_many`` columns as a kind-1
-        binary frame, and the result equals a local store's exactly."""
+        """All four convenience verbs reduce to ``record_columns``:
+        they leave as kind-1 binary frames only — never a pickle — and
+        store exactly what a local ``MetricStore`` stores."""
         from repro.telemetry import transport
         from repro.telemetry.counters import CounterSample
         from repro.telemetry.store import MetricStore
 
-        samples = [
-            CounterSample(
-                window_index=1,
-                server_id="a",
-                pool_id="P",
-                datacenter_id="dc",
-                counter="cpu",
-                value=3.0,
+        def sample(window, server, value):
+            return CounterSample(
+                window_index=window, server_id=server, pool_id="P",
+                datacenter_id="dc", counter="cpu", value=value,
             )
-        ]
-        local = MetricStore()
-        local.record_fast(0, "a", "P", "dc", "cpu", 1.0)
-        local.record_fast(0, "b", "P", "dc", "cpu", 2.0)
-        local.record_many(samples)
 
-        binary_encoded = []
-        encode = transport._encode_binary_ingest
-
-        def spy(names, commands):
-            buffers = encode(names, commands)
-            binary_encoded.append(buffers is not None)
-            return buffers
-
-        monkeypatch.setattr(transport, "_encode_binary_ingest", spy)
-        with _tcp(shard_server) as store:
+        def feed(store):
             store.record_fast(0, "a", "P", "dc", "cpu", 1.0)
             store.record_fast(0, "b", "P", "dc", "cpu", 2.0)
-            store.flush()  # the scalars leave as their own frames
-            store.record_many(samples)
-            assert store.sample_count() == 3
-            # One record_fast frame per shard, one column frame for
-            # the shard that owns "a".
-            assert sorted(binary_encoded) == [False, False, True]
-            sums = store.pool_window_aggregate("P", "cpu", reducer="sum")
-            np.testing.assert_array_equal(sums.windows, [0, 1])
-            np.testing.assert_array_equal(sums.values, [3.0, 3.0])
+            store.record(sample(1, "b", 4.0))
+            store.record_many([sample(1, "a", 3.0), sample(2, "c", 5.0)])
+            store.record_batch(
+                "P", "dc", "cpu", 3, ["a", "b", "c"], np.array([6.0, 7.0, 8.0])
+            )
+
+        local = MetricStore()
+        feed(local)
+
+        pickled_tags = []
+        send = transport.TcpTransport.send
+
+        def spy_send(self, message):
+            pickled_tags.append(message[0])
+            send(self, message)
+
+        binary_frames = []
+        send_ingest = transport.TcpTransport.send_ingest
+
+        def spy_send_ingest(self, names, commands):
+            binary_frames.append(len(commands))
+            send_ingest(self, names, commands)
+
+        monkeypatch.setattr(transport.TcpTransport, "send", spy_send)
+        monkeypatch.setattr(transport.TcpTransport, "send_ingest", spy_send_ingest)
+        with _tcp(shard_server) as store:
+            feed(store)
+            # Nothing left yet: every verb rode the coalescing buffer.
+            assert binary_frames == []
+            assert sum(shard._pending_rows for shard in store.shards) == 8
+            assert store.sample_count() == local.sample_count() == 8
+            # One coalesced binary frame per shard; pickle carried only
+            # the control plane (the in-process server's replies too).
+            assert len(binary_frames) == 2 and sum(binary_frames) >= 5
+            assert set(pickled_tags) == {"call", "ok"}
+            for reducer in ("sum", "count", "max", "mean"):
+                expected = local.pool_window_aggregate("P", "cpu", reducer=reducer)
+                actual = store.pool_window_aggregate("P", "cpu", reducer=reducer)
+                np.testing.assert_array_equal(actual.windows, expected.windows)
+                np.testing.assert_array_equal(actual.values, expected.values)
             expected = local.per_server_values("P", "cpu")
             actual = store.per_server_values("P", "cpu")
             assert actual.keys() == expected.keys()
@@ -256,7 +322,7 @@ class TestCloseFailoverRace:
     membership lock, while a concurrent group ``close()`` walks the
     same member list — before ``TcpShardClient.close`` became a
     lock-guarded test-and-set, both paths could run the full teardown
-    (pipeline abort + ``stop`` + transport close) twice on one member.
+    (``stop`` + transport close) twice on one member.
     These hammers lose the race on purpose, many times in a row.
     """
 
@@ -274,7 +340,6 @@ class TestCloseFailoverRace:
                 0,
                 ServerInterner(),
                 [shard_server.address, shard_server.address],
-                pipeline_depth=2,
                 io_timeout=10,
             )
             primary = client._live_members()[0]
@@ -321,9 +386,7 @@ class TestCloseFailoverRace:
         from repro.telemetry.workers import TcpShardClient
 
         for _ in range(self.ROUNDS):
-            client = TcpShardClient(
-                0, ServerInterner(), shard_server.address, pipeline_depth=2
-            )
+            client = TcpShardClient(0, ServerInterner(), shard_server.address)
             errors = []
             barrier = threading.Barrier(5)
 

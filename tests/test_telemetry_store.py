@@ -124,6 +124,36 @@ class TestBatchIngest:
         with pytest.raises(ValueError):
             store.record_batch("P", "DC1", "cpu", 0, ["s0"], np.array([1.0, 2.0]))
 
+    def test_record_columns_rejects_misaligned_columns(self):
+        """Used to be accepted (``sample_count() == 1``) and only blow
+        up in the next aggregate query."""
+        store = MetricStore()
+        one = np.zeros(1, dtype=np.int64)
+        with pytest.raises(ValueError, match=r"shapes \(\(2,\), \(1,\), \(1,\)\)"):
+            store.record_columns(
+                "P", "DC1", "cpu", np.zeros(2, dtype=np.int64), one, np.ones(1)
+            )
+        with pytest.raises(ValueError, match=r"dtypes \('float64', 'int64'"):
+            store.record_columns("P", "DC1", "cpu", np.zeros(1), one, np.ones(1))
+        assert store.sample_count() == 0 and store.pools == ()
+
+    def test_record_columns_stores_lossless_casts_in_layout(self):
+        """``int32`` columns used to be stored as ``int32``."""
+        store = MetricStore()
+        store.record_columns(
+            "P", "DC1", "cpu",
+            np.arange(3, dtype=np.int32),
+            np.zeros(3, dtype=np.int32),
+            np.array([1, 2, 3], dtype=np.float32),
+        )
+        store.record_columns("P", "DC1", "cpu", [3], [0], [4.0])
+        windows, servers, values = store.gather_columns("P", "cpu")
+        assert (windows.dtype, servers.dtype, values.dtype) == (
+            np.int64, np.int64, np.float64
+        )
+        np.testing.assert_array_equal(windows, [0, 1, 2, 3])
+        np.testing.assert_array_equal(values, [1.0, 2.0, 3.0, 4.0])
+
     def test_record_many_delegates_to_batch_path(self):
         store = MetricStore()
         store.record_many(

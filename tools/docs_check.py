@@ -70,7 +70,6 @@ REQUIRED_COVERAGE = {
             "--shard-backend",
             "--shard-addrs",
             "--connect-timeout",
-            "--pipeline-depth",
             "--io-timeout",
             "--replica-addrs",
             "--inject-fault",

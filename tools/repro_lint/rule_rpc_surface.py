@@ -3,9 +3,9 @@ query surface must stay read-only.
 
 The shard and query protocols dispatch by *string*: a client sends
 ``("call", names, "pool_matrix", args, kwargs)`` and the serve loop
-resolves it with ``getattr(store, method)``; ingest rides as buffered
-``("record_columns", args)`` command tuples; replica fan-out and
-journal replay do ``getattr(member, method)``.  None of that is
+resolves it with ``getattr(store, method)``; replica fan-out and
+journal replay (``record_columns`` / ``evict_windows`` entries) do
+``getattr(member, method)``.  None of that is
 checked by the import system — a renamed store method keeps compiling
 and only fails on the wire.  This pass extracts every string method
 name at those sites and cross-checks it against the AST-defined method
@@ -46,6 +46,9 @@ SHARDING = "src/repro/telemetry/sharding.py"
 WORKERS = "src/repro/telemetry/workers.py"
 QUERY = "src/repro/telemetry/query_server.py"
 
+#: The ingest verbs both store classes inherit (each one
+#: ``record_columns`` call); part of either store's surface.
+SHARED_VERBS_CLASS = "_RecordVerbs"
 #: Wire verbs the serve loop answers itself, before ``getattr``.
 RESERVED_WIRE_METHODS = {"resync"}
 #: Classes whose union is the client-proxy surface ``getattr(member,
@@ -73,6 +76,25 @@ def _class_surface(
     if cls is None:
         return None
     return set(method_defs(cls))
+
+
+def _metric_store_class(src: Optional[SourceFile]) -> Optional[ast.ClassDef]:
+    """``MetricStore`` with the ingest verbs it inherits folded in.
+
+    Both classes live in one file, so line numbers stay valid, and the
+    mutation fixpoint sees ``record_fast`` → ``record_columns`` as one
+    class.
+    """
+    if src is None:
+        return None
+    cls = find_class(src.tree, "MetricStore")
+    verbs = find_class(src.tree, SHARED_VERBS_CLASS)
+    if cls is None or verbs is None:
+        return cls
+    return ast.ClassDef(
+        name=cls.name, bases=[], keywords=[], decorator_list=[],
+        body=[*verbs.body, *cls.body],
+    )
 
 
 def _literal_str_set(tree: ast.Module, name: str) -> Optional[Set[str]]:
@@ -123,25 +145,6 @@ def _check_workers_dispatch(
                 line,
                 f"fans out method {name!r} to replica members, but no "
                 f"client class defines it",
-            ))
-    for node in ast.walk(workers.tree):
-        if not (isinstance(node, ast.Call) and node.args):
-            continue
-        func = node.func
-        if not (isinstance(func, ast.Attribute) and func.attr == "append"):
-            continue
-        if self_attr_root(func.value) != "_pending":
-            continue
-        tuple_arg = node.args[0]
-        if not (isinstance(tuple_arg, ast.Tuple) and tuple_arg.elts):
-            continue
-        name = str_const(tuple_arg.elts[0])
-        if name is not None and name not in metric_surface:
-            out.append((
-                workers.rel,
-                node.lineno,
-                f"buffers command {name!r} for replay via getattr(store, "
-                f"method), but MetricStore defines no such method",
             ))
 
 
@@ -295,8 +298,11 @@ def run(files: Dict[str, SourceFile]) -> Findings:
     workers_src = files.get(WORKERS)
     query_src = files.get(QUERY)
 
-    metric_surface = _class_surface(store_src, "MetricStore")
+    metric_cls = _metric_store_class(store_src)
+    metric_surface = set(method_defs(metric_cls)) if metric_cls else None
     sharded_surface = _class_surface(sharding_src, "ShardedMetricStore")
+    if sharded_surface is not None:
+        sharded_surface |= _class_surface(store_src, SHARED_VERBS_CLASS) or set()
 
     client_surface: Set[str] = set()
     if workers_src is not None:
@@ -324,10 +330,8 @@ def run(files: Dict[str, SourceFile]) -> Findings:
 
     if query_src is not None:
         store_classes: List[Tuple[str, SourceFile, ast.ClassDef]] = []
-        if store_src is not None:
-            cls = find_class(store_src.tree, "MetricStore")
-            if cls is not None:
-                store_classes.append(("MetricStore", store_src, cls))
+        if metric_cls is not None:
+            store_classes.append(("MetricStore", store_src, metric_cls))
         if sharding_src is not None:
             cls = find_class(sharding_src.tree, "ShardedMetricStore")
             if cls is not None:
