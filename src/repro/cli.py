@@ -26,7 +26,7 @@ from repro.cluster.builders import PAPER_DATACENTERS, build_paper_fleet
 from repro.cluster.service import service_catalog
 from repro.cluster.simulation import DEFAULT_COUNTERS, SimulationConfig, Simulator
 from repro.telemetry.sharding import BACKENDS, ShardedMetricStore
-from repro.telemetry.store import MetricStore
+from repro.telemetry.store import REDUCERS, MetricStore
 from repro.telemetry.workers import ShardServer
 from repro.core.availability import study_fleet_availability
 from repro.core.metric_validation import MetricValidator
@@ -641,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict the aggregate to one datacenter (default: all)",
     )
     query.add_argument(
-        "--reducer", default="mean", choices=("mean", "sum", "max", "count"),
+        "--reducer", default="mean", choices=REDUCERS,
         help="per-window reduction over the pool's servers",
     )
     query.add_argument(

@@ -15,7 +15,7 @@ from repro.telemetry.counters import (
 )
 from repro.telemetry.series import TimeSeries
 from repro.telemetry.sharding import BACKENDS, ShardedMetricStore
-from repro.telemetry.store import MetricKey, MetricStore, ServerInterner
+from repro.telemetry.store import MetricStore, ServerInterner
 from repro.telemetry.transport import TcpTransport
 from repro.telemetry.workers import ShardServer, TcpShardClient
 
@@ -29,7 +29,6 @@ __all__ = [
     "WINDOW_SECONDS",
     "workload_counter",
     "TimeSeries",
-    "MetricKey",
     "MetricStore",
     "ServerInterner",
     "ShardedMetricStore",

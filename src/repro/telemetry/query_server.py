@@ -14,15 +14,18 @@ Three pieces:
 * :class:`LiveQuerySurface` — a read-only view over the live store
   (plain :class:`~repro.telemetry.store.MetricStore` or the
   :class:`~repro.telemetry.sharding.ShardedMetricStore` facade over any
-  backend).  Every read takes the store's :attr:`lock`, which the
-  streaming clock loop holds across each whole ingest→seal→evict block
-  span — so a reader only ever observes the store at sealed block
-  boundaries, never a half-ingested block.  That is the entire
+  backend), generated from the store's one read table
+  (:data:`~repro.telemetry.store.READ_SURFACE`) plus three compound
+  reads and the watermark.  Every read takes the store's :attr:`lock`,
+  which the streaming clock loop holds across each whole
+  ingest→seal→evict block span — so a reader only ever observes the
+  store at sealed block boundaries, never a half-ingested block.  That is the entire
   consistency argument: at a boundary every visible window is sealed,
   so a live answer for any window ``w <= sealed_through`` is
   bit-identical to the same query against a finished same-seed batch
-  run.  The surface has no mutators; an attempt to call one is an
-  ``AttributeError`` shipped back as the RPC error reply.
+  run.  The serve loop answers only the names the surface declares
+  (``rpc_names``); any other — a mutator, a dunder — is an
+  ``AttributeError`` reply that never reaches ``getattr``.
 * :class:`QueryServer` — a :class:`~repro.telemetry.workers.ShardServer`
   whose sessions all serve the one shared surface instead of a fresh
   per-session store.  Same wire, same framing, same failure semantics
@@ -40,9 +43,9 @@ network only.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional
 
-from repro.telemetry.store import ServerInterner
+from repro.telemetry.store import READ_SURFACE, ServerInterner, forward_reads
 from repro.telemetry.transport import (
     DEFAULT_CONNECT_TIMEOUT,
     DEFAULT_IO_TIMEOUT,
@@ -50,34 +53,14 @@ from repro.telemetry.transport import (
     format_address,
     parse_address,
 )
-from repro.telemetry.workers import ShardConnectionError, ShardServer
+from repro.telemetry.workers import ShardServer, round_trip
 
-#: Store methods that mutate state — the read-only deny-list.  The
-#: query surface enforces read-only *by omission*: none of these names
-#: has a passthrough on :class:`LiveQuerySurface`, so a client calling
-#: one gets an ``AttributeError`` shipped back as the RPC error reply.
-#: ``tools/repro_lint`` (rpc-surface pass) keeps this honest in both
-#: directions: every statically detected mutator on
-#: ``MetricStore``/``ShardedMetricStore`` must be listed here, and no
-#: listed name may ever appear on the surface — so a new mutator cannot
-#: silently become reachable by live readers.
-STORE_MUTATORS = frozenset({
-    "record",
-    "record_many",
-    "record_batch",
-    "record_columns",
-    "record_fast",
-    "evict_windows",
-    "seal_through",
-    "track_aggregate",
-    "intern_server",
-    "intern_servers",
-    "rejoin_shard",
-    "flush",
-    "close",
-})
+#: What the live surface answers beside the read table: the three
+#: compound reads and the watermark its streamer owns.
+LIVE_EXTRAS = ("status", "aggregate", "snapshot", "sealed_through")
 
 
+@forward_reads("_read")
 class LiveQuerySurface:
     """Read-only, lock-serialized view of a live (possibly sharded) store.
 
@@ -92,13 +75,26 @@ class LiveQuerySurface:
     sandbox instead of the live store's id space.
     """
 
+    #: The names the serve loop answers for this object; everything
+    #: else is refused before it is looked up.
+    rpc_names = frozenset(READ_SURFACE).union(LIVE_EXTRAS)
+
     def __init__(self, store, streamer=None) -> None:
         self._store = store
         self._streamer = streamer
         self.interner = ServerInterner()
         self._lock = store.lock
 
-    # -- watermark and retention state ---------------------------------
+    def _read(self, name: str, *args, **kwargs):
+        """The one read path: one table read under one lock hold."""
+        with self._lock:
+            result = getattr(self._store, name)
+            if not READ_SURFACE[name]:
+                result = result(*args, **kwargs)
+            # A generator (``iter_tables``) is drained inside the hold —
+            # the serve loop would drain it anyway, but outside it.
+            return list(result) if isinstance(result, Iterator) else result
+
     @property
     def sealed_through(self) -> int:
         """Largest window a live answer is final through (-1 = none)."""
@@ -106,89 +102,6 @@ class LiveQuerySurface:
             if self._streamer is not None:
                 return self._streamer.sealed_window
             return max(self._store.sealed_through, self._store.max_window)
-
-    @property
-    def evicted_before(self) -> int:
-        with self._lock:
-            return self._store.evicted_before
-
-    @property
-    def max_window(self) -> int:
-        with self._lock:
-            return self._store.max_window
-
-    # -- introspection -------------------------------------------------
-    @property
-    def pools(self) -> Tuple[str, ...]:
-        with self._lock:
-            return self._store.pools
-
-    @property
-    def datacenters(self) -> Tuple[str, ...]:
-        with self._lock:
-            return self._store.datacenters
-
-    def counters_for_pool(self, pool_id: str) -> Tuple[str, ...]:
-        with self._lock:
-            return self._store.counters_for_pool(pool_id)
-
-    def servers_in_pool(
-        self, pool_id: str, datacenter_id: Optional[str] = None
-    ) -> Tuple[str, ...]:
-        with self._lock:
-            return self._store.servers_in_pool(pool_id, datacenter_id)
-
-    def datacenters_for_pool(self, pool_id: str) -> Tuple[str, ...]:
-        with self._lock:
-            return self._store.datacenters_for_pool(pool_id)
-
-    def datacenters_for_pool_counter(
-        self, pool_id: str, counter: str
-    ) -> Tuple[str, ...]:
-        with self._lock:
-            return self._store.datacenters_for_pool_counter(pool_id, counter)
-
-    def sample_count(self) -> int:
-        with self._lock:
-            return self._store.sample_count()
-
-    def hot_sample_count(self) -> int:
-        with self._lock:
-            return self._store.hot_sample_count()
-
-    def server_name(self, index: int) -> str:
-        with self._lock:
-            return self._store.server_name(index)
-
-    # -- queries -------------------------------------------------------
-    def pool_window_aggregate(self, *args, **kwargs):
-        with self._lock:
-            return self._store.pool_window_aggregate(*args, **kwargs)
-
-    def per_server_values(self, *args, **kwargs):
-        with self._lock:
-            return self._store.per_server_values(*args, **kwargs)
-
-    def server_series(self, *args, **kwargs):
-        with self._lock:
-            return self._store.server_series(*args, **kwargs)
-
-    def pool_matrix(self, *args, **kwargs):
-        with self._lock:
-            return self._store.pool_matrix(*args, **kwargs)
-
-    def all_values(self, *args, **kwargs):
-        with self._lock:
-            return self._store.all_values(*args, **kwargs)
-
-    def iter_tables(self) -> List[Tuple]:
-        """Every table's columns, materialized *inside* the lock.
-
-        The serve loop would materialize the iterator anyway (it cannot
-        pickle a generator); doing it here keeps the whole read atomic.
-        """
-        with self._lock:
-            return list(self._store.iter_tables())
 
     # -- atomic compound reads (one lock hold = one consistent answer) -
     def aggregate(
@@ -330,23 +243,10 @@ class QueryClient:
         """Invoke ``method`` on the server's surface, return its result."""
         if self._closed:
             raise RuntimeError("query client is closed")
-        try:
-            self._transport.send(("call", [], method, args, kwargs))
-            reply = self._transport.recv()
-        except TimeoutError as error:
-            raise ShardConnectionError(
-                f"query server ({self.address}): I/O timed out after "
-                f"{self._io_timeout:g}s — peer is alive but not making "
-                f"progress"
-            ) from error
-        except (EOFError, OSError) as error:
-            raise ShardConnectionError(
-                f"query server ({self.address}): connection lost"
-            ) from error
-        status, payload = reply
-        if status == "err":
-            raise payload
-        return payload
+        return round_trip(
+            self._transport, f"query server ({self.address})",
+            self._io_timeout, ("call", [], method, args, kwargs),
+        )
 
     # Convenience wrappers for the three compound reads.
     def status(self) -> Dict[str, Any]:

@@ -72,24 +72,26 @@ from repro.telemetry.workers import (
     TcpShardClient,
 )
 from repro.telemetry.store import (
+    READ_SURFACE,
     MetricStore,
     ServerInterner,
     TableKey,
+    _AggregateFront,
     _check_columns,
+    _concat_columns,
     _RecordVerbs,
     _TrackedAggregate,
     window_aggregate_arrays,
 )
 
-_REDUCERS = ("mean", "sum", "max", "count")
-
 #: Valid values of the ``backend`` constructor knob.
 BACKENDS = ("serial", "tcp")
 
 #: A shard handle: a local store or a remote-shard client proxy (TCP
-#: session or replicated TCP group).  All expose the same ingest/query
-#: surface, which is what lets the facade treat "where does this shard
-#: live" as a construction detail.
+#: session or replicated TCP group).  All expose ``record_columns``,
+#: ``evict_windows`` and every :data:`READ_SURFACE` read, which is what
+#: lets the facade treat "where does this shard live" as a
+#: construction detail.
 Shard = Union[MetricStore, TcpShardClient, ReplicatedShardClient]
 
 
@@ -204,7 +206,7 @@ def _shard_member_addresses(
     return members
 
 
-class ShardedMetricStore(_RecordVerbs):
+class ShardedMetricStore(_RecordVerbs, _AggregateFront):
     """N hash-partitioned metric-store shards behind one facade.
 
     Drop-in replacement for a single :class:`MetricStore`: the public
@@ -540,27 +542,6 @@ LiveQuerySurface` takes it around every read.
             raise RuntimeError("ShardedMetricStore is closed")
 
     # ------------------------------------------------------------------
-    # Server interning (shared across shards)
-    # ------------------------------------------------------------------
-    @property
-    def interner(self) -> ServerInterner:
-        """The facade's authoritative id space.  Remote shards hold
-        replicas, synced by name-delta messages (see
-        :mod:`repro.telemetry.workers`)."""
-        return self._interner
-
-    def intern_server(self, server_id: str) -> int:
-        """Map a server id to its stable global integer index."""
-        return self._interner.intern(server_id)
-
-    def intern_servers(self, server_ids: Sequence[str]) -> np.ndarray:
-        """Intern many server ids at once (the batch hot path setup)."""
-        return self._interner.intern_many(server_ids)
-
-    def server_name(self, index: int) -> str:
-        return self._interner.name(index)
-
-    # ------------------------------------------------------------------
     # Ingest (shard fan-out)
     # ------------------------------------------------------------------
     def record_columns(
@@ -648,14 +629,6 @@ LiveQuerySurface` takes it around every read.
         """Windows below this index live in shard spill archives."""
         return self._evicted_before
 
-    @property
-    def sealed_through(self) -> int:
-        """Largest window every tracked aggregate is final through; -1
-        with no tracked aggregates (or before the first seal)."""
-        if not self._tracked:
-            return -1
-        return min(t.sealed_through for t in self._tracked.values())
-
     def evict_windows(self, before: int) -> int:
         """Move rows with ``window < before`` to every shard's spill.
 
@@ -684,64 +657,24 @@ LiveQuerySurface` takes it around every read.
         """Samples currently held in shard memory (excludes spill)."""
         return sum(int(shard.hot_sample_count()) for shard in self._shards)
 
-    def track_aggregate(
-        self,
-        pool_id: str,
-        counter: str,
-        datacenter_id: Optional[str] = None,
-        reducer: str = "mean",
-    ) -> None:
-        """Maintain ``pool_window_aggregate(...)`` incrementally.
-
-        Same contract as :meth:`MetricStore.track_aggregate`; the
-        series is maintained at the facade (from facade-merged shard
-        results), so it is bit-identical to the unsharded store's
-        tracked series on every backend.
-        """
-        if reducer not in _REDUCERS:
-            raise ValueError(f"unknown reducer {reducer!r}")
-        key = (pool_id, counter, datacenter_id, reducer)
-        if key not in self._tracked:
-            self._tracked[key] = _TrackedAggregate(reducer)
-
-    def seal_through(self, window: int) -> None:
-        """Mark windows ``<= window`` complete; extend tracked series.
-
-        Same contract as :meth:`MetricStore.seal_through`.  Each
-        tracked aggregate merges only the newly sealed window range
-        from the shards (partial merge for count/max, canonical
-        re-gather for sum/mean) — per-window results are final once
-        sealed, so the appended partials equal a full recompute.
-        """
-        for (pool_id, counter, datacenter_id, reducer), tracker in self._tracked.items():
-            if window <= tracker.sealed_through:
-                continue
-            lo = tracker.sealed_through + 1
-            series = self._compute_window_aggregate(
-                pool_id, counter, datacenter_id, lo, window + 1, reducer
-            )
-            tracker.extend(
-                np.asarray(series.windows, dtype=np.int64),
-                np.asarray(series.values, dtype=float),
-                window,
-            )
-
     # ------------------------------------------------------------------
     # Introspection (shard unions)
     # ------------------------------------------------------------------
-    @property
-    def pools(self) -> Tuple[str, ...]:
+    def _union(self, name: str, *args) -> Tuple[str, ...]:
+        """Sorted union of every shard's answer to one introspection read."""
         names: Set[str] = set()
         for shard in self._shards:
-            names.update(shard.pools)
+            answer = getattr(shard, name)
+            names.update(answer if READ_SURFACE[name] else answer(*args))
         return tuple(sorted(names))
 
     @property
+    def pools(self) -> Tuple[str, ...]:
+        return self._union("pools")
+
+    @property
     def datacenters(self) -> Tuple[str, ...]:
-        names: Set[str] = set()
-        for shard in self._shards:
-            names.update(shard.datacenters)
-        return tuple(sorted(names))
+        return self._union("datacenters")
 
     @property
     def max_window(self) -> int:
@@ -749,34 +682,23 @@ LiveQuerySurface` takes it around every read.
         return max(shard.max_window for shard in self._shards)
 
     def counters_for_pool(self, pool_id: str) -> Tuple[str, ...]:
-        names: Set[str] = set()
-        for shard in self._shards:
-            names.update(shard.counters_for_pool(pool_id))
-        return tuple(sorted(names))
+        return self._union("counters_for_pool", pool_id)
 
     def servers_in_pool(
         self,
         pool_id: str,
         datacenter_id: Optional[str] = None,
     ) -> Tuple[str, ...]:
-        names: Set[str] = set()
-        for shard in self._shards:
-            names.update(shard.servers_in_pool(pool_id, datacenter_id))
-        return tuple(sorted(names))
+        return self._union("servers_in_pool", pool_id, datacenter_id)
 
     def datacenters_for_pool(self, pool_id: str) -> Tuple[str, ...]:
-        names: Set[str] = set()
-        for shard in self._shards:
-            names.update(shard.datacenters_for_pool(pool_id))
-        return tuple(sorted(names))
+        return self._union("datacenters_for_pool", pool_id)
 
     def datacenters_for_pool_counter(
         self, pool_id: str, counter: str
     ) -> Tuple[str, ...]:
-        names: Set[str] = set()
-        for shard in self._shards:
-            names.update(shard.datacenters_for_pool_counter(pool_id, counter))
-        return tuple(sorted(names))
+        """Datacenters holding (pool, counter) rows on any shard, sorted."""
+        return self._union("datacenters_for_pool_counter", pool_id, counter)
 
     def sample_count(self) -> int:
         """Total number of stored samples across all shards.
@@ -804,13 +726,6 @@ LiveQuerySurface` takes it around every read.
     # ------------------------------------------------------------------
     # Queries (shard-wise merges)
     # ------------------------------------------------------------------
-    def _dcs_for(self, pool_id: str, counter: str) -> List[str]:
-        """Datacenters holding (pool, counter) rows on any shard, sorted."""
-        dcs: Set[str] = set()
-        for shard in self._shards:
-            dcs.update(shard.datacenters_for_pool_counter(pool_id, counter))
-        return sorted(dcs)
-
     def gather_columns(
         self,
         pool_id: str,
@@ -831,8 +746,10 @@ LiveQuerySurface` takes it around every read.
         placement is invisible here: local shards return array views,
         remote shards return pickled copies, and the merge is the same.
         """
-        dcs = [datacenter_id] if datacenter_id is not None else self._dcs_for(
-            pool_id, counter
+        dcs = (
+            (datacenter_id,)
+            if datacenter_id is not None
+            else self.datacenters_for_pool_counter(pool_id, counter)
         )
         ws: List[np.ndarray] = []
         ss: List[np.ndarray] = []
@@ -849,70 +766,12 @@ LiveQuerySurface` takes it around every read.
                     v_parts.append(v)
             if not w_parts:
                 continue
-            w = np.concatenate(w_parts) if len(w_parts) > 1 else w_parts[0]
-            s = np.concatenate(s_parts) if len(s_parts) > 1 else s_parts[0]
-            v = np.concatenate(v_parts) if len(v_parts) > 1 else v_parts[0]
+            w, s, v = _concat_columns(w_parts, s_parts, v_parts)
             order = np.lexsort((s, w))
             ws.append(w[order])
             ss.append(s[order])
             vs.append(v[order])
-        if not ws:
-            empty = np.array([], dtype=np.int64)
-            return empty, empty, np.array([], dtype=float)
-        if len(ws) == 1:
-            return ws[0], ss[0], vs[0]
-        return np.concatenate(ws), np.concatenate(ss), np.concatenate(vs)
-
-    def pool_window_aggregate(
-        self,
-        pool_id: str,
-        counter: str,
-        datacenter_id: Optional[str] = None,
-        start: Optional[int] = None,
-        stop: Optional[int] = None,
-        reducer: str = "mean",
-    ) -> TimeSeries:
-        """Per-window aggregate merged across shards.
-
-        ``count`` and ``max`` merge per-shard bincount partials over
-        the union of windows (associative, hence exact — and the
-        cheapest plan for remote shards, since only the small partial
-        series crosses the wire).  ``sum`` and ``mean`` instead
-        aggregate the canonically re-ordered gather of all shard rows,
-        so their float accumulation order — and therefore every output
-        bit — matches the unsharded store, at the cost of moving the
-        raw columns (one pickled copy per remote shard).  Results are
-        memoized until the next ingest, like the single store's cache.
-        """
-        if reducer not in _REDUCERS:
-            raise ValueError(f"unknown reducer {reducer!r}")
-        if self._tracked:
-            tracked = self._tracked.get(
-                (pool_id, counter, datacenter_id, reducer)
-            )
-            if tracked is not None:
-                lo = start if start is not None else 0
-                hi = stop if stop is not None else self.max_window + 1
-                if hi - 1 <= tracked.sealed_through:
-                    # Served from the incrementally maintained series:
-                    # no shard round-trips, no re-gather.
-                    return tracked.series_slice(lo, hi)
-        cache_key = (pool_id, counter, datacenter_id, start, stop, reducer)
-        cached = self._agg_cache.get(cache_key)
-        if cached is not None:
-            return cached
-
-        def memoize(series: TimeSeries) -> TimeSeries:
-            series.windows.setflags(write=False)
-            series.values.setflags(write=False)
-            self._agg_cache[cache_key] = series
-            return series
-
-        return memoize(
-            self._compute_window_aggregate(
-                pool_id, counter, datacenter_id, start, stop, reducer
-            )
-        )
+        return _concat_columns(ws, ss, vs)
 
     def _compute_window_aggregate(
         self,
@@ -924,7 +783,16 @@ LiveQuerySurface` takes it around every read.
         reducer: str,
     ) -> TimeSeries:
         """The uncached shard-merged aggregate behind
-        :meth:`pool_window_aggregate` and :meth:`seal_through`."""
+        :meth:`pool_window_aggregate` and :meth:`seal_through`.
+
+        ``count`` and ``max`` merge per-shard partials over the union
+        of windows (associative, hence exact — and only the small
+        partial series crosses the wire).  ``sum`` and ``mean``
+        aggregate the canonically re-ordered gather of all shard rows,
+        so their float accumulation order — and therefore every output
+        bit — matches the unsharded store, at the cost of moving the
+        raw columns.
+        """
         empty = TimeSeries(np.array([], dtype=int), np.array([], dtype=float))
         if reducer in ("count", "max"):
             partials = [

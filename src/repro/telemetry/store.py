@@ -40,7 +40,6 @@ import pickle
 import tempfile
 import threading
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -88,6 +87,12 @@ class ServerInterner:
 
     def __len__(self) -> int:
         return len(self.names)
+
+
+#: The per-window reducers :func:`window_aggregate_arrays` implements —
+#: the one spelling every aggregate entry point and the CLI validate
+#: against.
+REDUCERS = ("mean", "sum", "max", "count")
 
 
 def window_aggregate_arrays(
@@ -242,19 +247,16 @@ class _TrackedAggregate:
         return TimeSeries.from_sorted(windows[i:j], values[i:j])
 
 
-@dataclass(frozen=True)
-class MetricKey:
-    """Identity of a stored series: one counter on one server.
-
-    Retained for compatibility with pre-columnar callers; internally the
-    store now keys tables by (pool, datacenter, counter) and tracks the
-    server as an interned integer column.
-    """
-
-    server_id: str
-    pool_id: str
-    datacenter_id: str
-    counter: str
+def _concat_columns(
+    ws: List[np.ndarray], ss: List[np.ndarray], vs: List[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One (windows, server indices, values) triple from aligned parts."""
+    if not ws:
+        empty = np.array([], dtype=np.int64)
+        return empty, empty, np.array([], dtype=float)
+    if len(ws) == 1:
+        return ws[0], ss[0], vs[0]
+    return np.concatenate(ws), np.concatenate(ss), np.concatenate(vs)
 
 
 class _Table:
@@ -297,21 +299,10 @@ class _Table:
     def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(windows, server indices, values) in append order."""
         if self._frozen is None:
-            if not self._value_chunks:
-                empty = np.array([], dtype=np.int64)
-                self._frozen = (empty, empty, np.array([], dtype=float))
-            elif len(self._value_chunks) == 1:
-                self._frozen = (
-                    self._window_chunks[0],
-                    self._server_chunks[0],
-                    self._value_chunks[0],
-                )
-            else:
-                self._frozen = (
-                    np.concatenate(self._window_chunks),
-                    np.concatenate(self._server_chunks),
-                    np.concatenate(self._value_chunks),
-                )
+            self._frozen = _concat_columns(
+                self._window_chunks, self._server_chunks, self._value_chunks
+            )
+            if len(self._value_chunks) > 1:
                 # Re-chunk so repeated freezes stay O(1).
                 self._window_chunks = [self._frozen[0]]
                 self._server_chunks = [self._frozen[1]]
@@ -402,14 +393,38 @@ def _check_columns(*columns: np.ndarray) -> Tuple[np.ndarray, ...]:
 
 
 class _RecordVerbs:
-    """The convenience ingest verbs, each one ``record_columns`` call.
+    """Server interning and the convenience ingest verbs, each one
+    ``record_columns`` call.
 
     Written once for :class:`MetricStore` and
     :class:`~repro.telemetry.sharding.ShardedMetricStore`, which supply
-    ``intern_server`` / ``intern_servers`` / ``record_columns``; what
-    ``record_columns`` does with the rows (append, partition, journal,
-    buffer for the wire) is the only thing that differs between them.
+    ``_interner`` and ``record_columns``; what ``record_columns`` does
+    with the rows (append, partition, journal, buffer for the wire) is
+    the only thing that differs between them.
     """
+
+    @property
+    def interner(self) -> ServerInterner:
+        """The server id <-> index mapping: a store's own (possibly
+        shared with sibling shards), or the facade's authoritative id
+        space, which remote shards replicate from name-delta messages
+        (see :mod:`repro.telemetry.workers`)."""
+        return self._interner
+
+    def intern_server(self, server_id: str) -> int:
+        """Map a server id to its stable integer index."""
+        return self._interner.intern(server_id)
+
+    def intern_servers(self, server_ids: Sequence[str]) -> np.ndarray:
+        """Intern many server ids at once (the batch hot path setup).
+
+        Returns the integer index array to pass to
+        :meth:`record_columns`; callers cache it per pool.
+        """
+        return self._interner.intern_many(server_ids)
+
+    def server_name(self, index: int) -> str:
+        return self._interner.name(index)
 
     def record_batch(
         self,
@@ -490,6 +505,165 @@ class _RecordVerbs:
         )
 
 
+#: The store's read surface, declared once: name -> is it a property.
+#: Every name is defined on :class:`MetricStore` and on
+#: :class:`~repro.telemetry.sharding.ShardedMetricStore`, mutates
+#: nothing, and is what a shard session or the live query surface
+#: answers to a ``call`` — the remote-shard proxies and the query
+#: surface are generated from this table (:func:`forward_reads`), and
+#: the serve loop refuses any name outside it (plus the few extras the
+#: served object declares).  ``sealed_through`` is deliberately absent:
+#: the live surface answers it from its streamer, not from the store.
+READ_SURFACE = {
+    "pools": True,
+    "datacenters": True,
+    "max_window": True,
+    "evicted_before": True,
+    "counters_for_pool": False,
+    "servers_in_pool": False,
+    "datacenters_for_pool": False,
+    "datacenters_for_pool_counter": False,
+    "server_name": False,
+    "sample_count": False,
+    "hot_sample_count": False,
+    "iter_tables": False,
+    "gather_columns": False,
+    "pool_window_aggregate": False,
+    "per_server_values": False,
+    "server_series": False,
+    "pool_matrix": False,
+    "all_values": False,
+}
+
+
+def _forwarder(name: str, via: str):
+    def read(self, *args, **kwargs):
+        return getattr(self, via)(name, *args, **kwargs)
+
+    read.__name__ = name
+    read.__doc__ = f"The store's ``{name}``, answered through ``{via}``."
+    return read
+
+
+def forward_reads(via: str):
+    """Class decorator: give a class every :data:`READ_SURFACE` name.
+
+    Each generated method (or property) forwards to
+    ``getattr(self, via)(name, *args, **kwargs)`` — ``call`` for the
+    remote-shard proxies, the lock-holding ``_read`` for the live
+    query surface — so a stand-in for the store spells the surface
+    zero times instead of once per name.
+    """
+
+    def decorate(cls):
+        for name, is_property in READ_SURFACE.items():
+            read = _forwarder(name, via)
+            setattr(cls, name, property(read) if is_property else read)
+        return cls
+
+    return decorate
+
+
+class _AggregateFront:
+    """Tracked series and memo in front of one uncached aggregate.
+
+    Written once for :class:`MetricStore` and
+    :class:`~repro.telemetry.sharding.ShardedMetricStore`, which supply
+    ``_tracked`` / ``_agg_cache`` / ``max_window`` and their own
+    ``_compute_window_aggregate(pool_id, counter, datacenter_id, start,
+    stop, reducer)``; how the rows of a window range are gathered and
+    reduced (one store's tables, or a merge across shards) is the only
+    thing that differs between them.
+    """
+
+    def track_aggregate(
+        self,
+        pool_id: str,
+        counter: str,
+        datacenter_id: Optional[str] = None,
+        reducer: str = "mean",
+    ) -> None:
+        """Maintain ``pool_window_aggregate(...)`` incrementally.
+
+        After registration, :meth:`seal_through` appends each newly
+        sealed block's per-window aggregate to a persistent series, and
+        :meth:`pool_window_aggregate` answers any query fully inside
+        the sealed range by slicing that series — no re-gather, no
+        spill reads, no shard round-trips, however long the run.
+        Registering the same aggregate twice is a no-op.
+        """
+        if reducer not in REDUCERS:
+            raise ValueError(f"unknown reducer {reducer!r}")
+        key = (pool_id, counter, datacenter_id, reducer)
+        if key not in self._tracked:
+            self._tracked[key] = _TrackedAggregate(reducer)
+
+    @property
+    def sealed_through(self) -> int:
+        """Largest window every tracked aggregate is final through; -1
+        with no tracked aggregates (or before the first seal)."""
+        if not self._tracked:
+            return -1
+        return min(t.sealed_through for t in self._tracked.values())
+
+    def seal_through(self, window: int) -> None:
+        """Mark windows ``<= window`` complete; extend tracked series.
+
+        Callers must have ingested *all* rows of the sealed windows
+        first (the streaming driver seals at block boundaries).  Each
+        tracked aggregate computes only the not-yet-sealed window range
+        and appends its per-window values — bit-identical to a full
+        recompute because aggregate bins never mix windows.
+        """
+        for (pool_id, counter, datacenter_id, reducer), tracker in self._tracked.items():
+            if window <= tracker.sealed_through:
+                continue
+            series = self._compute_window_aggregate(
+                pool_id, counter, datacenter_id,
+                tracker.sealed_through + 1, window + 1, reducer,
+            )
+            tracker.extend(series.windows, series.values, window)
+
+    def pool_window_aggregate(
+        self,
+        pool_id: str,
+        counter: str,
+        datacenter_id: Optional[str] = None,
+        start: Optional[int] = None,
+        stop: Optional[int] = None,
+        reducer: str = "mean",
+    ) -> TimeSeries:
+        """Per-window aggregate across a pool's servers.
+
+        ``reducer``: one of :data:`REDUCERS` (default ``"mean"``).  The
+        planner's workhorse — e.g. average RPS/server or summed pool
+        workload per window.  A tracked aggregate answers any range
+        inside its sealed span from the maintained series; everything
+        else is computed once and memoized until the next ingest.
+        """
+        if reducer not in REDUCERS:
+            raise ValueError(f"unknown reducer {reducer!r}")
+        tracked = self._tracked.get((pool_id, counter, datacenter_id, reducer))
+        if tracked is not None:
+            lo = start if start is not None else 0
+            hi = stop if stop is not None else self.max_window + 1
+            if hi - 1 <= tracked.sealed_through:
+                return tracked.series_slice(lo, hi)
+        cache_key = (pool_id, counter, datacenter_id, start, stop, reducer)
+        series = self._agg_cache.get(cache_key)
+        if series is None:
+            series = self._compute_window_aggregate(
+                pool_id, counter, datacenter_id, start, stop, reducer
+            )
+            # The memoized object is shared across callers; freeze its
+            # arrays so an accidental in-place mutation raises instead
+            # of silently poisoning the cache.
+            series.windows.setflags(write=False)
+            series.values.setflags(write=False)
+            self._agg_cache[cache_key] = series
+        return series
+
+
 class _ServerMembership:
     """Which interned server indices appeared for one (pool, DC).
 
@@ -524,7 +698,7 @@ class _ServerMembership:
         return np.flatnonzero(self._seen)
 
 
-class MetricStore(_RecordVerbs):
+class MetricStore(_RecordVerbs, _AggregateFront):
     """Columnar store of counter samples with pool/DC-scoped queries.
 
     The single-node building block of the telemetry layer.  Ingest via
@@ -576,29 +750,6 @@ LiveQuerySurface` takes it around every read, so a live reader only
         ever sees sealed block boundaries, never a half-ingested block.
         """
         return self._lock
-
-    # ------------------------------------------------------------------
-    # Server interning
-    # ------------------------------------------------------------------
-    @property
-    def interner(self) -> ServerInterner:
-        """The store's server id <-> index mapping (possibly shared)."""
-        return self._interner
-
-    def intern_server(self, server_id: str) -> int:
-        """Map a server id to its stable integer index."""
-        return self._interner.intern(server_id)
-
-    def intern_servers(self, server_ids: Sequence[str]) -> np.ndarray:
-        """Intern many server ids at once (the batch hot path setup).
-
-        Returns the integer index array to pass to
-        :meth:`record_columns`; callers cache it per pool.
-        """
-        return self._interner.intern_many(server_ids)
-
-    def server_name(self, index: int) -> str:
-        return self._interner.name(index)
 
     # ------------------------------------------------------------------
     # Ingest
@@ -657,14 +808,6 @@ LiveQuerySurface` takes it around every read, so a live reader only
         """Windows below this index live in the spill archive (0 = none)."""
         return self._evicted_before
 
-    @property
-    def sealed_through(self) -> int:
-        """Largest window every tracked aggregate is final through; -1
-        with no tracked aggregates (or before the first seal)."""
-        if not self._tracked:
-            return -1
-        return min(t.sealed_through for t in self._tracked.values())
-
     def evict_windows(self, before: int) -> int:
         """Move every row with ``window < before`` to the spill archive.
 
@@ -697,54 +840,6 @@ LiveQuerySurface` takes it around every read, so a live reader only
     def hot_sample_count(self) -> int:
         """Samples currently held in memory (excludes spilled rows)."""
         return sum(table.hot_rows for table in self._tables.values())
-
-    def track_aggregate(
-        self,
-        pool_id: str,
-        counter: str,
-        datacenter_id: Optional[str] = None,
-        reducer: str = "mean",
-    ) -> None:
-        """Maintain ``pool_window_aggregate(...)`` incrementally.
-
-        After registration, :meth:`seal_through` appends each newly
-        sealed block's per-window aggregate to a persistent series, and
-        :meth:`pool_window_aggregate` answers any query fully inside
-        the sealed range by slicing that series — no re-gather, no
-        spill reads, however long the run.  Registering the same
-        aggregate twice is a no-op.
-        """
-        if reducer not in ("mean", "sum", "max", "count"):
-            raise ValueError(f"unknown reducer {reducer!r}")
-        key = (pool_id, counter, datacenter_id, reducer)
-        if key not in self._tracked:
-            self._tracked[key] = _TrackedAggregate(reducer)
-
-    def seal_through(self, window: int) -> None:
-        """Mark windows ``<= window`` complete; extend tracked series.
-
-        Callers must have ingested *all* rows of the sealed windows
-        first (the streaming driver seals at block boundaries).  Each
-        tracked aggregate gathers only the not-yet-sealed slice and
-        appends its per-window partials — bit-identical to a full
-        recompute because aggregate bins never mix windows.
-        """
-        for (pool_id, counter, datacenter_id, _r), tracker in self._tracked.items():
-            if window <= tracker.sealed_through:
-                continue
-            lo = tracker.sealed_through + 1
-            keyed = self._matching_tables(pool_id, counter, datacenter_id)
-            windows, _servers, values = self._gather(keyed, lo, window + 1)
-            if windows.size:
-                out_w, out_v = window_aggregate_arrays(
-                    windows, values, tracker.reducer
-                )
-                tracker.extend(out_w, out_v, window)
-            else:
-                tracker.extend(
-                    np.array([], dtype=np.int64), np.array([], dtype=float),
-                    window,
-                )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -895,12 +990,7 @@ LiveQuerySurface` takes it around every read, so a live reader only
         vs: List[np.ndarray] = []
         for key, table in tables:
             self._gather_one(key, table, lo, hi, ws, ss, vs)
-        if not ws:
-            empty = np.array([], dtype=np.int64)
-            return empty, empty, np.array([], dtype=float)
-        if len(ws) == 1:
-            return ws[0], ss[0], vs[0]
-        return np.concatenate(ws), np.concatenate(ss), np.concatenate(vs)
+        return _concat_columns(ws, ss, vs)
 
     def gather_columns(
         self,
@@ -952,53 +1042,26 @@ LiveQuerySurface` takes it around every read, so a live reader only
             return TimeSeries(window_parts[0], value_parts[0])
         return TimeSeries(np.concatenate(window_parts), np.concatenate(value_parts))
 
-    def pool_window_aggregate(
+    def _compute_window_aggregate(
         self,
         pool_id: str,
         counter: str,
-        datacenter_id: Optional[str] = None,
-        start: Optional[int] = None,
-        stop: Optional[int] = None,
-        reducer: str = "mean",
+        datacenter_id: Optional[str],
+        start: Optional[int],
+        stop: Optional[int],
+        reducer: str,
     ) -> TimeSeries:
-        """Per-window aggregate across a pool's servers.
-
-        ``reducer``: ``"mean"`` (default), ``"sum"``, ``"max"``,
-        ``"count"``.  The planner's workhorse — e.g. average RPS/server
-        or summed pool workload per window.  Grouping is a pair of
-        ``np.bincount`` calls over the window column; results are
-        memoized until the next ingest.
-        """
-        if reducer not in ("mean", "sum", "max", "count"):
-            raise ValueError(f"unknown reducer {reducer!r}")
-        lo = start if start is not None else 0
-        hi = stop if stop is not None else self._max_window + 1
-        tracked = self._tracked.get((pool_id, counter, datacenter_id, reducer))
-        if tracked is not None and hi - 1 <= tracked.sealed_through:
-            # Served from the incrementally maintained series: no
-            # re-gather and no spill reads, however long the run.
-            return tracked.series_slice(lo, hi)
-        cache_key = (pool_id, counter, datacenter_id, start, stop, reducer)
-        cached = self._agg_cache.get(cache_key)
-        if cached is not None:
-            return cached
-
-        def memoize(series: TimeSeries) -> TimeSeries:
-            # The memoized object is shared across callers; freeze its
-            # arrays so an accidental in-place mutation raises instead
-            # of silently poisoning the cache.
-            series.windows.setflags(write=False)
-            series.values.setflags(write=False)
-            self._agg_cache[cache_key] = series
-            return series
-        tables = self._matching_tables(pool_id, counter, datacenter_id)
-        windows, _servers, values = self._gather(tables, lo, hi)
+        """The uncached aggregate behind :meth:`pool_window_aggregate`
+        and :meth:`seal_through`: one gather, then a pair of
+        ``np.bincount`` calls over the window column."""
+        windows, _servers, values = self.gather_columns(
+            pool_id, counter, datacenter_id, start, stop
+        )
         if windows.size == 0:
-            return memoize(
-                TimeSeries(np.array([], dtype=int), np.array([], dtype=float))
-            )
-        out_windows, out_values = window_aggregate_arrays(windows, values, reducer)
-        return memoize(TimeSeries.from_sorted(out_windows, out_values))
+            return TimeSeries(np.array([], dtype=int), np.array([], dtype=float))
+        return TimeSeries.from_sorted(
+            *window_aggregate_arrays(windows, values, reducer)
+        )
 
     def per_server_values(
         self,

@@ -8,8 +8,9 @@ shape is the classic actor: one
 :class:`~repro.telemetry.store.MetricStore` owned by a serve loop on
 the far side of a :class:`~repro.telemetry.transport.TcpTransport`
 connection, a command channel in front of it, and a client-side proxy
-object whose surface mirrors the store's query API — the facade cannot
-tell a remote shard from a local one.
+object whose query methods are generated from the store's one read
+table (:data:`~repro.telemetry.store.READ_SURFACE`) — the facade
+cannot tell a remote shard from a local one.
 
 :class:`TcpShardClient` / :class:`ShardServer`
     One TCP session per shard.  A :class:`ShardServer` — also exposed
@@ -33,12 +34,15 @@ strictly FIFO; the wire encoding is the transport's business):
     and wakeup cost across many appends.  This is the one message that
     never crosses as pickle (see :mod:`repro.telemetry.transport`).
 ``("call", names, method, args, kwargs)``
-    Synchronous query RPC.  The serve loop resolves ``method`` on its
+    Synchronous query RPC.  The serve loop answers only a ``method``
+    the served object declares — the read table plus
+    :data:`SHARD_EXTRAS` for a shard session — resolving it on its
     store (plain attributes answer property reads, generators are
-    materialised into lists so they can cross the connection) and
-    replies ``("ok", result)`` or ``("err", exception)``.  Any
-    exception a previous *ingest* message raised is delivered here
-    instead — ingest errors are deferred, never lost.
+    materialised into lists so they can cross the connection), and
+    replies ``("ok", result)`` or ``("err", exception)``; any other
+    name is an ``AttributeError`` reply that never reaches
+    ``getattr``.  Any exception a previous *ingest* message raised is
+    delivered here instead — ingest errors are deferred, never lost.
 ``("stop",)``
     Graceful shutdown of this session; so is a clean EOF (the client
     vanishing ends the session, never the server).
@@ -99,15 +103,16 @@ from __future__ import annotations
 import os
 import socket
 import threading
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.telemetry.store import (
+    READ_SURFACE,
     MetricStore,
     ServerInterner,
-    TableKey,
     _check_columns,
+    forward_reads,
 )
 from repro.telemetry.transport import (
     DEFAULT_CONNECT_TIMEOUT,
@@ -122,6 +127,12 @@ DEFAULT_FLUSH_ROWS = 65536
 #: How long ``ShardServer.stop`` waits for a thread to exit (seconds).
 _JOIN_TIMEOUT = 5.0
 
+#: What a shard session answers beside the read table: the one mutator
+#: the facade sends as a ``call`` (it rides the ordered command stream
+#: and returns a count), and the reserved session-level ``resync``.
+SHARD_EXTRAS = ("evict_windows", "resync")
+SHARD_CALLS = frozenset(READ_SURFACE).union(SHARD_EXTRAS)
+
 
 def serve_shard(transport, store: Optional[MetricStore] = None) -> None:
     """Serve one shard session: own one ``MetricStore``, drain messages.
@@ -129,15 +140,22 @@ def serve_shard(transport, store: Optional[MetricStore] = None) -> None:
     The far half of the actor, run by a :class:`ShardServer` session
     thread.  Runs until a ``("stop",)`` message, a clean EOF (the
     client closed), a transport error (the client died or sent a frame
-    that does not decode), or a message with any other tag (the peer
-    is not speaking the protocol) — each ends this session only.  The
-    transport is closed on every exit path, so the peer of a broken
-    session sees EOF instead of waiting out its ``io_timeout``.
-    Ingest exceptions are remembered and surfaced on the next ``call``
-    so the fire-and-forget fast path never needs an acknowledgement
-    round trip.
+    that does not decode), or a message that is none of ingest / a
+    well-formed call / stop (the peer is not speaking the protocol) —
+    each ends this session only.  The transport is closed on every
+    exit path, so the peer of a broken session sees EOF instead of
+    waiting out its ``io_timeout``.  Ingest exceptions are remembered
+    and surfaced on the next ``call`` so the fire-and-forget fast path
+    never needs an acknowledgement round trip.
+
+    A ``call`` is answered only for a name the served object declares:
+    its ``rpc_names`` if it has one (the live query surface), else
+    :data:`SHARD_CALLS`.  Any other name — mutators, dunders and
+    underscore attributes included — is an ``AttributeError`` reply
+    that never reaches ``getattr``, and the session keeps serving.
     """
     store = store if store is not None else MetricStore()
+    allowed = getattr(store, "rpc_names", SHARD_CALLS)
     deferred: Optional[BaseException] = None
     try:
         while True:
@@ -154,9 +172,9 @@ def serve_shard(transport, store: Optional[MetricStore] = None) -> None:
                         store.record_columns(*command)
                 except BaseException as error:  # noqa: BLE001 — re-raised on next call
                     deferred = error
-            elif kind == "call":
-                _method, args, kwargs = message[2], message[3], message[4]
-                if _method == "resync":
+            elif kind == "call" and _well_formed_call(message):
+                _kind, names, method, args, kwargs = message
+                if method == "resync" and method in allowed:
                     # Session-level rejoin: drop whatever this session's
                     # store holds and rebuild from the client's
                     # authoritative state.  The *full* interner name table
@@ -164,32 +182,47 @@ def serve_shard(transport, store: Optional[MetricStore] = None) -> None:
                     # counter), so it must replay into the fresh store,
                     # not the one being discarded; the journal replay
                     # follows as ordinary ingest frames.
-                    store = MetricStore()
-                    deferred = None
-                    _replay_names(store.interner, message[1])
-                    if not _send_reply(transport, ("ok", True)):
-                        break
-                    continue
-                _replay_names(store.interner, message[1])
+                    store, deferred = MetricStore(), None
+                _replay_names(store.interner, names)
                 if deferred is not None:
-                    error, deferred = deferred, None
-                    if not _send_reply(transport, ("err", error)):
-                        break
-                    continue
-                try:
-                    attr = getattr(store, _method)
-                    result = attr(*args, **kwargs) if callable(attr) else attr
-                    if isinstance(result, Iterator):
-                        result = list(result)
-                    reply = ("ok", result)
-                except BaseException as error:  # noqa: BLE001
-                    reply = ("err", error)
+                    reply, deferred = ("err", deferred), None
+                elif method not in allowed:
+                    reply = ("err", AttributeError(
+                        f"{method!r} is not a name this session answers"
+                    ))
+                elif method == "resync":
+                    reply = ("ok", True)
+                else:
+                    try:
+                        attr = getattr(store, method)
+                        result = attr(*args, **kwargs) if callable(attr) else attr
+                        if isinstance(result, Iterator):
+                            result = list(result)
+                        reply = ("ok", result)
+                    except BaseException as error:  # noqa: BLE001
+                        reply = ("err", error)
                 if not _send_reply(transport, reply):
                     break
             else:  # "stop", or a peer not speaking the protocol
                 break
     finally:
         transport.close()
+
+
+def _well_formed_call(message: tuple) -> bool:
+    """Is this ``("call", names, method, args, kwargs)`` with a list of
+    string names, a string method, a tuple and a dict?  Anything else
+    is a peer not speaking the protocol, not a query to answer."""
+    if len(message) != 5:
+        return False
+    _kind, names, method, args, kwargs = message
+    return (
+        isinstance(names, list)
+        and all(isinstance(name, str) for name in names)
+        and isinstance(method, str)
+        and isinstance(args, tuple)
+        and isinstance(kwargs, dict)
+    )
 
 
 def _replay_names(interner: ServerInterner, names: List[str]) -> None:
@@ -236,50 +269,54 @@ class ShardConnectionError(RuntimeError):
     """
 
 
+def _connection_lost(
+    peer: str, io_timeout: Optional[float], error: BaseException
+) -> ShardConnectionError:
+    """The named error for a dead (EOF/reset) or hung (timeout) peer."""
+    if isinstance(error, TimeoutError):
+        bound = f" after {io_timeout:g}s" if io_timeout is not None else ""
+        return ShardConnectionError(
+            f"{peer}: I/O timed out{bound} — peer is alive but not "
+            f"making progress"
+        )
+    return ShardConnectionError(f"{peer}: connection lost")
+
+
+def round_trip(
+    transport, peer: str, io_timeout: Optional[float], request: tuple
+) -> Any:
+    """Send one ``call`` frame and return what the reply carries.
+
+    The one client half of the RPC, shared by :class:`TcpShardClient`
+    and :class:`~repro.telemetry.query_server.QueryClient`: a dead or
+    hung peer becomes a :class:`ShardConnectionError` naming ``peer``;
+    an ``err`` reply re-raises the exception the far side shipped.
+    """
+    try:
+        transport.send(request)
+        kind, payload = transport.recv()
+    except (EOFError, OSError) as error:
+        raise _connection_lost(peer, io_timeout, error) from error
+    if kind == "err":
+        raise payload
+    return payload
+
+
+@forward_reads("call")
 class _ShardQuerySurface:
     """The query half of the remote-shard proxy surface.
 
-    Every method routes through ``self.call`` (provided by the
-    subclass), mirroring :class:`~repro.telemetry.store.MetricStore`'s
-    read API — shared by :class:`TcpShardClient` (one session) and
+    Every :data:`~repro.telemetry.store.READ_SURFACE` name is generated
+    as a forward through ``self.call`` (provided by the subclass) —
+    shared by :class:`TcpShardClient` (one session) and
     :class:`ReplicatedShardClient` (a failover group), so the facade
-    cannot tell them apart.
+    cannot tell them, or a local store, apart.  ``iter_tables`` comes
+    back as the list the serve loop materialised: one pickle of the
+    shard's full columns, paid once per export.
     """
 
     def call(self, method: str, *args: Any, **kwargs: Any) -> Any:
         raise NotImplementedError
-
-    @property
-    def pools(self) -> Tuple[str, ...]:
-        return tuple(self.call("pools"))
-
-    @property
-    def datacenters(self) -> Tuple[str, ...]:
-        return tuple(self.call("datacenters"))
-
-    @property
-    def max_window(self) -> int:
-        return self.call("max_window")
-
-    def counters_for_pool(self, pool_id: str) -> Tuple[str, ...]:
-        return self.call("counters_for_pool", pool_id)
-
-    def servers_in_pool(
-        self, pool_id: str, datacenter_id: Optional[str] = None
-    ) -> Tuple[str, ...]:
-        return self.call("servers_in_pool", pool_id, datacenter_id)
-
-    def datacenters_for_pool(self, pool_id: str) -> Tuple[str, ...]:
-        return self.call("datacenters_for_pool", pool_id)
-
-    def datacenters_for_pool_counter(self, pool_id: str, counter: str) -> Tuple[str, ...]:
-        return self.call("datacenters_for_pool_counter", pool_id, counter)
-
-    def sample_count(self) -> int:
-        return self.call("sample_count")
-
-    def hot_sample_count(self) -> int:
-        return self.call("hot_sample_count")
 
     def evict_windows(self, before: int) -> int:
         """Evict windows below ``before`` on the remote store.
@@ -289,34 +326,6 @@ class _ShardQuerySurface:
         ingested row.
         """
         return self.call("evict_windows", before)
-
-    def iter_tables(
-        self,
-    ) -> Iterator[Tuple[TableKey, np.ndarray, np.ndarray, np.ndarray]]:
-        """Tables materialised remotely and shipped back as a list.
-
-        One pickle of the shard's full columns — the export path's bulk
-        read, paid once per export rather than per row.
-        """
-        return iter(self.call("iter_tables"))
-
-    def gather_columns(self, *args: Any, **kwargs: Any):
-        return self.call("gather_columns", *args, **kwargs)
-
-    def pool_window_aggregate(self, *args: Any, **kwargs: Any):
-        return self.call("pool_window_aggregate", *args, **kwargs)
-
-    def per_server_values(self, *args: Any, **kwargs: Any) -> Dict[str, np.ndarray]:
-        return self.call("per_server_values", *args, **kwargs)
-
-    def server_series(self, *args: Any, **kwargs: Any):
-        return self.call("server_series", *args, **kwargs)
-
-    def pool_matrix(self, *args: Any, **kwargs: Any):
-        return self.call("pool_matrix", *args, **kwargs)
-
-    def all_values(self, *args: Any, **kwargs: Any) -> np.ndarray:
-        return self.call("all_values", *args, **kwargs)
 
 
 class TcpShardClient(_ShardQuerySurface):
@@ -365,6 +374,7 @@ class TcpShardClient(_ShardQuerySurface):
         self._shard_id = shard_id
         self._interner = interner
         self._address = address
+        self._peer = f"shard {shard_id} ({address})"
         self._flush_rows = flush_rows
         self._io_timeout = io_timeout
         self._synced_names = 0
@@ -433,21 +443,6 @@ class TcpShardClient(_ShardQuerySurface):
                 pass
             self._transport.close()
 
-    def _connection_lost(self, error: BaseException) -> ShardConnectionError:
-        if isinstance(error, TimeoutError):
-            bound = (
-                f" after {self._io_timeout:g}s"
-                if self._io_timeout is not None
-                else ""
-            )
-            return ShardConnectionError(
-                f"shard {self._shard_id} ({self._address}): I/O timed "
-                f"out{bound} — peer is alive but not making progress"
-            )
-        return ShardConnectionError(
-            f"shard {self._shard_id} ({self._address}): connection lost"
-        )
-
     def _names_delta(self) -> List[str]:
         """Server names interned since the last message to this shard."""
         names = self._interner.names
@@ -476,7 +471,7 @@ class TcpShardClient(_ShardQuerySurface):
         try:
             self._transport.send_ingest(names, pending)
         except (EOFError, OSError) as error:
-            raise self._connection_lost(error) from error
+            raise _connection_lost(self._peer, self._io_timeout, error) from error
 
     def call(self, method: str, *args: Any, **kwargs: Any) -> Any:
         """Synchronous RPC: flush pending ingest, run ``store.method``.
@@ -489,14 +484,10 @@ class TcpShardClient(_ShardQuerySurface):
         is exactly what the local shard would have returned.
         """
         self.flush()
-        try:
-            self._transport.send(("call", self._names_delta(), method, args, kwargs))
-            kind, payload = self._transport.recv()
-        except (EOFError, OSError) as error:
-            raise self._connection_lost(error) from error
-        if kind == "err":
-            raise payload
-        return payload
+        return round_trip(
+            self._transport, self._peer, self._io_timeout,
+            ("call", self._names_delta(), method, args, kwargs),
+        )
 
     def resync(self) -> None:
         """Re-seed the peer session from scratch (the rejoin handshake).
@@ -509,8 +500,6 @@ rejoin_shard`) then replays its journal as ordinary ingest, after
         which the rejoined shard's store is bit-identical to the one
         that crashed.
         """
-        if self._closed:
-            raise RuntimeError("TcpShardClient is closed")
         self._synced_names = 0
         self.call("resync")
 
@@ -695,26 +684,27 @@ class ReplicatedShardClient(_ShardQuerySurface):
     # ------------------------------------------------------------------
     # Mirrored ingest and failover queries
     # ------------------------------------------------------------------
-    def _fan_out(self, method: str, args: tuple) -> None:
-        """Run one ingest call on every live member, retiring failures.
+    def _fan_out(self, method: str, args: tuple) -> Any:
+        """Run one call on every live member, retiring failures.
 
         A member that raises :class:`ShardConnectionError` mid-fan-out
         missed this and all future calls — which is fine, because it is
         retired on the spot and never answers a query again.  The call
-        only fails upward when it leaves *no* live member.
+        only fails upward when it leaves *no* live member.  Members
+        hold identical state, so every answer is equal; the first live
+        member's is returned.
         """
         if self._closed:
             raise RuntimeError("ReplicatedShardClient is closed")
-        members = self._live_members()
-        if not members:
-            raise self._all_members_dead()
-        for member in members:
+        answers = []
+        for member in self._live_members():
             try:
-                getattr(member, method)(*args)
+                answers.append(getattr(member, method)(*args))
             except ShardConnectionError as error:
                 self._retire(member, error)
-        if not self._live_members():
+        if not answers or not self._live_members():
             raise self._all_members_dead()
+        return answers[0]
 
     def record_columns(self, *args: Any) -> None:
         self._fan_out("record_columns", args)
@@ -731,26 +721,9 @@ class ReplicatedShardClient(_ShardQuerySurface):
 
         Eviction mutates store state, and replicas must stay mirrors —
         a replica that kept old rows hot would answer differently
-        after a failover.  Members hold identical state, so every
-        answer is equal; the first live member's count is returned.
+        after a failover.
         """
-        if self._closed:
-            raise RuntimeError("ReplicatedShardClient is closed")
-        self._fan_out("flush", ())
-        members = self._live_members()
-        if not members:
-            raise self._all_members_dead()
-        result: Optional[int] = None
-        for member in members:
-            try:
-                count = member.call("evict_windows", before)
-                if result is None:
-                    result = int(count)
-            except ShardConnectionError as error:
-                self._retire(member, error)
-        if result is None or not self._live_members():
-            raise self._all_members_dead()
-        return result
+        return self._fan_out("evict_windows", (before,))
 
     def call(self, method: str, *args: Any, **kwargs: Any) -> Any:
         """Query the first live member; fail over on connection loss.
@@ -762,8 +735,6 @@ class ReplicatedShardClient(_ShardQuerySurface):
         without failover; only :class:`ShardConnectionError` moves on
         to the next member.
         """
-        if self._closed:
-            raise RuntimeError("ReplicatedShardClient is closed")
         self._fan_out("flush", ())
         while True:
             members = self._live_members()

@@ -234,23 +234,34 @@ class TestReadOnlySurface:
     """The surface has no mutators; the wire cannot perturb the store."""
 
     def test_mutator_call_is_an_error_reply(self):
+        """Only declared names are looked up: a mutator, a dunder or an
+        underscore attribute is an ``AttributeError`` reply, after which
+        this session *and* a fresh one still answer, store untouched."""
         store = MetricStore()
         indices = store.intern_servers(["s0", "s1"])
         store.record_batch("A", "dc1", "cpu", 0, indices, np.ones(2))
         store.seal_through(0)
         before = store.sample_count()
-        with QueryServer(LiveQuerySurface(store)) as server:
-            with QueryClient(server.address) as client:
-                with pytest.raises(AttributeError):
-                    client.call(
-                        "record_batch", "A", "dc1", "cpu", 1, [0, 1], [1.0, 1.0]
-                    )
-                with pytest.raises(AttributeError):
-                    client.call("evict_windows", 1)
-                # The session survives the error reply and the store
-                # is untouched.
-                assert client.status()["samples"] == before
-        assert store.sample_count() == before
+        for method, *args in [
+            ("__delattr__", "_store"),
+            ("__setattr__", "_streamer", 1),
+            ("__init__", None),
+            ("_store",),
+            ("record_columns", "A", "dc1", "cpu", [1], [0], [1.0]),
+            ("record_batch", "A", "dc1", "cpu", 1, [0, 1], [1.0, 1.0]),
+            ("evict_windows", 1),
+            ("track_aggregate", "A", "cpu"),
+            ("resync",),
+        ]:
+            with QueryServer(LiveQuerySurface(store)) as server:
+                with QueryClient(server.address) as client:
+                    with pytest.raises(AttributeError, match=method):
+                        client.call(method, *args)
+                    assert client.status()["samples"] == before
+                with QueryClient(server.address) as fresh:
+                    assert fresh.status()["samples"] == before
+                    assert fresh.call("sample_count") == before
+            assert store.sample_count() == before
 
     def test_plain_finished_store_is_servable(self):
         """No streamer attached: sealed_through falls back to max_window."""

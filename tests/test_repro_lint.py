@@ -1,15 +1,13 @@
 """repro-lint: each pass fires, suppressions work, and the tree is clean.
 
-The canary tests mutate a *copy* of ``src/repro`` (textually or via an
-AST rewrite, per the rpc-surface drift canary) and assert the relevant
-rule produces a named finding — proof that the gate would catch the
-same drift landing in the real tree.  The clean-tree test is the other
-half: zero findings on the repo as committed.
+The canary tests mutate a *copy* of ``src/repro`` textually and assert
+the relevant rule produces a named finding — proof that the gate would
+catch the same drift landing in the real tree.  The clean-tree test is
+the other half: zero findings on the repo as committed.
 """
 
 from __future__ import annotations
 
-import ast
 import importlib.util
 import json
 import shutil
@@ -140,53 +138,60 @@ class TestLockDiscipline:
                    for f in found)
 
     def test_unlocked_surface_read_fires(self, engine, tree):
+        """A hand-written compound read outside the lock hold fires; so
+        does the one path every generated table read goes through."""
         _edit(
             tree,
             "src/repro/telemetry/query_server.py",
-            "    def sample_count(self) -> int:\n"
+            '        """One consistent snapshot of run progress and alarm state."""\n'
             "        with self._lock:\n"
-            "            return self._store.sample_count()",
-            "    def sample_count(self) -> int:\n"
-            "        return self._store.sample_count()",
+            "            store = self._store\n",
+            '        """One consistent snapshot of run progress and alarm state."""\n'
+            "        store = self._store\n"
+            "        with self._lock:\n",
+        )
+        _edit(
+            tree,
+            "src/repro/telemetry/query_server.py",
+            "        with self._lock:\n"
+            "            result = getattr(self._store, name)\n",
+            "        result = getattr(self._store, name)\n"
+            "        with self._lock:\n",
         )
         found = _findings(engine, tree, "lock-discipline")
-        assert any("LiveQuerySurface.sample_count" in f.message for f in found)
+        assert any("LiveQuerySurface.status" in f.message for f in found)
+        assert any("LiveQuerySurface._read" in f.message for f in found)
 
 
 class TestRpcSurface:
     def test_fake_mutator_canary(self, engine, tree):
-        """The ISSUE's drift canary: a mutator injected into a copied
-        store.py AST must trip the pass (it is absent from the
-        STORE_MUTATORS deny-list in query_server.py)."""
-        store = tree / "src" / "repro" / "telemetry" / "store.py"
-        module = ast.parse(store.read_text())
-        cls = next(
-            node for node in module.body
-            if isinstance(node, ast.ClassDef) and node.name == "MetricStore"
-        )
-        fake = ast.parse(
-            "def reset_everything(self):\n    self._tables = {}\n"
-        ).body[0]
-        cls.body.append(fake)
-        store.write_text(ast.unparse(ast.fix_missing_locations(module)))
-
-        found = _findings(engine, tree, "rpc-surface")
-        assert any("reset_everything" in f.message for f in found)
-
-    def test_mutator_on_surface_fires(self, engine, tree):
+        """The drift canary: a mutator added to the read table must
+        trip the pass — the table is what read-only clients may call."""
         _edit(
             tree,
-            "src/repro/telemetry/query_server.py",
-            "    def sample_count(self) -> int:",
-            "    def evict_windows(self, before):\n"
-            "        with self._lock:\n"
-            "            return self._store.evict_windows(before)\n"
-            "\n"
-            "    def sample_count(self) -> int:",
+            "src/repro/telemetry/store.py",
+            '    "all_values": False,\n',
+            '    "all_values": False,\n    "evict_windows": False,\n',
         )
         found = _findings(engine, tree, "rpc-surface")
         assert any(
-            "LiveQuerySurface exposes 'evict_windows'" in f.message
+            "READ_SURFACE lists 'evict_windows'" in f.message
+            and "mutates" in f.message
+            for f in found
+        )
+
+    def test_mutator_on_surface_fires(self, engine, tree):
+        """A store mutator declared as a live-surface extra fires."""
+        _edit(
+            tree,
+            "src/repro/telemetry/query_server.py",
+            'LIVE_EXTRAS = ("status",',
+            'LIVE_EXTRAS = ("evict_windows", "status",',
+        )
+        found = _findings(engine, tree, "rpc-surface")
+        assert any(
+            "LIVE_EXTRAS declares 'evict_windows'" in f.message
+            and "mutates" in f.message
             for f in found
         )
 
@@ -194,21 +199,34 @@ class TestRpcSurface:
         _edit(
             tree,
             "src/repro/telemetry/workers.py",
-            'self.call("pool_matrix"',
-            'self.call("pool_matrixx"',
+            'self.call("evict_windows"',
+            'self.call("evict_windowz"',
         )
         found = _findings(engine, tree, "rpc-surface")
-        assert any("pool_matrixx" in f.message for f in found)
+        assert any("evict_windowz" in f.message for f in found)
 
-    def test_stale_denylist_entry_fires(self, engine, tree):
+    def test_table_entry_no_store_defines_fires(self, engine, tree):
+        """A table name must exist on both store kinds: a stale entry,
+        or a read only ``MetricStore`` grew, fires."""
         _edit(
             tree,
-            "src/repro/telemetry/query_server.py",
-            '"rejoin_shard",',
-            '"rejoin_shard",\n    "departed_method",',
+            "src/repro/telemetry/store.py",
+            '    "all_values": False,\n',
+            '    "all_values": False,\n    "departed_method": False,\n',
         )
-        found = _findings(engine, tree, "rpc-surface")
-        assert any("departed_method" in f.message for f in found)
+        _edit(
+            tree,
+            "src/repro/telemetry/sharding.py",
+            "    def hot_sample_count(self) -> int:",
+            "    def warm_sample_count(self) -> int:",
+        )
+        messages = [f.message for f in _findings(engine, tree, "rpc-surface")]
+        assert any(
+            "'departed_method', but MetricStore" in m for m in messages
+        )
+        assert any(
+            "'hot_sample_count', but ShardedMetricStore" in m for m in messages
+        )
 
 
 class TestCliSurface:

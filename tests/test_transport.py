@@ -259,15 +259,28 @@ class TestShardServer:
 
     @pytest.mark.parametrize(
         "message",
-        [("flush",), ("ingest", [], []), "stop", ()],
-        ids=["unknown-tag", "pickled-ingest", "not-a-tuple", "empty-tuple"],
+        [
+            ("flush",),
+            ("ingest", [], []),
+            "stop",
+            (),
+            ("call",),
+            ("call", 5, "sample_count", (), {}),
+        ],
+        ids=[
+            "unknown-tag", "pickled-ingest", "not-a-tuple", "empty-tuple",
+            "short-call", "bad-names",
+        ],
     )
-    def test_unknown_message_ends_only_its_session(self, message):
+    def test_unknown_message_ends_only_its_session(self, message, monkeypatch):
         """A well-formed pickle frame whose message is none of ingest /
-        call / stop — including an ``ingest`` that crossed as pickle,
-        which the protocol no longer has — is a peer not speaking the
-        protocol: it gets a prompt EOF instead of waiting out its I/O
-        timeout for a reply, and the server keeps serving."""
+        a five-field call / stop — including an ``ingest`` that crossed
+        as pickle, which the protocol no longer has — is a peer not
+        speaking the protocol: it gets a prompt EOF instead of waiting
+        out its I/O timeout for a reply, the session thread ends without
+        an exception, and the server keeps serving."""
+        crashes = []
+        monkeypatch.setattr(threading, "excepthook", crashes.append)
         interner = ServerInterner()
         with ShardServer() as server:
             rude = TcpTransport.connect(server.address, io_timeout=10)
@@ -280,6 +293,29 @@ class TestShardServer:
             survivor = TcpShardClient(0, interner, server.address)
             assert survivor.sample_count() == 0
             survivor.close()
+        # stop() joined the session threads: a crash would be here by now.
+        assert not crashes, crashes[0].exc_value
+
+    @pytest.mark.parametrize("name", ["_tables", "__class__", "record_columns"])
+    def test_shard_session_refuses_undeclared_names(self, name):
+        """A shard session answers the read table, ``evict_windows`` and
+        ``resync``; any other name is an ``AttributeError`` reply and
+        the session keeps serving."""
+        interner = ServerInterner()
+        with ShardServer() as server:
+            client = TcpShardClient(0, interner, server.address)
+            client.record_columns(
+                "P", "dc", "cpu", np.array([0, 1]),
+                np.array([interner.intern("a")] * 2), np.ones(2),
+            )
+            with pytest.raises(AttributeError, match=name):
+                client.call(name)
+            assert client.sample_count() == 2
+            assert client.evict_windows(1) == 1
+            assert client.hot_sample_count() == 1
+            client.resync()
+            assert client.sample_count() == 0
+            client.close()
 
     def test_ended_sessions_are_pruned(self):
         """The session list tracks live sessions, not history —

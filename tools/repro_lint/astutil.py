@@ -49,11 +49,6 @@ def method_defs(cls: ast.ClassDef) -> Dict[str, ast.FunctionDef]:
     return out
 
 
-def public_surface(cls: ast.ClassDef) -> Set[str]:
-    """Non-underscore method/property names defined directly on ``cls``."""
-    return {name for name in method_defs(cls) if not name.startswith("_")}
-
-
 def self_attr_root(node: ast.AST) -> Optional[str]:
     """``self.X``, ``self.X[...]``, ``self.X[...].Y`` ... -> ``"X"``."""
     while isinstance(node, (ast.Subscript, ast.Attribute)):
