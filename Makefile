@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-stream test-faults test-server bench bench-smoke bench-tcp bench-e2e bench-e2e-smoke bench-check docs-check hygiene-check lint run-checks check
+.PHONY: test test-stream test-faults test-server test-archive bench bench-smoke bench-tcp bench-e2e bench-e2e-smoke bench-check docs-check hygiene-check lint run-checks check
 
 # The static gates run first so doc drift, a stale benchmark JSON,
 # tracked build artifacts, or a lint invariant violation fail tier-1
@@ -32,6 +32,12 @@ test-faults:
 # kill-mid-query bound (all of it also rides in `make test`).
 test-server:
 	$(PYTHON) -m pytest tests/test_query_server.py -q
+
+# The archive codec on its own: golden bytes, the Hypothesis
+# round-trip/reference properties, located input errors, deterministic
+# gzip and atomic replace (all of it also rides in `make test`).
+test-archive:
+	$(PYTHON) -m pytest tests/test_telemetry_export.py tests/test_archive_codec.py -q
 
 # Fast sanity pass over the throughput benchmark (small fleet, no JSON).
 bench-smoke:

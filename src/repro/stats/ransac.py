@@ -137,8 +137,16 @@ class RansacRegressor:
             # design matrix for polynomials; skip those draws.
             if np.unique(sample_x).size < minimal:
                 continue
-            candidate = self._fit_subset(sample_x, ys[sample_idx])
-            residuals = np.abs(ys - candidate.predict(xs))
+            sample_y = ys[sample_idx]
+            # Only the prediction is read, so a polynomial candidate is
+            # fitted without the diagnostics of a full model.  The line
+            # keeps its own fitter: lstsq and polyfit differ in the
+            # last bits.
+            if self.degree == 1:
+                predicted = fit_linear(sample_x, sample_y).predict(xs)
+            else:
+                predicted = np.polyval(np.polyfit(sample_x, sample_y, self.degree), xs)
+            residuals = np.abs(ys - predicted)
             mask = residuals <= threshold
             count = int(mask.sum())
             if count > best_count:

@@ -8,9 +8,27 @@ a compact CSV archive, and analyses can reload it later without
 re-simulating.
 
 Format: one CSV with the columns
-``window,server_id,pool_id,datacenter_id,counter,value`` — trivially
-greppable, diffable, and loadable from other tools.  gzip compression
-is applied when the path ends in ``.gz``.
+``window,server_id,pool_id,datacenter_id,counter,value`` and ``\\r\\n``
+row ends — trivially greppable, diffable, and loadable from other
+tools.  Rows are ordered by (pool, counter, server); values are the
+``repr`` of the float, so they reload bit for bit.  gzip compression is
+applied when the path ends in ``.gz``.
+
+Writing is run-wise: the contiguous rows of one (pool, counter, server)
+share four constant fields, which ``csv.writer`` quotes once (so names
+holding ``,`` ``"`` or line breaks round-trip), and the run goes out as
+one string.  The archive is written to a sibling temporary file and
+moved into place with ``os.replace``, so a failed or killed export
+leaves whatever was at ``path`` untouched; a gzip member carries no
+timestamp and no file name, so equal stores give equal bytes.
+
+Reading streams ``csv.reader`` (the only parser) row by row and
+re-resolves table and server only where the four constant fields
+change; rows keep file order and servers are interned in order of
+first appearance.  A file that is not an archive, a row with the wrong
+number of fields and a ``window`` or ``value`` that is not a number all
+raise ``ValueError("{path}:{line}: ...")``, ``line`` being the physical
+line the offending row ends on.
 """
 
 from __future__ import annotations
@@ -18,6 +36,7 @@ from __future__ import annotations
 import csv
 import gzip
 import io
+import os
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
@@ -30,10 +49,11 @@ _HEADER = ("window", "server_id", "pool_id", "datacenter_id", "counter", "value"
 PathLike = Union[str, Path]
 
 
-def _open_text(path: Path, mode: str):
-    if path.suffix == ".gz":
-        return gzip.open(path, mode + "t", encoding="utf-8", newline="")
-    return open(path, mode, encoding="utf-8", newline="")
+def _quoted(fields: Sequence[str]) -> str:
+    """``fields`` as one CSV row, quoted where needed, with its row end."""
+    out = io.StringIO()
+    csv.writer(out).writerow(fields)
+    return out.getvalue()
 
 
 def export_store(
@@ -51,6 +71,9 @@ def export_store(
 
     ``counters`` optionally restricts the export to a subset of counter
     names (e.g. only the planner's working set).
+
+    ``path`` is replaced only by a complete archive: on any failure the
+    previous file, if there was one, is left as it was.
     """
     path = Path(path)
     wanted = set(counters) if counters is not None else None
@@ -76,23 +99,53 @@ def export_store(
     entries.sort(key=lambda e: (e[0], e[1], e[2]))
 
     rows = 0
-    with _open_text(path, "w") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_HEADER)
-        for pool_id, counter, server_id, dc_id, run_windows, run_values in entries:
-            for window, value in zip(run_windows, run_values):
-                writer.writerow(
-                    (
-                        int(window),
-                        server_id,
-                        pool_id,
-                        dc_id,
-                        counter,
-                        repr(float(value)),
-                    )
-                )
-                rows += 1
+    scratch = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(scratch, "wb") as raw:
+            # mtime=0 and no embedded name: the member depends on the
+            # store alone, not on when or where it was written.
+            packed = (
+                gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0)
+                if path.suffix == ".gz"
+                else raw
+            )
+            with io.TextIOWrapper(packed, encoding="utf-8", newline="") as handle:
+                handle.write(_quoted(_HEADER))
+                for pool_id, counter, server_id, dc_id, run_windows, run_values in entries:
+                    constant = _quoted((server_id, pool_id, dc_id, counter))[:-2]
+                    samples = zip(run_windows.tolist(), run_values.tolist())
+                    handle.write("".join(
+                        [f"{window},{constant},{value!r}\r\n" for window, value in samples]
+                    ))
+                    rows += run_values.size
+        os.replace(scratch, path)
+    finally:
+        scratch.unlink(missing_ok=True)
     return rows
+
+
+def _open_archive(path: Path):
+    if path.suffix == ".gz":
+        return gzip.open(path, "rt", encoding="utf-8", newline="")
+    return open(path, "r", encoding="utf-8", newline="")
+
+
+def _data_rows(handle, path: Path):
+    """A ``csv.reader`` over ``handle``, positioned after the archive header."""
+    reader = csv.reader(handle)
+    header = next(reader, None)
+    if header != list(_HEADER):
+        raise ValueError(
+            f"{path}:1: not a telemetry archive "
+            f"(expected header {_HEADER}, got {header})"
+        )
+    return reader
+
+
+def _malformed(path: Path, reader, error: ValueError) -> ValueError:
+    # ``line_num`` counts physical lines, so it stays right for rows
+    # whose quoted fields hold line breaks.
+    return ValueError(f"{path}:{reader.line_num}: malformed row ({error})")
 
 
 def import_store(path: PathLike) -> MetricStore:
@@ -103,34 +156,45 @@ def import_store(path: PathLike) -> MetricStore:
     """
     path = Path(path)
     store = MetricStore()
-    grouped: dict = {}
-    with _open_text(path, "r") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(header) != _HEADER:
-            raise ValueError(
-                f"{path} is not a telemetry archive "
-                f"(expected header {_HEADER}, got {header})"
-            )
-        for line_number, row in enumerate(reader, start=2):
-            if len(row) != len(_HEADER):
-                raise ValueError(f"{path}:{line_number}: malformed row {row!r}")
-            window, server_id, pool_id, datacenter_id, counter, value = row
-            key = (pool_id, datacenter_id, counter)
-            bucket = grouped.get(key)
-            if bucket is None:
-                bucket = ([], [], [])
-                grouped[key] = bucket
-            bucket[0].append(int(window))
-            bucket[1].append(store.intern_server(server_id))
-            bucket[2].append(float(value))
-    for (pool_id, datacenter_id, counter), (windows, indices, values) in grouped.items():
+    # (pool, datacenter, counter) -> windows, values, and per run of one
+    # server its interned index and the row it starts at.
+    tables: dict = {}
+    with _open_archive(path) as handle:
+        reader = _data_rows(handle, path)
+        run_server = run_pool = run_dc = run_counter = None
+        # One handler for the row's three ways of being wrong — field
+        # count (raised by the loop's own unpacking), window, value.
+        try:
+            for window, server_id, pool_id, datacenter_id, counter, value in reader:
+                if (
+                    server_id != run_server
+                    or counter != run_counter
+                    or datacenter_id != run_dc
+                    or pool_id != run_pool
+                ):
+                    run_server, run_pool = server_id, pool_id
+                    run_dc, run_counter = datacenter_id, counter
+                    key = (pool_id, datacenter_id, counter)
+                    table = tables.get(key)
+                    if table is None:
+                        table = tables[key] = ([], [], [], [])
+                    windows, values, run_indices, run_starts = table
+                    run_indices.append(store.intern_server(server_id))
+                    run_starts.append(len(windows))
+                    add_window, add_value = windows.append, values.append
+                add_window(int(window))
+                add_value(float(value))
+        except ValueError as error:
+            raise _malformed(path, reader, error) from None
+    for (pool_id, datacenter_id, counter), table in tables.items():
+        windows, values, run_indices, run_starts = table
+        run_lengths = np.diff(np.asarray(run_starts + [len(windows)], dtype=np.int64))
         store.record_columns(
             pool_id,
             datacenter_id,
             counter,
             np.asarray(windows, dtype=np.int64),
-            np.asarray(indices, dtype=np.int64),
+            np.repeat(np.asarray(run_indices, dtype=np.int64), run_lengths),
             np.asarray(values, dtype=float),
         )
     return store
@@ -139,14 +203,17 @@ def import_store(path: PathLike) -> MetricStore:
 def iter_rows(path: PathLike) -> Iterator[dict]:
     """Stream archive rows as dictionaries (for ad-hoc inspection)."""
     path = Path(path)
-    with _open_text(path, "r") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            yield {
-                "window": int(row["window"]),
-                "server_id": row["server_id"],
-                "pool_id": row["pool_id"],
-                "datacenter_id": row["datacenter_id"],
-                "counter": row["counter"],
-                "value": float(row["value"]),
-            }
+    with _open_archive(path) as handle:
+        reader = _data_rows(handle, path)
+        try:
+            for window, server_id, pool_id, datacenter_id, counter, value in reader:
+                yield {
+                    "window": int(window),
+                    "server_id": server_id,
+                    "pool_id": pool_id,
+                    "datacenter_id": datacenter_id,
+                    "counter": counter,
+                    "value": float(value),
+                }
+        except ValueError as error:
+            raise _malformed(path, reader, error) from None

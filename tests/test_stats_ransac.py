@@ -102,3 +102,66 @@ class TestRansacEdgeCases:
         b = RansacRegressor(degree=1, rng=np.random.default_rng(42)).fit(x, y)
         assert a.model.slope == b.model.slope
         assert np.array_equal(a.inlier_mask, b.inlier_mask)
+
+
+def _pinned_inputs():
+    x = np.linspace(10.0, 100.0, 120)
+    rng = np.random.default_rng(101)
+    clean = (x, 4.66e-3 * x**2 - 0.8 * x + 86.5 + rng.normal(0, 0.5, x.size))
+    rng = np.random.default_rng(102)
+    y = 4.66e-3 * x**2 - 0.8 * x + 86.5 + rng.normal(0, 0.5, x.size)
+    hit = rng.choice(x.size, size=int(0.3 * x.size), replace=False)
+    y[hit] += rng.uniform(20.0, 60.0, hit.size)
+    rng = np.random.default_rng(103)
+    xd = np.repeat(np.array([10.0, 20.0, 40.0, 80.0]), 15)
+    duplicates = (xd, 0.01 * xd**2 + 2.0 + rng.normal(0, 0.4, xd.size))
+    return {"clean": clean, "outliers": (x, y), "duplicates": duplicates}
+
+
+# Captured at the parent of the PR that stopped building full model
+# diagnostics per candidate: (coefficients, r2, residual_std, outlier
+# indices, iterations_run, next draw of the shared generator).
+_PINNED = {
+    ("clean", 2): (
+        (0.004603617853541098, -0.7947704971837072, 86.4279058952468),
+        0.9965386666853588, 0.4887092521070618,
+        [41, 45, 76, 77, 85, 104, 117], 200, 4270660292,
+    ),
+    ("outliers", 2): (
+        (0.004836751537112754, -0.8239057652201023, 87.22063929916638),
+        0.9963498810610261, 0.4699392948312387,
+        [1, 2, 3, 4, 5, 8, 11, 13, 17, 27, 28, 29, 30, 32, 33, 39, 41, 42,
+         49, 52, 57, 61, 63, 64, 73, 75, 78, 82, 83, 87, 88, 89, 96, 98,
+         101, 106, 107, 111, 113, 118, 119], 200, 4270660292,
+    ),
+    ("duplicates", 2): (
+        (0.009908159077748127, 0.011019311928153135, 1.7658002895111062),
+        0.9997481242329055, 0.4131355024551402, [], 66, 3903136406,
+    ),
+    ("duplicates", 1): (
+        (0.5082297014976361, -2.3692274178550425),
+        0.996258691846716, 0.46879150662475444,
+        list(range(16, 29)) + list(range(45, 60)), 200, 1341416594,
+    ),
+}
+
+
+class TestRansacPinned:
+    """The candidate loop is a pure speed-up: every field stays bit-equal."""
+
+    @pytest.mark.parametrize("case,degree", sorted(_PINNED))
+    def test_fields_bit_identical(self, case, degree):
+        x, y = _pinned_inputs()[case]
+        coefficients, r2, residual_std, outliers, iterations, next_draw = _PINNED[
+            (case, degree)
+        ]
+        rng = np.random.default_rng(7)
+        fit = RansacRegressor(degree=degree, residual_threshold=1.0, rng=rng).fit(x, y)
+        model = fit.model
+        got = model.coefficients if degree == 2 else (model.slope, model.intercept)
+        assert tuple(got) == coefficients
+        assert (model.r2, model.residual_std) == (r2, residual_std)
+        assert np.flatnonzero(~fit.inlier_mask).tolist() == outliers
+        assert (fit.n_inliers, fit.n_outliers) == (x.size - len(outliers), len(outliers))
+        assert fit.iterations_run == iterations
+        assert int(rng.integers(2**32)) == next_draw
