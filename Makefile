@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-stream test-faults test-server test-archive bench bench-smoke bench-tcp bench-e2e bench-e2e-smoke bench-check docs-check hygiene-check lint run-checks check
+.PHONY: test test-stream test-faults test-server test-archive test-store bench bench-smoke bench-tcp bench-e2e bench-e2e-smoke bench-check docs-check hygiene-check lint run-checks check
 
 # The static gates run first so doc drift, a stale benchmark JSON,
 # tracked build artifacts, or a lint invariant violation fail tier-1
@@ -38,6 +38,12 @@ test-server:
 # gzip and atomic replace (all of it also rides in `make test`).
 test-archive:
 	$(PYTHON) -m pytest tests/test_telemetry_export.py tests/test_archive_codec.py -q
+
+# The storage layer on its own: the store's queries and chunk list,
+# sharded-vs-single bit-identity, and the Hypothesis retention and
+# interleaving suites (all of it also rides in `make test`).
+test-store:
+	$(PYTHON) -m pytest tests/test_telemetry_store.py tests/test_sharded_store.py tests/test_property_based.py -q
 
 # Fast sanity pass over the throughput benchmark (small fleet, no JSON).
 bench-smoke:

@@ -434,8 +434,26 @@ def _qos_for_pools(store) -> dict:
     return qos
 
 
-def _cmd_plan(args: argparse.Namespace) -> int:
-    store = import_store(args.archive)
+def _on_archive(command):
+    """Run ``command(store, args)`` on the store of ``args.archive``.
+
+    An archive that cannot be read — missing, not an archive, a
+    malformed row — is a one-line ``error:`` and exit status 2.
+    """
+
+    def run(args: argparse.Namespace) -> int:
+        try:
+            store = import_store(args.archive)
+        except (ValueError, OSError) as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
+        return command(store, args)
+
+    return run
+
+
+@_on_archive
+def _cmd_plan(store, args: argparse.Namespace) -> int:
     qos = _qos_for_pools(store)
     if args.slo_ms is not None:
         qos = {pool: QoSRequirement(latency_p95_ms=args.slo_ms) for pool in store.pools}
@@ -454,8 +472,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    store = import_store(args.archive)
+@_on_archive
+def _cmd_validate(store, args: argparse.Namespace) -> int:
     validator = MetricValidator(store, min_r2=args.min_r2)
     failures = 0
     for report in validator.validate_all():
@@ -465,8 +483,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _cmd_availability(args: argparse.Namespace) -> int:
-    store = import_store(args.archive)
+@_on_archive
+def _cmd_availability(store, args: argparse.Namespace) -> int:
     study = study_fleet_availability(store)
     print(f"fleet mean availability: {study.overall_mean:.1%}")
     print(f"infrastructure overhead: {study.infrastructure_overhead:.1%}")

@@ -53,8 +53,6 @@ proven by ``tests/test_sharded_store.py`` and
 
 from __future__ import annotations
 
-import pickle
-import tempfile
 import threading
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
@@ -75,6 +73,7 @@ from repro.telemetry.store import (
     READ_SURFACE,
     MetricStore,
     ServerInterner,
+    SpillArchive,
     TableKey,
     _AggregateFront,
     _check_columns,
@@ -106,11 +105,13 @@ class ShardJournal:
 
     Memory is bounded: commands are journaled *by reference* (stores
     never mutate ingested columns, so no copy is needed), and once
-    ``memory_rows`` rows are buffered the batch is pickled to an
-    anonymous temp file and the references dropped — the journal's
-    steady-state memory is one batch, however long the run.
-    ``replay`` streams spilled batches back from disk first, then the
-    still-buffered tail, in exact append order.
+    ``memory_rows`` rows are buffered the batch goes to a
+    :class:`~repro.telemetry.store.SpillArchive` and the references are
+    dropped — the journal keeps one offset per spilled batch, so its
+    steady-state memory is one batch, however long the run.  ``replay``
+    reads spilled batches back by offset first, then the still-buffered
+    tail, in exact append order; it holds no position in the log, so an
+    abandoned replay leaves nothing behind.
 
     Single-owner, like the facade's ingest path; not thread-safe.
     """
@@ -121,53 +122,37 @@ class ShardJournal:
         self._memory_rows = memory_rows
         self._commands: List[Tuple[str, tuple]] = []
         self._rows = 0
-        self._spill = None
-        #: How many batches went to disk (observable spill behaviour,
-        #: asserted by the fault-tolerance tests).
-        self.spilled_batches = 0
+        self._log: Optional[SpillArchive] = None
+        self._offsets: List[int] = []
+
+    @property
+    def spilled_batches(self) -> int:
+        """How many batches went to disk (observable spill behaviour,
+        asserted by the fault-tolerance tests)."""
+        return len(self._offsets)
 
     def append(self, method: str, args: tuple, n_rows: int) -> None:
         self._commands.append((method, args))
         self._rows += n_rows
         if self._rows >= self._memory_rows:
-            self._spill_buffer()
-
-    def _spill_buffer(self) -> None:
-        if self._spill is None:
-            self._spill = tempfile.TemporaryFile(prefix="shard-journal-")
-        pickle.dump(
-            self._commands, self._spill, protocol=pickle.HIGHEST_PROTOCOL
-        )
-        self._commands = []
-        self._rows = 0
-        self.spilled_batches += 1
+            if self._log is None:
+                self._log = SpillArchive()
+            self._offsets.append(self._log.append(self._commands))
+            self._commands = []
+            self._rows = 0
 
     def replay(self) -> Iterator[Tuple[str, tuple]]:
-        """Yield every journaled ``(method, args)`` in append order.
-
-        Consume fully before appending again: replay rewinds the spill
-        file and seeks back to the end only once exhausted.
-        """
-        if self._spill is not None:
-            self._spill.flush()
-            self._spill.seek(0)
-            while True:
-                try:
-                    batch = pickle.load(self._spill)
-                except EOFError:
-                    break
-                yield from batch
-            self._spill.seek(0, 2)
+        """Yield every journaled ``(method, args)`` in append order."""
+        for offset in self._offsets:
+            yield from self._log.read(offset)
         yield from list(self._commands)
 
     def close(self) -> None:
         """Drop the buffer and delete the spill file; idempotent."""
-        if self._spill is not None:
-            try:
-                self._spill.close()
-            except Exception:  # pragma: no cover - best effort
-                pass
-            self._spill = None
+        if self._log is not None:
+            self._log.close()
+            self._log = None
+        self._offsets = []
         self._commands = []
         self._rows = 0
 
@@ -751,27 +736,19 @@ LiveQuerySurface` takes it around every read.
             if datacenter_id is not None
             else self.datacenters_for_pool_counter(pool_id, counter)
         )
-        ws: List[np.ndarray] = []
-        ss: List[np.ndarray] = []
-        vs: List[np.ndarray] = []
+        merged = []
         for dc in dcs:
-            w_parts: List[np.ndarray] = []
-            s_parts: List[np.ndarray] = []
-            v_parts: List[np.ndarray] = []
-            for shard in self._shards:
-                w, s, v = shard.gather_columns(pool_id, counter, dc, start, stop)
-                if w.size:
-                    w_parts.append(w)
-                    s_parts.append(s)
-                    v_parts.append(v)
-            if not w_parts:
+            parts = [
+                shard.gather_columns(pool_id, counter, dc, start, stop)
+                for shard in self._shards
+            ]
+            parts = [part for part in parts if part[0].size]
+            if not parts:
                 continue
-            w, s, v = _concat_columns(w_parts, s_parts, v_parts)
+            w, s, v = _concat_columns(parts)
             order = np.lexsort((s, w))
-            ws.append(w[order])
-            ss.append(s[order])
-            vs.append(v[order])
-        return _concat_columns(ws, ss, vs)
+            merged.append((w[order], s[order], v[order]))
+        return _concat_columns(merged)
 
     def _compute_window_aggregate(
         self,

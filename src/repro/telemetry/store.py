@@ -14,12 +14,14 @@ around an end-to-end columnar data flow:
   :meth:`MetricStore.record_columns` call, which checks the
   ``(int64, int64, float64)`` equal-length column layout once, where
   rows enter.
-* **Storage** is one table per (pool, datacenter, counter): three
-  parallel column chunk lists (window, server index, value) that are
-  concatenated lazily into frozen arrays on first query.
+* **Storage** is one table per (pool, datacenter, counter): one
+  append-ordered list of chunks — the (window, server index, value)
+  columns of one ingest batch, tagged with the window span they cover.
+  A chunk is hot (holds its columns) or cold (holds the offset rolling
+  retention spilled them to); one range read selects chunks by span.
 * **Queries** (:meth:`pool_window_aggregate`, :meth:`per_server_values`,
   :meth:`pool_matrix`) group with ``np.bincount`` / stable argsort over
-  the frozen columns instead of per-sample Python loops, and the
+  the gathered columns instead of per-sample Python loops, and the
   common pool aggregates are memoized in a cache that is invalidated
   whenever new samples arrive.
 
@@ -36,11 +38,15 @@ interner names from per-message deltas.
 
 from __future__ import annotations
 
+import math
 import pickle
 import tempfile
 import threading
 from collections import defaultdict
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import (
+    Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 import numpy as np
 
@@ -130,51 +136,29 @@ def window_aggregate_arrays(
 
 
 class SpillArchive:
-    """Append-only on-disk archive of evicted column segments.
+    """Append-only log of pickled records in one anonymous temp file.
 
-    The cold half of the streaming store's rolling retention
-    (:meth:`MetricStore.evict_windows`): evicted (windows, server
-    indices, values) segments are pickled to an anonymous temp file —
-    reclaimed by the OS when the store goes away — and indexed by an
-    in-memory per-table directory of ``(offset, lo, hi)`` window
-    spans.  Queries whose range dips below the eviction watermark read
-    the overlapping segments back (oldest first, i.e. original append
-    order) and merge them ahead of the hot columns, so every answer
-    stays exactly what an unevicted store would return; queries over
-    the hot range never touch the disk at all.
+    What this process wrote and may want back but need not keep in
+    memory: the cold chunks of rolling retention
+    (:meth:`MetricStore.evict_windows`) and the spilled batches of a
+    :class:`~repro.telemetry.sharding.ShardJournal`.  :meth:`append`
+    always writes at the end and returns the record's offset — the
+    caller's only handle on it — and :meth:`read` loads one record
+    back, so no reader can move where the next record lands.  The file
+    has no name; the OS reclaims it when the owner goes away.
     """
 
     def __init__(self) -> None:
         self._file = tempfile.TemporaryFile(prefix="metric-spill-")
-        self._directory: Dict[Tuple, List[Tuple[int, int, int]]] = {}
-        #: Total rows spilled (observable retention behaviour).
-        self.rows = 0
 
-    def append(
-        self,
-        key: Tuple,
-        windows: np.ndarray,
-        servers: np.ndarray,
-        values: np.ndarray,
-    ) -> None:
-        """Archive one evicted segment of one table (append order)."""
-        self._file.seek(0, 2)
-        offset = self._file.tell()
-        pickle.dump(
-            (windows, servers, values), self._file,
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        self._directory.setdefault(key, []).append(
-            (offset, int(windows.min()), int(windows.max()))
-        )
-        self.rows += int(windows.size)
+    def append(self, record: object) -> int:
+        """Pickle ``record`` at the end of the file; returns its offset."""
+        offset = self._file.seek(0, 2)
+        pickle.dump(record, self._file, protocol=pickle.HIGHEST_PROTOCOL)
+        return offset
 
-    def segments(self, key: Tuple) -> List[Tuple[int, int, int]]:
-        """This table's ``(offset, lo, hi)`` spans, oldest first."""
-        return self._directory.get(key, [])
-
-    def read(self, offset: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Load one archived (windows, servers, values) segment."""
+    def read(self, offset: int):
+        """Load the record :meth:`append` put at ``offset``."""
         self._file.seek(offset)
         return pickle.load(self._file)
 
@@ -183,8 +167,6 @@ class SpillArchive:
             self._file.close()
         except Exception:  # pragma: no cover - best effort
             pass
-        self._directory = {}
-        self.rows = 0
 
 
 class _TrackedAggregate:
@@ -200,15 +182,14 @@ class _TrackedAggregate:
     invariant ``tests/test_streaming.py`` asserts.
     """
 
-    __slots__ = ("reducer", "sealed_through", "_window_parts", "_value_parts", "_frozen")
+    __slots__ = ("reducer", "sealed_through", "_window_parts", "_value_parts")
 
     def __init__(self, reducer: str) -> None:
         self.reducer = reducer
         #: Largest window whose aggregate is final; -1 before any seal.
         self.sealed_through = -1
-        self._window_parts: List[np.ndarray] = []
-        self._value_parts: List[np.ndarray] = []
-        self._frozen: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._window_parts: List[np.ndarray] = [np.array([], dtype=np.int64)]
+        self._value_parts: List[np.ndarray] = [np.array([], dtype=float)]
 
     def extend(
         self, windows: np.ndarray, values: np.ndarray, through: int
@@ -217,27 +198,18 @@ class _TrackedAggregate:
         if windows.size:
             self._window_parts.append(windows)
             self._value_parts.append(values)
-            self._frozen = None
         self.sealed_through = through
 
     def columns(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The full (windows, values) series, frozen read-only."""
-        if self._frozen is None:
-            if not self._window_parts:
-                empty_w = np.array([], dtype=np.int64)
-                self._frozen = (empty_w, np.array([], dtype=float))
-            elif len(self._window_parts) == 1:
-                self._frozen = (self._window_parts[0], self._value_parts[0])
-            else:
-                self._frozen = (
-                    np.concatenate(self._window_parts),
-                    np.concatenate(self._value_parts),
-                )
-                self._window_parts = [self._frozen[0]]
-                self._value_parts = [self._frozen[1]]
-            self._frozen[0].setflags(write=False)
-            self._frozen[1].setflags(write=False)
-        return self._frozen
+        """The full (windows, values) series, read-only."""
+        if len(self._window_parts) > 1:
+            # Re-chunk so repeated reads stay O(1).
+            self._window_parts = [np.concatenate(self._window_parts)]
+            self._value_parts = [np.concatenate(self._value_parts)]
+        windows, values = self._window_parts[0], self._value_parts[0]
+        windows.setflags(write=False)
+        values.setflags(write=False)
+        return windows, values
 
     def series_slice(self, lo: int, hi: int) -> TimeSeries:
         """The tracked series restricted to windows in [lo, hi)."""
@@ -247,97 +219,129 @@ class _TrackedAggregate:
         return TimeSeries.from_sorted(windows[i:j], values[i:j])
 
 
-def _concat_columns(
-    ws: List[np.ndarray], ss: List[np.ndarray], vs: List[np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+#: One (windows, server indices, values) triple of aligned columns.
+Columns = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _concat_columns(parts: List[Columns]) -> Columns:
     """One (windows, server indices, values) triple from aligned parts."""
-    if not ws:
+    if not parts:
         empty = np.array([], dtype=np.int64)
         return empty, empty, np.array([], dtype=float)
-    if len(ws) == 1:
-        return ws[0], ss[0], vs[0]
-    return np.concatenate(ws), np.concatenate(ss), np.concatenate(vs)
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+class _Chunk(NamedTuple):
+    """Rows of one table that were appended (or fused) together."""
+
+    lo: int  #: smallest window among the rows
+    hi: int  #: largest window among the rows
+    rows: int
+    columns: Optional[Columns]  #: hot: the rows themselves
+    offset: Optional[int]  #: cold: where the :class:`SpillArchive` has them
+
+    @classmethod
+    def of(cls, columns: Columns) -> "_Chunk":
+        windows = columns[0]
+        return cls(
+            int(windows.min()), int(windows.max()), windows.size, columns, None
+        )
 
 
 class _Table:
-    """Columnar (window, server index, value) rows of one table.
+    """Rows of one table: a list of cold chunks, then a list of hot ones.
 
-    Appends go to chunk lists (one ndarray per batch); queries read
-    the lazily concatenated frozen arrays.
+    The invariant every read relies on:
+
+    1. ``_cold ++ _hot`` is append order — the order rows arrived in,
+       given that they arrive in non-decreasing block order (otherwise:
+       rows in the order they were evicted, then the rest as appended).
+    2. Each chunk's ``(lo, hi)`` is the min/max of its window column
+       and ``rows`` its length; a cold chunk holds an offset and no
+       columns, a hot chunk columns and no offset.
+    3. ``n_rows`` is the row sum over all chunks, ``hot_rows`` over
+       ``_hot``.
+
+    Each mutator preserves it: :meth:`append_batch` adds one hot chunk
+    at the end with the span its caller measured; :meth:`evict` moves
+    hot chunks to the end of ``_cold`` in hot order, measuring both
+    halves of one it splits; the fuse in :meth:`read` replaces all hot
+    chunks by their concatenation in list order under their joint span.
     """
 
-    __slots__ = (
-        "_window_chunks",
-        "_server_chunks",
-        "_value_chunks",
-        "_frozen",
-        "n_rows",
-        "spilled_rows",
-    )
+    __slots__ = ("_cold", "_hot", "n_rows", "hot_rows")
 
     def __init__(self) -> None:
-        self._window_chunks: List[np.ndarray] = []
-        self._server_chunks: List[np.ndarray] = []
-        self._value_chunks: List[np.ndarray] = []
-        self._frozen: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._cold: List[_Chunk] = []
+        self._hot: List[_Chunk] = []
         self.n_rows: int = 0
-        #: Rows evicted to the spill archive (still counted in n_rows).
-        self.spilled_rows: int = 0
+        #: Rows still held in memory (total minus spilled).
+        self.hot_rows: int = 0
 
-    def append_batch(
-        self,
-        windows: np.ndarray,
-        server_indices: np.ndarray,
-        values: np.ndarray,
-    ) -> None:
-        self._window_chunks.append(windows)
-        self._server_chunks.append(server_indices)
-        self._value_chunks.append(values)
-        self._frozen = None
-        self.n_rows += int(values.size)
+    def append_batch(self, lo: int, hi: int, columns: Columns) -> None:
+        """Append rows whose windows span exactly ``[lo, hi]``."""
+        rows = columns[0].size
+        self._hot.append(_Chunk(lo, hi, rows, columns, None))
+        self.n_rows += rows
+        self.hot_rows += rows
 
-    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(windows, server indices, values) in append order."""
-        if self._frozen is None:
-            self._frozen = _concat_columns(
-                self._window_chunks, self._server_chunks, self._value_chunks
-            )
-            if len(self._value_chunks) > 1:
-                # Re-chunk so repeated freezes stay O(1).
-                self._window_chunks = [self._frozen[0]]
-                self._server_chunks = [self._frozen[1]]
-                self._value_chunks = [self._frozen[2]]
-        return self._frozen
+    def evict(self, before: int, spill: SpillArchive) -> int:
+        """Move every hot row with ``window < before`` to ``spill``.
 
-    @property
-    def hot_rows(self) -> int:
-        """Rows still held in memory (total minus spilled)."""
-        return self.n_rows - self.spilled_rows
-
-    def evict(
-        self, before: int
-    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Split off every row with ``window < before``.
-
-        Returns the evicted (windows, servers, values) columns — in
-        their original append order, for the caller to archive — and
-        keeps only the remaining hot rows; ``None`` when nothing falls
-        below the cutoff.  Rows must have arrived in non-decreasing
-        block order (the streaming engines' emission order) for
-        spill + hot concatenation to reproduce the original append
-        order exactly.
+        Whole chunks move as they are, one spill record each; only a
+        chunk that straddles the cutoff is split.  Returns rows moved.
         """
-        windows, servers, values = self.columns()
-        mask = windows < before
-        if not mask.any():
-            return None
-        keep = ~mask
-        self._frozen = (windows[keep], servers[keep], values[keep])
-        self._window_chunks = [self._frozen[0]]
-        self._server_chunks = [self._frozen[1]]
-        self._value_chunks = [self._frozen[2]]
-        self.spilled_rows += int(mask.sum())
-        return windows[mask], servers[mask], values[mask]
+        kept: List[_Chunk] = []
+        moved = 0
+        for chunk in self._hot:
+            if chunk.lo >= before:
+                kept.append(chunk)
+                continue
+            if chunk.hi >= before:
+                mask = chunk.columns[0] < before
+                kept.append(_Chunk.of(tuple(c[~mask] for c in chunk.columns)))
+                chunk = _Chunk.of(tuple(c[mask] for c in chunk.columns))
+            self._cold.append(
+                chunk._replace(columns=None, offset=spill.append(chunk.columns))
+            )
+            moved += chunk.rows
+        self._hot = kept
+        self.hot_rows -= moved
+        return moved
+
+    def read(
+        self, lo: float, hi: float, spill: Optional[SpillArchive]
+    ) -> List[Columns]:
+        """The rows with ``lo <= window < hi``, as parts in append order.
+
+        Chunks are selected by span and only a partial overlap is
+        masked.  ``spill=None`` skips the cold chunks (the caller knows
+        the range lies above them).  A read that takes every hot chunk
+        whole leaves them fused, so full reads concatenate once.
+        """
+        parts: List[Columns] = []
+        whole_hot = 0
+        for chunk in chain(self._cold if spill is not None else (), self._hot):
+            if chunk.hi < lo or chunk.lo >= hi:
+                continue
+            columns = chunk.columns or spill.read(chunk.offset)
+            if lo <= chunk.lo and chunk.hi < hi:
+                whole_hot += chunk.columns is not None
+            else:
+                mask = (columns[0] >= lo) & (columns[0] < hi)
+                columns = tuple(c[mask] for c in columns)
+            parts.append(columns)
+        if whole_hot == len(self._hot) > 1:
+            fused = _concat_columns(parts[-whole_hot:])
+            parts[-whole_hot:] = [fused]
+            self._hot = [_Chunk(
+                min(chunk.lo for chunk in self._hot),
+                max(chunk.hi for chunk in self._hot),
+                self.hot_rows, fused, None,
+            )]
+        return parts
 
 
 #: Key of one stored table: (pool_id, datacenter_id, counter).
@@ -725,6 +729,10 @@ ShardedMetricStore` uses to keep one global id space across shards.
         )
         self._interner = interner if interner is not None else ServerInterner()
         self._max_window: int = -1
+        # One-entry span memo: the blocked engine hands one windows
+        # array to every counter of a block, so its min/max are scanned
+        # once.  The strong reference keeps the identity check sound.
+        self._span_cache: Tuple[Optional[np.ndarray], int, int] = (None, 0, 0)
         self._agg_cache: Dict[Tuple, TimeSeries] = {}
         #: Rolling-retention state: rows of windows < _evicted_before
         #: live in the spill archive, everything newer is hot.
@@ -789,14 +797,17 @@ LiveQuerySurface` takes it around every read, so a live reader only
         )
         if values.size == 0:
             return
-        table = self._table(pool_id, datacenter_id, counter)
-        table.append_batch(windows, server_indices, values)
+        if self._span_cache[0] is not windows:
+            self._span_cache = (windows, int(windows.min()), int(windows.max()))
+        _, lo, hi = self._span_cache
+        self._table(pool_id, datacenter_id, counter).append_batch(
+            lo, hi, (windows, server_indices, values)
+        )
         self._servers_by_pool_dc[(pool_id, datacenter_id)].update_from(
             server_indices
         )
-        max_w = int(windows.max())
-        if max_w > self._max_window:
-            self._max_window = max_w
+        if hi > self._max_window:
+            self._max_window = hi
         if self._agg_cache:
             self._agg_cache.clear()
 
@@ -813,25 +824,23 @@ LiveQuerySurface` takes it around every read, so a live reader only
 
         The rolling-retention primitive of streaming mode: hot memory
         stays bounded by the retained window span while queries keep
-        answering *exactly* — ranges that dip below the watermark merge
-        the archived segments back in original append order, ranges
-        above it never touch the disk.  Requires rows to have arrived
-        in non-decreasing block order (which every simulation engine's
-        emission guarantees); returns the number of rows evicted.
-        Evicting is idempotent — a cutoff at or below the current
-        watermark is a no-op.
+        answering *exactly* — each table's evicted chunks become cold
+        in place (one spill record per chunk, hot order), so ranges
+        that dip below the watermark read them back ahead of the hot
+        chunks and ranges above it never touch the disk.  Requires rows
+        to have arrived in non-decreasing block order (which the
+        simulation engine's emission guarantees) for that read-back to
+        be the original append order; returns the number of rows
+        evicted.  Evicting is idempotent — a cutoff at or below the
+        current watermark is a no-op.
         """
         if before <= self._evicted_before:
             return 0
-        evicted = 0
-        for key, table in self._tables.items():
-            segment = table.evict(before)
-            if segment is None:
-                continue
-            if self._spill is None:
-                self._spill = SpillArchive()
-            self._spill.append(key, *segment)
-            evicted += int(segment[0].size)
+        if self._spill is None:
+            self._spill = SpillArchive()
+        evicted = sum(
+            table.evict(before, self._spill) for table in self._tables.values()
+        )
         self._evicted_before = before
         if evicted and self._agg_cache:
             self._agg_cache.clear()
@@ -903,16 +912,12 @@ LiveQuerySurface` takes it around every read, so a live reader only
     ) -> Iterator[Tuple[TableKey, np.ndarray, np.ndarray, np.ndarray]]:
         """Yield (key, windows, server indices, values) per table.
 
-        The export module's bulk read; rows are in append order.
-        Spilled segments are merged back ahead of the hot columns, so
-        exports stay byte-identical whether or not retention evicted.
+        The export module's bulk read: every row of every table, cold
+        chunks then hot ones, so exports stay byte-identical whether or
+        not retention evicted.
         """
         for key, table in self._tables.items():
-            if table.spilled_rows and self._spill is not None:
-                yield (key,) + self._gather([(key, table)], 0, self._max_window + 1)
-            else:
-                windows, servers, values = table.columns()
-                yield key, windows, servers, values
+            yield (key,) + self._gather([table], 0, self._max_window + 1)
 
     # ------------------------------------------------------------------
     # Queries
@@ -922,75 +927,31 @@ LiveQuerySurface` takes it around every read, so a live reader only
         pool_id: str,
         counter: str,
         datacenter_id: Optional[str],
-    ) -> List[Tuple[TableKey, _Table]]:
+    ) -> List[_Table]:
         keys = self._by_pool_counter.get((pool_id, counter), [])
         # Sorted by datacenter so query results never depend on table
         # creation order (which an export/import round trip reshuffles).
         return [
-            (key, self._tables[key])
+            self._tables[key]
             for key in sorted(keys, key=lambda k: k[1])
             if datacenter_id is None or key[1] == datacenter_id
         ]
 
-    def _gather_one(
-        self,
-        key: TableKey,
-        table: _Table,
-        lo: int,
-        hi: int,
-        ws: List[np.ndarray],
-        ss: List[np.ndarray],
-        vs: List[np.ndarray],
-    ) -> None:
-        """Append one table's [lo, hi) slice — spill segments first.
+    def _gather(self, tables: List[_Table], lo: int, hi: int) -> Columns:
+        """Window-sliced (windows, server indices, values) of many tables.
 
-        Spill segments precede the hot columns in original append
-        order, so the concatenation is exactly the table's pre-eviction
-        column order; queries entirely above the eviction watermark
-        skip the archive (no disk reads on the streaming hot path).
+        A range from 0 (or below) to past the newest window means every
+        row, rows at negative windows included.  Ranges entirely above
+        the eviction watermark skip the cold chunks (no disk reads on
+        the streaming hot path).
         """
-        full = lo <= 0 and hi > self._max_window
-        if self._spill is not None and lo < self._evicted_before:
-            for offset, seg_lo, seg_hi in self._spill.segments(key):
-                if seg_hi < lo or seg_lo >= hi:
-                    continue
-                windows, servers, values = self._spill.read(offset)
-                if not (full or (lo <= seg_lo and seg_hi < hi)):
-                    mask = (windows >= lo) & (windows < hi)
-                    windows = windows[mask]
-                    servers = servers[mask]
-                    values = values[mask]
-                if windows.size:
-                    ws.append(windows)
-                    ss.append(servers)
-                    vs.append(values)
-        windows, servers, values = table.columns()
-        if windows.size == 0:
-            return
-        if full or (table.spilled_rows and lo <= self._evicted_before
-                    and hi > self._max_window):
-            ws.append(windows)
-            ss.append(servers)
-            vs.append(values)
-        else:
-            mask = (windows >= lo) & (windows < hi)
-            ws.append(windows[mask])
-            ss.append(servers[mask])
-            vs.append(values[mask])
-
-    def _gather(
-        self,
-        tables: List[Tuple[TableKey, _Table]],
-        lo: int,
-        hi: int,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Window-sliced (windows, server indices, values) of many tables."""
-        ws: List[np.ndarray] = []
-        ss: List[np.ndarray] = []
-        vs: List[np.ndarray] = []
-        for key, table in tables:
-            self._gather_one(key, table, lo, hi, ws, ss, vs)
-        return _concat_columns(ws, ss, vs)
+        if lo <= 0 and hi > self._max_window:
+            lo, hi = -math.inf, math.inf
+        spill = self._spill if lo < self._evicted_before else None
+        parts: List[Columns] = []
+        for table in tables:
+            parts.extend(table.read(lo, hi, spill))
+        return _concat_columns(parts)
 
     def gather_columns(
         self,
@@ -999,7 +960,7 @@ LiveQuerySurface` takes it around every read, so a live reader only
         datacenter_id: Optional[str] = None,
         start: Optional[int] = None,
         stop: Optional[int] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Columns:
         """Raw window-sliced (windows, server indices, values) columns.
 
         Rows come out table by table — tables sorted by datacenter, rows
@@ -1029,8 +990,8 @@ LiveQuerySurface` takes it around every read, so a live reader only
         hi = stop if stop is not None else self._max_window + 1
         window_parts: List[np.ndarray] = []
         value_parts: List[np.ndarray] = []
-        for keyed in self._matching_tables(pool_id, counter, None):
-            windows, servers, values = self._gather([keyed], lo, hi)
+        for table in self._matching_tables(pool_id, counter, None):
+            windows, servers, values = self._gather([table], lo, hi)
             mask = servers == index
             if not mask.any():
                 continue
@@ -1079,8 +1040,8 @@ LiveQuerySurface` takes it around every read, so a live reader only
         lo = start if start is not None else 0
         hi = stop if stop is not None else self._max_window + 1
         out: Dict[str, np.ndarray] = {}
-        for keyed in self._matching_tables(pool_id, counter, datacenter_id):
-            _windows, servers, values = self._gather([keyed], lo, hi)
+        for table in self._matching_tables(pool_id, counter, datacenter_id):
+            _windows, servers, values = self._gather([table], lo, hi)
             if values.size == 0:
                 continue
             order = np.argsort(servers, kind="stable")
@@ -1138,7 +1099,7 @@ LiveQuerySurface` takes it around every read, so a live reader only
         for pool in pools:
             for key in self._by_pool_counter.get((pool, counter), []):
                 _windows, _servers, values = self._gather(
-                    [(key, self._tables[key])], 0, self._max_window + 1
+                    [self._tables[key]], 0, self._max_window + 1
                 )
                 if values.size:
                     chunks.append(values)

@@ -38,6 +38,33 @@ FULL_COUNTERS = (
 )
 
 
+def chunk_list_rows(store):
+    """Check the chunk-list invariant of ``_Table``'s docstring on every
+    table of ``store`` (clauses 2 and 3) and return ``{key: (windows,
+    servers, values)}`` read chunk by chunk, cold then hot, for the
+    caller to hold against its own record of append order (clause 1).
+    A test helper reading private state; nothing in ``src/`` checks this.
+    """
+    rows = {}
+    for key, table in store._tables.items():
+        parts = []
+        for position, chunk in enumerate(table._cold + table._hot):
+            if position < len(table._cold):
+                assert chunk.columns is None
+                columns = store._spill.read(chunk.offset)
+            else:
+                assert chunk.offset is None
+                columns = chunk.columns
+            windows, servers, values = columns
+            assert chunk.rows == windows.size == servers.size == values.size > 0
+            assert (chunk.lo, chunk.hi) == (windows.min(), windows.max())
+            parts.append(columns)
+        assert table.n_rows == sum(c.rows for c in table._cold + table._hot)
+        assert table.hot_rows == sum(c.rows for c in table._hot)
+        rows[key] = tuple(np.concatenate(column) for column in zip(*parts))
+    return rows
+
+
 @pytest.fixture(scope="session")
 def pool_b_sim():
     """One pool (B), one DC, 30 servers, 2 days, no downtime policies."""

@@ -292,6 +292,37 @@ class TestQueryCliValidation:
         assert str(port) in err
 
 
+_ARCHIVE_HEADER = "window,server_id,pool_id,datacenter_id,counter,value\r\n"
+
+
+class TestUnreadableArchive:
+    """plan / validate / availability answer an archive they cannot
+    read with one located ``error:`` line and exit 2, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["plan", "validate", "availability"])
+    @pytest.mark.parametrize(
+        "content, expected",
+        [
+            (None, "No such file"),
+            ("not,an,archive\r\n", ":1: not a telemetry archive"),
+            (_ARCHIVE_HEADER + "0,s0,B,DC1,cpu,oops\r\n", ":2: malformed row"),
+        ],
+        ids=["missing", "non-archive", "malformed-row"],
+    )
+    def test_exit_2_with_one_error_line(
+        self, tmp_path, capsys, command, content, expected
+    ):
+        archive = tmp_path / "archive.csv"
+        if content is not None:
+            archive.write_text(content, newline="")
+        assert main([command, str(archive)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert str(archive) in captured.err and expected in captured.err
+
+
 class TestDocsCheck:
     """The docs-check tool: README and the CLI must agree."""
 

@@ -11,7 +11,8 @@ test-faults``, and small enough to ride in tier-1 too):
   one started, and ``rejoin_shard`` replays the ingest journal through
   the ``resync`` RPC; every query class and the export then match a
   never-crashed twin bit-for-bit, including when the journal spilled
-  to disk.
+  to disk, and including after a first rejoin that itself died
+  mid-replay while ingest kept arriving.
 * **fault matrix** — every :mod:`repro.telemetry.faultinject` failure
   mode against an *un-replicated* shard surfaces as the named
   per-shard error within the ``io_timeout`` bound: never a hang.
@@ -33,6 +34,7 @@ from repro.telemetry.export import export_store
 from repro.telemetry.faultinject import (
     FaultSpec,
     FaultyTransport,
+    inject_client,
     inject_store,
     parse_fault_spec,
 )
@@ -211,6 +213,60 @@ class TestRestartRejoin:
             victim.stop()
 
 
+    def test_rejoin_that_dies_mid_replay_loses_nothing(self, tmp_path):
+        """A rejoin whose new shard dies after ``resync``, ingest that
+        keeps arriving (journaled before the dead shard refuses it),
+        then a rejoin that works: still the never-crashed twin."""
+        single = _fill_windows(MetricStore(), 0, 30)
+        with ShardServer("127.0.0.1:0") as keeper:
+            victim = ShardServer("127.0.0.1:0").start()
+            store = ShardedMetricStore(
+                backend="tcp",
+                shard_addrs=[keeper.address, victim.address],
+                journal_rows=200,
+                flush_rows=128,
+                io_timeout=30,
+            )
+            try:
+                _fill_windows(store, 0, 20)
+                assert store._journals[1].spilled_batches > 2
+                victim.stop()
+                dial = store._dial_shard
+
+                def doomed_dial(shard_id, addresses):
+                    # resync and two ingest frames pass, then the
+                    # socket dies: mid-replay, inside the spilled part.
+                    client = dial(shard_id, addresses)
+                    inject_client(client, FaultSpec("kill", after_frames=3))
+                    return client
+
+                with ShardServer("127.0.0.1:0") as doomed:
+                    store._dial_shard = doomed_dial
+                    with pytest.raises(RuntimeError, match="connection lost"):
+                        store.rejoin_shard(1, address=doomed.address)
+                    store._dial_shard = dial
+                _fill_windows(_RefusedByDeadShard(store), 20, 30)
+                with ShardServer("127.0.0.1:0") as reborn:
+                    store.rejoin_shard(1, address=reborn.address)
+                    _assert_twins(single, store, tmp_path, "rejoin-twice")
+            finally:
+                store.close()
+                victim.stop()
+
+
+class _RefusedByDeadShard:
+    """``_fill_windows`` target: every batch must raise — the dead
+    shard's half of it — after the facade journaled all of it."""
+
+    def __init__(self, store):
+        self._store = store
+        self.intern_servers = store.intern_servers
+
+    def record_batch(self, *args):
+        with pytest.raises(RuntimeError, match="closed"):
+            self._store.record_batch(*args)
+
+
 class TestShardJournal:
     """The journal itself: order, spill, replay, close."""
 
@@ -225,6 +281,18 @@ class TestShardJournal:
         assert [args[0] for _m, args in journal.replay()] == list(range(10))
         journal.close()
         journal.close()  # idempotent
+
+    def test_abandoned_replay_then_append_keeps_order(self):
+        journal = ShardJournal(memory_rows=2)
+        for i in range(6):
+            journal.append("record_fast", (i,), 1)
+        replay = journal.replay()
+        assert next(replay) == ("record_fast", (0,))
+        replay.close()  # rejoin_shard's new shard died mid-replay
+        for i in (6, 7):
+            journal.append("record_fast", (i,), 1)
+        assert [args[0] for _m, args in journal.replay()] == list(range(8))
+        journal.close()
 
     def test_memory_stays_bounded(self):
         journal = ShardJournal(memory_rows=5)

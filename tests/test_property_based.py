@@ -20,6 +20,7 @@ from repro.telemetry.series import TimeSeries
 from repro.telemetry.store import MetricStore
 from repro.workload.diurnal import DiurnalPattern, WINDOWS_PER_DAY
 from repro.workload.request_mix import RequestClass, RequestMix
+from tests.conftest import chunk_list_rows
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -440,6 +441,27 @@ class StreamedStoreMachine(RuleBasedStateMachine):
             self.store.hot_sample_count() + self.evicted_rows == total
         )
         assert self.store.evicted_before == self.watermark
+
+    @invariant()
+    def chunk_list_holds(self):
+        """``_Table``'s invariant after every step: spans and row sums
+        are what the chunks hold, ``cold ++ hot`` is the order the
+        oracle saw rows arrive in, and the watermark separates them."""
+        rows = chunk_list_rows(self.store)
+        for dc in _SM_DCS:
+            expected = [
+                (window, index, value)
+                for window, by_server in self.rows[dc].items()
+                for index, value in by_server.items()
+            ]
+            if not expected:
+                assert ("B", dc, "rps") not in rows
+                continue
+            for column, want in zip(rows["B", dc, "rps"], zip(*expected)):
+                np.testing.assert_array_equal(column, want)
+            table = self.store._tables["B", dc, "rps"]
+            assert all(chunk.hi < self.watermark for chunk in table._cold)
+            assert all(chunk.lo >= self.watermark for chunk in table._hot)
 
     @invariant()
     def watermarks_monotone(self):

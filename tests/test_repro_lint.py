@@ -229,6 +229,30 @@ class TestRpcSurface:
         )
 
 
+    def test_pickle_import_outside_the_listed_sites_fires(self, engine, tree):
+        """The ratchet: store.py and transport.py unpickle, nobody new."""
+        assert _findings(engine, tree, "rpc-surface") == []
+        _edit(
+            tree,
+            "src/repro/telemetry/sharding.py",
+            "import threading\n",
+            "import pickle\nimport threading\n",
+        )
+        (tree / "src" / "repro" / "canary.py").write_text(
+            "def f(data):\n    from pickle import loads\n    return loads(data)\n"
+        )
+        sharding = (tree / "src/repro/telemetry/sharding.py").read_text()
+        found = _findings(engine, tree, "rpc-surface")
+        assert sorted((f.path, f.line) for f in found) == [
+            ("src/repro/canary.py", 2),
+            (
+                "src/repro/telemetry/sharding.py",
+                sharding.splitlines().index("import pickle") + 1,
+            ),
+        ]
+        assert all("imports pickle" in f.message for f in found)
+
+
 class TestCliSurface:
     def test_json_output_and_exit_codes(self, engine, tree, capsys):
         (tree / "src" / "repro" / "canary.py").write_text(

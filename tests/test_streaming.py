@@ -28,6 +28,7 @@ from repro.core.regression_analysis import OnlineRegressionAlarm
 from repro.telemetry.counters import Counter
 from repro.telemetry.export import export_store
 from repro.telemetry.sharding import BACKENDS, ShardedMetricStore
+from repro.telemetry.store import SpillArchive
 
 WINDOWS = 192
 RETAIN = 48
@@ -313,3 +314,54 @@ class TestOnlineAlarm:
         alarm, report = _alarm_run(inject=True)
         assert len(report.alerts) == 1
         assert alarm.observe(None, ALARM_HORIZON + 10_000) is None
+
+
+class TestSpillReadsAtBlockOne:
+    """The knob's other side: at ``block_windows=1`` a long retained
+    stream holds thousands of one-window chunks per table.  Nothing on
+    the per-block path may walk the spilled ones — counted as
+    ``SpillArchive.read`` calls, not timed."""
+
+    def test_hot_path_never_reads_the_spill(self, monkeypatch):
+        offsets = []
+        read = SpillArchive.read
+
+        def counting_read(self, offset):
+            offsets.append(offset)
+            return read(self, offset)
+
+        monkeypatch.setattr(SpillArchive, "read", counting_read)
+        windows, retain = 1600, 64
+        sim = _simulator(block_windows=1)
+        stream = StreamingSimulator(sim, retain_windows=retain, track=TRACK[:1])
+        store = sim.store
+        pool, counter, _dc, reducer = TRACK[0]
+
+        def read_above_the_watermark():
+            lo = store.evicted_before
+            server = store.server_name(0)
+            tracked = store.pool_window_aggregate(
+                pool, counter, start=lo + 8, reducer=reducer
+            )
+            assert tracked.windows[0] == lo + 8
+            series = store.server_series(pool, counter, server, start=lo)
+            assert (series.windows >= lo).all()
+            assert store.pool_matrix(pool, Counter.LATENCY_P95.value, start=lo)[0][0] == lo
+
+        for window in range(retain + 10, windows, 97):
+            stream.schedule(window, read_above_the_watermark)
+        report = stream.run(max_windows=windows)
+        assert report.blocks == windows
+        assert store.evicted_before == windows - retain
+        # 1600 seals, 1536 evictions and 16 rounds of reads later:
+        assert offsets == []
+        # One full-range read loads each spilled chunk of the tables it
+        # covers exactly once.
+        store.gather_columns(pool, counter)
+        cold = [
+            chunk.offset
+            for dc in store.datacenters
+            for chunk in store._tables[pool, dc, counter]._cold
+        ]
+        assert len(cold) == 2 * (windows - retain)
+        assert sorted(offsets) == sorted(cold)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.telemetry.counters import Counter, CounterSample, WINDOW_SECONDS, workload_counter
+from repro.telemetry.export import export_store
 from repro.telemetry.store import MetricStore
+from tests.conftest import chunk_list_rows
 
 
 def _sample(window, server="s0", pool="P", dc="DC1", counter="cpu", value=1.0):
@@ -259,3 +261,225 @@ class TestQueries:
     def test_datacenters_for_pool(self, store):
         assert store.datacenters_for_pool("P") == ("DC1",)
         assert store.datacenters_for_pool("Q") == ("DC2",)
+
+
+REDUCERS = ("mean", "sum", "max", "count")
+_SERVERS = ("s0", "s1", "s2")
+#: (start, stop) ranges the chunk-list cases read: everything, and
+#: edges that fall on, inside and outside chunk spans.
+_RANGES = [(None, None), (0, None), (None, 7), (3, 9), (5, 6), (8, 40), (-3, 2)]
+
+
+def _put(store, windows, servers=(0, 1, 2), dc="DC1", scale=1.0):
+    """One ``record_columns`` call — one chunk — of inexact float values."""
+    w = np.repeat(np.asarray(windows, dtype=np.int64), len(servers))
+    s = np.tile(np.asarray(servers, dtype=np.int64), len(windows))
+    store.record_columns("B", dc, "rps", w, s, 0.1 * (w * 7 + s * 3 + 1) * scale)
+
+
+def _twins():
+    evicting, reference = MetricStore(), MetricStore()
+    for store in (evicting, reference):
+        store.intern_servers(_SERVERS)
+    return evicting, reference
+
+
+def _windows_read(store, start=None, stop=None, dc=None):
+    return store.gather_columns("B", "rps", dc, start, stop)[0].tolist()
+
+
+def _assert_same_answers(store, reference, ranges=_RANGES):
+    """Every read of ``store`` equals the never-evicted ``reference``'s."""
+    assert store.sample_count() == reference.sample_count()
+    for got, want in zip(store.iter_tables(), reference.iter_tables(), strict=True):
+        assert got[0] == want[0]
+        for column, expected in zip(got[1:], want[1:]):
+            np.testing.assert_array_equal(column, expected)
+    np.testing.assert_array_equal(
+        store.all_values("rps"), reference.all_values("rps")
+    )
+    for start, stop in ranges:
+        for dc in (None,) + reference.datacenters:
+            for column, expected in zip(
+                store.gather_columns("B", "rps", dc, start, stop),
+                reference.gather_columns("B", "rps", dc, start, stop),
+            ):
+                np.testing.assert_array_equal(column, expected)
+            for reducer in REDUCERS:
+                a = store.pool_window_aggregate("B", "rps", dc, start, stop, reducer)
+                b = reference.pool_window_aggregate("B", "rps", dc, start, stop, reducer)
+                np.testing.assert_array_equal(a.windows, b.windows)
+                np.testing.assert_array_equal(a.values, b.values)
+            a = store.per_server_values("B", "rps", dc, start, stop)
+            b = reference.per_server_values("B", "rps", dc, start, stop)
+            assert list(a) == list(b)
+            for server in a:
+                np.testing.assert_array_equal(a[server], b[server])
+            a = store.pool_matrix("B", "rps", dc, start, stop)
+            b = reference.pool_matrix("B", "rps", dc, start, stop)
+            np.testing.assert_array_equal(a[0], b[0])
+            assert a[1] == b[1]
+            np.testing.assert_array_equal(a[2], b[2])
+        for server in _SERVERS:
+            a = store.server_series("B", "rps", server, start, stop)
+            b = reference.server_series("B", "rps", server, start, stop)
+            np.testing.assert_array_equal(a.windows, b.windows)
+            np.testing.assert_array_equal(a.values, b.values)
+
+
+class TestChunkList:
+    """The table's chunk list through the steps the Hypothesis suites
+    reach only by luck; every case checks ``_Table``'s invariant after
+    each step and compares with a store that never evicted.  Read-back
+    orders and totals marked *pinned* were captured at the parent of
+    the change that introduced the chunk list."""
+
+    def test_cutoff_straddling_a_chunk(self):
+        # Blocks of 4 windows, 6 retained: every cutoff but the first
+        # splits a chunk.
+        evicting, reference = _twins()
+        evicted = []
+        for start in range(0, 24, 4):
+            for store in (evicting, reference):
+                _put(store, range(start, start + 4))
+                _put(store, range(start, start + 4), dc="DC2", scale=3.0)
+            evicted.append(evicting.evict_windows(start + 4 - 6))
+            chunk_list_rows(evicting)
+            _assert_same_answers(evicting, reference)
+        assert evicted == [0, 12, 24, 24, 24, 24]  # pinned
+        assert evicting.hot_sample_count() == 36
+        assert evicting.evicted_before == 18
+
+    def test_one_big_chunk_evicted_in_steps(self):
+        # What an imported archive is: one chunk per table.
+        evicting, reference = _twins()
+        for store in (evicting, reference):
+            _put(store, range(20))
+        steps = [(3, 9, 51), (4, 3, 48), (11, 21, 27), (19, 24, 3), (25, 3, 0)]
+        for cutoff, moved, hot in steps:  # pinned
+            assert evicting.evict_windows(cutoff) == moved
+            assert evicting.hot_sample_count() == hot
+            chunk_list_rows(evicting)
+            _assert_same_answers(evicting, reference)
+
+    def test_full_read_between_blocks_then_more_evictions(self):
+        evicting, reference = _twins()
+        evicted = []
+        for start in range(0, 30, 3):
+            for store in (evicting, reference):
+                _put(store, range(start, start + 3))
+            if start >= 9:
+                # A full-range read: fuses the hot chunks ...
+                _assert_same_answers(evicting, reference)
+                assert len(evicting._tables["B", "DC1", "rps"]._hot) == 1
+            # ... which the next cutoff then has to split.
+            evicted.append(evicting.evict_windows(start + 3 - 7))
+            chunk_list_rows(evicting)
+            _assert_same_answers(evicting, reference, [(None, None), (start, None)])
+        assert evicted == [0, 0, 6, 9, 9, 9, 9, 9, 9, 9]  # pinned
+        assert evicting.hot_sample_count() == 21
+        _assert_same_answers(evicting, reference)
+
+    def test_rows_below_the_watermark_after_an_eviction(self):
+        evicting, reference = _twins()
+        for store in (evicting, reference):
+            for start in range(0, 12, 2):
+                _put(store, [start, start + 1], servers=(0, 1))
+        assert evicting.evict_windows(8) == 16
+        for store in (evicting, reference):
+            _put(store, [3], servers=(1,), scale=2.0)  # late
+            _put(store, [12, 13], servers=(0, 1))
+        chunk_list_rows(evicting)
+        # The late row stays hot and reads back after the spilled
+        # chunks, where it was appended (pinned).
+        late_then_hot = [3, 12, 12, 13, 13]
+        assert evicting.hot_sample_count() == 13
+        assert _windows_read(evicting) == (
+            [w for w in range(12) for _ in range(2)] + late_then_hot
+        )
+        assert _windows_read(evicting, 2, 10) == (
+            [w for w in range(2, 10) for _ in range(2)] + [3]
+        )
+        _assert_same_answers(
+            evicting, reference, [(None, None), (None, 7), (3, 9), (-3, 2)]
+        )
+        # The next eviction takes it along, in hot order: behind
+        # window 10, ahead of window 11 (pinned) — from here on row
+        # order differs from the never-evicted store's, values do not.
+        assert evicting.evict_windows(11) == 7
+        chunk_list_rows(evicting)
+        assert evicting.hot_sample_count() == 6
+        assert _windows_read(evicting) == (
+            [w for w in range(11) for _ in range(2)]
+            + [3, 11, 11, 12, 12, 13, 13]
+        )
+        for start, stop in _RANGES:
+            for reducer in REDUCERS:
+                a = evicting.pool_window_aggregate("B", "rps", None, start, stop, reducer)
+                b = reference.pool_window_aggregate("B", "rps", None, start, stop, reducer)
+                np.testing.assert_array_equal(a.windows, b.windows)
+                np.testing.assert_array_equal(a.values, b.values)
+
+    def test_range_above_a_late_row_leaves_it_out(self):
+        # The parent returned the late window-3 row for [5, ...): its
+        # shortcut took the hot column whole once anything had spilled.
+        evicting, reference = _twins()
+        for store in (evicting, reference):
+            _put(store, range(10))
+        evicting.evict_windows(8)
+        for store in (evicting, reference):
+            _put(store, [3], servers=(1,))
+        assert 3 not in _windows_read(evicting, 5, None)
+        _assert_same_answers(evicting, reference, [(5, None), (5, 10), (8, None)])
+
+    @pytest.mark.parametrize("cutoff", [None, 1])
+    def test_negative_window_read_in_full(self, tmp_path, cutoff):
+        store = MetricStore()
+        store.intern_servers(_SERVERS)
+        _put(store, [-2, 0, 1], servers=(0, 1))
+        if cutoff is not None:
+            assert store.evict_windows(cutoff) == 4
+        chunk_list_rows(store)
+        # start=None, stop=None is every row (pinned) ...
+        ((key, windows, servers, values),) = store.iter_tables()
+        assert key == ("B", "DC1", "rps")
+        assert windows.tolist() == [-2, -2, 0, 0, 1, 1]
+        assert servers.tolist() == [0, 1, 0, 1, 0, 1]
+        assert _windows_read(store) == [-2, -2, 0, 0, 1, 1]
+        assert store.pool_window_aggregate(
+            "B", "rps", reducer="count"
+        ).windows.tolist() == [-2, 0, 1]
+        # ... an explicit range is not ...
+        assert _windows_read(store, 1, 2) == [1, 1]
+        assert _windows_read(store, -5, 0) == [-2, -2]
+        # ... and the archive has all of it (pinned bytes).
+        path = tmp_path / "negative.csv"
+        assert export_store(store, path) == 6
+        assert path.read_bytes() == (
+            b"window,server_id,pool_id,datacenter_id,counter,value\r\n"
+            b"-2,s0,B,DC1,rps,-1.3\r\n"
+            b"0,s0,B,DC1,rps,0.1\r\n"
+            b"1,s0,B,DC1,rps,0.8\r\n"
+            b"-2,s1,B,DC1,rps,-1.0\r\n"
+            b"0,s1,B,DC1,rps,0.4\r\n"
+            b"1,s1,B,DC1,rps,1.1\r\n"
+        )
+
+    def test_several_chunks_evicted_by_one_call(self):
+        evicting, reference = _twins()
+        for store in (evicting, reference):
+            for start in range(0, 16, 2):
+                _put(store, [start, start + 1])
+                _put(store, [start, start + 1], dc="DC2", scale=3.0)
+        # Five whole chunks and half of a sixth per table, one call.
+        assert evicting.evict_windows(11) == 66
+        table = evicting._tables["B", "DC1", "rps"]
+        assert [(c.lo, c.hi) for c in table._cold] == [
+            (0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 10)
+        ]
+        assert [(c.lo, c.hi) for c in table._hot] == [(11, 11), (12, 13), (14, 15)]
+        chunk_list_rows(evicting)
+        assert _windows_read(evicting, dc="DC1") == [  # pinned
+            w for w in range(16) for _ in range(3)
+        ]
+        _assert_same_answers(evicting, reference)

@@ -16,7 +16,10 @@ few extras a served object declares — ``workers.SHARD_EXTRAS``,
   in ``workers.py`` / ``query_server.py`` against the table or that
   side's extras, a facade ``_union(`` against the table, a replica
   ``_fan_out(`` or a journal ``append(`` (replayed with
-  ``getattr(client, method)``) against the client proxy.
+  ``getattr(client, method)``) against the client proxy;
+* ``pickle`` is imported only by the modules :data:`PICKLE_SITES`
+  lists — the surface is only as closed as the bytes unpickled behind
+  it, so each site is named with whose bytes it loads.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ STORE = "src/repro/telemetry/store.py"
 SHARDING = "src/repro/telemetry/sharding.py"
 WORKERS = "src/repro/telemetry/workers.py"
 QUERY = "src/repro/telemetry/query_server.py"
+TRANSPORT = "src/repro/telemetry/transport.py"
 
 TABLE = "READ_SURFACE"
 STORE_CLASSES = (("MetricStore", STORE), ("ShardedMetricStore", SHARDING))
@@ -51,6 +55,13 @@ RESERVED_WIRE_METHODS = {"resync"}
 #: ``self.<attr>`` writes that are memoization/lazy-init, not logical
 #: store mutations (aggregate caches, partition plans).
 CACHE_ATTRS = {"_agg_cache", "_partition_cache"}
+
+#: The only modules that may import ``pickle``, and whose bytes each
+#: one loads.  A ratchet: entries leave this table, none are added.
+PICKLE_SITES = {
+    STORE: "bytes this process wrote to its own anonymous temp file",
+    TRANSPORT: "the kind-0 control plane, until it gets a typed encoding",
+}
 
 Findings = List[Tuple[str, int, str]]
 
@@ -99,8 +110,31 @@ def _journal_appends(sharding: SourceFile):
                 yield str_const(node.args[0]), node.lineno
 
 
-def run(files: Dict[str, SourceFile]) -> Findings:
+def _pickle_imports(files: Dict[str, SourceFile]) -> Findings:
+    """Every ``import pickle`` / ``from pickle import`` outside the table."""
     out: Findings = []
+    for rel, src in files.items():
+        if rel in PICKLE_SITES:
+            continue
+        for node in ast.walk(src.tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "pickle" for module in modules):
+                out.append((
+                    rel, node.lineno,
+                    f"imports pickle, but only {sorted(PICKLE_SITES)} may — "
+                    f"use SpillArchive for bytes this process keeps for "
+                    f"itself, column frames for bytes that cross a socket",
+                ))
+    return out
+
+
+def run(files: Dict[str, SourceFile]) -> Findings:
+    out = _pickle_imports(files)
     store_src = files.get(STORE)
     if store_src is None:
         return out
