@@ -40,10 +40,11 @@ test-archive:
 	$(PYTHON) -m pytest tests/test_telemetry_export.py tests/test_archive_codec.py -q
 
 # The storage layer on its own: the store's queries and chunk list,
-# sharded-vs-single bit-identity, and the Hypothesis retention and
-# interleaving suites (all of it also rides in `make test`).
+# the spill log's byte round trip and the one-server read's memory
+# bound, sharded-vs-single bit-identity, and the Hypothesis retention
+# and interleaving suites (all of it also rides in `make test`).
 test-store:
-	$(PYTHON) -m pytest tests/test_telemetry_store.py tests/test_sharded_store.py tests/test_property_based.py -q
+	$(PYTHON) -m pytest tests/test_telemetry_store.py tests/test_spill_log.py tests/test_sharded_store.py tests/test_property_based.py -q
 
 # Fast sanity pass over the throughput benchmark (small fleet, no JSON).
 bench-smoke:

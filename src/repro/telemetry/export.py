@@ -28,7 +28,9 @@ change; rows keep file order and servers are interned in order of
 first appearance.  A file that is not an archive, a row with the wrong
 number of fields and a ``window`` or ``value`` that is not a number all
 raise ``ValueError("{path}:{line}: ...")``, ``line`` being the physical
-line the offending row ends on.
+line the offending row ends on; so does a gzip member that ends early,
+does not inflate or fails its checksum, ``line`` then being the one the
+damage cut short.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import csv
 import gzip
 import io
 import os
+import zlib
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
@@ -130,10 +133,18 @@ def _open_archive(path: Path):
     return open(path, "r", encoding="utf-8", newline="")
 
 
+#: What reading a damaged ``.gz`` raises: the member ends early, does
+#: not inflate, or fails its checksum.
+_DAMAGED = (EOFError, zlib.error, gzip.BadGzipFile)
+
+
 def _data_rows(handle, path: Path):
     """A ``csv.reader`` over ``handle``, positioned after the archive header."""
     reader = csv.reader(handle)
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except _DAMAGED as error:
+        raise _located(path, reader, error) from None
     if header != list(_HEADER):
         raise ValueError(
             f"{path}:1: not a telemetry archive "
@@ -142,10 +153,13 @@ def _data_rows(handle, path: Path):
     return reader
 
 
-def _malformed(path: Path, reader, error: ValueError) -> ValueError:
+def _located(path: Path, reader, error: Exception) -> ValueError:
     # ``line_num`` counts physical lines, so it stays right for rows
-    # whose quoted fields hold line breaks.
-    return ValueError(f"{path}:{reader.line_num}: malformed row ({error})")
+    # whose quoted fields hold line breaks; damage surfaces while the
+    # line after the last whole one is being read.
+    if isinstance(error, ValueError):
+        return ValueError(f"{path}:{reader.line_num}: malformed row ({error})")
+    return ValueError(f"{path}:{reader.line_num + 1}: damaged archive ({error})")
 
 
 def import_store(path: PathLike) -> MetricStore:
@@ -163,7 +177,8 @@ def import_store(path: PathLike) -> MetricStore:
         reader = _data_rows(handle, path)
         run_server = run_pool = run_dc = run_counter = None
         # One handler for the row's three ways of being wrong — field
-        # count (raised by the loop's own unpacking), window, value.
+        # count (raised by the loop's own unpacking), window, value —
+        # and for the file giving out under the reader.
         try:
             for window, server_id, pool_id, datacenter_id, counter, value in reader:
                 if (
@@ -184,8 +199,8 @@ def import_store(path: PathLike) -> MetricStore:
                     add_window, add_value = windows.append, values.append
                 add_window(int(window))
                 add_value(float(value))
-        except ValueError as error:
-            raise _malformed(path, reader, error) from None
+        except (ValueError, *_DAMAGED) as error:
+            raise _located(path, reader, error) from None
     for (pool_id, datacenter_id, counter), table in tables.items():
         windows, values, run_indices, run_starts = table
         run_lengths = np.diff(np.asarray(run_starts + [len(windows)], dtype=np.int64))
@@ -215,5 +230,5 @@ def iter_rows(path: PathLike) -> Iterator[dict]:
                     "counter": counter,
                     "value": float(value),
                 }
-        except ValueError as error:
-            raise _malformed(path, reader, error) from None
+        except (ValueError, *_DAMAGED) as error:
+            raise _located(path, reader, error) from None

@@ -54,6 +54,7 @@ proven by ``tests/test_sharded_store.py`` and
 from __future__ import annotations
 
 import threading
+from itertools import groupby
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -62,6 +63,8 @@ from repro.telemetry.series import TimeSeries
 from repro.telemetry.transport import (
     DEFAULT_CONNECT_TIMEOUT,
     DEFAULT_IO_TIMEOUT,
+    decode_binary_ingest,
+    encode_binary_ingest,
     parse_address,
 )
 from repro.telemetry.workers import (
@@ -105,13 +108,19 @@ class ShardJournal:
 
     Memory is bounded: commands are journaled *by reference* (stores
     never mutate ingested columns, so no copy is needed), and once
-    ``memory_rows`` rows are buffered the batch goes to a
-    :class:`~repro.telemetry.store.SpillArchive` and the references are
-    dropped — the journal keeps one offset per spilled batch, so its
-    steady-state memory is one batch, however long the run.  ``replay``
-    reads spilled batches back by offset first, then the still-buffered
-    tail, in exact append order; it holds no position in the log, so an
-    abandoned replay leaves nothing behind.
+    ``memory_rows`` rows are buffered the batch leaves the buffer and
+    the references are dropped.  Its ``record_columns`` commands go to
+    a :class:`~repro.telemetry.store.SpillArchive` as the payload the
+    wire already carries them in (one kind-1 ingest frame body per run
+    of consecutive commands, no names — see
+    :func:`~repro.telemetry.transport.encode_binary_ingest`),
+    remembered as ``(offset, nbytes)``; a command without columns
+    (``evict_windows`` and its cutoff) is a few bytes and stays in the
+    entry list, in position.  Steady-state memory is one batch plus
+    one small entry per spill or eviction, however long the run.
+    ``replay`` decodes spilled runs back by offset first, then the
+    still-buffered tail, in exact append order; it holds no position
+    in the log, so an abandoned replay leaves nothing behind.
 
     Single-owner, like the facade's ingest path; not thread-safe.
     """
@@ -123,28 +132,49 @@ class ShardJournal:
         self._commands: List[Tuple[str, tuple]] = []
         self._rows = 0
         self._log: Optional[SpillArchive] = None
-        self._offsets: List[int] = []
-
-    @property
-    def spilled_batches(self) -> int:
-        """How many batches went to disk (observable spill behaviour,
-        asserted by the fault-tolerance tests)."""
-        return len(self._offsets)
+        #: What left the buffer, in order: ``(None, (offset, nbytes))``
+        #: for a spilled run, ``(method, args)`` for a kept command.
+        self._entries: List[Tuple[Optional[str], tuple]] = []
+        #: How many batches left the buffer (observable spill
+        #: behaviour, asserted by the fault-tolerance tests).
+        self.spilled_batches = 0
 
     def append(self, method: str, args: tuple, n_rows: int) -> None:
         self._commands.append((method, args))
         self._rows += n_rows
-        if self._rows >= self._memory_rows:
-            if self._log is None:
-                self._log = SpillArchive()
-            self._offsets.append(self._log.append(self._commands))
-            self._commands = []
-            self._rows = 0
+        if self._rows < self._memory_rows:
+            return
+        if self._log is None:
+            self._log = SpillArchive()
+        entries: List[Tuple[Optional[str], tuple]] = []
+        for has_columns, run in groupby(
+            self._commands, key=lambda command: command[0] == "record_columns"
+        ):
+            if has_columns:
+                # The frame without its header: what the decoder takes.
+                batches = [columns for _method, columns in run]
+                payload = encode_binary_ingest([], batches)[1:]
+                nbytes = sum(len(buffer) for buffer in payload)
+                entries.append((None, (self._log.append(payload), nbytes)))
+            else:
+                entries.extend(run)
+        # Only now, every write done, does the batch change hands.
+        self._entries += entries
+        self._commands = []
+        self._rows = 0
+        self.spilled_batches += 1
 
     def replay(self) -> Iterator[Tuple[str, tuple]]:
         """Yield every journaled ``(method, args)`` in append order."""
-        for offset in self._offsets:
-            yield from self._log.read(offset)
+        for method, args in self._entries:
+            if method is None:
+                _tag, _names, commands = decode_binary_ingest(
+                    self._log.read(*args)
+                )
+                for command in commands:
+                    yield "record_columns", command
+            else:
+                yield method, args
         yield from list(self._commands)
 
     def close(self) -> None:
@@ -152,7 +182,7 @@ class ShardJournal:
         if self._log is not None:
             self._log.close()
             self._log = None
-        self._offsets = []
+        self._entries = []
         self._commands = []
         self._rows = 0
 

@@ -18,7 +18,10 @@ around an end-to-end columnar data flow:
   append-ordered list of chunks — the (window, server index, value)
   columns of one ingest batch, tagged with the window span they cover.
   A chunk is hot (holds its columns) or cold (holds the offset rolling
-  retention spilled them to); one range read selects chunks by span.
+  retention spilled them to: the same three columns as raw bytes, 24
+  per row, read back positionally); one range read selects chunks by
+  span and yields them one at a time, so a read that keeps few rows of
+  each — one server's series — never holds the table.
 * **Queries** (:meth:`pool_window_aggregate`, :meth:`per_server_values`,
   :meth:`pool_matrix`) group with ``np.bincount`` / stable argsort over
   the gathered columns instead of per-sample Python loops, and the
@@ -39,7 +42,7 @@ interner names from per-message deltas.
 from __future__ import annotations
 
 import math
-import pickle
+import os
 import tempfile
 import threading
 from collections import defaultdict
@@ -135,32 +138,70 @@ def window_aggregate_arrays(
     return out_windows, out_values
 
 
+def _axis(
+    column: np.ndarray, base: int, length: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.unique(column, return_inverse=True)`` for integers known to
+    lie in ``[base, base + length)``, by presence instead of a sort.
+
+    O(rows + length), the way :func:`window_aggregate_arrays` finds its
+    windows; a span much wider than the column (sparse windows) is not
+    worth allocating and goes through the sort.
+    """
+    if length > 4 * column.size:
+        return np.unique(column, return_inverse=True)
+    shifted = column - base
+    present = np.zeros(length, dtype=bool)
+    present[shifted] = True
+    return np.flatnonzero(present) + base, (np.cumsum(present) - 1)[shifted]
+
+
 class SpillArchive:
-    """Append-only log of pickled records in one anonymous temp file.
+    """Append-only positional byte log in one anonymous temp file.
 
     What this process wrote and may want back but need not keep in
     memory: the cold chunks of rolling retention
     (:meth:`MetricStore.evict_windows`) and the spilled batches of a
-    :class:`~repro.telemetry.sharding.ShardJournal`.  :meth:`append`
-    always writes at the end and returns the record's offset — the
-    caller's only handle on it — and :meth:`read` loads one record
-    back, so no reader can move where the next record lands.  The file
-    has no name; the OS reclaims it when the owner goes away.
+    :class:`~repro.telemetry.sharding.ShardJournal`.  The log knows
+    bytes and nothing else: :meth:`append` writes buffers back to back
+    at the end and returns where they start, :meth:`read` copies a
+    byte range back, and what the bytes mean (and how many there are)
+    is the caller's to remember.  Both are positional (``pwrite`` /
+    ``pread``), so no reader can move where the next record lands, and
+    the end only advances once a record is whole — what a failed
+    append wrote is overwritten by the next.  The file has no name and
+    is never mapped (mapped pages would count against the memory
+    retention promises to bound); the OS reclaims it when the owner
+    goes away.
     """
 
     def __init__(self) -> None:
-        self._file = tempfile.TemporaryFile(prefix="metric-spill-")
+        self._file = tempfile.TemporaryFile(prefix="metric-spill-", buffering=0)
+        self._end = 0
 
-    def append(self, record: object) -> int:
-        """Pickle ``record`` at the end of the file; returns its offset."""
-        offset = self._file.seek(0, 2)
-        pickle.dump(record, self._file, protocol=pickle.HIGHEST_PROTOCOL)
+    def append(self, buffers: Iterable) -> int:
+        """Write ``buffers`` back to back at the end; returns the offset
+        of the first byte."""
+        fd = self._file.fileno()
+        position = self._end
+        for buffer in buffers:
+            view = memoryview(buffer).cast("B")
+            while view:  # a write may be short
+                written = os.pwrite(fd, view, position)
+                position += written
+                view = view[written:]
+        offset, self._end = self._end, position
         return offset
 
-    def read(self, offset: int):
-        """Load the record :meth:`append` put at ``offset``."""
-        self._file.seek(offset)
-        return pickle.load(self._file)
+    def read(self, offset: int, nbytes: int) -> bytes:
+        """The ``nbytes`` bytes :meth:`append` put at ``offset``."""
+        data = os.pread(self._file.fileno(), nbytes, offset)
+        if len(data) != nbytes:
+            raise OSError(
+                f"spill log holds {len(data)} of the {nbytes} bytes "
+                f"expected at offset {offset}"
+            )
+        return data
 
     def close(self) -> None:
         try:
@@ -222,6 +263,12 @@ class _TrackedAggregate:
 #: One (windows, server indices, values) triple of aligned columns.
 Columns = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
+#: The one layout rows enter a table in — (windows, server indices,
+#: values) — which is also the kind-1 wire frame's column layout and,
+#: column after column in native byte order, a cold chunk's bytes.
+_COLUMN_DTYPES = (np.dtype(np.int64), np.dtype(np.int64), np.dtype(np.float64))
+_ROW_BYTES = sum(dtype.itemsize for dtype in _COLUMN_DTYPES)
+
 
 def _concat_columns(parts: List[Columns]) -> Columns:
     """One (windows, server indices, values) triple from aligned parts."""
@@ -249,6 +296,19 @@ class _Chunk(NamedTuple):
             int(windows.min()), int(windows.max()), windows.size, columns, None
         )
 
+    def load(self, spill: Optional[SpillArchive]) -> Columns:
+        """The rows: a hot chunk's own columns, or a cold chunk's read
+        back — one positional read of ``24 x rows`` bytes, viewed as
+        the three (read-only) columns eviction wrote back to back."""
+        if self.columns is not None:
+            return self.columns
+        data = spill.read(self.offset, _ROW_BYTES * self.rows)
+        columns, start = [], 0
+        for dtype in _COLUMN_DTYPES:
+            columns.append(np.frombuffer(data, dtype, self.rows, start))
+            start += dtype.itemsize * self.rows
+        return tuple(columns)
+
 
 class _Table:
     """Rows of one table: a list of cold chunks, then a list of hot ones.
@@ -265,10 +325,12 @@ class _Table:
        ``_hot``.
 
     Each mutator preserves it: :meth:`append_batch` adds one hot chunk
-    at the end with the span its caller measured; :meth:`evict` moves
-    hot chunks to the end of ``_cold`` in hot order, measuring both
-    halves of one it splits; the fuse in :meth:`read` replaces all hot
-    chunks by their concatenation in list order under their joint span.
+    at the end with the span its caller measured; :meth:`spill_below`
+    changes nothing and :meth:`settle` then moves the chunks it wrote
+    to the end of ``_cold`` in hot order, both halves of a split one
+    measured, in one step that cannot fail; the fuse in :meth:`read`
+    replaces all hot chunks by their concatenation in list order under
+    their joint span.
     """
 
     __slots__ = ("_cold", "_hot", "n_rows", "hot_rows")
@@ -287,14 +349,19 @@ class _Table:
         self.n_rows += rows
         self.hot_rows += rows
 
-    def evict(self, before: int, spill: SpillArchive) -> int:
-        """Move every hot row with ``window < before`` to ``spill``.
+    def spill_below(
+        self, before: int, spill: SpillArchive
+    ) -> Tuple[List[_Chunk], List[_Chunk]]:
+        """Write every hot row with ``window < before`` to ``spill``.
 
-        Whole chunks move as they are, one spill record each; only a
-        chunk that straddles the cutoff is split.  Returns rows moved.
+        Whole chunks go as they are, one record each — the three
+        columns' bytes back to back; only a chunk that straddles the
+        cutoff is split.  The table is unchanged: the result is the
+        ``(moved, kept)`` chunk lists for :meth:`settle`, so a write
+        that fails leaves no row in two places.
         """
+        moved: List[_Chunk] = []
         kept: List[_Chunk] = []
-        moved = 0
         for chunk in self._hot:
             if chunk.lo >= before:
                 kept.append(chunk)
@@ -303,54 +370,59 @@ class _Table:
                 mask = chunk.columns[0] < before
                 kept.append(_Chunk.of(tuple(c[~mask] for c in chunk.columns)))
                 chunk = _Chunk.of(tuple(c[mask] for c in chunk.columns))
-            self._cold.append(
+            moved.append(
                 chunk._replace(columns=None, offset=spill.append(chunk.columns))
             )
-            moved += chunk.rows
+        return moved, kept
+
+    def settle(self, moved: List[_Chunk], kept: List[_Chunk]) -> int:
+        """Make the chunks :meth:`spill_below` wrote cold; returns rows moved."""
+        rows = sum(chunk.rows for chunk in moved)
+        self._cold += moved
         self._hot = kept
-        self.hot_rows -= moved
-        return moved
+        self.hot_rows -= rows
+        return rows
 
     def read(
         self, lo: float, hi: float, spill: Optional[SpillArchive]
-    ) -> List[Columns]:
+    ) -> Iterator[Columns]:
         """The rows with ``lo <= window < hi``, as parts in append order.
 
         Chunks are selected by span and only a partial overlap is
         masked.  ``spill=None`` skips the cold chunks (the caller knows
-        the range lies above them).  A read that takes every hot chunk
-        whole leaves them fused, so full reads concatenate once.
+        the range lies above them); otherwise each cold chunk is read
+        back and yielded before the next is loaded — a consumer that
+        keeps a selection of each part holds one chunk at a time, not
+        the table.  A read that takes every hot chunk whole leaves them
+        fused, so full reads concatenate once.
         """
-        parts: List[Columns] = []
+        hot: List[Columns] = []
         whole_hot = 0
         for chunk in chain(self._cold if spill is not None else (), self._hot):
             if chunk.hi < lo or chunk.lo >= hi:
                 continue
-            columns = chunk.columns or spill.read(chunk.offset)
-            if lo <= chunk.lo and chunk.hi < hi:
-                whole_hot += chunk.columns is not None
-            else:
+            columns = chunk.load(spill)
+            whole = lo <= chunk.lo and chunk.hi < hi
+            if not whole:
                 mask = (columns[0] >= lo) & (columns[0] < hi)
                 columns = tuple(c[mask] for c in columns)
-            parts.append(columns)
+            if chunk.columns is None:
+                yield columns
+            else:
+                hot.append(columns)
+                whole_hot += whole
         if whole_hot == len(self._hot) > 1:
-            fused = _concat_columns(parts[-whole_hot:])
-            parts[-whole_hot:] = [fused]
+            hot = [_concat_columns(hot)]
             self._hot = [_Chunk(
                 min(chunk.lo for chunk in self._hot),
                 max(chunk.hi for chunk in self._hot),
-                self.hot_rows, fused, None,
+                self.hot_rows, hot[0], None,
             )]
-        return parts
+        yield from hot
 
 
 #: Key of one stored table: (pool_id, datacenter_id, counter).
 TableKey = Tuple[str, str, str]
-
-
-#: The one layout rows enter a table in — (windows, server indices,
-#: values) — and the kind-1 wire frame's column layout.
-_COLUMN_DTYPES = (np.dtype(np.int64), np.dtype(np.int64), np.dtype(np.float64))
 
 
 def _check_columns(*columns: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -825,21 +897,27 @@ LiveQuerySurface` takes it around every read, so a live reader only
         The rolling-retention primitive of streaming mode: hot memory
         stays bounded by the retained window span while queries keep
         answering *exactly* — each table's evicted chunks become cold
-        in place (one spill record per chunk, hot order), so ranges
-        that dip below the watermark read them back ahead of the hot
-        chunks and ranges above it never touch the disk.  Requires rows
-        to have arrived in non-decreasing block order (which the
-        simulation engine's emission guarantees) for that read-back to
-        be the original append order; returns the number of rows
-        evicted.  Evicting is idempotent — a cutoff at or below the
-        current watermark is a no-op.
+        in place (one spill record per chunk, hot order: its three
+        columns as raw bytes), so ranges that dip below the watermark
+        read them back ahead of the hot chunks and ranges above it
+        never touch the disk.  Requires rows to have arrived in
+        non-decreasing block order (which the simulation engine's
+        emission guarantees) for that read-back to be the original
+        append order; returns the number of rows evicted.  Evicting is
+        idempotent — a cutoff at or below the current watermark is a
+        no-op — and all or nothing: every table's rows are written
+        before any table or the watermark changes, so a write that
+        fails (a full disk) leaves the store as it was and the call can
+        be retried.
         """
         if before <= self._evicted_before:
             return 0
         if self._spill is None:
             self._spill = SpillArchive()
+        tables = list(self._tables.values())
+        written = [table.spill_below(before, self._spill) for table in tables]
         evicted = sum(
-            table.evict(before, self._spill) for table in self._tables.values()
+            table.settle(*lists) for table, lists in zip(tables, written)
         )
         self._evicted_before = before
         if evicted and self._agg_cache:
@@ -937,8 +1015,11 @@ LiveQuerySurface` takes it around every read, so a live reader only
             if datacenter_id is None or key[1] == datacenter_id
         ]
 
-    def _gather(self, tables: List[_Table], lo: int, hi: int) -> Columns:
-        """Window-sliced (windows, server indices, values) of many tables.
+    def _parts(
+        self, tables: List[_Table], lo: int, hi: int
+    ) -> Iterator[Columns]:
+        """Window-sliced rows of many tables, one chunk-sized part at a
+        time, tables in the order given and append order within each.
 
         A range from 0 (or below) to past the newest window means every
         row, rows at negative windows included.  Ranges entirely above
@@ -948,10 +1029,12 @@ LiveQuerySurface` takes it around every read, so a live reader only
         if lo <= 0 and hi > self._max_window:
             lo, hi = -math.inf, math.inf
         spill = self._spill if lo < self._evicted_before else None
-        parts: List[Columns] = []
         for table in tables:
-            parts.extend(table.read(lo, hi, spill))
-        return _concat_columns(parts)
+            yield from table.read(lo, hi, spill)
+
+    def _gather(self, tables: List[_Table], lo: int, hi: int) -> Columns:
+        """Every part of :meth:`_parts` as one column triple."""
+        return _concat_columns(list(self._parts(tables, lo, hi)))
 
     def gather_columns(
         self,
@@ -981,27 +1064,28 @@ LiveQuerySurface` takes it around every read, so a live reader only
         start: Optional[int] = None,
         stop: Optional[int] = None,
     ) -> TimeSeries:
-        """Series of one counter on one server, optionally window-sliced."""
+        """Series of one counter on one server, optionally window-sliced.
+
+        Selects the server's rows part by part — a chunk at a time,
+        hot or cold alike — and concatenates only the selections, so
+        the cost is one pass over the range's bytes and the memory one
+        chunk plus the answer, never the table.
+        """
         index = self._interner.index.get(server_id)
-        empty = TimeSeries(np.array([], dtype=int), np.array([], dtype=float))
-        if index is None:
-            return empty
-        lo = start if start is not None else 0
-        hi = stop if stop is not None else self._max_window + 1
-        window_parts: List[np.ndarray] = []
-        value_parts: List[np.ndarray] = []
-        for table in self._matching_tables(pool_id, counter, None):
-            windows, servers, values = self._gather([table], lo, hi)
-            mask = servers == index
-            if not mask.any():
-                continue
-            window_parts.append(windows[mask])
-            value_parts.append(values[mask])
-        if not window_parts:
-            return empty
-        if len(window_parts) == 1:
-            return TimeSeries(window_parts[0], value_parts[0])
-        return TimeSeries(np.concatenate(window_parts), np.concatenate(value_parts))
+        window_parts: List[np.ndarray] = [np.array([], dtype=int)]
+        value_parts: List[np.ndarray] = [np.array([], dtype=float)]
+        if index is not None:
+            lo = start if start is not None else 0
+            hi = stop if stop is not None else self._max_window + 1
+            tables = self._matching_tables(pool_id, counter, None)
+            for windows, servers, values in self._parts(tables, lo, hi):
+                rows = np.flatnonzero(servers == index)
+                if rows.size:
+                    window_parts.append(windows[rows])
+                    value_parts.append(values[rows])
+        return TimeSeries(
+            np.concatenate(window_parts), np.concatenate(value_parts)
+        )
 
     def _compute_window_aggregate(
         self,
@@ -1078,8 +1162,11 @@ LiveQuerySurface` takes it around every read, so a live reader only
                 (),
                 np.empty((0, 0), dtype=float),
             )
-        uniq_windows, window_pos = np.unique(windows, return_inverse=True)
-        uniq_servers, server_pos = np.unique(servers, return_inverse=True)
+        base = int(windows.min())
+        uniq_windows, window_pos = _axis(
+            windows, base, int(windows.max()) - base + 1
+        )
+        uniq_servers, server_pos = _axis(servers, 0, len(self._interner))
         matrix = np.full((uniq_windows.size, uniq_servers.size), np.nan)
         matrix[window_pos, server_pos] = values
         names = tuple(self._interner.name(i) for i in uniq_servers)

@@ -232,7 +232,7 @@ class TcpTransport:
     def send_ingest(self, names: List[str], commands: List[tuple]) -> None:
         """Send one ``("ingest", names, commands)`` message as a
         kind-1 binary frame — the only encoding ingest has."""
-        self._sendv(_encode_binary_ingest(names, commands))
+        self._sendv(encode_binary_ingest(names, commands))
 
     def _sendv(self, buffers: Sequence) -> None:
         """Write a buffer sequence: small fields coalesce into one
@@ -274,7 +274,7 @@ class TcpTransport:
             )
         payload = self._recv_exact(length)
         if kind == FRAME_BINARY_INGEST:
-            return _decode_binary_ingest(payload)
+            return decode_binary_ingest(payload)
         try:
             message = pickle.loads(payload)
         except Exception as error:  # noqa: BLE001 — garbage raises anything
@@ -326,7 +326,7 @@ class TcpTransport:
         self._sock.close()
 
 
-def _encode_binary_ingest(names, commands) -> List:
+def encode_binary_ingest(names, commands) -> List:
     """Encode an ingest message as the buffers of one kind-1 frame.
 
     ``commands`` are ``record_columns`` argument tuples whose columns
@@ -334,7 +334,10 @@ def _encode_binary_ingest(names, commands) -> List:
     nothing is re-validated here.  Returns the full buffer sequence —
     header first — ready for a vectored send; column arrays are passed
     through as memoryviews, so large arrays are never copied on the way
-    out.
+    out.  The buffers after the header are the payload
+    :func:`decode_binary_ingest` takes, which is also how a
+    :class:`~repro.telemetry.sharding.ShardJournal` keeps a spilled
+    batch.
     """
     fields = bytearray()
     buffers: List = [b""]  # header placeholder, filled in below
@@ -372,7 +375,7 @@ def _decode_text(view: memoryview, offset: int) -> Tuple[str, int]:
     return bytes(view[offset:offset + byte_len]).decode("utf-8"), offset + byte_len
 
 
-def _decode_binary_ingest(payload: bytearray):
+def decode_binary_ingest(payload: bytearray):
     """Decode a kind-1 payload back into ``("ingest", names, commands)``.
 
     Column arrays are writable ndarray views sharing the received

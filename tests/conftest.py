@@ -51,7 +51,7 @@ def chunk_list_rows(store):
         for position, chunk in enumerate(table._cold + table._hot):
             if position < len(table._cold):
                 assert chunk.columns is None
-                columns = store._spill.read(chunk.offset)
+                columns = chunk.load(store._spill)
             else:
                 assert chunk.offset is None
                 columns = chunk.columns

@@ -246,6 +246,47 @@ class TestLocatedErrors:
             read(path)
 
 
+    @pytest.mark.parametrize("read", [import_store, lambda p: list(iter_rows(p))],
+                             ids=["import_store", "iter_rows"])
+    @pytest.mark.parametrize(
+        "damage,what",
+        [
+            (lambda packed: packed[:len(packed) // 2],
+             "damaged archive .*ended before the end-of-stream marker"),
+            # zlib.error here; another zlib may inflate it to garbage rows.
+            (lambda packed: _overwritten(packed, len(packed) // 2, b"\xff" * 64),
+             "damaged archive .*while decompressing|malformed row"),
+            (lambda packed: _overwritten(packed, len(packed) - 6,
+                                         bytes([packed[-6] ^ 0x55])),
+             "damaged archive .*CRC check failed"),
+            (lambda packed: packed[:7], "damaged archive"),
+        ],
+        ids=["truncated", "corrupted", "checksum", "truncated-header"],
+    )
+    def test_damaged_gzip_names_file_and_line(self, tmp_path, read, damage, what):
+        # The parent let EOFError / zlib.error / BadGzipFile through,
+        # which the CLI showed as a traceback or an error without a path.
+        path = tmp_path / "fleet.csv.gz"
+        noise = np.random.default_rng(5).random(2000)  # incompressible
+        store = MetricStore()
+        store.record_columns(
+            "B", "DC1", "cpu",
+            np.arange(noise.size, dtype=np.int64),
+            np.full(noise.size, store.intern_server("s0"), dtype=np.int64),
+            noise,
+        )
+        export_store(store, path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError, match=rf"^{path}:(\d+): ({what})") as info:
+            read(path)
+        line = int(str(info.value)[len(str(path)) + 1:].split(":")[0])
+        assert 1 <= line <= noise.size + 2
+
+
+def _overwritten(packed: bytes, position: int, patch: bytes) -> bytes:
+    return packed[:position] + patch + packed[position + len(patch):]
+
+
 class TestDeterministicGzip:
     def test_two_exports_are_byte_equal(self, tmp_path):
         store = store_of(GOLDEN_ROWS)

@@ -323,6 +323,34 @@ class TestUnreadableArchive:
         assert str(archive) in captured.err and expected in captured.err
 
 
+    @pytest.mark.parametrize("command", ["plan", "validate", "availability"])
+    @pytest.mark.parametrize(
+        "damage, expected",
+        [
+            (lambda packed: packed[:len(packed) // 2], "damaged archive (Compressed file ended"),
+            (lambda packed: packed[:len(packed) // 3] + b"\xff" * 64
+             + packed[len(packed) // 3 + 64:], " (Error -3 while decompressing"),
+        ],
+        ids=["truncated-member", "corrupted-mid-stream"],
+    )
+    def test_damaged_gzip_is_exit_2_not_a_traceback(
+        self, tmp_path, capsys, command, damage, expected
+    ):
+        archive = tmp_path / "archive.csv.gz"
+        assert main([
+            "simulate", str(archive), "--windows", "40", "--servers", "3",
+            "--datacenters", "1", "--pools", "B", "--seed", "3",
+        ]) == 0
+        capsys.readouterr()
+        archive.write_bytes(damage(archive.read_bytes()))
+        assert main([command, str(archive)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {archive}:")
+        assert captured.err.count("\n") == 1
+        assert expected in captured.err
+
+
 class TestDocsCheck:
     """The docs-check tool: README and the CLI must agree."""
 

@@ -173,6 +173,48 @@ class TestRestartRejoin:
                 store.close()
                 victim.stop()
 
+    def test_rejoin_replays_evictions_where_they_happened(self, tmp_path):
+        """Evictions are journaled between the batches they fell
+        between (and a zero-row batch is not journaled at all), so the
+        rejoined shard has the pre-crash hot/cold split, not only the
+        pre-crash rows."""
+        single = _fill_windows(MetricStore(), 0, 20)
+        victim = ShardServer("127.0.0.1:0").start()
+        store = ShardedMetricStore(
+            backend="tcp", shard_addrs=[victim.address, victim.address],
+            journal_rows=200, flush_rows=128, io_timeout=30,
+        )
+        try:
+            _fill_windows(store, 0, 10)
+            assert store.evict_windows(6) > 0
+            empty = np.array([], dtype=np.int64)
+            store.record_columns("A", "dc1", "cpu", empty, empty, empty.astype(float))
+            _fill_windows(store, 10, 20)
+            assert store.evict_windows(15) > 0
+            hot = [shard.hot_sample_count() for shard in store.shards]
+            for journal in store._journals:
+                assert journal.spilled_batches > 2
+                replayed = list(journal.replay())
+                cutoffs = [
+                    (position, args) for position, (method, args)
+                    in enumerate(replayed) if method == "evict_windows"
+                ]
+                # 10 windows x 8 tables before the first cutoff, as
+                # many again before the second, nothing after it.
+                assert cutoffs == [(80, (6,)), (161, (15,))]
+                assert all(args[5].size for method, args in replayed
+                           if method == "record_columns")
+            victim.stop()
+            with ShardServer("127.0.0.1:0") as reborn:
+                for shard_id in (0, 1):
+                    store.rejoin_shard(shard_id, address=reborn.address)
+                assert [s.hot_sample_count() for s in store.shards] == hot
+                assert store.sample_count() > sum(hot)
+                _assert_twins(single, store, tmp_path, "rejoin-evicted")
+        finally:
+            store.close()
+            victim.stop()
+
     def test_rejoin_requires_journal(self, shard_server):
         with ShardedMetricStore(
             backend="tcp", shard_addrs=[shard_server.address]
@@ -292,6 +334,37 @@ class TestShardJournal:
         for i in (6, 7):
             journal.append("record_fast", (i,), 1)
         assert [args[0] for _m, args in journal.replay()] == list(range(8))
+        journal.close()
+
+    def test_spilled_columns_and_evictions_replay_in_position(self):
+        """What the facade journals: ``record_columns`` batches — keys
+        with ``,`` ``"`` and non-ASCII, the log holds bytes, not CSV —
+        around ``evict_windows`` cutoffs, through several spills."""
+        journal = ShardJournal(memory_rows=5)
+        rng = np.random.default_rng(3)
+        sent = []
+        for step in range(13):
+            if step % 4 == 3:
+                sent.append(("evict_windows", (step,)))
+                journal.append(*sent[-1], 0)
+                continue
+            rows = 1 + step % 3
+            sent.append(("record_columns", (
+                f'po,ol"{step}', "dc-\u00e9", "Requ\u00eates/sec,\u4e16",
+                np.full(rows, step - 4, dtype=np.int64),
+                rng.integers(0, 1 << 40, rows),
+                rng.standard_normal(rows),
+            )))
+            journal.append(*sent[-1], rows)
+        assert journal.spilled_batches >= 3
+        assert 0 < len(journal._commands) < len(sent)
+        for _ in range(2):  # replay is repeatable
+            replayed = list(journal.replay())
+            assert [method for method, _ in replayed] == [m for m, _ in sent]
+            for (_, got), (_, want) in zip(replayed, sent):
+                assert got[:3] == want[:3]
+                for a, b in zip(got[3:], want[3:]):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         journal.close()
 
     def test_memory_stays_bounded(self):

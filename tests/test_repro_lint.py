@@ -230,7 +230,7 @@ class TestRpcSurface:
 
 
     def test_pickle_import_outside_the_listed_sites_fires(self, engine, tree):
-        """The ratchet: store.py and transport.py unpickle, nobody new."""
+        """The ratchet: transport.py unpickles, nobody new."""
         assert _findings(engine, tree, "rpc-surface") == []
         _edit(
             tree,
@@ -251,6 +251,24 @@ class TestRpcSurface:
             ),
         ]
         assert all("imports pickle" in f.message for f in found)
+
+
+    def test_pickle_import_back_in_the_store_fires(self, engine, tree):
+        """store.py left the table when its spill log became raw
+        columns; re-adding the import to a copy is a finding."""
+        _edit(
+            tree,
+            "src/repro/telemetry/store.py",
+            "import math\n",
+            "import math\nimport pickle\n",
+        )
+        store = (tree / "src/repro/telemetry/store.py").read_text()
+        (found,) = _findings(engine, tree, "rpc-surface")
+        assert (found.path, found.line) == (
+            "src/repro/telemetry/store.py",
+            store.splitlines().index("import pickle") + 1,
+        )
+        assert "only ['src/repro/telemetry/transport.py'] may" in found.message
 
 
 class TestCliSurface:

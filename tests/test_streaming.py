@@ -326,9 +326,9 @@ class TestSpillReadsAtBlockOne:
         offsets = []
         read = SpillArchive.read
 
-        def counting_read(self, offset):
+        def counting_read(self, offset, nbytes):
             offsets.append(offset)
-            return read(self, offset)
+            return read(self, offset, nbytes)
 
         monkeypatch.setattr(SpillArchive, "read", counting_read)
         windows, retain = 1600, 64

@@ -1,11 +1,13 @@
 """Unit tests for repro.telemetry.store and counters."""
 
+import errno
+
 import numpy as np
 import pytest
 
 from repro.telemetry.counters import Counter, CounterSample, WINDOW_SECONDS, workload_counter
 from repro.telemetry.export import export_store
-from repro.telemetry.store import MetricStore
+from repro.telemetry.store import MetricStore, SpillArchive
 from tests.conftest import chunk_list_rows
 
 
@@ -481,5 +483,44 @@ class TestChunkList:
         chunk_list_rows(evicting)
         assert _windows_read(evicting, dc="DC1") == [  # pinned
             w for w in range(16) for _ in range(3)
+        ]
+        _assert_same_answers(evicting, reference)
+
+    @pytest.mark.parametrize("failing_write", [1, 2, 3, 4])
+    def test_spill_write_failing_mid_eviction(self, monkeypatch, failing_write):
+        # Two tables, two chunks each below the cutoff: four writes, of
+        # which the n-th fails as a full disk would.  At the parent the
+        # chunks written before it were already cold *and* still hot
+        # (n = 2, 4: 36 rows read back as 42), or one table was ahead
+        # of the watermark and ranged reads skipped its cold rows
+        # (n = 3).
+        evicting, reference = _twins()
+        for store in (evicting, reference):
+            for start in (0, 2, 4):
+                _put(store, [start, start + 1])
+                _put(store, [start, start + 1], dc="DC2", scale=3.0)
+        append, writes = SpillArchive.append, []
+
+        def full_disk(self, buffers):
+            writes.append(buffers)
+            if len(writes) == failing_write:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return append(self, buffers)
+
+        monkeypatch.setattr(SpillArchive, "append", full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            evicting.evict_windows(4)
+        # All or nothing: the store is as it was ...
+        assert evicting.evicted_before == 0
+        assert evicting.hot_sample_count() == evicting.sample_count() == 36
+        chunk_list_rows(evicting)
+        _assert_same_answers(evicting, reference)
+        # ... and the retry evicts exactly what the failed call did not.
+        assert evicting.evict_windows(4) == 24
+        assert evicting.evicted_before == 4
+        assert evicting.hot_sample_count() == 12
+        chunk_list_rows(evicting)
+        assert _windows_read(evicting, dc="DC1") == [
+            w for w in range(6) for _ in range(3)
         ]
         _assert_same_answers(evicting, reference)

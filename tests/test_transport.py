@@ -30,8 +30,8 @@ from repro.telemetry.transport import (
     FRAME_BINARY_INGEST,
     MAX_FRAME_BYTES,
     TcpTransport,
-    _decode_binary_ingest,
-    _encode_binary_ingest,
+    decode_binary_ingest,
+    encode_binary_ingest,
     format_address,
     parse_address,
 )
@@ -435,7 +435,7 @@ def _serving_listener(serve, host="127.0.0.1"):
 def _payload(names, commands) -> bytearray:
     """The kind-1 payload ``recv`` would hand the decoder (header off)."""
     return bytearray(b"".join(
-        bytes(buffer) for buffer in _encode_binary_ingest(names, commands)[1:]
+        bytes(buffer) for buffer in encode_binary_ingest(names, commands)[1:]
     ))
 
 
@@ -535,7 +535,7 @@ class TestBinaryFrames:
         """Arbitrary unicode names/keys, zero-row and many-command
         frames all survive the codec bit for bit."""
         names, commands = frame
-        tag, got_names, got_commands = _decode_binary_ingest(
+        tag, got_names, got_commands = decode_binary_ingest(
             _payload(names, commands)
         )
         assert (tag, got_names) == ("ingest", names)
@@ -573,7 +573,7 @@ class TestBinaryFrames:
             field = (value % 2 ** (8 * width)).to_bytes(width, "big")
             payload[at:at + width] = field[: len(payload) - at]
         try:
-            message = _decode_binary_ingest(payload)
+            message = decode_binary_ingest(payload)
         except ConnectionError:
             return
         _assert_well_formed(message)

@@ -59,7 +59,6 @@ CACHE_ATTRS = {"_agg_cache", "_partition_cache"}
 #: The only modules that may import ``pickle``, and whose bytes each
 #: one loads.  A ratchet: entries leave this table, none are added.
 PICKLE_SITES = {
-    STORE: "bytes this process wrote to its own anonymous temp file",
     TRANSPORT: "the kind-0 control plane, until it gets a typed encoding",
 }
 
@@ -127,8 +126,8 @@ def _pickle_imports(files: Dict[str, SourceFile]) -> Findings:
                 out.append((
                     rel, node.lineno,
                     f"imports pickle, but only {sorted(PICKLE_SITES)} may — "
-                    f"use SpillArchive for bytes this process keeps for "
-                    f"itself, column frames for bytes that cross a socket",
+                    f"SpillArchive keeps raw bytes for this process, "
+                    f"column frames carry rows across a socket",
                 ))
     return out
 
