@@ -4,13 +4,13 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-stream test-faults test-server test-archive test-store bench bench-smoke bench-tcp bench-e2e bench-e2e-smoke bench-check docs-check hygiene-check lint run-checks check
+.PHONY: test test-stream test-faults test-server test-archive test-store bench-e2e bench-e2e-smoke docs-check hygiene-check lint run-checks check
 
-# The static gates run first so doc drift, a stale benchmark JSON,
-# tracked build artifacts, or a lint invariant violation fail tier-1
-# locally, before the (slower) pytest pass starts.  `run-checks` wraps
-# docs-check, bench-check, hygiene-check and lint with uniform
-# PASS/FAIL reporting; each also remains an individual target.
+# The static gates run first so doc drift, tracked build artifacts, or
+# a lint invariant violation fail tier-1 locally, before the (slower)
+# pytest pass starts.  `run-checks` wraps docs-check, hygiene-check and
+# lint with uniform PASS/FAIL reporting; each also remains an
+# individual target.
 test: run-checks
 	$(PYTHON) -m pytest -x -q
 
@@ -22,8 +22,9 @@ test-stream:
 	$(PYTHON) -m pytest tests/test_streaming.py -q
 
 # The fault-tolerance suite on its own: kill -9 against real
-# shard-server subprocesses, restart/rejoin resync round-trips, and
-# the injected-fault matrix (all of it also rides in `make test`).
+# shard-server subprocesses, restart/rejoin resync round-trips, the
+# injected-fault matrix and the session-list properties (all of it
+# also rides in `make test`).
 test-faults:
 	$(PYTHON) -m pytest tests/test_fault_tolerance.py -q
 
@@ -46,19 +47,6 @@ test-archive:
 test-store:
 	$(PYTHON) -m pytest tests/test_telemetry_store.py tests/test_spill_log.py tests/test_sharded_store.py tests/test_property_based.py -q
 
-# Fast sanity pass over the throughput benchmark (small fleet, no JSON).
-bench-smoke:
-	$(PYTHON) benchmarks/bench_sim_throughput.py --smoke
-
-# Serial-vs-loopback-TCP shard sweep against a real `repro shard-server`
-# subprocess: the distribution seam's cost by shard count (no JSON).
-bench-tcp:
-	$(PYTHON) benchmarks/bench_sim_throughput.py --tcp
-
-# Full 1000x1000 benchmark; rewrites BENCH_sim_throughput.json.
-bench:
-	$(PYTHON) benchmarks/bench_sim_throughput.py
-
 # The end-to-end benchmark of BENCHMARK.json (benchmarks/e2e/README.md);
 # the smoke form runs one fast iteration per workload.
 bench-e2e:
@@ -72,11 +60,6 @@ bench-e2e-smoke:
 docs-check:
 	$(PYTHON) tools/docs_check.py
 
-# Fails when BENCH_sim_throughput.json misses a row for any shard
-# backend (list imported from the code) or a row reports a zero stage.
-bench-check:
-	$(PYTHON) tools/bench_check.py
-
 # Fails when build artifacts (__pycache__, *.pyc, .pytest_cache,
 # *.egg-info) are tracked by git.
 hygiene-check:
@@ -89,7 +72,7 @@ hygiene-check:
 lint:
 	$(PYTHON) tools/repro_lint
 
-# All four checkers behind one entry point with uniform PASS/FAIL.
+# All three checkers behind one entry point with uniform PASS/FAIL.
 run-checks:
 	$(PYTHON) tools/run_checks.py
 

@@ -35,20 +35,43 @@ from repro.core.slo import QoSRequirement
 from repro.telemetry.export import export_store, import_store
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for flags that must be >= 1 (clean error, exit 2)."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+def _int_at_least(floor: int):
+    """argparse type for an integer flag with a floor (clean error, exit 2)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be >= {floor}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse: "invalid int value: 'x'"
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
+
+
+def _nonnegative_days(text: str) -> float:
+    """argparse type for ``--days``: a finite number >= 0."""
+    value = float(text)
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
     return value
 
 
-def _nonnegative_int(text: str) -> int:
-    """argparse type for flags that must be >= 0 (clean error, exit 2)."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _pool_letters(text: str) -> Optional[List[str]]:
+    """argparse type for ``--pools``: letters of the service catalog
+    (empty = every pool, like leaving the flag out)."""
+    letters = text.split(",") if text else None
+    catalog = service_catalog()
+    unknown = [letter for letter in letters or () if letter not in catalog]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown pool(s) {', '.join(map(repr, unknown))}; "
+            f"valid letters: {','.join(sorted(catalog))}"
+        )
+    return letters
 
 
 def _check_distributed_flags(args: argparse.Namespace):
@@ -196,7 +219,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     fleet = build_paper_fleet(
         servers_per_deployment=args.servers,
         datacenters=datacenters,
-        pools=args.pools.split(",") if args.pools else None,
+        pools=args.pools,
         seed=args.seed,
     )
     n_windows = (
@@ -507,17 +530,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="archive path (.csv or .csv.gz); omit to only print throughput "
              "(large-fleet benchmarking runs)",
     )
-    simulate.add_argument("--days", type=float, default=2.0)
+    simulate.add_argument("--days", type=_nonnegative_days, default=2.0)
     simulate.add_argument(
-        "--windows", type=int, default=None,
+        "--windows", type=_nonnegative_int, default=None,
         help="simulate exactly N windows (overrides --days; 720 windows = 1 day)",
     )
-    simulate.add_argument("--servers", type=int, default=6, help="servers per deployment")
+    simulate.add_argument(
+        "--servers", type=_int_at_least(2), default=6,
+        help="servers per deployment (>= 2)",
+    )
     simulate.add_argument(
         "--datacenters", type=int, default=9, choices=range(1, 10), metavar="1-9"
     )
-    simulate.add_argument("--pools", default=None, help="comma-separated pool letters")
-    simulate.add_argument("--seed", type=int, default=0)
+    simulate.add_argument(
+        "--pools", type=_pool_letters, default=None,
+        help="comma-separated pool letters",
+    )
+    simulate.add_argument("--seed", type=_nonnegative_int, default=0)
     simulate.add_argument(
         "--shards", type=_positive_int, default=1, metavar="N",
         help="hash-partition the metric store across N shards "

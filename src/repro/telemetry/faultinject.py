@@ -118,8 +118,8 @@ class FaultyTransport:
     ``send_ingest``, ``recv``, ``close`` and ``detach`` — so it can be
     swapped in front of any
     :class:`~repro.telemetry.transport.TcpTransport` (including one
-    already owned by a live ``TcpShardClient``, which reads the
-    attribute on every operation).  Frame counting covers both send
+    already owned by a live ``TcpShardClient``, whose session reads
+    the attribute on every operation).  Frame counting covers both send
     flavours; the fault arms once ``after_frames`` frames have gone
     out.  ``close`` is safe at any time, including while a ``hang``
     send is blocking — it wakes the hung thread, which then raises
@@ -229,23 +229,20 @@ class FaultyTransport:
 def inject_client(client: Any, spec: FaultSpec) -> FaultyTransport:
     """Wrap one shard client's transport per ``spec``; returns the wrap.
 
-    For a :class:`~repro.telemetry.workers.ReplicatedShardClient` the
-    fault lands on the *primary* member only — the replicas stay
-    healthy, which is exactly the failover scenario worth provoking.
+    The fault lands on the client's *first live session* — the primary
+    — only; a replicated shard's other sessions stay healthy, which is
+    exactly the failover scenario worth provoking.  The wrap hangs for
+    as long as the socket under it would: its ``io_timeout``.
     """
-    from repro.telemetry.workers import ReplicatedShardClient
-
-    target = client
-    if isinstance(client, ReplicatedShardClient):
-        target = client._live_members()[0]
+    inner = client._transport
     wrapped = FaultyTransport(
-        target._transport,
+        inner,
         spec.mode,
         after_frames=spec.after_frames,
         delay_s=spec.delay_s,
-        io_timeout=getattr(target, "_io_timeout", None),
+        io_timeout=inner._sock.gettimeout(),
     )
-    target._transport = wrapped
+    client._transport = wrapped
     return wrapped
 
 

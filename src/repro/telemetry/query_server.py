@@ -49,11 +49,10 @@ from repro.telemetry.store import READ_SURFACE, ServerInterner, forward_reads
 from repro.telemetry.transport import (
     DEFAULT_CONNECT_TIMEOUT,
     DEFAULT_IO_TIMEOUT,
-    TcpTransport,
     format_address,
     parse_address,
 )
-from repro.telemetry.workers import ShardServer, round_trip
+from repro.telemetry.workers import ClientSession, ShardServer, answer
 
 #: What the live surface answers beside the read table: the three
 #: compound reads and the watermark its streamer owns.
@@ -231,11 +230,8 @@ class QueryClient:
         io_timeout: Optional[float] = DEFAULT_IO_TIMEOUT,
     ) -> None:
         self.address = format_address(*parse_address(address))
-        if io_timeout is not None and io_timeout <= 0:
-            io_timeout = None
-        self._io_timeout = io_timeout
-        self._transport = TcpTransport.connect(
-            self.address, timeout=connect_timeout, io_timeout=io_timeout
+        self._session = ClientSession(
+            "query server", self.address, connect_timeout, io_timeout
         )
         self._closed = False
 
@@ -243,10 +239,7 @@ class QueryClient:
         """Invoke ``method`` on the server's surface, return its result."""
         if self._closed:
             raise RuntimeError("query client is closed")
-        return round_trip(
-            self._transport, f"query server ({self.address})",
-            self._io_timeout, ("call", [], method, args, kwargs),
-        )
+        return answer(self._session.round_trip([], method, args, kwargs))
 
     # Convenience wrappers for the three compound reads.
     def status(self) -> Dict[str, Any]:
@@ -272,11 +265,7 @@ class QueryClient:
         if self._closed:
             return
         self._closed = True
-        try:
-            self._transport.send(("stop",))
-        except Exception:  # server already gone — nothing to stop
-            pass
-        self._transport.close()
+        self._session.goodbye()
 
     def __enter__(self) -> "QueryClient":
         return self

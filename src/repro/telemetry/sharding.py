@@ -13,20 +13,20 @@ Two interchangeable **backends** decide where the shards live:
 
 ``"serial"``
     N local :class:`~repro.telemetry.store.MetricStore` objects,
-    appended to one after another on the caller's thread.  Zero
-    dispatch overhead; the baseline the other backend must match
-    bit-for-bit.
+    appended to one after another on the caller's thread.  The
+    reference the other backend must match bit-for-bit.
 ``"tcp"``
-    Each shard is a :class:`~repro.telemetry.workers.TcpShardClient`
-    session on a ``repro shard-server`` (one ``host:port`` per shard
+    Each shard is a :class:`~repro.telemetry.workers.TcpShardClient`:
+    a session on a ``repro shard-server`` (one ``host:port`` per shard
     in ``shard_addrs``; the same address may repeat — every
-    connection gets its own fresh store), fed coalesced ingest frames
-    and queried over synchronous RPC.  Every row pays one wire
-    crossing, so on one host this is strictly slower than serial —
-    its value is moving shard memory and query CPU off the ingesting
-    process, onto loopback server processes or other machines.  See
-    :mod:`repro.telemetry.workers` for the message protocol and
-    ``docs/DISTRIBUTED.md`` for the wire format and operations.
+    connection gets its own fresh store) plus one more per replica in
+    ``replica_addrs``, fed coalesced ingest frames and queried over
+    synchronous RPC.  Its duty is placement, capacity and failover —
+    shard memory and query CPU live in another process or on another
+    machine, and outlive a peer's death — paid for with one wire
+    crossing per row.  See :mod:`repro.telemetry.workers` for the
+    message protocol and ``docs/DISTRIBUTED.md`` for the wire format,
+    operations and the measured cost of the seam.
 
 **Queries** merge shard results shard-wise, identically for every
 backend:
@@ -67,11 +67,7 @@ from repro.telemetry.transport import (
     encode_binary_ingest,
     parse_address,
 )
-from repro.telemetry.workers import (
-    DEFAULT_FLUSH_ROWS,
-    ReplicatedShardClient,
-    TcpShardClient,
-)
+from repro.telemetry.workers import DEFAULT_FLUSH_ROWS, TcpShardClient
 from repro.telemetry.store import (
     READ_SURFACE,
     MetricStore,
@@ -89,12 +85,12 @@ from repro.telemetry.store import (
 #: Valid values of the ``backend`` constructor knob.
 BACKENDS = ("serial", "tcp")
 
-#: A shard handle: a local store or a remote-shard client proxy (TCP
-#: session or replicated TCP group).  All expose ``record_columns``,
-#: ``evict_windows`` and every :data:`READ_SURFACE` read, which is what
-#: lets the facade treat "where does this shard live" as a
-#: construction detail.
-Shard = Union[MetricStore, TcpShardClient, ReplicatedShardClient]
+#: A shard handle: a local store or the remote-shard client proxy (one
+#: TCP session per address it mirrors the shard on).  Both expose
+#: ``record_columns``, ``evict_windows`` and every :data:`READ_SURFACE`
+#: read, which is what lets the facade treat "where does this shard
+#: live" as a construction detail.
+Shard = Union[MetricStore, TcpShardClient]
 
 
 class ShardJournal:
@@ -270,13 +266,13 @@ class ShardedMetricStore(_RecordVerbs, _AggregateFront):
         ``shard_addrs`` — entry *i* is the replica (a ``host:port``
         string) or replica set (a sequence of them) mirroring shard
         *i*; ``None`` or ``""`` entries leave that shard
-        un-replicated.  Every ingest frame fans out to the whole
-        member set, so when a primary dies or hangs (the per-shard
-        timeout/EOF errors) queries and further ingest fail over to a
-        live replica with **bit-identical** results — replicas
-        consumed identical coalesced frames, so failover is invisible
-        in every answer and export.  The run only fails when a shard's
-        *last* member dies.
+        un-replicated.  The shard's one client sends every ingest
+        frame to each of its sessions, so when a primary dies or hangs
+        (the per-shard timeout/EOF errors) queries and further ingest
+        fail over to a live replica with **bit-identical** results —
+        every live session has been sent the same frames, so failover
+        is invisible in every answer and export.  The run only fails
+        when a shard's *last* session dies.
     journal_rows:
         TCP backend only: enable the per-shard ingest journal that
         :meth:`rejoin_shard` replays into a restarted shard server,
@@ -310,7 +306,6 @@ class ShardedMetricStore(_RecordVerbs, _AggregateFront):
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {BACKENDS}"
             )
-        shard_addresses: Optional[List[Tuple[str, ...]]] = None
         if backend == "tcp":
             if not shard_addrs:
                 raise ValueError(
@@ -340,7 +335,6 @@ class ShardedMetricStore(_RecordVerbs, _AggregateFront):
                 )
         self._backend = backend
         self._interner = ServerInterner()
-        self._shard_addresses = shard_addresses
         self._tcp_kwargs = dict(
             flush_rows=flush_rows,
             connect_timeout=connect_timeout,
@@ -421,9 +415,9 @@ LiveQuerySurface` takes it around every read.
         """The underlying shard handles (read-only view, for tests).
 
         Local :class:`MetricStore` objects for the serial backend,
-        :class:`TcpShardClient` / :class:`ReplicatedShardClient`
-        proxies for tcp — all answer the same query methods (the
-        proxies over RPC).
+        :class:`TcpShardClient` proxies for tcp (one per shard, however
+        many replicas mirror it) — both answer the same query methods,
+        the proxies over RPC.
         """
         return tuple(self._shards)
 
@@ -432,12 +426,8 @@ LiveQuerySurface` takes it around every read.
         return server_index % len(self._shards)
 
     def _dial_shard(self, shard_id: int, addresses: Tuple[str, ...]) -> Shard:
-        """Connect one tcp shard: a plain session or a replica group."""
-        if len(addresses) == 1:
-            return TcpShardClient(
-                shard_id, self._interner, addresses[0], **self._tcp_kwargs
-            )
-        return ReplicatedShardClient(
+        """Connect one tcp shard: one session per address, primary first."""
+        return TcpShardClient(
             shard_id, self._interner, addresses, **self._tcp_kwargs
         )
 
@@ -457,10 +447,10 @@ LiveQuerySurface` takes it around every read.
 
         Requires ``journal_rows`` (journaling) to have been enabled at
         construction; raises ``RuntimeError`` otherwise.  For a
-        replicated shard the whole member group is re-dialled and
-        re-seeded.  On any failure the half-built session is closed
-        and the old (dead) handle stays in place, so ``rejoin_shard``
-        can simply be retried.
+        replicated shard every session is re-dialled and re-seeded.
+        On any failure the half-built client is closed and the old
+        (dead) handle stays in place, so ``rejoin_shard`` can simply
+        be retried.
         """
         self._ensure_open()
         if self._backend != "tcp":
@@ -498,7 +488,6 @@ LiveQuerySurface` takes it around every read.
                 pass
             raise
         self._shards[shard_id] = client
-        self._shard_addresses[shard_id] = addresses
         self._agg_cache.clear()
 
     def close(self) -> None:

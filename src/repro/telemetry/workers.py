@@ -13,13 +13,13 @@ table (:data:`~repro.telemetry.store.READ_SURFACE`) — the facade
 cannot tell a remote shard from a local one.
 
 :class:`TcpShardClient` / :class:`ShardServer`
-    One TCP session per shard.  A :class:`ShardServer` — also exposed
-    as the ``repro shard-server`` CLI command — accepts any number of
-    sessions and gives each one its own fresh ``MetricStore``, so *one
-    connection is one shard* and a facade pointed at
-    ``host:port,host:port,...`` has true multi-machine shards.  The
-    ``"tcp"`` backend.  Client and server must run the same tree:
-    there is no version negotiation on the wire.
+    One TCP session per shard (and one more per replica).  A
+    :class:`ShardServer` — also exposed as the ``repro shard-server``
+    CLI command — accepts any number of sessions and gives each one
+    its own fresh ``MetricStore``, so *one connection is one store* and
+    a facade pointed at ``host:port,host:port,...`` has true
+    multi-machine shards.  The ``"tcp"`` backend.  Client and server
+    must run the same tree: there is no version negotiation on the wire.
 
 Message protocol (one connection per shard, all messages tuples,
 strictly FIFO; the wire encoding is the transport's business):
@@ -56,23 +56,18 @@ server: the rebuilt session reconverges to the exact pre-crash store
 state (see
 :meth:`~repro.telemetry.sharding.ShardedMetricStore.rejoin_shard`).
 
-**Replication**: :class:`ReplicatedShardClient` mirrors one shard
-across several TCP sessions (a primary plus replicas).  Every ingest
-call fans out to every live member, so each member buffers and
-coalesces the identical command stream into identical frames; queries
-are answered by the first live member.  When a member dies or times
-out (a :class:`ShardConnectionError`) it is retired and the survivors
-carry on: queries and subsequent ingest fail over with
-**bit-identical** answers, because every member's store consumed the
-same calls in the same order.  Only when every member of a shard has
-failed does the error reach the caller.
-
-**Sending**: a proxy's ``flush`` encodes and sends the coalesced frame
-on the caller's thread.  ``sendall`` under ``io_timeout`` is the
-backpressure against a slow shard, and a dead or timed-out peer raises
-the per-shard :class:`ShardConnectionError` from the very ``flush`` or
-query that hit it.  Every query RPC flushes first, so reads observe
-all previously buffered ingest.
+**Replication** is a property of the one client, not a second class:
+a :class:`TcpShardClient` owns a list of sessions, one per configured
+address (first = primary; an un-replicated shard is the list of one).
+Rows are buffered once and every flush hands the same command list to
+every live session, which is the whole invariant: **every live session
+has been sent the same frames**, so a read may ask any one of them.
+Reads ask the first; a session whose send or recv fails (dead peer,
+reset, I/O timeout) is retired and the read is retried on the next,
+with a **bit-identical** answer.  The two mutating calls
+(:data:`SHARD_EXTRAS`) go to every live session.  Only when the last
+session is gone does one :class:`ShardConnectionError` reach the
+caller, from the very ``flush`` or query that hit it.
 
 ``names`` on every message is the **interner delta**: the slice of
 server names the parent interned since the previous message.  The
@@ -83,13 +78,13 @@ the global id space without sharing memory — ingest ships only
 (``per_server_values``, ``pool_matrix``, ``servers_in_pool``) still
 answer with the right strings.
 
-Cost model: every row crosses the placement boundary exactly once as
-part of an ``int64``/``float64`` column (~24 bytes/row of payload),
-and every query result crosses back once.  On a single host that
-serialisation is pure overhead — the serial backend exists for exactly
-that reason — but a remote shard keeps its entire store, freeze, and
-aggregate-cache workload off the simulating process, which is what
-pays once shards outgrow one core or one host.
+Cost model: every row crosses the placement boundary once per live
+session as part of an ``int64``/``float64`` column (~24 bytes/row of
+payload), and every query result crosses back once.  That crossing is
+what the backend costs, not what it is for: its duty is placement,
+capacity and failover — a shard's store, freeze and aggregate cache
+live in another process or on another machine, and outlive a peer's
+death (``docs/DISTRIBUTED.md``, "Which backend, when", has the numbers).
 
 Equivalence: a remote shard applies the identical ``record_columns``
 calls in the identical order a local shard would see, so its tables —
@@ -103,7 +98,7 @@ from __future__ import annotations
 import os
 import socket
 import threading
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -119,6 +114,7 @@ from repro.telemetry.transport import (
     DEFAULT_IO_TIMEOUT,
     TcpTransport,
     format_address,
+    parse_address,
 )
 
 #: Default number of pending rows that triggers an ingest flush.
@@ -262,79 +258,126 @@ class ShardConnectionError(RuntimeError):
     raised and shipped back (a bad query argument is a ``ValueError``
     here exactly as it would be locally).  The distinction is what
     replication keys failover on: a connection-level failure means
-    "try another member", a store-level exception means the call
-    itself was wrong and every member would answer the same.
+    "try another session", a store-level exception means the call
+    itself was wrong and every session would answer the same.
     Subclasses ``RuntimeError``, so pre-replication callers that
     caught ``RuntimeError`` keep working unchanged.
     """
 
 
-def _connection_lost(
-    peer: str, io_timeout: Optional[float], error: BaseException
-) -> ShardConnectionError:
-    """The named error for a dead (EOF/reset) or hung (timeout) peer."""
-    if isinstance(error, TimeoutError):
-        bound = f" after {io_timeout:g}s" if io_timeout is not None else ""
-        return ShardConnectionError(
-            f"{peer}: I/O timed out{bound} — peer is alive but not "
-            f"making progress"
-        )
-    return ShardConnectionError(f"{peer}: connection lost")
+class ClientSession:
+    """The client end of one connection: address, transport, names sent.
 
+    The one home of the client half of the wire — held in a list by
+    :class:`TcpShardClient`, singly by
+    :class:`~repro.telemetry.query_server.QueryClient`.  Dials eagerly
+    (with the transport's refused-connection retry window, so starting
+    client and server "at the same time" works); ``io_timeout`` bounds
+    every socket operation, so a dead *or* hung peer is a
+    :class:`ShardConnectionError` naming ``label`` and the address —
+    never a hang — after which the session is unusable (a partial
+    frame may be in flight) and its owner drops it.
 
-def round_trip(
-    transport, peer: str, io_timeout: Optional[float], request: tuple
-) -> Any:
-    """Send one ``call`` frame and return what the reply carries.
-
-    The one client half of the RPC, shared by :class:`TcpShardClient`
-    and :class:`~repro.telemetry.query_server.QueryClient`: a dead or
-    hung peer becomes a :class:`ShardConnectionError` naming ``peer``;
-    an ``err`` reply re-raises the exception the far side shipped.
+    ``names_sent``, how much of the owner's interner this peer has been
+    told, is per session on purpose: a ``call`` frame carries the delta
+    only to the session that answers it.
     """
-    try:
-        transport.send(request)
-        kind, payload = transport.recv()
-    except (EOFError, OSError) as error:
-        raise _connection_lost(peer, io_timeout, error) from error
+
+    def __init__(
+        self,
+        label: str,
+        address: str,
+        connect_timeout: float,
+        io_timeout: Optional[float],
+    ) -> None:
+        if io_timeout is not None and io_timeout <= 0:
+            io_timeout = None  # 0 / negative = "no bound", like the CLI
+        self.address = address
+        self.names_sent = 0
+        self._peer = f"{label} ({address})"
+        self._bound = f" after {io_timeout:g}s" if io_timeout is not None else ""
+        self._lost = False
+        self._owner_pid = os.getpid()
+        self.transport = TcpTransport.connect(
+            address, timeout=connect_timeout, io_timeout=io_timeout
+        )
+
+    def _names_delta(self, names: List[str]) -> List[str]:
+        """The slice of ``names`` this peer has not been sent yet."""
+        delta = names[self.names_sent:]
+        self.names_sent = len(names)
+        return delta
+
+    def _connection_lost(self, error: BaseException) -> ShardConnectionError:
+        """The named error for a dead (EOF/reset) or hung (timeout) peer."""
+        self._lost = True
+        if isinstance(error, TimeoutError):
+            return ShardConnectionError(
+                f"{self._peer}: I/O timed out{self._bound} — peer is alive "
+                f"but not making progress"
+            )
+        return ShardConnectionError(f"{self._peer}: connection lost")
+
+    def send_ingest(self, names: List[str], commands: List[tuple]) -> None:
+        """Send one coalesced ingest frame (fire-and-forget)."""
+        try:
+            self.transport.send_ingest(self._names_delta(names), commands)
+        except (EOFError, OSError) as error:
+            raise self._connection_lost(error) from error
+
+    def round_trip(
+        self, names: List[str], method: str, args: tuple, kwargs: dict
+    ) -> Tuple[str, Any]:
+        """Send one ``call`` frame and return the ``(kind, payload)``
+        reply; :func:`answer` turns it into a result or a raise."""
+        try:
+            self.transport.send(
+                ("call", self._names_delta(names), method, args, kwargs)
+            )
+            return self.transport.recv()
+        except (EOFError, OSError) as error:
+            raise self._connection_lost(error) from error
+
+    def goodbye(self) -> None:
+        """End the session: ``("stop",)``, tolerate a dead peer, close.
+
+        Fork-safe: called from a *forked* copy of the owner
+        (``os.getpid()`` differs from the pid that dialled) it only
+        releases the inherited descriptor — the session belongs to the
+        original process, and ending it from the fork would yank a live
+        store out from under that owner.  A wire that already failed is
+        closed without the ``stop``: it may hold half a frame, and a
+        hung peer would cost a second ``io_timeout``.
+        """
+        if os.getpid() != self._owner_pid:
+            self.transport.detach()
+            return
+        if not self._lost:
+            try:
+                self.transport.send(("stop",))
+            except (EOFError, OSError):
+                pass
+        self.transport.close()
+
+
+def answer(reply: Tuple[str, Any]) -> Any:
+    """What a ``call`` reply carries: the result of ``("ok", result)``,
+    or the far side's exception re-raised from ``("err", exception)``."""
+    kind, payload = reply
     if kind == "err":
         raise payload
     return payload
 
 
 @forward_reads("call")
-class _ShardQuerySurface:
-    """The query half of the remote-shard proxy surface.
-
-    Every :data:`~repro.telemetry.store.READ_SURFACE` name is generated
-    as a forward through ``self.call`` (provided by the subclass) —
-    shared by :class:`TcpShardClient` (one session) and
-    :class:`ReplicatedShardClient` (a failover group), so the facade
-    cannot tell them, or a local store, apart.  ``iter_tables`` comes
-    back as the list the serve loop materialised: one pickle of the
-    shard's full columns, paid once per export.
-    """
-
-    def call(self, method: str, *args: Any, **kwargs: Any) -> Any:
-        raise NotImplementedError
-
-    def evict_windows(self, before: int) -> int:
-        """Evict windows below ``before`` on the remote store.
-
-        Rides the ordered command stream like ingest (``call`` flushes
-        buffered rows first), so eviction observes every previously
-        ingested row.
-        """
-        return self.call("evict_windows", before)
-
-
-class TcpShardClient(_ShardQuerySurface):
-    """Client-side proxy to one ``MetricStore`` session on a
-    :class:`ShardServer`.
+class TcpShardClient:
+    """Client-side proxy to one shard: a ``MetricStore`` on a
+    :class:`ShardServer`, mirrored on one session per address given.
 
     Duck-types the slice of the :class:`MetricStore` surface the
-    sharded facade uses — buffered ``record_columns`` ingest plus
-    every query and introspection method — so
+    sharded facade uses — buffered ``record_columns`` ingest plus every
+    :data:`~repro.telemetry.store.READ_SURFACE` read, generated as
+    forwards through :meth:`call` — so
     :class:`~repro.telemetry.sharding.ShardedMetricStore` can hold
     remote-shard handles where it would otherwise hold local stores.
     All answers are bit-identical to a local shard fed the same calls
@@ -342,165 +385,228 @@ class TcpShardClient(_ShardQuerySurface):
     difference is purely *where* the rows live and the one wire
     crossing each row (ingest) and each result (query) pays.
 
-    Dials ``address`` eagerly in ``__init__`` (with the transport's
-    refused-connection retry window, so starting client and server
-    "at the same time" works) and owns exactly one server session —
-    the server made a fresh store when this connection arrived and
-    will drop it when the connection ends.  A vanished server surfaces
-    as a ``RuntimeError`` naming the address, and ``io_timeout`` bounds
-    every socket operation so even a hung-but-alive server is an error
-    naming the shard and address — never a hang.
+    ``addresses`` is one ``host:port`` or a sequence of them, primary
+    first; each is dialled eagerly as its own :class:`ClientSession`
+    (each server made a fresh store when the connection arrived), and
+    the list is run as the module docstring's **Replication** paragraph
+    says — an un-replicated shard is the list of one, run by the same
+    loops.  A session whose send or recv fails is retired: taken off
+    the list, and closed by whoever took it off.  Store-level
+    exceptions (a bad query argument) retire nobody, because every
+    session would answer the same.  When the list runs empty the caller
+    gets one :class:`ShardConnectionError` naming the shard and what
+    happened at every address, its ``__cause__`` the last transport
+    error.
 
-    Not thread-safe: one owner (the facade) talks to one shard.
-    :meth:`close` is idempotent and fork-safe: a forked copy of the
-    proxy only drops its inherited descriptor — the session belongs to
-    the original owner, and ending it from the fork would yank a live
-    store out from under that owner.
+    What replication cannot save: rows still buffered here when the
+    *caller* dies; and a retired session is gone for good — re-attach a
+    replacement via the facade's ``rejoin_shard``, which needs the
+    journal.  Not thread-safe for ingest and queries: one owner (the
+    facade) talks to one shard.  :meth:`close` is idempotent, fork-safe
+    and may race a retirement on another thread.
     """
 
     def __init__(
         self,
         shard_id: int,
         interner: ServerInterner,
-        address: str,
+        addresses: Union[str, Sequence[str]],
         flush_rows: int = DEFAULT_FLUSH_ROWS,
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
         io_timeout: Optional[float] = DEFAULT_IO_TIMEOUT,
     ) -> None:
         if flush_rows < 1:
             raise ValueError("flush_rows must be >= 1")
-        if io_timeout is not None and io_timeout <= 0:
-            io_timeout = None  # 0 / negative = "no bound", like the CLI
-        self._shard_id = shard_id
+        if isinstance(addresses, str):
+            addresses = (addresses,)
+        if not addresses:
+            raise ValueError("TcpShardClient needs at least one address")
+        self.shard_id = shard_id
         self._interner = interner
-        self._address = address
-        self._peer = f"shard {shard_id} ({address})"
+        self._addresses = tuple(addresses)
         self._flush_rows = flush_rows
-        self._io_timeout = io_timeout
-        self._synced_names = 0
         #: Buffered ``record_columns`` argument tuples, oldest first.
         self._pending: List[tuple] = []
         self._pending_rows = 0
         self._closed = False
-        self._close_lock = threading.Lock()
-        self._owner_pid = os.getpid()
-        self._transport = TcpTransport.connect(
-            address, timeout=connect_timeout, io_timeout=io_timeout
-        )
+        # Guards the session list and the closed flag: a retirement
+        # runs on whichever thread saw the failure while close() may
+        # run on another.
+        self._lock = threading.Lock()
+        self._sessions: List[ClientSession] = []
+        self._failures: List[ShardConnectionError] = []
+        try:
+            for address in self._addresses:
+                self._sessions.append(ClientSession(
+                    f"shard {shard_id}", address, connect_timeout, io_timeout
+                ))
+        except BaseException:
+            # A later address failed to dial: end the sessions already
+            # opened instead of leaking them server-side.
+            self.close()
+            raise
 
     # ------------------------------------------------------------------
-    # Lifecycle
+    # Lifecycle and membership
     # ------------------------------------------------------------------
-    @property
-    def shard_id(self) -> int:
-        return self._shard_id
-
     @property
     def closed(self) -> bool:
         return self._closed
 
     @property
     def address(self) -> str:
-        """The ``host:port`` this shard's session is connected to."""
-        return self._address
+        """The primary's ``host:port`` (stable even after failover)."""
+        return self._addresses[0]
 
     @property
     def addresses(self) -> Tuple[str, ...]:
-        """The member address list (one entry — no replicas here)."""
-        return (self._address,)
+        """Every configured address, primary first."""
+        return self._addresses
+
+    @property
+    def live_addresses(self) -> Tuple[str, ...]:
+        """Addresses of the sessions still serving (for tests/ops)."""
+        return tuple(session.address for session in self._live())
+
+    def _live(self) -> List[ClientSession]:
+        with self._lock:
+            return list(self._sessions)
+
+    @property
+    def _transport(self):
+        """The first live session's transport: the seam fault injection
+        wraps and the tests that kill a primary reach for."""
+        return self._live()[0].transport
+
+    @_transport.setter
+    def _transport(self, transport) -> None:
+        self._live()[0].transport = transport
+
+    def _retire(self, session: ClientSession, error: ShardConnectionError) -> None:
+        """Drop a failed session: the survivors own the shard from now.
+
+        Exactly-once teardown: whoever takes a session off the list,
+        under the lock, is the one that closes it — here or in a
+        concurrent :meth:`close`, never both.  (A failed wire is closed
+        without a word, so nothing here blocks under the lock.)
+        """
+        with self._lock:
+            if session in self._sessions:
+                self._sessions.remove(session)
+                self._failures.append(error)
+                session.goodbye()
 
     def close(self) -> None:
-        """End the session (a ``("stop",)`` goodbye, then the socket);
-        idempotent and fork-safe.
+        """End every live session; idempotent, fork-safe, race-safe.
 
-        Called from a *forked* copy of the owner (``os.getpid()``
-        differs from the pid that created the proxy) it only releases
-        the inherited descriptor: the session belongs to the original
-        parent, so the fork neither says ``stop`` nor shuts the shared
-        connection down.  Double-close is a no-op — including *concurrent*
-        double-close: a replication group retiring a dead member races
-        the facade's own ``close()`` against the same proxy, so the
-        closed flag is a lock-guarded test-and-set and exactly one
-        caller runs the teardown (the transport is never closed
-        twice); late callers wait for it and return.  Rows still
-        buffered are dropped — archive before closing.
+        The closed flag is a lock-guarded test-and-set, so of any
+        number of concurrent callers exactly one runs the teardown
+        (:meth:`ClientSession.goodbye`) and late ones wait for it.
+        Rows still buffered are dropped — archive before closing.
         """
-        with self._close_lock:
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
             self._pending.clear()
             self._pending_rows = 0
-            if os.getpid() != self._owner_pid:
-                # Forked copy: the session is the original owner's.
-                # Release our duplicated descriptor and leave the
-                # connection alone.
-                self._transport.detach()
-                return
-            try:
-                self._transport.send(("stop",))
-            except (EOFError, OSError):
-                pass
-            self._transport.close()
+            for session in self._sessions:
+                session.goodbye()
+            self._sessions.clear()
 
-    def _names_delta(self) -> List[str]:
-        """Server names interned since the last message to this shard."""
-        names = self._interner.names
-        if self._synced_names == len(names):
-            return []
-        delta = names[self._synced_names:]
-        self._synced_names = len(names)
-        return delta
+    def _each_live(self, step, every: bool) -> list:
+        """Run ``step(session)`` down the live list; return the results.
+
+        The one send step.  With ``every`` it visits all live sessions
+        — a session that fails missed this and all future frames, which
+        is fine, because it is retired on the spot and never answers
+        again — otherwise it stops at the first that answers.  Raises
+        only when no session is left to answer.
+        """
+        results = []
+        for session in self._live():
+            try:
+                results.append(step(session))
+            except ShardConnectionError as error:
+                self._retire(session, error)
+                continue
+            if not every:
+                break
+        if results:
+            return results
+        if self._closed:
+            raise RuntimeError("TcpShardClient is closed")
+        raise ShardConnectionError(
+            "; ".join(str(failure) for failure in self._failures)
+        ) from self._failures[-1].__cause__
 
     def flush(self) -> None:
-        """Ship buffered ingest commands as one coalesced message.
+        """Ship buffered ingest commands as one coalesced message —
+        the same one to every live session.
 
         Called automatically when ``flush_rows`` rows are pending and
         before every query RPC, so readers always observe their own
-        writes.  The frame is sent on the caller's thread; a dead or
-        timed-out peer surfaces here as a :class:`ShardConnectionError`
-        naming the shard and where it lived — never a hang.
+        writes.  Frames are encoded and sent on the caller's thread:
+        ``sendall`` under ``io_timeout`` is the backpressure against a
+        slow shard, and a dead or timed-out last session surfaces here
+        as a :class:`ShardConnectionError` — never a hang.
         """
         if self._closed:
             raise RuntimeError("TcpShardClient is closed")
         if not self._pending:
             return
-        names = self._names_delta()
         pending, self._pending = self._pending, []
         self._pending_rows = 0
-        try:
-            self._transport.send_ingest(names, pending)
-        except (EOFError, OSError) as error:
-            raise _connection_lost(self._peer, self._io_timeout, error) from error
+        names = self._interner.names
+        self._each_live(
+            lambda session: session.send_ingest(names, pending), every=True
+        )
 
     def call(self, method: str, *args: Any, **kwargs: Any) -> Any:
         """Synchronous RPC: flush pending ingest, run ``store.method``.
 
-        The flush puts every buffered row on the wire ahead of the
-        call frame, so the answer is ordered after all prior ingest.
-        Exceptions raised in the remote shard — including deferred
-        ingest errors — are re-raised here.  The result pays one pickle
-        round trip; everything else about it (values, dtypes, ordering)
-        is exactly what the local shard would have returned.
+        The flush puts every buffered row on every live wire ahead of
+        the call frame, so the answer is ordered after all prior ingest
+        whichever session gives it.  A read asks the first live session
+        and fails over to the next; a mutating call
+        (:data:`SHARD_EXTRAS`) goes to every live session, because they
+        must stay mirrors.  Exceptions raised in the remote shard —
+        deferred ingest errors included — are re-raised here, for a
+        mutating call only once every live session has been asked, so
+        an ``err`` leaves no session one call behind the others.  The
+        result pays one pickle round trip and is otherwise exactly what
+        the local shard would have returned.
         """
         self.flush()
-        return round_trip(
-            self._transport, self._peer, self._io_timeout,
-            ("call", self._names_delta(), method, args, kwargs),
+        names = self._interner.names
+        replies = self._each_live(
+            lambda session: session.round_trip(names, method, args, kwargs),
+            every=method in SHARD_EXTRAS,
         )
+        return [answer(reply) for reply in replies][0]
+
+    def evict_windows(self, before: int) -> int:
+        """Evict windows below ``before`` on the remote store(s).
+
+        Rides the ordered command stream like ingest (``call`` flushes
+        buffered rows first), so eviction observes every previously
+        ingested row.
+        """
+        return self.call("evict_windows", before)
 
     def resync(self) -> None:
-        """Re-seed the peer session from scratch (the rejoin handshake).
+        """Re-seed the peer session(s) from scratch (the rejoin handshake).
 
-        Resets the interner-delta counter so the *full* name table —
-        not a delta — rides the reserved ``resync`` call, and the serve
-        loop swaps in a fresh store for this session.  The caller
+        Zeroes every session's names counter so the *full* name table —
+        not a delta — rides the reserved ``resync`` call, and each
+        serve loop swaps in a fresh store for its session.  The caller
         (:meth:`~repro.telemetry.sharding.ShardedMetricStore.\
 rejoin_shard`) then replays its journal as ordinary ingest, after
         which the rejoined shard's store is bit-identical to the one
         that crashed.
         """
-        self._synced_names = 0
+        for session in self._live():
+            session.names_sent = 0
         self.call("resync")
 
     # ------------------------------------------------------------------
@@ -521,7 +627,7 @@ rejoin_shard`) then replays its journal as ordinary ingest, after
         layout is checked here, at the caller, so a malformed batch
         raises before anything is buffered or sent; the proxy takes
         ownership of the arrays (they are held until the next flush,
-        then sent across the connection).  Nothing crosses the
+        then sent across every live connection).  Nothing crosses the
         placement boundary until the batching threshold is hit, so
         per-window parts from a blocked simulation coalesce into few
         large messages.
@@ -539,212 +645,6 @@ rejoin_shard`) then replays its journal as ordinary ingest, after
         self._pending_rows += int(values.size)
         if self._pending_rows >= self._flush_rows:
             self.flush()
-
-
-class ReplicatedShardClient(_ShardQuerySurface):
-    """One shard mirrored across several TCP sessions, with failover.
-
-    Holds a :class:`TcpShardClient` per address — the first is the
-    primary, the rest replicas — and duck-types the single-session
-    surface, so the facade treats a replicated shard exactly like a
-    plain one.  Every ingest call (``record_columns`` / ``flush``)
-    fans out to every live member: each
-    member buffers the identical command stream with the same
-    ``flush_rows`` threshold, so the coalesced frames on every wire —
-    and therefore every member's store — are identical.  Queries are
-    answered by the first live member.
-
-    When any operation on a member raises
-    :class:`ShardConnectionError` (dead peer, reset, I/O timeout), the
-    member is retired (closed and removed) and the survivors carry on;
-    an interrupted query is retried on the next member, whose answer is **bit-identical** because its store
-    consumed the same calls in the same order.  Store-level exceptions
-    (a bad query argument) are *not* failed over — every member would
-    answer the same — and propagate unchanged.  Only when the last
-    member dies does a ``ShardConnectionError`` naming every failed
-    address reach the caller.
-
-    What replication cannot save: rows buffered parent-side (the
-    pending lists) when the *caller* dies, same as the
-    single-session contract; and a member that fails is gone for good
-    — re-attach a replacement via the facade's ``rejoin_shard``, which
-    needs the journal.  Not thread-safe for ingest (one owner, like
-    ``TcpShardClient``); ``close`` may race a concurrent retirement and
-    is safe (see :meth:`TcpShardClient.close`).
-    """
-
-    def __init__(
-        self,
-        shard_id: int,
-        interner: ServerInterner,
-        addresses: Sequence[str],
-        flush_rows: int = DEFAULT_FLUSH_ROWS,
-        connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
-        io_timeout: Optional[float] = DEFAULT_IO_TIMEOUT,
-    ) -> None:
-        if not addresses:
-            raise ValueError("ReplicatedShardClient needs at least one address")
-        self._shard_id = shard_id
-        self._addresses = tuple(addresses)
-        self._closed = False
-        # Guards membership changes and the closed flag: _retire may
-        # run on whichever thread observed the failure while close()
-        # runs on another.
-        self._members_lock = threading.Lock()
-        self._members: List[TcpShardClient] = []
-        self._failures: List[str] = []
-        try:
-            for address in addresses:
-                self._members.append(
-                    TcpShardClient(
-                        shard_id,
-                        interner,
-                        address,
-                        flush_rows=flush_rows,
-                        connect_timeout=connect_timeout,
-                        io_timeout=io_timeout,
-                    )
-                )
-        except BaseException:
-            # A later member failed to dial: close the sessions already
-            # opened instead of leaking them server-side.
-            for member in self._members:
-                try:
-                    member.close()
-                except Exception:  # pragma: no cover - best effort
-                    pass
-            raise
-
-    # ------------------------------------------------------------------
-    # Lifecycle and membership
-    # ------------------------------------------------------------------
-    @property
-    def shard_id(self) -> int:
-        return self._shard_id
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def address(self) -> str:
-        """The primary's address (stable even after failover)."""
-        return self._addresses[0]
-
-    @property
-    def addresses(self) -> Tuple[str, ...]:
-        """Every configured member address, primary first."""
-        return self._addresses
-
-    @property
-    def live_addresses(self) -> Tuple[str, ...]:
-        """Addresses of the members still serving (for tests/ops)."""
-        with self._members_lock:
-            return tuple(member.address for member in self._members)
-
-    def _live_members(self) -> List[TcpShardClient]:
-        with self._members_lock:
-            return list(self._members)
-
-    def _retire(self, member: TcpShardClient, error: BaseException) -> None:
-        """Drop a failed member: survivors own the shard from now on.
-
-        The member is closed *outside* the membership lock (its
-        goodbye ``stop`` is a socket send) — safe against a
-        concurrent ``close()`` of the whole group because
-        :meth:`TcpShardClient.close` is itself lock-guarded and
-        idempotent, so the transport is never double-closed.
-        """
-        with self._members_lock:
-            if member in self._members:
-                self._members.remove(member)
-                self._failures.append(f"{member.address}: {error}")
-        try:
-            member.close()
-        except Exception:  # pragma: no cover - dead peer teardown
-            pass
-
-    def _all_members_dead(self) -> ShardConnectionError:
-        detail = "; ".join(self._failures) if self._failures else "none dialled"
-        return ShardConnectionError(
-            f"shard {self._shard_id}: every member failed "
-            f"({len(self._addresses)} configured — {detail})"
-        )
-
-    def close(self) -> None:
-        """Close every member session; idempotent and race-safe."""
-        with self._members_lock:
-            if self._closed:
-                return
-            self._closed = True
-            members = list(self._members)
-        for member in members:
-            member.close()
-
-    # ------------------------------------------------------------------
-    # Mirrored ingest and failover queries
-    # ------------------------------------------------------------------
-    def _fan_out(self, method: str, args: tuple) -> Any:
-        """Run one call on every live member, retiring failures.
-
-        A member that raises :class:`ShardConnectionError` mid-fan-out
-        missed this and all future calls — which is fine, because it is
-        retired on the spot and never answers a query again.  The call
-        only fails upward when it leaves *no* live member.  Members
-        hold identical state, so every answer is equal; the first live
-        member's is returned.
-        """
-        if self._closed:
-            raise RuntimeError("ReplicatedShardClient is closed")
-        answers = []
-        for member in self._live_members():
-            try:
-                answers.append(getattr(member, method)(*args))
-            except ShardConnectionError as error:
-                self._retire(member, error)
-        if not answers or not self._live_members():
-            raise self._all_members_dead()
-        return answers[0]
-
-    def record_columns(self, *args: Any) -> None:
-        self._fan_out("record_columns", args)
-
-    def flush(self) -> None:
-        self._fan_out("flush", ())
-
-    def resync(self) -> None:
-        """Re-seed every member session (the group rejoin handshake)."""
-        self._fan_out("resync", ())
-
-    def evict_windows(self, before: int) -> int:
-        """Evict on *every* live member, not just the query target.
-
-        Eviction mutates store state, and replicas must stay mirrors —
-        a replica that kept old rows hot would answer differently
-        after a failover.
-        """
-        return self._fan_out("evict_windows", (before,))
-
-    def call(self, method: str, *args: Any, **kwargs: Any) -> Any:
-        """Query the first live member; fail over on connection loss.
-
-        Flushes *every* live member first, so whichever member ends up
-        answering — even after a mid-call failover — has consumed all
-        buffered ingest: read-your-writes holds across failover.
-        Exceptions the remote store raised propagate
-        without failover; only :class:`ShardConnectionError` moves on
-        to the next member.
-        """
-        self._fan_out("flush", ())
-        while True:
-            members = self._live_members()
-            if not members:
-                raise self._all_members_dead()
-            member = members[0]
-            try:
-                return member.call(method, *args, **kwargs)
-            except ShardConnectionError as error:
-                self._retire(member, error)
 
 
 class ShardServer:
@@ -779,8 +679,6 @@ class ShardServer:
     ) -> None:
         if max_sessions is not None and max_sessions < 1:
             raise ValueError("max_sessions must be >= 1")
-        from repro.telemetry.transport import parse_address
-
         self._requested = parse_address(address)
         self._max_sessions = max_sessions
         self._listener: Optional[socket.socket] = None

@@ -73,6 +73,28 @@ class TestSimulateParsing:
             self.parser.parse_args(["simulate", flag, value])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [
+            ("--windows", "-5", "must be >= 0, got -5"),
+            ("--days", "-1", "must be finite and >= 0, got -1"),
+            ("--servers", "0", "must be >= 2, got 0"),
+            ("--servers", "1", "must be >= 2, got 1"),
+            ("--pools", "Z", "unknown pool(s) 'Z'; valid letters: A,B,C,D,E,F,G"),
+            ("--seed", "-1", "must be >= 0, got -1"),
+        ],
+    )
+    def test_fleet_flag_mistakes_are_usage_errors(
+        self, flag, value, named, capsys
+    ):
+        """A fleet-shaping flag out of range is one ``error:`` line
+        naming the flag and the value, exit 2 — not the traceback of
+        whatever constructor it would have reached."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", flag, value])
+        assert excinfo.value.code == 2
+        assert f"error: argument {flag}: {named}" in capsys.readouterr().err
+
     def test_shard_addrs_flag(self):
         args = self.parser.parse_args(
             ["simulate", "--shard-backend", "tcp",
@@ -413,7 +435,7 @@ class TestDocsCheck:
         docs_check = _load_docs_check()
         ok = tmp_path / "README.md"
         ok.write_text(
-            "Run the benchmark with `--smoke` or `--tcp`.\n"
+            "Run the benchmark with `--smoke`, the linter with `--json`.\n"
             + "".join(
                 f"`{flag}` "
                 for flag in sorted(docs_check.cli_options()["simulate"])

@@ -16,6 +16,12 @@ test-faults``, and small enough to ride in tier-1 too):
 * **fault matrix** — every :mod:`repro.telemetry.faultinject` failure
   mode against an *un-replicated* shard surfaces as the named
   per-shard error within the ``io_timeout`` bound: never a hang.
+* **the session list, by property** — a Hypothesis state machine kills
+  the sessions of one ``TcpShardClient`` in any order between ingest,
+  reads and evictions and compares every answer with a local twin;
+  beside it the three things a merge of the sessions could get wrong:
+  the frames every wire carries, the per-session names counter, and a
+  mutating call whose first session answers ``err``.
 * **CLI surface** — ``--replica-addrs`` / ``--inject-fault``
   validation and the end-to-end failover run through ``repro
   simulate``.
@@ -28,6 +34,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.cli import main
 from repro.telemetry.export import export_store
@@ -39,8 +53,12 @@ from repro.telemetry.faultinject import (
     parse_fault_spec,
 )
 from repro.telemetry.sharding import ShardedMetricStore, ShardJournal
-from repro.telemetry.store import MetricStore
-from repro.telemetry.workers import ShardServer
+from repro.telemetry.store import MetricStore, ServerInterner
+from repro.telemetry.workers import (
+    ShardConnectionError,
+    ShardServer,
+    TcpShardClient,
+)
 
 REDUCERS = ("mean", "sum", "max", "count")
 
@@ -469,6 +487,269 @@ class TestFaultMatrix:
                 assert len(store.shards[0].live_addresses) == 1
             finally:
                 store.close()
+
+
+def _assert_names_every_address(error, addresses):
+    """The all-dead error: one clause per configured address, and the
+    last transport error underneath."""
+    assert isinstance(error, ShardConnectionError)
+    for address in set(addresses):
+        assert str(error).count(address) == addresses.count(address)
+    assert isinstance(error.__cause__, (EOFError, OSError))
+
+
+class SessionListMachine(RuleBasedStateMachine):
+    """Ingest / flush / read / evict / kill-a-session in any order.
+
+    One ``TcpShardClient`` with three sessions on one in-process
+    server, beside a local ``MetricStore`` twin fed the same calls.
+    The invariant under test is the client's: every live session has
+    been sent the same frames, so while one session lives every read
+    equals the twin's whichever session answers — and a killed session
+    costs exactly itself, noticed by whichever operation next touches
+    its wire.  ``self.alive`` is the model: the sessions not yet
+    killed, in list order.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.server = ShardServer("127.0.0.1:0").start()
+        self.interner = ServerInterner()
+        self.twin = MetricStore(interner=self.interner)
+        self.addresses = (self.server.address,) * 3
+        self.client = TcpShardClient(
+            0, self.interner, self.addresses, flush_rows=6, io_timeout=10
+        )
+        self.alive = list(self.client._sessions)
+        self.window = 0
+
+    def teardown(self):
+        self.client.close()
+        self.server.stop()
+
+    def _assert_gone(self, operation):
+        with pytest.raises(ShardConnectionError) as excinfo:
+            operation()
+        _assert_names_every_address(excinfo.value, self.addresses)
+        assert self.client.live_addresses == ()
+
+    @precondition(lambda self: self.alive)
+    @rule(
+        servers=st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True),
+        ghost=st.booleans(),
+    )
+    def record(self, servers, ghost):
+        """A small batch for the next window; sometimes a server is
+        interned that reports nothing (its name still has to arrive)."""
+        if ghost:
+            self.interner.intern(f"ghost{len(self.interner.names)}")
+        indices = self.interner.intern_many([f"s{i}" for i in servers])
+        windows = np.full(indices.size, self.window, dtype=np.int64)
+        values = indices * 0.5 + self.window
+        for store in (self.twin, self.client):
+            store.record_columns("P", "dc", "cpu", windows, indices, values)
+        self.window += 1
+
+    @precondition(lambda self: self.alive)
+    @rule()
+    def flush(self):
+        self.client.flush()
+
+    @rule()
+    def read(self):
+        if not self.alive:
+            return self._assert_gone(self.client.sample_count)
+        assert self.client.sample_count() == self.twin.sample_count()
+        for got, want in zip(
+            self.client.gather_columns("P", "cpu"),
+            self.twin.gather_columns("P", "cpu"),
+        ):
+            np.testing.assert_array_equal(got, want)
+        if self.interner.names:
+            newest = len(self.interner.names) - 1
+            assert self.client.server_name(newest) == self.interner.names[newest]
+
+    @rule(back=st.integers(0, 3))
+    def evict(self, back):
+        cutoff = max(self.window - back, 0)
+        if not self.alive:
+            return self._assert_gone(lambda: self.client.evict_windows(cutoff))
+        assert self.client.evict_windows(cutoff) == self.twin.evict_windows(cutoff)
+        assert self.client.hot_sample_count() == self.twin.hot_sample_count()
+        # A mutating call visits every session: the killed are all gone.
+        assert self.client._live() == self.alive
+
+    @precondition(lambda self: self.alive)
+    @rule(k=st.integers(0, 2))
+    def kill(self, k):
+        """Close live session k's transport under the client."""
+        self.alive.pop(k % len(self.alive)).transport.close()
+
+    @invariant()
+    def a_kill_costs_exactly_the_killed(self):
+        live = self.client._live()
+        # Nobody healthy was retired, nobody retired came back, order kept.
+        assert [session for session in live if session in self.alive] == self.alive
+        assert len(self.client.live_addresses) == len(live)
+        assert self.client.address == self.addresses[0]
+        assert self.client.addresses == self.addresses
+
+
+SessionListMachine.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=25, deadline=None
+)
+TestSessionListMachine = SessionListMachine.TestCase
+
+
+def _wire_image(commands):
+    """An ingest command list as comparable bytes."""
+    return [
+        (command[:3], [column.tobytes() for column in command[3:]])
+        for command in commands
+    ]
+
+
+class _AsFacade:
+    """``_fill_windows`` target over a bare client: interns through the
+    client's interner and records each batch as columns."""
+
+    def __init__(self, client):
+        self._client = client
+
+    def intern_servers(self, server_ids):
+        return self._client._interner.intern_many(server_ids)
+
+    def record_batch(self, pool, dc, counter, window, indices, values):
+        self._client.record_columns(
+            pool, dc, counter,
+            np.full(len(indices), window, dtype=np.int64), indices, values,
+        )
+
+
+class _EvictProbeServer(ShardServer):
+    """Sessions whose store records ``evict_windows`` cutoffs and, if
+    asked to, raises on the first one."""
+
+    def __init__(self, fail_first: bool) -> None:
+        super().__init__("127.0.0.1:0")
+        self.cutoffs = []
+        self._fail = fail_first
+
+    def _session_store(self):
+        server = self
+
+        class ProbedStore(MetricStore):
+            def evict_windows(self, before):
+                server.cutoffs.append(before)
+                if server._fail:
+                    server._fail = False
+                    raise OSError("spill disk full")
+                return super().evict_windows(before)
+
+        return ProbedStore()
+
+
+class TestSessionList:
+    """What merging the replica class into the client could get wrong."""
+
+    def test_every_wire_carries_the_same_ingest_in_the_same_order(self):
+        with ShardServer("127.0.0.1:0") as server:
+            interner = ServerInterner()
+            client = TcpShardClient(
+                0, interner, [server.address] * 3, flush_rows=8, io_timeout=10
+            )
+            try:
+                assert len(client._sessions) == 3
+                wires = []
+                for session in client._sessions:
+                    wire, send = [], session.transport.send_ingest
+                    wires.append(wire)
+
+                    def spy(names, commands, wire=wire, send=send):
+                        wire.append((list(names), _wire_image(commands)))
+                        send(names, commands)
+
+                    session.transport.send_ingest = spy
+                twin = MetricStore(interner=interner)
+                for store in (twin, _AsFacade(client)):
+                    _fill_windows(store, 0, 6, n_servers=3)
+                client.flush()
+                assert client._pending == [] and len(wires[0]) > 2
+                assert wires[0] == wires[1] == wires[2]
+                sent = sum(
+                    len(columns[2]) // 8
+                    for _names, image in wires[0] for _key, columns in image
+                )
+                assert sent == twin.sample_count() == client.sample_count()
+            finally:
+                client.close()
+
+    def test_names_sent_is_counted_per_session(self):
+        """A read's ``call`` frame carries the interner delta to the
+        session that answers it and to no other — so a survivor still
+        has to be sent the names its dead primary got.  One counter
+        shared by the sessions fails this."""
+        with ShardServer("127.0.0.1:0") as server:
+            interner = ServerInterner()
+            client = TcpShardClient(
+                0, interner, [server.address] * 2, io_timeout=10
+            )
+            try:
+                ghost = interner.intern("ghost")  # a name with no rows
+                assert client.server_name(ghost) == "ghost"  # via the primary
+                assert [s.names_sent for s in client._sessions] == [1, 0]
+                client._transport.close()  # the primary dies
+                assert client.server_name(ghost) == "ghost"  # via the survivor
+                assert client.live_addresses == (server.address,)
+            finally:
+                client.close()
+
+    def test_store_error_on_a_mutating_call_reaches_every_session(self):
+        """An ``err`` reply is an answer, not a failure: it retires
+        nobody and is raised only after every live session was asked,
+        so no session is left one call behind and a retry converges."""
+        twin = _fill_windows(MetricStore(), 0, 8, n_servers=3)
+        with _EvictProbeServer(fail_first=True) as flaky, \
+                _EvictProbeServer(fail_first=False) as steady:
+            addresses = [flaky.address, steady.address]
+            client = TcpShardClient(
+                0, ServerInterner(), addresses, io_timeout=10
+            )
+            try:
+                _fill_windows(_AsFacade(client), 0, 8, n_servers=3)
+                with pytest.raises(OSError, match="spill disk full"):
+                    client.evict_windows(5)
+                assert flaky.cutoffs == [5] and steady.cutoffs == [5]
+                assert client.live_addresses == tuple(addresses)
+                evicted = twin.evict_windows(5)
+                assert client.evict_windows(5) == evicted > 0  # retryable
+                assert flaky.cutoffs == [5, 5] == steady.cutoffs
+                hot = client.hot_sample_count()  # the primary's
+                client._transport.close()
+                assert client.hot_sample_count() == hot  # the survivor's
+                assert hot == twin.hot_sample_count()
+                assert client.live_addresses == (steady.address,)
+            finally:
+                client.close()
+
+    def test_all_dead_error_names_every_address(self):
+        with ShardServer("127.0.0.1:0") as one, ShardServer("127.0.0.1:0") as two:
+            addresses = [one.address, two.address]
+            client = TcpShardClient(0, ServerInterner(), addresses, io_timeout=10)
+            try:
+                for session in client._sessions:
+                    session.transport.close()
+                for _ in range(2):  # and it stays the answer
+                    with pytest.raises(
+                        ShardConnectionError, match=r"shard 0 \("
+                    ) as excinfo:
+                        client.sample_count()
+                    _assert_names_every_address(excinfo.value, addresses)
+                    assert str(excinfo.value).count("connection lost") == 2
+            finally:
+                client.close()
+            with pytest.raises(RuntimeError, match="closed"):
+                client.sample_count()
 
 
 class TestFaultSpecParsing:

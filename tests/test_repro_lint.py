@@ -253,6 +253,43 @@ class TestRpcSurface:
         assert all("imports pickle" in f.message for f in found)
 
 
+    def test_second_call_proxy_class_fires(self, engine, tree):
+        """The fork ratchet: ``TcpShardClient`` is the one class
+        generated from the table through ``call`` — a replicated shard
+        is its session list — so a second such class anywhere under
+        ``telemetry/`` fires, and so does the client losing the
+        decorator."""
+        assert _findings(engine, tree, "rpc-surface") == []
+        _edit(
+            tree,
+            "src/repro/telemetry/workers.py",
+            "class ShardServer:",
+            '@forward_reads("call")\nclass MirroredShardClient:\n'
+            "    call = None\n\n\nclass ShardServer:",
+        )
+        _edit(
+            tree,
+            "src/repro/telemetry/query_server.py",
+            '@forward_reads("_read")',
+            '@forward_reads("call")',
+        )
+        found = _findings(engine, tree, "rpc-surface")
+        assert sorted((f.path, f.message.split()[0]) for f in found) == [
+            ("src/repro/telemetry/query_server.py", "LiveQuerySurface"),
+            ("src/repro/telemetry/workers.py", "MirroredShardClient"),
+        ]
+        assert all("only TcpShardClient may be" in f.message for f in found)
+        _edit(
+            tree,
+            "src/repro/telemetry/workers.py",
+            '@forward_reads("call")\nclass TcpShardClient:',
+            "class TcpShardClient:",
+        )
+        assert any(
+            "TcpShardClient must be decorated" in f.message
+            for f in _findings(engine, tree, "rpc-surface")
+        )
+
     def test_pickle_import_back_in_the_store_fires(self, engine, tree):
         """store.py left the table when its spill log became raw
         columns; re-adding the import to a copy is a finding."""

@@ -315,14 +315,14 @@ class TestIngestProtocol:
 
 
 class TestCloseFailoverRace:
-    """Group close() racing a member retirement must not double-close.
+    """close() racing a session retirement must not double-close.
 
-    The regression: ``ReplicatedShardClient._retire`` closes a failed
-    member on whichever thread observed the failure, *outside* the
-    membership lock, while a concurrent group ``close()`` walks the
-    same member list — before ``TcpShardClient.close`` became a
-    lock-guarded test-and-set, both paths could run the full teardown
-    (``stop`` + transport close) twice on one member.
+    The regression: ``TcpShardClient._retire`` closes a failed session
+    on whichever thread observed the failure, *outside* the membership
+    lock, while a concurrent ``close()`` empties the same session list
+    — unless leaving the list is a lock-guarded test-and-set, both
+    paths could run the full teardown (``stop`` + transport close)
+    twice on one session.
     These hammers lose the race on purpose, many times in a row.
     """
 
@@ -332,24 +332,24 @@ class TestCloseFailoverRace:
         import threading
 
         from repro.telemetry.store import ServerInterner
-        from repro.telemetry.workers import ReplicatedShardClient
+        from repro.telemetry.workers import TcpShardClient
 
         failures = []
         for _ in range(self.ROUNDS):
-            client = ReplicatedShardClient(
+            client = TcpShardClient(
                 0,
                 ServerInterner(),
                 [shard_server.address, shard_server.address],
                 io_timeout=10,
             )
-            primary = client._live_members()[0]
+            primary = client._transport
             barrier = threading.Barrier(3)
 
             def crash_then_query(client=client, primary=primary, barrier=barrier):
                 barrier.wait()
                 # The failure the failover path reacts to: the primary's
                 # socket dies under it mid-session.
-                primary._transport.close()
+                primary.close()
                 try:
                     client.call("sample_count")
                 except RuntimeError:

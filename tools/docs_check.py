@@ -50,7 +50,6 @@ DOCS_DIR = REPO_ROOT / "docs"
 #: than the ``python -m repro`` CLI (benchmark script modes, pip, …).
 NON_CLI_FLAGS = {
     "--smoke",
-    "--tcp",
     "--no-use-pep517",
     "--no-build-isolation",
     # tools/repro_lint flags (documented in docs/LINTING.md)

@@ -7,7 +7,7 @@ findings against ``# repro-lint: disable=<rule>`` suppression comments
 that silences nothing is itself a finding (``unused-suppression``), so
 stale opt-outs cannot accumulate.
 
-Exit codes match the other checkers (``docs_check``/``bench_check``):
+Exit codes match the other checkers (``docs_check``/``hygiene_check``):
 0 clean, 1 findings, and findings go to stderr one per line.  Pass
 ``--json`` for a machine-readable report on stdout, ``--only RULE``
 (repeatable) to run a subset, ``--root DIR`` to lint a different tree

@@ -14,9 +14,13 @@ few extras a served object declares — ``workers.SHARD_EXTRAS``,
   is served;
 * every string method name at a dispatch site resolves: a ``.call(``
   in ``workers.py`` / ``query_server.py`` against the table or that
-  side's extras, a facade ``_union(`` against the table, a replica
-  ``_fan_out(`` or a journal ``append(`` (replayed with
-  ``getattr(client, method)``) against the client proxy;
+  side's extras, a facade ``_union(`` against the table, a journal
+  ``append(`` (replayed with ``getattr(client, method)``) against the
+  client proxy;
+* exactly one class under ``telemetry/`` is generated from the table
+  through ``call`` — :data:`CALL_PROXY`, the remote-shard client whose
+  session list *is* replication — so a second proxy class beside it
+  (a fork of the client) is a finding;
 * ``pickle`` is imported only by the modules :data:`PICKLE_SITES`
   lists — the surface is only as closed as the bytes unpickled behind
   it, so each site is named with whose bytes it loads.
@@ -47,9 +51,10 @@ TRANSPORT = "src/repro/telemetry/transport.py"
 
 TABLE = "READ_SURFACE"
 STORE_CLASSES = (("MetricStore", STORE), ("ShardedMetricStore", SHARDING))
-#: Classes whose union (with the generated table names) is what
-#: ``getattr(member, method)`` resolves against.
-CLIENT_CLASSES = ("_ShardQuerySurface", "TcpShardClient")
+#: The one class decorated ``forward_reads("call")``; with the table
+#: names generated onto it, what ``getattr(client, method)`` resolves
+#: against.  A ratchet like :data:`PICKLE_SITES`: nothing joins it.
+CALL_PROXY = (WORKERS, "TcpShardClient")
 #: Wire verbs the serve loop answers itself, without a store method.
 RESERVED_WIRE_METHODS = {"resync"}
 #: ``self.<attr>`` writes that are memoization/lazy-init, not logical
@@ -132,8 +137,41 @@ def _pickle_imports(files: Dict[str, SourceFile]) -> Findings:
     return out
 
 
+def _call_proxies(files: Dict[str, SourceFile]) -> Findings:
+    """A finding per ``@forward_reads("call")`` class that is not
+    :data:`CALL_PROXY`, and one if :data:`CALL_PROXY` itself is not."""
+    out: Findings = []
+    found = set()
+    for rel, src in files.items():
+        if not rel.startswith("src/repro/telemetry/"):
+            continue
+        for node in ast.walk(src.tree):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(dec, ast.Call)
+                and getattr(dec.func, "id", None) == "forward_reads"
+                and dec.args and str_const(dec.args[0]) == "call"
+                for dec in node.decorator_list
+            ):
+                found.add((rel, node.name))
+                if (rel, node.name) != CALL_PROXY:
+                    out.append((
+                        rel, node.lineno,
+                        f"{node.name} is generated from {TABLE} through "
+                        f"call(), but only {CALL_PROXY[1]} may be — a "
+                        f"replicated shard is that client's session list, "
+                        f"not a second proxy class",
+                    ))
+    if WORKERS in files and CALL_PROXY not in found:
+        out.append((
+            WORKERS, 1,
+            f"{CALL_PROXY[1]} must be decorated forward_reads(\"call\") — "
+            f"it is the one remote stand-in for the store",
+        ))
+    return out
+
+
 def run(files: Dict[str, SourceFile]) -> Findings:
-    out = _pickle_imports(files)
+    out = _pickle_imports(files) + _call_proxies(files)
     store_src = files.get(STORE)
     if store_src is None:
         return out
@@ -198,15 +236,13 @@ def run(files: Dict[str, SourceFile]) -> Findings:
                 f"such method and it is not a reserved verb",
             ))
 
+    client_cls = find_class(workers.tree, CALL_PROXY[1]) if workers else None
     client_surface = set(table)
-    for cls_name in CLIENT_CLASSES if workers else ():
-        cls = find_class(workers.tree, cls_name)
-        client_surface |= set(method_defs(cls)) if cls is not None else set()
+    client_surface |= set(method_defs(client_cls)) if client_cls else set()
     # (source, call attribute, names that resolve, what answers them)
     sites = [
         (workers, "call", set(table) | shard_extras, "a shard session"),
         (query, "call", set(table) | live_extras, "the live query surface"),
-        (workers, "_fan_out", client_surface, "a replica member's proxy"),
         (sharding, "_union", set(table), "a shard"),
     ]
     for src, attr, legal, answerer in sites:

@@ -1,9 +1,8 @@
 """One entry point for every repo checker, with uniform PASS/FAIL.
 
-Runs the four static gates in order — ``docs-check`` (README/docs vs
-the live CLI parser), ``bench-check`` (benchmark JSON covers every
-engine/backend), ``hygiene-check`` (no tracked build artifacts), and
-``lint`` (the ``tools/repro_lint`` invariant passes) — and prints one
+Runs the three static gates in order — ``docs-check`` (README/docs vs
+the live CLI parser), ``hygiene-check`` (no tracked build artifacts),
+and ``lint`` (the ``tools/repro_lint`` invariant passes) — and prints one
 ``[PASS]``/``[FAIL]`` line per checker plus a summary.  Every checker
 keeps printing its own findings to stderr exactly as when run alone,
 and each remains available as an individual Make target
@@ -11,7 +10,7 @@ and each remains available as an individual Make target
 reporting and a single exit code.
 
 Usage: ``python tools/run_checks.py [--only NAME ...]`` where NAME is
-one of ``docs``, ``bench``, ``hygiene``, ``lint``.
+one of ``docs``, ``hygiene``, ``lint``.
 """
 
 from __future__ import annotations
@@ -40,11 +39,6 @@ def _run_docs() -> int:
     return _load("docs_check", REPO_ROOT / "tools" / "docs_check.py").main()
 
 
-def _run_bench() -> int:
-    module = _load("bench_check", REPO_ROOT / "tools" / "bench_check.py")
-    return module.main(["bench_check"])
-
-
 def _run_hygiene() -> int:
     return _load(
         "hygiene_check", REPO_ROOT / "tools" / "hygiene_check.py"
@@ -61,7 +55,6 @@ def _run_lint() -> int:
 #: Checker name -> (label used in Make targets, runner).
 CHECKS: List[tuple] = [
     ("docs", "docs-check", _run_docs),
-    ("bench", "bench-check", _run_bench),
     ("hygiene", "hygiene-check", _run_hygiene),
     ("lint", "repro-lint", _run_lint),
 ]
