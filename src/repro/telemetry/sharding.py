@@ -74,7 +74,9 @@ from repro.telemetry.store import (
     ServerInterner,
     SpillArchive,
     TableKey,
+    _COLUMN_DTYPES,
     _AggregateFront,
+    _axis,
     _check_columns,
     _concat_columns,
     _RecordVerbs,
@@ -84,6 +86,19 @@ from repro.telemetry.store import (
 
 #: Valid values of the ``backend`` constructor knob.
 BACKENDS = ("serial", "tcp")
+
+
+def _window_server_order(windows: np.ndarray, servers: np.ndarray) -> np.ndarray:
+    """``np.lexsort((servers, windows))`` as one stable argsort of one
+    ``int64`` key, dense window rank x (largest server index + 1) +
+    server index — several times faster on concatenated shard parts,
+    each already a sorted run.  Ranking the windows (:func:`_axis`)
+    keeps the key in range whatever they are; server indices are
+    interned, so below the interner's size."""
+    base = int(windows.min())
+    _uniq, rank = _axis(windows, base, int(windows.max()) - base + 1)
+    return np.argsort(rank * (int(servers.max()) + 1) + servers, kind="stable")
+
 
 #: A shard handle: a local store or the remote-shard client proxy (one
 #: TCP session per address it mirrors the shard on).  Both expose
@@ -742,7 +757,7 @@ LiveQuerySurface` takes it around every read.
 
         Per datacenter (sorted, as :meth:`MetricStore._matching_tables`
         orders tables), shard columns are concatenated and stably
-        lexsorted by (window, server index).  Because the batch and
+        sorted by (window, server index).  Because the batch and
         blocked engines append each table in exactly that order, the
         merged columns are bit-identical to what an unsharded store
         would hand its own aggregation kernel — including the float
@@ -750,6 +765,19 @@ LiveQuerySurface` takes it around every read.
         placement is invisible here: local shards return array views,
         remote shards return pickled copies, and the merge is the same.
         """
+        return self._merged(pool_id, counter, datacenter_id, start, stop, (0, 1, 2))
+
+    def _merged(
+        self,
+        pool_id: str,
+        counter: str,
+        datacenter_id: Optional[str],
+        start: Optional[int],
+        stop: Optional[int],
+        keep: Tuple[int, ...],
+    ) -> Tuple[np.ndarray, ...]:
+        """The columns ``keep`` names of :meth:`gather_columns` — the
+        others are sorted by but never permuted."""
         dcs = (
             (datacenter_id,)
             if datacenter_id is not None
@@ -764,10 +792,12 @@ LiveQuerySurface` takes it around every read.
             parts = [part for part in parts if part[0].size]
             if not parts:
                 continue
-            w, s, v = _concat_columns(parts)
-            order = np.lexsort((s, w))
-            merged.append((w[order], s[order], v[order]))
-        return _concat_columns(merged)
+            columns = _concat_columns(parts)
+            order = _window_server_order(columns[0], columns[1])
+            merged.append(tuple(columns[i][order] for i in keep))
+        if not merged:
+            return tuple(np.array([], dtype=_COLUMN_DTYPES[i]) for i in keep)
+        return tuple(np.concatenate(column) for column in zip(*merged))
 
     def _compute_window_aggregate(
         self,
@@ -784,10 +814,10 @@ LiveQuerySurface` takes it around every read.
         ``count`` and ``max`` merge per-shard partials over the union
         of windows (associative, hence exact — and only the small
         partial series crosses the wire).  ``sum`` and ``mean``
-        aggregate the canonically re-ordered gather of all shard rows,
-        so their float accumulation order — and therefore every output
-        bit — matches the unsharded store, at the cost of moving the
-        raw columns.
+        aggregate the canonically re-ordered gather of all shard rows
+        (window and value columns only), so their float accumulation
+        order — and therefore every output bit — matches the unsharded
+        store, at the cost of moving the raw columns.
         """
         empty = TimeSeries(np.array([], dtype=int), np.array([], dtype=float))
         if reducer in ("count", "max"):
@@ -813,8 +843,8 @@ LiveQuerySurface` takes it around every read.
                     np.maximum.at(acc, pos, part.values)
             return TimeSeries.from_sorted(all_windows, acc)
 
-        windows, _servers, values = self.gather_columns(
-            pool_id, counter, datacenter_id, start, stop
+        windows, values = self._merged(
+            pool_id, counter, datacenter_id, start, stop, (0, 2)
         )
         if windows.size == 0:
             return empty

@@ -18,10 +18,14 @@ around an end-to-end columnar data flow:
   append-ordered list of chunks — the (window, server index, value)
   columns of one ingest batch, tagged with the window span they cover.
   A chunk is hot (holds its columns) or cold (holds the offset rolling
-  retention spilled them to: the same three columns as raw bytes, 24
-  per row, read back positionally); one range read selects chunks by
-  span and yields them one at a time, so a read that keeps few rows of
-  each — one server's series — never holds the table.
+  retention spilled them to: the values bit for bit, the windows and
+  server indices as offsets in the narrowest unsigned dtype their span
+  allows — 10 B per row for a 64-window block of up to 256 servers).
+  One range read selects chunks by span and yields their rows in
+  batches: hot chunks as they are, runs of cold ones read with one
+  ``preadv`` per chunk into one scratch buffer and handled in one
+  vectorised pass per batch, so a read that keeps few rows — one
+  server's series — never holds the table.
 * **Queries** (:meth:`pool_window_aggregate`, :meth:`per_server_values`,
   :meth:`pool_matrix`) group with ``np.bincount`` / stable argsort over
   the gathered columns instead of per-sample Python loops, and the
@@ -164,10 +168,11 @@ class SpillArchive:
     (:meth:`MetricStore.evict_windows`) and the spilled batches of a
     :class:`~repro.telemetry.sharding.ShardJournal`.  The log knows
     bytes and nothing else: :meth:`append` writes buffers back to back
-    at the end and returns where they start, :meth:`read` copies a
-    byte range back, and what the bytes mean (and how many there are)
-    is the caller's to remember.  Both are positional (``pwrite`` /
-    ``pread``), so no reader can move where the next record lands, and
+    at the end and returns where they start, :meth:`read_into` scatters
+    a byte range back into the caller's buffers (:meth:`read` into a
+    new one), and what the bytes mean (and how many there are) is the
+    caller's to remember.  Both are positional (``pwrite`` /
+    ``preadv``), so no reader can move where the next record lands, and
     the end only advances once a record is whole — what a failed
     append wrote is overwritten by the next.  The file has no name and
     is never mapped (mapped pages would count against the memory
@@ -193,14 +198,22 @@ class SpillArchive:
         offset, self._end = self._end, position
         return offset
 
-    def read(self, offset: int, nbytes: int) -> bytes:
-        """The ``nbytes`` bytes :meth:`append` put at ``offset``."""
-        data = os.pread(self._file.fileno(), nbytes, offset)
-        if len(data) != nbytes:
+    def read_into(self, offset: int, buffers: Sequence, nbytes: int) -> None:
+        """Fill ``buffers`` (``nbytes`` in all) back to back with the
+        bytes :meth:`append` put at ``offset`` — one ``preadv``, so they
+        land where the caller wants them with no copy in between.  A
+        short read is an error, never a partial fill."""
+        got = os.preadv(self._file.fileno(), buffers, offset)
+        if got != nbytes:
             raise OSError(
-                f"spill log holds {len(data)} of the {nbytes} bytes "
+                f"spill log holds {got} of the {nbytes} bytes "
                 f"expected at offset {offset}"
             )
+
+    def read(self, offset: int, nbytes: int) -> bytearray:
+        """The ``nbytes`` bytes :meth:`append` put at ``offset``."""
+        data = bytearray(nbytes)
+        self.read_into(offset, [data], nbytes)
         return data
 
     def close(self) -> None:
@@ -264,10 +277,42 @@ class _TrackedAggregate:
 Columns = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 #: The one layout rows enter a table in — (windows, server indices,
-#: values) — which is also the kind-1 wire frame's column layout and,
-#: column after column in native byte order, a cold chunk's bytes.
+#: values) — which is also the kind-1 wire frame's column layout.  A
+#: cold chunk's record narrows the two index columns (:class:`_ColdLog`).
 _COLUMN_DTYPES = (np.dtype(np.int64), np.dtype(np.int64), np.dtype(np.float64))
-_ROW_BYTES = sum(dtype.itemsize for dtype in _COLUMN_DTYPES)
+
+#: A cold record's offset column dtypes, by itemsize.
+_OFFSET_DTYPES = {
+    dtype.itemsize: dtype
+    for dtype in map(np.dtype, (np.uint8, np.uint16, np.uint32, np.uint64))
+}
+
+#: Bytes of the one buffer a store reads cold chunks into, a batch at a time.
+_SCRATCH_BYTES = 512 << 10
+
+
+def _offset_size(span: int) -> int:
+    """Itemsize of the narrowest unsigned dtype that holds ``span``."""
+    return next(size for size in (1, 2, 4, 8) if span < 1 << 8 * size)
+
+
+def _offsets(column: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``column`` (every value in ``[lo, hi]``) as offsets from ``lo`` in
+    the narrowest unsigned dtype that holds ``hi - lo``.  Computed
+    modulo the dtype's range, which loses nothing because every offset
+    fits it — so any ``int64`` span, up to 2**64 - 1, is exact."""
+    size = _offset_size(hi - lo)
+    return np.subtract(
+        column, np.int64(lo), dtype=_OFFSET_DTYPES[size], casting="unsafe"
+    )
+
+
+def _add_origin(offsets: np.ndarray, origin: int, out=None) -> np.ndarray:
+    """``origin + offsets`` as ``int64``, the inverse of :func:`_offsets`
+    (wrapping, so a ``uint64`` offset lands back on its ``int64``)."""
+    return np.add(
+        offsets, np.int64(origin), out=out, dtype=np.int64, casting="unsafe"
+    )
 
 
 def _concat_columns(parts: List[Columns]) -> Columns:
@@ -287,7 +332,13 @@ class _Chunk(NamedTuple):
     hi: int  #: largest window among the rows
     rows: int
     columns: Optional[Columns]  #: hot: the rows themselves
-    offset: Optional[int]  #: cold: where the :class:`SpillArchive` has them
+    offset: Optional[int]  #: cold: where its record starts in the spill log
+    #: cold: the record's layout (see :class:`_ColdLog`) — the itemsizes
+    #: of its window and server offset columns, and its smallest server
+    #: index, which the server offsets count from.
+    window_size: int = 0
+    server_size: int = 0
+    server_base: int = 0
 
     @classmethod
     def of(cls, columns: Columns) -> "_Chunk":
@@ -296,18 +347,192 @@ class _Chunk(NamedTuple):
             int(windows.min()), int(windows.max()), windows.size, columns, None
         )
 
-    def load(self, spill: Optional[SpillArchive]) -> Columns:
-        """The rows: a hot chunk's own columns, or a cold chunk's read
-        back — one positional read of ``24 x rows`` bytes, viewed as
-        the three (read-only) columns eviction wrote back to back."""
-        if self.columns is not None:
-            return self.columns
-        data = spill.read(self.offset, _ROW_BYTES * self.rows)
-        columns, start = [], 0
-        for dtype in _COLUMN_DTYPES:
-            columns.append(np.frombuffer(data, dtype, self.rows, start))
-            start += dtype.itemsize * self.rows
-        return tuple(columns)
+    @property
+    def layout(self) -> Tuple[int, int, int]:
+        """What cold chunks must share to be read as one batch."""
+        return self.window_size, self.server_size, self.server_base
+
+
+class _Batch(NamedTuple):
+    """Rows a range read yields at once, in append order.
+
+    Row ``i`` is window ``origins[k] + windows[i]``, server index
+    ``base + servers[i]`` and value ``values[i]``, where ``k`` is the
+    chunk whose rows end (exclusive) at the first ``ends[k] > i``.  A
+    hot batch (``origins`` None) is wide columns as stored; a cold one
+    views the store's scratch in its record's narrow dtypes and is
+    valid only until the read moves on, so consumers keep copies
+    (:meth:`select`, :meth:`widen_into`), never the batch.
+    """
+
+    windows: np.ndarray
+    servers: np.ndarray
+    values: np.ndarray
+    base: int = 0
+    origins: Optional[np.ndarray] = None
+    ends: Optional[np.ndarray] = None
+
+    def _windows_into(self, out: np.ndarray, shift: int = 0) -> None:
+        if self.origins is None:
+            np.subtract(self.windows, shift, out=out)
+            return
+        start = 0
+        for origin, end in zip(self.origins.tolist(), self.ends.tolist()):
+            _add_origin(self.windows[start:end], origin - shift, out[start:end])
+            start = end
+
+    def window_column(self, shift: int = 0) -> np.ndarray:
+        """Every row's window minus ``shift``, as a new ``int64`` array."""
+        out = np.empty(self.values.size, np.int64)
+        self._windows_into(out, shift)
+        return out
+
+    def widen_into(self, out: Columns, at: int) -> int:
+        """Write the rows as ``int64, int64, float64`` into ``out`` from
+        row ``at``; returns the row after the last."""
+        end = at + self.values.size
+        windows, servers, values = (column[at:end] for column in out)
+        self._windows_into(windows)
+        _add_origin(self.servers, self.base, servers)
+        values[...] = self.values
+        return end
+
+    def columns(self) -> Columns:
+        """The rows as wide columns: a hot batch's own, else new ones."""
+        if self.origins is None:
+            return self.windows, self.servers, self.values
+        out = tuple(np.empty(self.values.size, dtype) for dtype in _COLUMN_DTYPES)
+        self.widen_into(out, 0)
+        return out
+
+    def within(self, lo: float, hi: float) -> "_Batch":
+        """The rows with ``lo <= window < hi``, as a new hot batch."""
+        columns = self.columns()
+        mask = (columns[0] >= lo) & (columns[0] < hi)
+        return _Batch(*(column[mask] for column in columns))
+
+    def select(self, server: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(windows, values) of one server index's rows: one compare on
+        the stored server column, and only the rows kept are widened."""
+        rows = np.flatnonzero(self.servers == server - self.base)
+        windows = self.windows[rows]
+        if self.origins is not None:
+            chunk = np.searchsorted(self.ends, rows, side="right")
+            windows = _add_origin(windows, self.origins[chunk])
+        return windows, self.values[rows]
+
+    def server_column(self, lookup: np.ndarray) -> np.ndarray:
+        """``lookup[server index]`` for every row."""
+        return lookup[self.base:][self.servers]
+
+
+class _ColdLog:
+    """Where a store's cold chunks live, and the one way back.
+
+    A record is one chunk's values (``float64``, bit for bit), then its
+    windows as offsets from the chunk's ``lo``, then its server indices
+    as offsets from their smallest, back to back in native byte order
+    with no header.  Each offset column takes the narrowest unsigned
+    dtype its span fits (:func:`_offsets`) and the chunk remembers the
+    two itemsizes and the smallest server index: 10 B per row for a 64-window
+    block of up to 256 servers, 24 at most.  Records go to one
+    :class:`SpillArchive` and come back a batch at a time:
+    :meth:`batches` reads a run of whole chunks that share a layout
+    with one ``preadv`` per chunk, scattering the chunk's three columns
+    straight into a scratch buffer allocated once.
+    """
+
+    def __init__(self) -> None:
+        self.archive = SpillArchive()
+        self._scratch = np.empty(_SCRATCH_BYTES, np.uint8)
+
+    def write(self, chunk: _Chunk) -> _Chunk:
+        """Append a hot chunk's record; returns the chunk made cold."""
+        windows, servers, values = chunk.columns
+        base = int(servers.min())
+        windows = _offsets(windows, chunk.lo, chunk.hi)
+        servers = _offsets(servers, base, int(servers.max()))
+        return chunk._replace(
+            columns=None,
+            offset=self.archive.append((values, windows, servers)),
+            window_size=windows.itemsize,
+            server_size=servers.itemsize,
+            server_base=base,
+        )
+
+    @staticmethod
+    def _capacity(chunk: _Chunk) -> int:
+        """Rows of ``chunk``'s layout the scratch holds (a multiple of 8,
+        so every column region starts aligned)."""
+        return _SCRATCH_BYTES // (8 + chunk.window_size + chunk.server_size) & ~7
+
+    def batches(
+        self, chunks: List[_Chunk], lo: float, hi: float
+    ) -> Iterator[_Batch]:
+        """The rows with ``lo <= window < hi`` of the cold ``chunks``, in
+        order: each run of whole chunks with one layout that fits the
+        scratch is one batch; a chunk the range covers only partly is a
+        batch of its own, widened and masked."""
+        run: List[_Chunk] = []
+        rows = capacity = 0
+        for chunk in chunks:
+            whole = lo <= chunk.lo and chunk.hi < hi
+            if run and (
+                not whole
+                or chunk.layout != layout
+                or rows + chunk.rows > capacity
+            ):
+                yield self._load(run, rows)
+                run, rows = [], 0
+            if not run:
+                layout, capacity = chunk.layout, self._capacity(chunk)
+            run.append(chunk)
+            rows += chunk.rows
+            if not whole:
+                yield self._load(run, rows).within(lo, hi)
+                run, rows = [], 0
+        if run:
+            yield self._load(run, rows)
+
+    def _load(self, run: List[_Chunk], rows: int) -> _Batch:
+        """Read ``run`` (``rows`` rows, one layout) into the scratch — or,
+        for one chunk bigger than it, a buffer of its own."""
+        first = run[0]
+        sizes = (8, first.window_size, first.server_size)
+        capacity = self._capacity(first)
+        buffer = self._scratch
+        if rows > capacity:
+            capacity = -(-rows // 8) * 8
+            buffer = np.empty(capacity * sum(sizes), np.uint8)
+        regions, start = [], 0
+        for size in sizes:
+            regions.append(memoryview(buffer[start:start + capacity * size]))
+            start += capacity * size
+        values, windows, servers = regions
+        _, window_size, server_size = sizes
+        row_bytes = sum(sizes)
+        ends, at = [], 0
+        for chunk in run:
+            end = at + chunk.rows
+            self.archive.read_into(
+                chunk.offset,
+                (
+                    values[8 * at:8 * end],
+                    windows[window_size * at:window_size * end],
+                    servers[server_size * at:server_size * end],
+                ),
+                row_bytes * chunk.rows,
+            )
+            ends.append(end)
+            at = end
+        return _Batch(
+            np.frombuffer(windows, _OFFSET_DTYPES[window_size], at),
+            np.frombuffer(servers, _OFFSET_DTYPES[server_size], at),
+            np.frombuffer(values, np.float64, at),
+            first.server_base,
+            np.array([chunk.lo for chunk in run], np.int64),
+            np.array(ends),
+        )
 
 
 class _Table:
@@ -350,15 +575,14 @@ class _Table:
         self.hot_rows += rows
 
     def spill_below(
-        self, before: int, spill: SpillArchive
+        self, before: int, log: _ColdLog
     ) -> Tuple[List[_Chunk], List[_Chunk]]:
-        """Write every hot row with ``window < before`` to ``spill``.
+        """Write every hot row with ``window < before`` to ``log``.
 
-        Whole chunks go as they are, one record each — the three
-        columns' bytes back to back; only a chunk that straddles the
-        cutoff is split.  The table is unchanged: the result is the
-        ``(moved, kept)`` chunk lists for :meth:`settle`, so a write
-        that fails leaves no row in two places.
+        Whole chunks go as they are, one record each; only a chunk that
+        straddles the cutoff is split.  The table is unchanged: the
+        result is the ``(moved, kept)`` chunk lists for :meth:`settle`,
+        so a write that fails leaves no row in two places.
         """
         moved: List[_Chunk] = []
         kept: List[_Chunk] = []
@@ -370,9 +594,7 @@ class _Table:
                 mask = chunk.columns[0] < before
                 kept.append(_Chunk.of(tuple(c[~mask] for c in chunk.columns)))
                 chunk = _Chunk.of(tuple(c[mask] for c in chunk.columns))
-            moved.append(
-                chunk._replace(columns=None, offset=spill.append(chunk.columns))
-            )
+            moved.append(log.write(chunk))
         return moved, kept
 
     def settle(self, moved: List[_Chunk], kept: List[_Chunk]) -> int:
@@ -383,41 +605,53 @@ class _Table:
         self.hot_rows -= rows
         return rows
 
-    def read(
-        self, lo: float, hi: float, spill: Optional[SpillArchive]
-    ) -> Iterator[Columns]:
-        """The rows with ``lo <= window < hi``, as parts in append order.
+    def overlapping(self, lo: float, hi: float, cold: bool) -> List[_Chunk]:
+        """The chunks whose span meets ``[lo, hi)`` — the cold ones only
+        if ``cold`` (the caller knows whether the range dips below them)
+        — cold then hot, in list order."""
+        return [
+            chunk
+            for chunk in chain(self._cold if cold else (), self._hot)
+            if chunk.hi >= lo and chunk.lo < hi
+        ]
 
-        Chunks are selected by span and only a partial overlap is
-        masked.  ``spill=None`` skips the cold chunks (the caller knows
-        the range lies above them); otherwise each cold chunk is read
-        back and yielded before the next is loaded — a consumer that
-        keeps a selection of each part holds one chunk at a time, not
-        the table.  A read that takes every hot chunk whole leaves them
-        fused, so full reads concatenate once.
+    def read(
+        self,
+        chunks: List[_Chunk],
+        lo: float,
+        hi: float,
+        log: Optional[_ColdLog],
+    ) -> Iterator[_Batch]:
+        """The rows with ``lo <= window < hi`` of ``chunks`` (what
+        :meth:`overlapping` picked), as batches in append order.
+
+        Cold chunks come back through ``log`` a batch at a time (see
+        :meth:`_ColdLog.batches`), each read before the next is loaded —
+        a consumer that keeps a selection of each holds one batch, not
+        the table.  Hot chunks are yielded as they are, a partial
+        overlap masked.  A read that takes every hot chunk whole leaves
+        them fused, so full reads concatenate once.
         """
-        hot: List[Columns] = []
+        cold = sum(chunk.columns is None for chunk in chunks)
+        if cold:
+            yield from log.batches(chunks[:cold], lo, hi)
+        hot: List[_Batch] = []
         whole_hot = 0
-        for chunk in chain(self._cold if spill is not None else (), self._hot):
-            if chunk.hi < lo or chunk.lo >= hi:
-                continue
-            columns = chunk.load(spill)
-            whole = lo <= chunk.lo and chunk.hi < hi
-            if not whole:
-                mask = (columns[0] >= lo) & (columns[0] < hi)
-                columns = tuple(c[mask] for c in columns)
-            if chunk.columns is None:
-                yield columns
+        for chunk in chunks[cold:]:
+            batch = _Batch(*chunk.columns)
+            if lo <= chunk.lo and chunk.hi < hi:
+                whole_hot += 1
             else:
-                hot.append(columns)
-                whole_hot += whole
+                batch = batch.within(lo, hi)
+            hot.append(batch)
         if whole_hot == len(self._hot) > 1:
-            hot = [_concat_columns(hot)]
+            fused = _concat_columns([chunk.columns for chunk in self._hot])
             self._hot = [_Chunk(
                 min(chunk.lo for chunk in self._hot),
                 max(chunk.hi for chunk in self._hot),
-                self.hot_rows, hot[0], None,
+                self.hot_rows, fused, None,
             )]
+            hot = [_Batch(*fused)]
         yield from hot
 
 
@@ -807,8 +1041,8 @@ ShardedMetricStore` uses to keep one global id space across shards.
         self._span_cache: Tuple[Optional[np.ndarray], int, int] = (None, 0, 0)
         self._agg_cache: Dict[Tuple, TimeSeries] = {}
         #: Rolling-retention state: rows of windows < _evicted_before
-        #: live in the spill archive, everything newer is hot.
-        self._spill: Optional[SpillArchive] = None
+        #: live in the spill log, everything newer is hot.
+        self._spill: Optional[_ColdLog] = None
         self._evicted_before: int = 0
         #: Incrementally maintained aggregates, keyed by
         #: (pool, counter, datacenter, reducer).
@@ -897,8 +1131,9 @@ LiveQuerySurface` takes it around every read, so a live reader only
         The rolling-retention primitive of streaming mode: hot memory
         stays bounded by the retained window span while queries keep
         answering *exactly* — each table's evicted chunks become cold
-        in place (one spill record per chunk, hot order: its three
-        columns as raw bytes), so ranges that dip below the watermark
+        in place (one spill record per chunk, hot order: its values,
+        then its window and server columns narrowed, see
+        :class:`_ColdLog`), so ranges that dip below the watermark
         read them back ahead of the hot chunks and ranges above it
         never touch the disk.  Requires rows to have arrived in
         non-decreasing block order (which the simulation engine's
@@ -913,7 +1148,7 @@ LiveQuerySurface` takes it around every read, so a live reader only
         if before <= self._evicted_before:
             return 0
         if self._spill is None:
-            self._spill = SpillArchive()
+            self._spill = _ColdLog()
         tables = list(self._tables.values())
         written = [table.spill_below(before, self._spill) for table in tables]
         evicted = sum(
@@ -994,8 +1229,9 @@ LiveQuerySurface` takes it around every read, so a live reader only
         chunks then hot ones, so exports stay byte-identical whether or
         not retention evicted.
         """
+        lo, hi = self._window_range(None, None)
         for key, table in self._tables.items():
-            yield (key,) + self._gather([table], 0, self._max_window + 1)
+            yield (key,) + self._gather([table], lo, hi)
 
     # ------------------------------------------------------------------
     # Queries
@@ -1015,26 +1251,52 @@ LiveQuerySurface` takes it around every read, so a live reader only
             if datacenter_id is None or key[1] == datacenter_id
         ]
 
-    def _parts(
-        self, tables: List[_Table], lo: int, hi: int
-    ) -> Iterator[Columns]:
-        """Window-sliced rows of many tables, one chunk-sized part at a
-        time, tables in the order given and append order within each.
-
-        A range from 0 (or below) to past the newest window means every
-        row, rows at negative windows included.  Ranges entirely above
-        the eviction watermark skip the cold chunks (no disk reads on
-        the streaming hot path).
-        """
+    def _window_range(
+        self, start: Optional[int], stop: Optional[int]
+    ) -> Tuple[float, float]:
+        """The ``[lo, hi)`` window range a query's ``start``/``stop``
+        mean: from 0 to past the newest window by default, and a range
+        from 0 (or below) to past the newest window means every row,
+        rows at negative windows included."""
+        lo = start if start is not None else 0
+        hi = stop if stop is not None else self._max_window + 1
         if lo <= 0 and hi > self._max_window:
-            lo, hi = -math.inf, math.inf
-        spill = self._spill if lo < self._evicted_before else None
-        for table in tables:
-            yield from table.read(lo, hi, spill)
+            return -math.inf, math.inf
+        return lo, hi
 
-    def _gather(self, tables: List[_Table], lo: int, hi: int) -> Columns:
-        """Every part of :meth:`_parts` as one column triple."""
-        return _concat_columns(list(self._parts(tables, lo, hi)))
+    def _parts(
+        self, tables: List[_Table], lo: float, hi: float
+    ) -> Tuple[List[_Chunk], Iterator[_Batch]]:
+        """The one range read over many tables: the chunks it touches,
+        and their rows as batches — tables in the order given, append
+        order within each.
+
+        Ranges entirely above the eviction watermark skip the cold
+        chunks (no disk reads on the streaming hot path).
+        """
+        log = self._spill if lo < self._evicted_before else None
+        picked = [table.overlapping(lo, hi, log is not None) for table in tables]
+        batches = chain.from_iterable(
+            table.read(chunks, lo, hi, log) for table, chunks in zip(tables, picked)
+        )
+        return [chunk for chunks in picked for chunk in chunks], batches
+
+    def _gather(self, tables: List[_Table], lo: float, hi: float) -> Columns:
+        """Every row of :meth:`_parts` as one column triple.
+
+        Hot parts are concatenated (a lone one comes back as it is);
+        once a cold chunk is involved, every batch is widened straight
+        into columns sized by the chunks' row count.
+        """
+        chunks, batches = self._parts(tables, lo, hi)
+        if all(chunk.columns is not None for chunk in chunks):
+            return _concat_columns([batch.columns() for batch in batches])
+        rows = sum(chunk.rows for chunk in chunks)
+        out = tuple(np.empty(rows, dtype) for dtype in _COLUMN_DTYPES)
+        end = 0
+        for batch in batches:
+            end = batch.widen_into(out, end)
+        return tuple(column[:end] for column in out)
 
     def gather_columns(
         self,
@@ -1051,10 +1313,8 @@ LiveQuerySurface` takes it around every read, so a live reader only
         every aggregate query accumulates in.  The sharded facade reads
         shards through this method to rebuild that exact order.
         """
-        lo = start if start is not None else 0
-        hi = stop if stop is not None else self._max_window + 1
         tables = self._matching_tables(pool_id, counter, datacenter_id)
-        return self._gather(tables, lo, hi)
+        return self._gather(tables, *self._window_range(start, stop))
 
     def server_series(
         self,
@@ -1066,23 +1326,25 @@ LiveQuerySurface` takes it around every read, so a live reader only
     ) -> TimeSeries:
         """Series of one counter on one server, optionally window-sliced.
 
-        Selects the server's rows part by part — a chunk at a time,
-        hot or cold alike — and concatenates only the selections, so
-        the cost is one pass over the range's bytes and the memory one
-        chunk plus the answer, never the table.
+        Selects the server's rows batch by batch — one compare on the
+        stored (for cold chunks, narrow) server column, hot or cold
+        alike — and widens and concatenates only the selections, so the
+        cost is one pass over the range's record bytes and the memory
+        one batch plus the answer, never the table.
         """
         index = self._interner.index.get(server_id)
         window_parts: List[np.ndarray] = [np.array([], dtype=int)]
         value_parts: List[np.ndarray] = [np.array([], dtype=float)]
         if index is not None:
-            lo = start if start is not None else 0
-            hi = stop if stop is not None else self._max_window + 1
             tables = self._matching_tables(pool_id, counter, None)
-            for windows, servers, values in self._parts(tables, lo, hi):
-                rows = np.flatnonzero(servers == index)
-                if rows.size:
-                    window_parts.append(windows[rows])
-                    value_parts.append(values[rows])
+            _chunks, batches = self._parts(
+                tables, *self._window_range(start, stop)
+            )
+            for batch in batches:
+                windows, values = batch.select(index)
+                if values.size:
+                    window_parts.append(windows)
+                    value_parts.append(values)
         return TimeSeries(
             np.concatenate(window_parts), np.concatenate(value_parts)
         )
@@ -1121,8 +1383,7 @@ LiveQuerySurface` takes it around every read, so a live reader only
         Values keep their append (window) order within each server;
         grouping is one stable argsort over the interned server column.
         """
-        lo = start if start is not None else 0
-        hi = stop if stop is not None else self._max_window + 1
+        lo, hi = self._window_range(start, stop)
         out: Dict[str, np.ndarray] = {}
         for table in self._matching_tables(pool_id, counter, datacenter_id):
             _windows, servers, values = self._gather([table], lo, hi)
@@ -1150,27 +1411,65 @@ LiveQuerySurface` takes it around every read, so a live reader only
 
         Missing observations (offline servers, late joiners) are NaN.
         This is the array-native view consumers use to compute
-        per-server statistics in one vectorized pass.
+        per-server statistics in one vectorized pass.  Built batch by
+        batch: the chunks' spans bound the window axis and the pool's
+        server membership the server axis, each batch scatters its
+        values through one flat index (a later row of a cell wins, as
+        in append order), and windows or servers no row hit are
+        dropped at the end.
         """
-        lo = start if start is not None else 0
-        hi = stop if stop is not None else self._max_window + 1
-        tables = self._matching_tables(pool_id, counter, datacenter_id)
-        windows, servers, values = self._gather(tables, lo, hi)
-        if values.size == 0:
-            return (
-                np.array([], dtype=np.int64),
-                (),
-                np.empty((0, 0), dtype=float),
-            )
-        base = int(windows.min())
-        uniq_windows, window_pos = _axis(
-            windows, base, int(windows.max()) - base + 1
+        empty = (
+            np.array([], dtype=np.int64),
+            (),
+            np.empty((0, 0), dtype=float),
         )
-        uniq_servers, server_pos = _axis(servers, 0, len(self._interner))
-        matrix = np.full((uniq_windows.size, uniq_servers.size), np.nan)
-        matrix[window_pos, server_pos] = values
-        names = tuple(self._interner.name(i) for i in uniq_servers)
-        return uniq_windows, names, matrix
+        lo, hi = self._window_range(start, stop)
+        tables = self._matching_tables(pool_id, counter, datacenter_id)
+        chunks, batches = self._parts(tables, lo, hi)
+        if not chunks:
+            return empty
+        servers = np.unique(np.concatenate([
+            self._servers_by_pool_dc[pool_id, dc].indices()
+            for dc in self.datacenters_for_pool_counter(pool_id, counter)
+            if datacenter_id in (None, dc)
+        ]))
+        column_of = np.zeros(servers[-1] + 1, dtype=np.int64)
+        column_of[servers] = np.arange(servers.size)
+        first = max(lo, min(chunk.lo for chunk in chunks))
+        span = min(hi - 1, max(chunk.hi for chunk in chunks)) - first + 1
+        axis = None
+        if span * servers.size > 4 * sum(chunk.rows for chunk in chunks):
+            # Sparse windows: which are present only the rows can say,
+            # so they are read once for that first.
+            axis = np.unique(np.concatenate(
+                [np.unique(batch.window_column()) for batch in batches]
+            ))
+            span = axis.size
+            batches = self._parts(tables, lo, hi)[1]
+        matrix = np.full((span, servers.size), np.nan)
+        window_seen = np.zeros(span, dtype=bool)
+        server_seen = np.zeros(servers.size, dtype=bool)
+        cells = matrix.reshape(-1)
+        for batch in batches:
+            if axis is None:
+                at = batch.window_column(first)
+            else:
+                at = np.searchsorted(axis, batch.window_column())
+            columns = batch.server_column(column_of)
+            window_seen[at] = True
+            server_seen[columns] = True
+            at *= servers.size
+            at += columns
+            cells[at] = batch.values
+        if not window_seen.any():
+            return empty
+        windows = np.flatnonzero(window_seen) + first if axis is None else axis
+        if not window_seen.all():
+            matrix = matrix[window_seen]
+        if not server_seen.all():
+            matrix = matrix[:, server_seen]
+        names = tuple(self._interner.name(i) for i in servers[server_seen])
+        return windows, names, matrix
 
     def all_values(
         self,
@@ -1186,7 +1485,7 @@ LiveQuerySurface` takes it around every read, so a live reader only
         for pool in pools:
             for key in self._by_pool_counter.get((pool, counter), []):
                 _windows, _servers, values = self._gather(
-                    [self._tables[key]], 0, self._max_window + 1
+                    [self._tables[key]], *self._window_range(None, None)
                 )
                 if values.size:
                     chunks.append(values)

@@ -227,7 +227,7 @@ class TcpTransport:
 
     def send(self, message: Any) -> None:
         payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-        self._sock.sendall(_HEADER.pack(len(payload)) + payload)
+        self._sendv((_HEADER.pack(len(payload)), payload))
 
     def send_ingest(self, names: List[str], commands: List[tuple]) -> None:
         """Send one ``("ingest", names, commands)`` message as a

@@ -7,6 +7,7 @@ mutate simulators build their own.
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -51,7 +52,8 @@ def chunk_list_rows(store):
         for position, chunk in enumerate(table._cold + table._hot):
             if position < len(table._cold):
                 assert chunk.columns is None
-                columns = chunk.load(store._spill)
+                (batch,) = store._spill.batches([chunk], -math.inf, math.inf)
+                columns = batch.columns()
             else:
                 assert chunk.offset is None
                 columns = chunk.columns

@@ -1,10 +1,12 @@
 """The spill log and the reads over it, by property rather than by clock.
 
-``SpillArchive`` is a positional byte log; a cold chunk is the raw
-bytes of its three columns in it; ``server_series`` selects one
-server's rows a chunk at a time.  Every case here compares bytes (or
-a never-evicted twin's answers), and the memory bound is counted with
-``tracemalloc``, not timed.
+``SpillArchive`` is a positional byte log; a cold chunk is one record
+in it (its values, then its windows and server indices as narrow
+offsets); range reads come back a batch of chunks at a time and
+``server_series`` selects one server's rows per batch.  Every case here
+compares bytes (or a never-evicted twin's answers), and the memory
+bound and the bytes read are counted (``tracemalloc``, ``preadv``
+calls), not timed.
 """
 
 import errno
@@ -19,7 +21,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.telemetry import store as store_module
-from repro.telemetry.store import MetricStore, SpillArchive, _Table
+from repro.telemetry.export import export_store
+from repro.telemetry.store import REDUCERS, MetricStore, SpillArchive, _Table
 
 #: Cutoff above every generated window (and inside int64).
 _ABOVE = 1 << 62
@@ -33,6 +36,21 @@ def _short_pwrite(limit):
         return pwrite(fd, memoryview(data)[:limit], offset)
 
     return mock.patch.object(store_module.os, "pwrite", short)
+
+
+def _short_preadv(limit):
+    """An ``os.preadv`` that fills at most ``limit`` bytes per call — what
+    a truncated spill file hands back."""
+    preadv = store_module.os.preadv
+
+    def short(fd, buffers, offset):
+        views, left = [], limit
+        for buffer in buffers:
+            views.append(memoryview(buffer).cast("B")[:left])
+            left -= len(views[-1])
+        return preadv(fd, views, offset)
+
+    return mock.patch.object(store_module.os, "preadv", short)
 
 
 _limits = st.one_of(st.just(1 << 30), st.integers(1, 97))
@@ -91,35 +109,77 @@ class TestByteLog:
             log.read(2, 5)
         log.close()
 
+    def test_a_short_read_is_an_error(self):
+        log = SpillArchive()
+        log.append([b"abcdef"])
+        target = (bytearray(2), np.zeros(4, np.uint8))
+        with _short_preadv(3):
+            with pytest.raises(
+                OSError, match="holds 3 of the 6 bytes expected at offset 0"
+            ):
+                log.read_into(0, target, 6)
+        log.read_into(0, target, 6)
+        assert bytes(target[0]) + target[1].tobytes() == b"abcdef"
+        log.close()
+
 
 def _bits(column) -> bytes:
     return np.ascontiguousarray(column).tobytes()
 
 
+#: Window and server index ranges a chunk draws from: every offset
+#: width a cold record can use, around zero, far from it, and the whole
+#: of int64 (below the eviction cutoff).
+_SPANS = st.sampled_from([
+    (0, 0), (-3, 250), (1 << 40, (1 << 40) + 255), (-(1 << 40), -(1 << 40) + 70_000),
+    (-(1 << 40), 1 << 40), (-(1 << 63), _ABOVE - 1),
+])
+
+
 @st.composite
 def _chunks(draw):
     """One ingest batch: any float64 bit pattern (NaN payloads, -0.0,
-    subnormals), windows negative and far beyond 2**31."""
+    subnormals), windows and server indices in unsorted order over
+    every record width, negative and 2**40-scale alike; short spans
+    repeat (window, server) cells."""
     rows = draw(st.one_of(st.integers(1, 40), st.integers(41, 5000)))
-    windows = draw(arrays(np.int64, rows, elements=st.integers(-_ABOVE, _ABOVE - 1)))
-    servers = draw(arrays(np.int64, rows, elements=st.integers(0, 1 << 40)))
+    columns = []
+    for _column in range(2):
+        lo, hi = draw(_SPANS)
+        columns.append(draw(arrays(np.int64, rows, elements=st.integers(lo, hi))))
     values = draw(arrays(np.uint64, rows)).view(np.float64)
-    return windows, servers, values
+    return columns[0], columns[1], values
+
+
+def _read(table, log, lo=-math.inf, hi=math.inf):
+    """The one range read over ``table``: its batches, widened."""
+    chunks = table.overlapping(lo, hi, cold=True)
+    return [batch.columns() for batch in table.read(chunks, lo, hi, log)]
 
 
 class TestColdChunkRoundTrip:
-    """``_Table`` over a ``SpillArchive``: what goes cold comes back as
-    the exact bytes appended, in append order, whatever the
-    interleaving of appends, evictions and reads."""
+    """``_Table`` over a ``_ColdLog``: what goes cold comes back as the
+    exact bytes appended, in append order, whatever the interleaving of
+    appends, evictions and reads — whole, window-sliced, or one
+    server's rows selected on the narrow column."""
 
     @given(
         steps=st.lists(st.tuples(_chunks(), st.booleans(), st.booleans()),
                        min_size=1, max_size=6),
         limit=_limits,
+        cut=st.tuples(st.integers(-(1 << 41), 1 << 41), st.integers(0, 1 << 42)),
+        pick=st.integers(0, 1 << 30),
+        # A scratch of 4 kB splits runs into many batches and leaves the
+        # larger chunks a buffer of their own.
+        scratch=st.sampled_from([store_module._SCRATCH_BYTES, 4096]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_round_trip_is_bit_exact(self, steps, limit):
-        spill, table, appended = SpillArchive(), _Table(), []
+    def test_round_trip_is_bit_exact(self, steps, limit, cut, pick, scratch):
+        with mock.patch.object(store_module, "_SCRATCH_BYTES", scratch):
+            self._round_trip(steps, limit, cut, pick)
+
+    def _round_trip(self, steps, limit, cut, pick):
+        log, table, appended = store_module._ColdLog(), _Table(), []
         try:
             with _short_pwrite(limit):
                 for columns, evict, read in steps:
@@ -127,22 +187,41 @@ class TestColdChunkRoundTrip:
                     table.append_batch(int(windows.min()), int(windows.max()), columns)
                     appended.append(columns)
                     if evict:
-                        table.settle(*table.spill_below(_ABOVE, spill))
+                        table.settle(*table.spill_below(_ABOVE, log))
                         assert table.hot_rows == 0
                     if read:
-                        self._assert_reads_back(table, spill, appended)
-            self._assert_reads_back(table, spill, appended)
+                        self._assert_reads_back(table, log, appended)
+            self._assert_reads_back(table, log, appended)
+            self._assert_slices_match(table, log, appended, cut, pick)
         finally:
-            spill.close()
+            log.archive.close()
 
     @staticmethod
-    def _assert_reads_back(table, spill, appended):
-        parts = list(table.read(-math.inf, math.inf, spill))
+    def _assert_reads_back(table, log, appended):
+        parts = _read(table, log)
         for position, expected in enumerate(zip(*appended)):
             got = np.concatenate([part[position] for part in parts])
             assert got.dtype == expected[0].dtype
             assert _bits(got) == b"".join(_bits(column) for column in expected)
         assert table.n_rows == sum(columns[0].size for columns in appended)
+
+    @staticmethod
+    def _assert_slices_match(table, log, appended, cut, pick):
+        windows, servers, values = (np.concatenate(c) for c in zip(*appended))
+        lo, hi = cut[0], cut[0] + cut[1]
+        inside = (windows >= lo) & (windows < hi)
+        parts = _read(table, log, lo, hi)
+        assert sum(part[0].size for part in parts) == np.count_nonzero(inside)
+        for got, want in zip(zip(*parts), (windows, servers, values)):
+            assert _bits(np.concatenate(got)) == _bits(want[inside])
+        server = int(servers[pick % servers.size])
+        chunks = table.overlapping(-math.inf, math.inf, cold=True)
+        got = [batch.select(server) for batch in table.read(
+            chunks, -math.inf, math.inf, log
+        )]
+        mine = servers == server
+        assert _bits(np.concatenate([w for w, _v in got])) == _bits(windows[mine])
+        assert _bits(np.concatenate([v for _w, v in got])) == _bits(values[mine])
 
 
 class TestOneServerReadHoldsOneChunk:
@@ -200,3 +279,79 @@ class TestOneServerReadHoldsOneChunk:
         answer_bytes = series.windows.nbytes + series.values.nbytes
         assert len(series) == self.BLOCK * self.CHUNKS
         assert peak < 4 * chunk_bytes + answer_bytes < table_bytes / 8
+
+    def test_every_other_answer_matches_the_twin(self, twins, tmp_path):
+        evicting, reference = twins
+        for start, stop in [(None, None), (100, 1000), (-5, 40), (2500, 2600)]:
+            args = ("B", "rps", None, start, stop)
+            for got, want in zip(
+                evicting.gather_columns(*args), reference.gather_columns(*args)
+            ):
+                assert _bits(got) == _bits(want)
+            got, want = evicting.pool_matrix(*args), reference.pool_matrix(*args)
+            assert _bits(got[0]) == _bits(want[0]) and got[1] == want[1]
+            assert _bits(got[2]) == _bits(want[2])
+            got = evicting.per_server_values(*args)
+            want = reference.per_server_values(*args)
+            assert list(got) == list(want)
+            assert all(_bits(got[name]) == _bits(want[name]) for name in want)
+            for reducer in REDUCERS:
+                got = evicting.pool_window_aggregate(*args, reducer=reducer)
+                want = reference.pool_window_aggregate(*args, reducer=reducer)
+                assert _bits(got.windows) == _bits(want.windows)
+                assert _bits(got.values) == _bits(want.values)
+        export_store(evicting, tmp_path / "evicting.csv")
+        export_store(reference, tmp_path / "reference.csv")
+        assert (tmp_path / "evicting.csv").read_bytes() == (
+            tmp_path / "reference.csv"
+        ).read_bytes()
+
+    def test_reads_only_the_narrow_records_it_touches(self, twins):
+        """One ``preadv`` per cold chunk the range touches, of exactly its
+        record — 10 B a row for 32 windows of 64 servers — so the bytes
+        read grow with the range: 4x the chunks, at most 4.4x the bytes."""
+        evicting, _reference = twins
+        cold = evicting._tables["B", "DC1", "rps"]._cold
+        calls = []
+        preadv = store_module.os.preadv
+
+        def counting(fd, buffers, offset):
+            calls.append((offset, preadv(fd, buffers, offset)))
+            return calls[-1][1]
+
+        read = {}
+        with mock.patch.object(store_module.os, "preadv", counting):
+            for chunks in (8, 32, len(cold)):
+                calls.clear()
+                evicting.server_series("B", "rps", "s3", 0, chunks * self.BLOCK)
+                touched = cold[:chunks]
+                assert [offset for offset, _n in calls] == [
+                    chunk.offset for chunk in touched
+                ]
+                rows = sum(chunk.rows for chunk in touched)
+                record_bytes = sum(
+                    chunk.rows * (8 + chunk.window_size + chunk.server_size)
+                    for chunk in touched
+                )
+                read[chunks] = sum(nbytes for _offset, nbytes in calls)
+                assert read[chunks] == record_bytes <= 10 * rows
+        assert read[32] <= 4.4 * read[8]
+
+    def test_a_short_read_fails_the_query(self, twins):
+        """A spill file that hands back fewer bytes than a record holds
+        is the located ``OSError``, never a partial answer — and the
+        store answers in full once the file reads whole again."""
+        evicting, reference = twins
+        with _short_preadv(100):
+            for read in (
+                lambda store: store.server_series("B", "rps", "s3"),
+                lambda store: store.pool_matrix("B", "rps"),
+                lambda store: store.gather_columns("B", "rps"),
+            ):
+                with pytest.raises(
+                    OSError, match=r"holds 100 of the \d+ bytes expected at offset 0"
+                ):
+                    read(evicting)
+        got = evicting.server_series("B", "rps", "s3")
+        want = reference.server_series("B", "rps", "s3")
+        assert _bits(got.values) == _bits(want.values)

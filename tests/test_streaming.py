@@ -320,17 +320,17 @@ class TestSpillReadsAtBlockOne:
     """The knob's other side: at ``block_windows=1`` a long retained
     stream holds thousands of one-window chunks per table.  Nothing on
     the per-block path may walk the spilled ones — counted as
-    ``SpillArchive.read`` calls, not timed."""
+    ``SpillArchive.read_into`` calls, not timed."""
 
     def test_hot_path_never_reads_the_spill(self, monkeypatch):
         offsets = []
-        read = SpillArchive.read
+        read_into = SpillArchive.read_into
 
-        def counting_read(self, offset, nbytes):
+        def counting_read(self, offset, buffers, nbytes):
             offsets.append(offset)
-            return read(self, offset, nbytes)
+            return read_into(self, offset, buffers, nbytes)
 
-        monkeypatch.setattr(SpillArchive, "read", counting_read)
+        monkeypatch.setattr(SpillArchive, "read_into", counting_read)
         windows, retain = 1600, 64
         sim = _simulator(block_windows=1)
         stream = StreamingSimulator(sim, retain_windows=retain, track=TRACK[:1])

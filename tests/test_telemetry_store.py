@@ -364,6 +364,28 @@ class TestChunkList:
             chunk_list_rows(evicting)
             _assert_same_answers(evicting, reference)
 
+    def test_pool_matrix_over_sparse_windows(self):
+        # Windows 2**40 apart: the matrix has a row per window present,
+        # not per window in the span, and a cell's later row wins.
+        windows = [-(1 << 40), 0, 5, 1 << 40]
+        evicting, reference = _twins()
+        for store in (evicting, reference):
+            for window in windows:
+                _put(store, [window])
+            _put(store, [5], servers=(1,), scale=2.0)
+        assert evicting.evict_windows(1) == 6
+        w = np.array(windows, dtype=np.int64)[:, None]
+        expected = 0.1 * (w * 7 + np.arange(3) * 3 + 1)
+        expected[2, 1] *= 2.0
+        for store in (evicting, reference):
+            got_windows, names, matrix = store.pool_matrix("B", "rps")
+            np.testing.assert_array_equal(got_windows, windows)
+            assert names == _SERVERS
+            np.testing.assert_array_equal(matrix, expected)
+            got_windows, _names, matrix = store.pool_matrix("B", "rps", start=5)
+            np.testing.assert_array_equal(got_windows, windows[2:])
+            np.testing.assert_array_equal(matrix, expected[2:])
+
     def test_full_read_between_blocks_then_more_evictions(self):
         evicting, reference = _twins()
         evicted = []
