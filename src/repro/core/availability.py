@@ -133,8 +133,8 @@ class FleetAvailabilityStudy:
 
     @property
     def overall_mean(self) -> float:
-        all_values = np.concatenate([r.server_daily_values for r in self.reports])
-        return float(all_values.mean())
+        daily_values = np.concatenate([r.server_daily_values for r in self.reports])
+        return float(daily_values.mean())
 
     @property
     def infrastructure_overhead(self) -> float:
@@ -152,8 +152,8 @@ class FleetAvailabilityStudy:
         """Fleet-wide Fig 14 distribution."""
         if bin_edges is None:
             bin_edges = np.linspace(0.0, 1.0, 21)
-        all_values = np.concatenate([r.server_daily_values for r in self.reports])
-        return bin_edges, histogram_fractions(all_values, bin_edges)
+        daily_values = np.concatenate([r.server_daily_values for r in self.reports])
+        return bin_edges, histogram_fractions(daily_values, bin_edges)
 
     def online_savings_by_pool(self) -> Dict[str, float]:
         return {r.pool_id: r.online_savings for r in self.reports}

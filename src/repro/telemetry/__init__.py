@@ -9,7 +9,6 @@ visibility the paper's authors had into their production service
 
 from repro.telemetry.counters import (
     Counter,
-    CounterSample,
     WINDOW_SECONDS,
     workload_counter,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "ShardServer",
     "TcpShardClient",
     "Counter",
-    "CounterSample",
     "WINDOW_SECONDS",
     "workload_counter",
     "TimeSeries",

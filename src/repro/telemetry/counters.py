@@ -18,7 +18,6 @@ out:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 #: Window length over which raw samples are averaged before storage.
 #: "averaged over a 120 s window ... selected to be as large as possible
@@ -88,26 +87,3 @@ def workload_counter(request_class: str) -> str:
     if not request_class:
         raise ValueError("request_class must be non-empty")
     return f"Requests/sec[{request_class}]"
-
-
-@dataclass(frozen=True)
-class CounterSample:
-    """One 120-second-window average of one counter on one server.
-
-    ``window_index`` counts windows from the simulation start;
-    ``value`` is the window average (or the window percentile for
-    latency counters, matching how production percentile counters are
-    exported).
-    """
-
-    window_index: int
-    server_id: str
-    pool_id: str
-    datacenter_id: str
-    counter: str
-    value: float
-
-    @property
-    def time_seconds(self) -> float:
-        """Window start, in seconds since simulation start."""
-        return self.window_index * float(WINDOW_SECONDS)

@@ -88,7 +88,7 @@ class LiveQuerySurface:
         """The one read path: one table read under one lock hold."""
         with self._lock:
             result = getattr(self._store, name)
-            if not READ_SURFACE[name]:
+            if not READ_SURFACE[name][0]:
                 result = result(*args, **kwargs)
             # A generator (``iter_tables``) is drained inside the hold —
             # the serve loop would drain it anyway, but outside it.

@@ -28,20 +28,36 @@ Two interchangeable **backends** decide where the shards live:
     message protocol and ``docs/DISTRIBUTED.md`` for the wire format,
     operations and the measured cost of the seam.
 
-**Queries** merge shard results shard-wise, identically for every
-backend:
+**Reads** are generated from :data:`~repro.telemetry.store.READ_SURFACE`:
+each row names the rule that merges the shards' answers, the same for
+every backend, and each rule is one function here (:data:`MERGES`):
 
-* ``count`` / ``max`` aggregates sum (respectively maximum) per-shard
-  bincount partials over the union of windows — exact, because integer
-  sums and maxima are associative;
-* ``sum`` / ``mean`` aggregates re-gather the raw shard columns into
-  the single store's canonical accumulation order first (float addition
-  is *not* associative, so summing per-shard partials would drift in
-  the last ulp and break the bit-identity guarantee);
-* :meth:`pool_matrix` stacks per-shard dense matrices by column slice
-  (every cell lives on exactly one shard);
-* :meth:`per_server_values` and :meth:`server_series` route to the one
-  shard that owns the server.
+* ``union`` — the sorted union of names: ``pools``, ``datacenters``,
+  ``counters_for_pool``, ``servers_in_pool``, ``datacenters_for_pool``,
+  ``datacenters_for_pool_counter``;
+* ``max`` / ``sum`` of scalars — ``max_window``; ``sample_count``
+  (on tcp also the cheapest read-your-writes barrier: it flushes and
+  round-trips every shard), ``hot_sample_count``;
+* ``owner`` — the shard that owns the server answers alone:
+  ``server_series``;
+* ``shard_order`` — answers one after another: ``iter_tables`` (the
+  exporter regroups rows per server, so exports are byte-identical);
+* ``canonical_rows`` — per datacenter, rows concatenated and stably
+  reordered by (window, server index), the order every engine appends
+  in, so float sums downstream match to the bit: ``gather_columns``;
+* ``column_stack`` / ``column_stack_per_dc`` — a server's column lives
+  on one shard and is placed, never combined, in index order:
+  ``pool_matrix`` (rows on the union of windows), ``per_server_values``
+  (per datacenter, as the single store groups it per table);
+* ``facade`` — answered by the facade itself: ``evicted_before``,
+  ``server_name``, and ``pool_window_aggregate``, whose ``count`` /
+  ``max`` reduce per-shard partials (associative, hence exact) and
+  ``sum`` / ``mean`` the ``canonical_rows`` gather (float addition is
+  not associative).
+
+The per-datacenter rules ask the ``union`` read which datacenters hold
+(pool, counter) rows once per ingest; the answer is memoized beside the
+aggregates.
 
 The result: every query on a :class:`ShardedMetricStore` fed by the
 batch (or blocked-batch) simulation engine is **bit-identical** to the
@@ -53,9 +69,11 @@ proven by ``tests/test_sharded_store.py`` and
 
 from __future__ import annotations
 
+import inspect
 import threading
-from itertools import groupby
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from functools import lru_cache
+from itertools import chain, groupby
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -73,7 +91,6 @@ from repro.telemetry.store import (
     MetricStore,
     ServerInterner,
     SpillArchive,
-    TableKey,
     _COLUMN_DTYPES,
     _AggregateFront,
     _axis,
@@ -81,6 +98,7 @@ from repro.telemetry.store import (
     _concat_columns,
     _RecordVerbs,
     _TrackedAggregate,
+    forward_reads,
     window_aggregate_arrays,
 )
 
@@ -232,6 +250,146 @@ def _shard_member_addresses(
     return members
 
 
+# ----------------------------------------------------------------------
+# Read merges: one function per rule of the module docstring, each
+# called as rule(facade, read name, args, kwargs)
+# ----------------------------------------------------------------------
+@lru_cache(maxsize=None)
+def _signature(name: str) -> inspect.Signature:
+    """The read's parameters on :class:`MetricStore`, ``self`` dropped."""
+    signature = inspect.signature(getattr(MetricStore, name))
+    return signature.replace(parameters=list(signature.parameters.values())[1:])
+
+
+def _bind(name: str, args: tuple, kwargs: dict) -> inspect.BoundArguments:
+    """A read's arguments by parameter name, defaults filled in."""
+    call = _signature(name).bind(*args, **kwargs)
+    call.apply_defaults()
+    return call
+
+
+def _answers(facade, name, args, kwargs) -> list:
+    """Every shard's answer to one read, in shard order."""
+    if READ_SURFACE[name][0]:
+        return [getattr(shard, name) for shard in facade._shards]
+    return [getattr(shard, name)(*args, **kwargs) for shard in facade._shards]
+
+
+def _per_datacenter(facade, name, args, kwargs) -> List[Tuple[tuple, dict]]:
+    """The read's arguments once per datacenter it covers, sorted: the
+    one it names, else each that holds (pool, counter) rows."""
+    call = _bind(name, args, kwargs)
+    scope = call.arguments
+    if scope["datacenter_id"] is not None:
+        return [(call.args, call.kwargs)]
+    key = ("datacenters", scope["pool_id"], scope["counter"])
+    if key not in facade._agg_cache:
+        facade._agg_cache[key] = facade.datacenters_for_pool_counter(
+            scope["pool_id"], scope["counter"]
+        )
+    calls = []
+    for dc in facade._agg_cache[key]:
+        scope["datacenter_id"] = dc
+        calls.append((call.args, call.kwargs))
+    return calls
+
+
+def _union_sorted(facade, name, args, kwargs) -> Tuple[str, ...]:
+    return tuple(sorted(set().union(*_answers(facade, name, args, kwargs))))
+
+
+def _max(facade, name, args, kwargs):
+    return max(_answers(facade, name, args, kwargs))
+
+
+def _sum(facade, name, args, kwargs):
+    return sum(_answers(facade, name, args, kwargs))
+
+
+def _owner(facade, name, args, kwargs):
+    # An unknown server is asked of shard 0, which knows it no better.
+    server_id = _bind(name, args, kwargs).arguments["server_id"]
+    shard = facade.shard_of(facade._interner.index.get(server_id, 0))
+    return getattr(facade._shards[shard], name)(*args, **kwargs)
+
+
+def _shard_order(facade, name, args, kwargs) -> Iterator:
+    # Lazily, so a local shard's tables are gathered one at a time.
+    return chain.from_iterable(
+        getattr(shard, name)(*args, **kwargs) for shard in facade._shards
+    )
+
+
+def _canonical_rows(
+    facade, name, args, kwargs, keep: Tuple[int, ...] = (0, 1, 2)
+) -> Tuple[np.ndarray, ...]:
+    """``keep`` names the columns returned; the others are sorted by
+    but never permuted."""
+    merged = []
+    for dc_args, dc_kwargs in _per_datacenter(facade, name, args, kwargs):
+        parts = [
+            part for part in _answers(facade, name, dc_args, dc_kwargs)
+            if part[0].size
+        ]
+        if parts:
+            columns = _concat_columns(parts)
+            order = _window_server_order(columns[0], columns[1])
+            merged.append(tuple(columns[i][order] for i in keep))
+    if not merged:
+        return tuple(np.array([], dtype=_COLUMN_DTYPES[i]) for i in keep)
+    return tuple(np.concatenate(column) for column in zip(*merged))
+
+
+def _column_stack(facade, name, args, kwargs):
+    index_of = facade._interner.index
+    parts = []  # (windows, server index array, matrix) per shard
+    for windows, names, matrix in _answers(facade, name, args, kwargs):
+        if matrix.size:
+            indices = np.array([index_of[n] for n in names], dtype=np.int64)
+            parts.append((windows, indices, matrix))
+    if not parts:
+        return np.array([], dtype=np.int64), (), np.empty((0, 0), dtype=float)
+    all_windows = parts[0][0]
+    for windows, _indices, _matrix in parts[1:]:
+        all_windows = np.union1d(all_windows, windows)
+    all_servers = np.sort(np.concatenate([p[1] for p in parts]))
+    out = np.full((all_windows.size, all_servers.size), np.nan)
+    for windows, indices, matrix in parts:
+        row_pos = np.searchsorted(all_windows, windows)
+        col_pos = np.searchsorted(all_servers, indices)
+        out[np.ix_(row_pos, col_pos)] = matrix
+    names = tuple(facade.server_name(int(i)) for i in all_servers)
+    return all_windows, names, out
+
+
+def _column_stack_per_dc(facade, name, args, kwargs) -> Dict[str, np.ndarray]:
+    index_of = facade._interner.index
+    out: Dict[str, np.ndarray] = {}
+    for dc_args, dc_kwargs in _per_datacenter(facade, name, args, kwargs):
+        columns: Dict[str, np.ndarray] = {}
+        for answer in _answers(facade, name, dc_args, dc_kwargs):
+            columns.update(answer)
+        for server in sorted(columns, key=index_of.__getitem__):
+            out[server] = columns[server]
+    return out
+
+
+#: The closed set of merge rules a :data:`READ_SURFACE` row may name,
+#: besides ``"facade"`` (a read :class:`ShardedMetricStore` answers
+#: itself).
+MERGES = {
+    "union": _union_sorted,
+    "max": _max,
+    "sum": _sum,
+    "owner": _owner,
+    "shard_order": _shard_order,
+    "canonical_rows": _canonical_rows,
+    "column_stack": _column_stack,
+    "column_stack_per_dc": _column_stack_per_dc,
+}
+
+
+@forward_reads("_merge", skip="facade")
 class ShardedMetricStore(_RecordVerbs, _AggregateFront):
     """N hash-partitioned metric-store shards behind one facade.
 
@@ -379,7 +537,9 @@ class ShardedMetricStore(_RecordVerbs, _AggregateFront):
             self._shards = [
                 MetricStore(interner=self._interner) for _ in range(n_shards)
             ]
-        self._agg_cache: Dict[Tuple, TimeSeries] = {}
+        #: Reads memoized until the next ingest: aggregates, and the
+        #: datacenter lists of the per-datacenter merges.
+        self._agg_cache: Dict[Tuple, object] = {}
         #: Streaming state mirrored at the facade: the eviction
         #: watermark applied to every shard, and the incrementally
         #: maintained aggregate series (facade-merged, so they are
@@ -672,132 +832,13 @@ LiveQuerySurface` takes it around every read.
             self._agg_cache.clear()
         return evicted
 
-    def hot_sample_count(self) -> int:
-        """Samples currently held in shard memory (excludes spill)."""
-        return sum(int(shard.hot_sample_count()) for shard in self._shards)
-
     # ------------------------------------------------------------------
-    # Introspection (shard unions)
+    # Reads: generated from READ_SURFACE, merged by each row's rule
     # ------------------------------------------------------------------
-    def _union(self, name: str, *args) -> Tuple[str, ...]:
-        """Sorted union of every shard's answer to one introspection read."""
-        names: Set[str] = set()
-        for shard in self._shards:
-            answer = getattr(shard, name)
-            names.update(answer if READ_SURFACE[name] else answer(*args))
-        return tuple(sorted(names))
-
-    @property
-    def pools(self) -> Tuple[str, ...]:
-        return self._union("pools")
-
-    @property
-    def datacenters(self) -> Tuple[str, ...]:
-        return self._union("datacenters")
-
-    @property
-    def max_window(self) -> int:
-        """Largest window index seen on any shard; -1 when empty."""
-        return max(shard.max_window for shard in self._shards)
-
-    def counters_for_pool(self, pool_id: str) -> Tuple[str, ...]:
-        return self._union("counters_for_pool", pool_id)
-
-    def servers_in_pool(
-        self,
-        pool_id: str,
-        datacenter_id: Optional[str] = None,
-    ) -> Tuple[str, ...]:
-        return self._union("servers_in_pool", pool_id, datacenter_id)
-
-    def datacenters_for_pool(self, pool_id: str) -> Tuple[str, ...]:
-        return self._union("datacenters_for_pool", pool_id)
-
-    def datacenters_for_pool_counter(
-        self, pool_id: str, counter: str
-    ) -> Tuple[str, ...]:
-        """Datacenters holding (pool, counter) rows on any shard, sorted."""
-        return self._union("datacenters_for_pool_counter", pool_id, counter)
-
-    def sample_count(self) -> int:
-        """Total number of stored samples across all shards.
-
-        Doubles as the cheapest read-your-writes barrier on the
-        tcp backend: it flushes and round-trips every shard.
-        """
-        return sum(shard.sample_count() for shard in self._shards)
-
-    def iter_tables(
-        self,
-    ) -> Iterator[Tuple[TableKey, np.ndarray, np.ndarray, np.ndarray]]:
-        """Yield (key, windows, server indices, values) per shard table.
-
-        A table key may appear once per shard (each shard holds its
-        servers' slice of the table); the archive exporter regroups
-        rows per server, and every server lives on exactly one shard,
-        so exports come out **byte-identical** to a single store's —
-        a remote shard ships its tables back as one pickled list, in
-        the same shard order.
-        """
-        for shard in self._shards:
-            yield from shard.iter_tables()
-
-    # ------------------------------------------------------------------
-    # Queries (shard-wise merges)
-    # ------------------------------------------------------------------
-    def gather_columns(
-        self,
-        pool_id: str,
-        counter: str,
-        datacenter_id: Optional[str] = None,
-        start: Optional[int] = None,
-        stop: Optional[int] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Shard rows re-merged into the single store's canonical order.
-
-        Per datacenter (sorted, as :meth:`MetricStore._matching_tables`
-        orders tables), shard columns are concatenated and stably
-        sorted by (window, server index).  Because the batch and
-        blocked engines append each table in exactly that order, the
-        merged columns are bit-identical to what an unsharded store
-        would hand its own aggregation kernel — including the float
-        accumulation order of downstream ``np.bincount`` sums.  Shard
-        placement is invisible here: local shards return array views,
-        remote shards return pickled copies, and the merge is the same.
-        """
-        return self._merged(pool_id, counter, datacenter_id, start, stop, (0, 1, 2))
-
-    def _merged(
-        self,
-        pool_id: str,
-        counter: str,
-        datacenter_id: Optional[str],
-        start: Optional[int],
-        stop: Optional[int],
-        keep: Tuple[int, ...],
-    ) -> Tuple[np.ndarray, ...]:
-        """The columns ``keep`` names of :meth:`gather_columns` — the
-        others are sorted by but never permuted."""
-        dcs = (
-            (datacenter_id,)
-            if datacenter_id is not None
-            else self.datacenters_for_pool_counter(pool_id, counter)
-        )
-        merged = []
-        for dc in dcs:
-            parts = [
-                shard.gather_columns(pool_id, counter, dc, start, stop)
-                for shard in self._shards
-            ]
-            parts = [part for part in parts if part[0].size]
-            if not parts:
-                continue
-            columns = _concat_columns(parts)
-            order = _window_server_order(columns[0], columns[1])
-            merged.append(tuple(columns[i][order] for i in keep))
-        if not merged:
-            return tuple(np.array([], dtype=_COLUMN_DTYPES[i]) for i in keep)
-        return tuple(np.concatenate(column) for column in zip(*merged))
+    def _merge(self, name: str, *args, **kwargs):
+        """Every generated read: the shards' answers, merged by the rule
+        the name's :data:`READ_SURFACE` row names (:data:`MERGES`)."""
+        return MERGES[READ_SURFACE[name][1]](self, name, args, kwargs)
 
     def _compute_window_aggregate(
         self,
@@ -809,150 +850,34 @@ LiveQuerySurface` takes it around every read.
         reducer: str,
     ) -> TimeSeries:
         """The uncached shard-merged aggregate behind
-        :meth:`pool_window_aggregate` and :meth:`seal_through`.
+        :meth:`pool_window_aggregate` and :meth:`seal_through`: one
+        :func:`window_aggregate_arrays` pass over rows that reduce to
+        the single store's answer.
 
-        ``count`` and ``max`` merge per-shard partials over the union
-        of windows (associative, hence exact — and only the small
-        partial series crosses the wire).  ``sum`` and ``mean``
-        aggregate the canonically re-ordered gather of all shard rows
-        (window and value columns only), so their float accumulation
-        order — and therefore every output bit — matches the unsharded
-        store, at the cost of moving the raw columns.
+        For ``count`` and ``max`` those rows are the per-shard partials
+        — per window, a sum of integer counts or a maximum of maxima,
+        exact in any order, and only the small partial series crosses
+        the wire.  ``sum`` and ``mean`` reduce the ``canonical_rows``
+        gather of all shard rows (window and value columns only), so
+        their float accumulation order — and therefore every output bit
+        — matches the unsharded store, at the cost of moving the raw
+        columns.
         """
-        empty = TimeSeries(np.array([], dtype=int), np.array([], dtype=float))
+        scope = (pool_id, counter, datacenter_id, start, stop)
         if reducer in ("count", "max"):
             partials = [
-                shard.pool_window_aggregate(
-                    pool_id, counter, datacenter_id, start, stop, reducer
-                )
+                shard.pool_window_aggregate(*scope, reducer)
                 for shard in self._shards
             ]
-            partials = [p for p in partials if len(p)]
-            if not partials:
-                return empty
-            all_windows = partials[0].windows
-            for part in partials[1:]:
-                all_windows = np.union1d(all_windows, part.windows)
-            fill = 0.0 if reducer == "count" else -np.inf
-            acc = np.full(all_windows.size, fill)
-            for part in partials:
-                pos = np.searchsorted(all_windows, part.windows)
-                if reducer == "count":
-                    acc[pos] += part.values
-                else:
-                    np.maximum.at(acc, pos, part.values)
-            return TimeSeries.from_sorted(all_windows, acc)
-
-        windows, values = self._merged(
-            pool_id, counter, datacenter_id, start, stop, (0, 2)
-        )
+            windows = np.concatenate([part.windows for part in partials])
+            values = np.concatenate([part.values for part in partials])
+            reducer = "sum" if reducer == "count" else "max"
+        else:
+            windows, values = _canonical_rows(
+                self, "gather_columns", scope, {}, keep=(0, 2)
+            )
         if windows.size == 0:
-            return empty
-        out_windows, out_values = window_aggregate_arrays(windows, values, reducer)
-        return TimeSeries.from_sorted(out_windows, out_values)
-
-    def per_server_values(
-        self,
-        pool_id: str,
-        counter: str,
-        datacenter_id: Optional[str] = None,
-        start: Optional[int] = None,
-        stop: Optional[int] = None,
-    ) -> Dict[str, np.ndarray]:
-        """All window values per server, merged across shards.
-
-        Every server lives on exactly one shard, so the merge is a
-        plain dict union — per-server arrays are the shard's arrays
-        (or, for remote shards, their pickled copies), bit-identical
-        to the unsharded ones.
-        """
-        out: Dict[str, np.ndarray] = {}
-        for shard in self._shards:
-            out.update(
-                shard.per_server_values(
-                    pool_id, counter, datacenter_id, start, stop
-                )
-            )
-        return out
-
-    def server_series(
-        self,
-        pool_id: str,
-        counter: str,
-        server_id: str,
-        start: Optional[int] = None,
-        stop: Optional[int] = None,
-    ) -> TimeSeries:
-        """Series of one counter on one server (routed to its shard).
-
-        Exactly one shard — local object or remote RPC — answers; no
-        merging, hence trivially bit-identical on every backend.
-        """
-        index = self._interner.index.get(server_id)
-        if index is None:
             return TimeSeries(np.array([], dtype=int), np.array([], dtype=float))
-        return self._shards[index % len(self._shards)].server_series(
-            pool_id, counter, server_id, start, stop
+        return TimeSeries.from_sorted(
+            *window_aggregate_arrays(windows, values, reducer)
         )
-
-    def pool_matrix(
-        self,
-        pool_id: str,
-        counter: str,
-        datacenter_id: Optional[str] = None,
-        start: Optional[int] = None,
-        stop: Optional[int] = None,
-    ) -> Tuple[np.ndarray, Tuple[str, ...], np.ndarray]:
-        """Dense (windows, server_ids, values) cube stacked from shards.
-
-        Each shard contributes the column slice of the servers it owns
-        (remote shards build theirs server-side and ship one dense
-        matrix back); rows are aligned on the union of the shards'
-        windows.  Every cell is a single stored value, so stacking is
-        exact on all backends.
-        """
-        index_of = self._interner.index
-        parts = []  # (windows, server index array, matrix) per shard
-        for shard in self._shards:
-            windows, names, matrix = shard.pool_matrix(
-                pool_id, counter, datacenter_id, start, stop
-            )
-            if matrix.size == 0:
-                continue
-            indices = np.array([index_of[name] for name in names], dtype=np.int64)
-            parts.append((windows, indices, matrix))
-        if not parts:
-            return (
-                np.array([], dtype=np.int64),
-                (),
-                np.empty((0, 0), dtype=float),
-            )
-        all_windows = parts[0][0]
-        for windows, _indices, _matrix in parts[1:]:
-            all_windows = np.union1d(all_windows, windows)
-        all_servers = np.sort(np.concatenate([p[1] for p in parts]))
-        out = np.full((all_windows.size, all_servers.size), np.nan)
-        for windows, indices, matrix in parts:
-            row_pos = np.searchsorted(all_windows, windows)
-            col_pos = np.searchsorted(all_servers, indices)
-            out[np.ix_(row_pos, col_pos)] = matrix
-        names = tuple(self._interner.name(int(i)) for i in all_servers)
-        return all_windows, names, out
-
-    def all_values(
-        self,
-        counter: str,
-        pool_ids: Optional[Sequence[str]] = None,
-    ) -> np.ndarray:
-        """Every stored value of ``counter`` across shards.
-
-        Values come out shard-major (shard 0's rows first), so the
-        *multiset* matches a single store but the order differs; the
-        fleet-distribution consumers are order-insensitive.  Same
-        shard-major order on every backend.
-        """
-        chunks = [shard.all_values(counter, pool_ids) for shard in self._shards]
-        chunks = [c for c in chunks if c.size]
-        if not chunks:
-            return np.array([], dtype=float)
-        return np.concatenate(chunks)

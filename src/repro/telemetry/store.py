@@ -57,7 +57,6 @@ from typing import (
 
 import numpy as np
 
-from repro.telemetry.counters import CounterSample
 from repro.telemetry.series import TimeSeries
 
 
@@ -762,24 +761,6 @@ class _RecordVerbs:
             pool_id, datacenter_id, counter, windows, indices, values
         )
 
-    def record_many(self, samples: Iterable[CounterSample]) -> None:
-        """Append loose samples: one ``record_columns`` call per
-        (pool, datacenter, counter), rows in input order."""
-        grouped: Dict[TableKey, Tuple[List[int], List[int], List[float]]] = {}
-        for sample in samples:
-            key = (sample.pool_id, sample.datacenter_id, sample.counter)
-            windows, indices, values = grouped.setdefault(key, ([], [], []))
-            windows.append(sample.window_index)
-            indices.append(self.intern_server(sample.server_id))
-            values.append(sample.value)
-        for key, (windows, indices, values) in grouped.items():
-            self.record_columns(
-                *key,
-                np.asarray(windows, dtype=np.int64),
-                np.asarray(indices, dtype=np.int64),
-                np.asarray(values, dtype=float),
-            )
-
     def record_fast(
         self,
         window: int,
@@ -803,46 +784,38 @@ class _RecordVerbs:
             np.array([value], dtype=float),
         )
 
-    def record(self, sample: CounterSample) -> None:
-        """Append one :class:`CounterSample` (see :meth:`record_fast`)."""
-        self.record_fast(
-            sample.window_index,
-            sample.server_id,
-            sample.pool_id,
-            sample.datacenter_id,
-            sample.counter,
-            sample.value,
-        )
 
-
-#: The store's read surface, declared once: name -> is it a property.
-#: Every name is defined on :class:`MetricStore` and on
-#: :class:`~repro.telemetry.sharding.ShardedMetricStore`, mutates
-#: nothing, and is what a shard session or the live query surface
-#: answers to a ``call`` — the remote-shard proxies and the query
-#: surface are generated from this table (:func:`forward_reads`), and
-#: the serve loop refuses any name outside it (plus the few extras the
-#: served object declares).  ``sealed_through`` is deliberately absent:
-#: the live surface answers it from its streamer, not from the store.
+#: The store's read surface, declared once: name -> (is it a property,
+#: how the sharded facade merges its shards' answers).  Every name is
+#: defined on :class:`MetricStore`, mutates nothing, and is what a
+#: shard session or the live query surface answers to a ``call`` — the
+#: remote-shard proxies, the query surface and the sharded facade's
+#: reads are generated from this table (:func:`forward_reads`), and the
+#: serve loop refuses any name outside it (plus the few extras the
+#: served object declares).  The merge rules are a closed set, each
+#: written once in :mod:`repro.telemetry.sharding` (``MERGES``, whose
+#: module docstring states them); ``"facade"`` marks a read
+#: :class:`~repro.telemetry.sharding.ShardedMetricStore` answers
+#: itself.  ``sealed_through`` is deliberately absent: the live surface
+#: answers it from its streamer, not from the store.
 READ_SURFACE = {
-    "pools": True,
-    "datacenters": True,
-    "max_window": True,
-    "evicted_before": True,
-    "counters_for_pool": False,
-    "servers_in_pool": False,
-    "datacenters_for_pool": False,
-    "datacenters_for_pool_counter": False,
-    "server_name": False,
-    "sample_count": False,
-    "hot_sample_count": False,
-    "iter_tables": False,
-    "gather_columns": False,
-    "pool_window_aggregate": False,
-    "per_server_values": False,
-    "server_series": False,
-    "pool_matrix": False,
-    "all_values": False,
+    "pools": (True, "union"),
+    "datacenters": (True, "union"),
+    "max_window": (True, "max"),
+    "evicted_before": (True, "facade"),
+    "counters_for_pool": (False, "union"),
+    "servers_in_pool": (False, "union"),
+    "datacenters_for_pool": (False, "union"),
+    "datacenters_for_pool_counter": (False, "union"),
+    "server_name": (False, "facade"),
+    "sample_count": (False, "sum"),
+    "hot_sample_count": (False, "sum"),
+    "iter_tables": (False, "shard_order"),
+    "gather_columns": (False, "canonical_rows"),
+    "pool_window_aggregate": (False, "facade"),
+    "per_server_values": (False, "column_stack_per_dc"),
+    "server_series": (False, "owner"),
+    "pool_matrix": (False, "column_stack"),
 }
 
 
@@ -855,18 +828,22 @@ def _forwarder(name: str, via: str):
     return read
 
 
-def forward_reads(via: str):
-    """Class decorator: give a class every :data:`READ_SURFACE` name.
+def forward_reads(via: str, skip: Optional[str] = None):
+    """Class decorator: give a class every :data:`READ_SURFACE` name
+    whose merge rule is not ``skip``.
 
     Each generated method (or property) forwards to
     ``getattr(self, via)(name, *args, **kwargs)`` — ``call`` for the
     remote-shard proxies, the lock-holding ``_read`` for the live
-    query surface — so a stand-in for the store spells the surface
-    zero times instead of once per name.
+    query surface, the shard merge for the sharded facade, which skips
+    the ``"facade"`` rows it answers itself — so a stand-in for the
+    store spells the surface zero times instead of once per name.
     """
 
     def decorate(cls):
-        for name, is_property in READ_SURFACE.items():
+        for name, (is_property, merge) in READ_SURFACE.items():
+            if merge == skip:
+                continue
             read = _forwarder(name, via)
             setattr(cls, name, property(read) if is_property else read)
         return cls
@@ -1013,8 +990,7 @@ class MetricStore(_RecordVerbs, _AggregateFront):
 
     The single-node building block of the telemetry layer.  Ingest via
     :meth:`record_columns` (pre-columnised rows) or the convenience
-    verbs over it (:meth:`record_batch`, :meth:`record_many`,
-    :meth:`record_fast`, :meth:`record`); query via
+    verbs over it (:meth:`record_batch`, :meth:`record_fast`); query via
     :meth:`pool_window_aggregate`, :meth:`per_server_values`,
     :meth:`pool_matrix` and :meth:`server_series`.  All query results
     are independent of ingest batching: the same rows in the same
@@ -1470,28 +1446,6 @@ LiveQuerySurface` takes it around every read, so a live reader only
             matrix = matrix[:, server_seen]
         names = tuple(self._interner.name(i) for i in servers[server_seen])
         return windows, names, matrix
-
-    def all_values(
-        self,
-        counter: str,
-        pool_ids: Optional[Sequence[str]] = None,
-    ) -> np.ndarray:
-        """Every stored value of ``counter``, optionally pool-filtered.
-
-        Powers the fleet-wide distribution studies (Figs 12-14).
-        """
-        pools = list(pool_ids) if pool_ids is not None else list(self._pools)
-        chunks: List[np.ndarray] = []
-        for pool in pools:
-            for key in self._by_pool_counter.get((pool, counter), []):
-                _windows, _servers, values = self._gather(
-                    [self._tables[key]], *self._window_range(None, None)
-                )
-                if values.size:
-                    chunks.append(values)
-        if not chunks:
-            return np.array([], dtype=float)
-        return np.concatenate(chunks)
 
     def sample_count(self) -> int:
         """Total number of stored samples."""

@@ -220,7 +220,9 @@ class TestAvailabilityPolicies:
         fleet = build_single_pool_fleet("B", servers_per_deployment=10, seed=7)
         sim = Simulator(fleet, seed=7)  # policies on; pool B repurposes
         sim.run(720)
-        availability = sim.store.all_values(Counter.AVAILABILITY.value)
+        availability = np.concatenate(list(
+            sim.store.per_server_values("B", Counter.AVAILABILITY.value).values()
+        ))
         assert availability.mean() < 0.9
 
     def test_policy_override(self):
@@ -230,5 +232,7 @@ class TestAvailabilityPolicies:
         sim = Simulator(fleet, seed=7)
         sim.set_availability_policy("B", "DC1", AlwaysOnline())
         sim.run(100)
-        availability = sim.store.all_values(Counter.AVAILABILITY.value)
+        availability = np.concatenate(list(
+            sim.store.per_server_values("B", Counter.AVAILABILITY.value).values()
+        ))
         assert availability.mean() == 1.0

@@ -125,7 +125,9 @@ class TestFailureInjection:
             ),
         )
         sim.run(720)
-        availability = sim.store.all_values(Counter.AVAILABILITY.value)
+        availability = np.concatenate(list(
+            sim.store.per_server_values("B", Counter.AVAILABILITY.value).values()
+        ))
         assert 0.9 < availability.mean() < 1.0
 
 

@@ -40,7 +40,6 @@ ARGS = {
     "per_server_values": ("B", "rps", "dc1"),
     "server_series": ("A", "cpu", "dc1.A.s1"),
     "pool_matrix": ("B", "cpu"),
-    "all_values": ("rps",),
 }
 
 
@@ -63,7 +62,7 @@ def _fill(store):
 def _local_reader(store):
     def read(name, args):
         answer = getattr(store, name)
-        return answer if READ_SURFACE[name] else answer(*args)
+        return answer if READ_SURFACE[name][0] else answer(*args)
 
     return read
 
@@ -72,6 +71,10 @@ def _local_reader(store):
 def readers(shard_server):
     single = _fill(MetricStore())
     serial = _fill(ShardedMetricStore(n_shards=3))
+    # 5 consecutive server indices per (pool, dc) over 7 shards: every
+    # scoped read finds at least two shards empty.
+    sparse = _fill(ShardedMetricStore(n_shards=7))
+    unpartitioned = _fill(ShardedMetricStore(n_shards=1))
     tcp = _fill(
         ShardedMetricStore(backend="tcp", shard_addrs=[shard_server.address] * 2)
     )
@@ -80,6 +83,8 @@ def readers(shard_server):
             yield {
                 "single": _local_reader(single),
                 "serial": _local_reader(serial),
+                "sparse": _local_reader(sparse),
+                "unpartitioned": _local_reader(unpartitioned),
                 "tcp": _local_reader(tcp),
                 "live": lambda name, args: client.call(name, *args),
             }
@@ -95,8 +100,6 @@ def _canonical(name, answer):
                 zip(windows.tolist(), servers.tolist(), values.tolist())
             )
         return {key: sorted(table) for key, table in rows.items()}
-    if name == "all_values":
-        return np.sort(answer)  # shard-major order: a multiset
     return answer
 
 
@@ -106,7 +109,7 @@ def _assert_same(got, want):
     if isinstance(want, np.ndarray):
         np.testing.assert_array_equal(got, want)  # NaN cells compare equal
     elif isinstance(want, dict):
-        assert sorted(got) == sorted(want)
+        assert list(got) == list(want)
         for key in want:
             _assert_same(got[key], want[key])
     elif isinstance(want, (tuple, list)):
@@ -125,5 +128,5 @@ def test_every_listed_read_has_arguments():
 def test_every_reader_answers_alike(readers, name):
     want = _canonical(name, readers["single"](name, ARGS[name]))
     assert not hasattr(want, "__len__") or len(want), "a vacuous fixture"
-    for kind in ("serial", "tcp", "live"):
+    for kind in ("serial", "sparse", "unpartitioned", "tcp", "live"):
         _assert_same(_canonical(name, readers[kind](name, ARGS[name])), want)

@@ -170,8 +170,9 @@ class TestRpcSurface:
         _edit(
             tree,
             "src/repro/telemetry/store.py",
-            '    "all_values": False,\n',
-            '    "all_values": False,\n    "evict_windows": False,\n',
+            '    "pool_matrix": (False, "column_stack"),\n',
+            '    "pool_matrix": (False, "column_stack"),\n'
+            '    "evict_windows": (False, "sum"),\n',
         )
         found = _findings(engine, tree, "rpc-surface")
         assert any(
@@ -206,27 +207,60 @@ class TestRpcSurface:
         assert any("evict_windowz" in f.message for f in found)
 
     def test_table_entry_no_store_defines_fires(self, engine, tree):
-        """A table name must exist on both store kinds: a stale entry,
-        or a read only ``MetricStore`` grew, fires."""
+        """A table name must exist on ``MetricStore``, and a row the
+        facade answers itself on ``ShardedMetricStore``: a stale entry,
+        or a facade read renamed away, fires."""
         _edit(
             tree,
             "src/repro/telemetry/store.py",
-            '    "all_values": False,\n',
-            '    "all_values": False,\n    "departed_method": False,\n',
+            '    "pool_matrix": (False, "column_stack"),\n',
+            '    "pool_matrix": (False, "column_stack"),\n'
+            '    "departed_method": (False, "union"),\n',
         )
         _edit(
             tree,
             "src/repro/telemetry/sharding.py",
-            "    def hot_sample_count(self) -> int:",
-            "    def warm_sample_count(self) -> int:",
+            "    def evicted_before(self) -> int:",
+            "    def evicted_after(self) -> int:",
         )
         messages = [f.message for f in _findings(engine, tree, "rpc-surface")]
         assert any(
             "'departed_method', but MetricStore" in m for m in messages
         )
         assert any(
-            "'hot_sample_count', but ShardedMetricStore" in m for m in messages
+            "'evicted_before', but ShardedMetricStore" in m for m in messages
         )
+
+    def test_unknown_merge_rule_fires(self, engine, tree):
+        """A row's merge must be one of the closed set of rules."""
+        _edit(
+            tree,
+            "src/repro/telemetry/store.py",
+            '    "max_window": (True, "max"),\n',
+            '    "max_window": (True, "median"),\n',
+        )
+        (found,) = _findings(engine, tree, "rpc-surface")
+        assert "merges 'max_window' by 'median', which is not a rule" in found.message
+
+    def test_facade_method_shadowing_a_generated_read_fires(self, engine, tree):
+        """A hand-written facade read for a generated row forks a merge
+        back in: it fires where it is defined."""
+        _edit(
+            tree,
+            "src/repro/telemetry/sharding.py",
+            "    def _merge(self, name: str, *args, **kwargs):",
+            "    def sample_count(self) -> int:\n"
+            "        return 0\n"
+            "\n"
+            "    def _merge(self, name: str, *args, **kwargs):",
+        )
+        sharding = (tree / "src/repro/telemetry/sharding.py").read_text()
+        (found,) = _findings(engine, tree, "rpc-surface")
+        assert (found.path, found.line) == (
+            "src/repro/telemetry/sharding.py",
+            sharding.splitlines().index("    def sample_count(self) -> int:") + 1,
+        )
+        assert "generates that read from its 'sum' rule" in found.message
 
 
     def test_pickle_import_outside_the_listed_sites_fires(self, engine, tree):

@@ -248,27 +248,21 @@ class TestIngestProtocol:
             _windows, names, _matrix = store.pool_matrix("P", "cpu")
             assert "late1" in names
 
-    def test_record_fast_and_record_many_ride_the_buffer(
-        self, shard_server, monkeypatch
-    ):
-        """All four convenience verbs reduce to ``record_columns``:
-        they leave as kind-1 binary frames only — never a pickle — and
-        store exactly what a local ``MetricStore`` stores."""
+    def test_every_ingest_verb_rides_the_buffer(self, shard_server, monkeypatch):
+        """``record_columns`` and the convenience verbs over it leave as
+        kind-1 binary frames only — never a pickle — and store exactly
+        what a local ``MetricStore`` stores."""
         from repro.telemetry import transport
-        from repro.telemetry.counters import CounterSample
         from repro.telemetry.store import MetricStore
-
-        def sample(window, server, value):
-            return CounterSample(
-                window_index=window, server_id=server, pool_id="P",
-                datacenter_id="dc", counter="cpu", value=value,
-            )
 
         def feed(store):
             store.record_fast(0, "a", "P", "dc", "cpu", 1.0)
             store.record_fast(0, "b", "P", "dc", "cpu", 2.0)
-            store.record(sample(1, "b", 4.0))
-            store.record_many([sample(1, "a", 3.0), sample(2, "c", 5.0)])
+            store.record_fast(1, "b", "P", "dc", "cpu", 4.0)
+            store.record_columns(
+                "P", "dc", "cpu", [1, 2], store.intern_servers(["a", "c"]),
+                [3.0, 5.0],
+            )
             store.record_batch(
                 "P", "dc", "cpu", 3, ["a", "b", "c"], np.array([6.0, 7.0, 8.0])
             )

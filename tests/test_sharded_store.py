@@ -12,7 +12,6 @@ byte-identical export check — also proves the network RPC path.
 import numpy as np
 import pytest
 
-from repro.telemetry.counters import CounterSample
 from repro.telemetry.export import export_store, import_store
 from repro.telemetry.sharding import BACKENDS, ShardedMetricStore
 from repro.telemetry.store import MetricStore
@@ -121,6 +120,21 @@ class TestQueryEquivalence:
         for server in a:
             np.testing.assert_array_equal(a[server], b[server])
 
+    def test_per_server_values_key_order(self):
+        """Keys come out datacenter by datacenter, then by server index —
+        the single store's order — even when interning interleaves the
+        datacenters, so index order alone would not do."""
+        single, sharded = MetricStore(), ShardedMetricStore(n_shards=3)
+        for store in (single, sharded):
+            for i in range(6):
+                dc = ("dc2", "dc1")[i % 2]
+                store.record_fast(0, f"{dc}.s{i}", "P", dc, "cpu", float(i))
+        want = single.per_server_values("P", "cpu")
+        assert list(want) == [
+            "dc1.s1", "dc1.s3", "dc1.s5", "dc2.s0", "dc2.s2", "dc2.s4"
+        ]
+        assert list(sharded.per_server_values("P", "cpu")) == list(want)
+
     def test_pool_matrix(self, pair):
         single, sharded = pair
         wa, na, ma = single.pool_matrix("A", "cpu")
@@ -151,13 +165,6 @@ class TestQueryEquivalence:
             np.testing.assert_array_equal(a.values, b.values)
         assert len(sharded.server_series("A", "cpu", "unknown-server")) == 0
 
-    def test_all_values_multiset(self, pair):
-        single, sharded = pair
-        a = np.sort(single.all_values("cpu"))
-        b = np.sort(sharded.all_values("cpu"))
-        np.testing.assert_array_equal(a, b)
-        assert sharded.all_values("nope").size == 0
-
     def test_gather_columns_canonical_order(self, pair):
         single, sharded = pair
         wa, sa, va = single.gather_columns("A", "cpu")
@@ -181,29 +188,23 @@ class TestIngestPaths:
             assert series.values[0] == pytest.approx(3.0)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_record_and_record_many(self, backend, shard_server):
+    def test_record_fast_rows_match_single_store(self, backend, shard_server):
         single = MetricStore()
         samples = [
-            CounterSample(
-                window_index=w,
-                server_id=f"s{i}",
-                pool_id="P",
-                datacenter_id="dc",
-                counter="cpu",
-                value=float(w * 10 + i),
-            )
+            (w, f"s{i}", "P", "dc", "cpu", float(w * 10 + i))
             for w in range(4)
             for i in range(7)
         ]
         with _sharded(backend=backend, server=shard_server) as sharded:
-            single.record_many(samples)
-            sharded.record_many(samples)
+            for sample in samples:
+                single.record_fast(*sample)
+                sharded.record_fast(*sample)
             assert single.sample_count() == sharded.sample_count()
             a = single.pool_window_aggregate("P", "cpu")
             b = sharded.pool_window_aggregate("P", "cpu")
             np.testing.assert_array_equal(a.windows, b.windows)
             np.testing.assert_array_equal(a.values, b.values)
-            sharded.record(samples[0])
+            sharded.record_fast(*samples[0])
             assert sharded.sample_count() == single.sample_count() + 1
 
     def test_record_batch_validation(self):

@@ -5,31 +5,25 @@ import errno
 import numpy as np
 import pytest
 
-from repro.telemetry.counters import Counter, CounterSample, WINDOW_SECONDS, workload_counter
+from repro.telemetry.counters import Counter, WINDOW_SECONDS, workload_counter
 from repro.telemetry.export import export_store
 from repro.telemetry.store import MetricStore, SpillArchive
 from tests.conftest import chunk_list_rows
 
 
 def _sample(window, server="s0", pool="P", dc="DC1", counter="cpu", value=1.0):
-    return CounterSample(
-        window_index=window,
-        server_id=server,
-        pool_id=pool,
-        datacenter_id=dc,
-        counter=counter,
-        value=value,
-    )
+    """One sample as ``record_fast`` arguments."""
+    return window, server, pool, dc, counter, value
 
 
 @pytest.fixture()
 def store():
     s = MetricStore()
     for w in range(10):
-        s.record(_sample(w, server="s0", value=float(w)))
-        s.record(_sample(w, server="s1", value=float(w) * 2))
-        s.record(_sample(w, server="s0", counter="lat", value=10.0 + w))
-    s.record(_sample(0, server="s2", pool="Q", dc="DC2", value=5.0))
+        s.record_fast(*_sample(w, server="s0", value=float(w)))
+        s.record_fast(*_sample(w, server="s1", value=float(w) * 2))
+        s.record_fast(*_sample(w, server="s0", counter="lat", value=10.0 + w))
+    s.record_fast(*_sample(0, server="s2", pool="Q", dc="DC2", value=5.0))
     return s
 
 
@@ -43,9 +37,6 @@ class TestCounters:
     def test_workload_counter_empty_rejected(self):
         with pytest.raises(ValueError):
             workload_counter("")
-
-    def test_sample_time_seconds(self):
-        assert _sample(3).time_seconds == 360.0
 
     def test_resource_classification(self):
         assert Counter.PROCESSOR_UTILIZATION.is_resource
@@ -72,7 +63,9 @@ class TestIngest:
 
     def test_record_fast_equivalent(self):
         a, b = MetricStore(), MetricStore()
-        a.record(_sample(1, value=3.0))
+        a.record_columns(
+            "P", "DC1", "cpu", np.array([1]), a.intern_servers(["s0"]), [3.0]
+        )
         b.record_fast(1, "s0", "P", "DC1", "cpu", 3.0)
         sa = a.server_series("P", "cpu", "s0")
         sb = b.server_series("P", "cpu", "s0")
@@ -85,7 +78,7 @@ class TestBatchIngest:
         a, b = MetricStore(), MetricStore()
         for w in range(3):
             for i, server in enumerate(["s0", "s1", "s2"]):
-                a.record(_sample(w, server=server, value=float(w * 10 + i)))
+                a.record_fast(*_sample(w, server=server, value=float(w * 10 + i)))
         for w in range(3):
             b.record_batch(
                 "P", "DC1", "cpu", w,
@@ -158,19 +151,6 @@ class TestBatchIngest:
         np.testing.assert_array_equal(windows, [0, 1, 2, 3])
         np.testing.assert_array_equal(values, [1.0, 2.0, 3.0, 4.0])
 
-    def test_record_many_delegates_to_batch_path(self):
-        store = MetricStore()
-        store.record_many(
-            [
-                _sample(0, server="s0", value=1.0),
-                _sample(0, server="s1", value=2.0),
-                _sample(1, server="s0", counter="lat", value=9.0),
-            ]
-        )
-        assert store.sample_count() == 3
-        assert store.pool_window_aggregate("P", "cpu", reducer="sum").values[0] == 3.0
-        assert store.server_series("P", "lat", "s0").values[0] == 9.0
-
     def test_aggregate_cache_invalidated_on_ingest(self):
         store = MetricStore()
         store.record_batch("P", "DC1", "cpu", 0, ["s0"], np.array([1.0]))
@@ -242,17 +222,6 @@ class TestQueries:
         per_server = store.per_server_values("P", "cpu", start=8)
         assert per_server["s0"].size == 2
 
-    def test_all_values(self, store):
-        values = store.all_values("cpu")
-        assert values.size == 21
-
-    def test_all_values_pool_filtered(self, store):
-        values = store.all_values("cpu", pool_ids=["Q"])
-        assert values.size == 1
-
-    def test_all_values_missing_counter(self, store):
-        assert store.all_values("nothing").size == 0
-
     def test_servers_in_pool(self, store):
         assert store.servers_in_pool("P") == ("s0", "s1")
         assert store.servers_in_pool("P", datacenter_id="DC2") == ()
@@ -297,9 +266,11 @@ def _assert_same_answers(store, reference, ranges=_RANGES):
         assert got[0] == want[0]
         for column, expected in zip(got[1:], want[1:]):
             np.testing.assert_array_equal(column, expected)
-    np.testing.assert_array_equal(
-        store.all_values("rps"), reference.all_values("rps")
-    )
+    got = store.per_server_values("B", "rps")
+    want = reference.per_server_values("B", "rps")
+    assert list(got) == list(want)
+    for server in want:
+        np.testing.assert_array_equal(got[server], want[server])
     for start, stop in ranges:
         for dc in (None,) + reference.datacenters:
             for column, expected in zip(

@@ -7,16 +7,20 @@ it, and the serve loop refuses any other name at run time (plus the
 few extras a served object declares — ``workers.SHARD_EXTRAS``,
 ``query_server.LIVE_EXTRAS``).  What that leaves to check statically:
 
-* every table name is defined on both ``MetricStore`` and
-  ``ShardedMetricStore`` (the private bases they share folded in);
+* the table is a literal ``name -> (is-a-property, merge rule)``, each
+  rule a key of ``sharding.MERGES`` or ``"facade"`` — the closed set the
+  facade's generated reads dispatch on;
+* every table name is defined on ``MetricStore``; every ``"facade"``
+  row on ``ShardedMetricStore``, and no other row: the facade's other
+  reads are generated, so a hand-written one would fork a merge back
+  in (the private bases the stores share folded in);
 * no table name and no live-surface extra is a statically detected
   mutator on either store class, and every extra is defined where it
   is served;
 * every string method name at a dispatch site resolves: a ``.call(``
   in ``workers.py`` / ``query_server.py`` against the table or that
-  side's extras, a facade ``_union(`` against the table, a journal
-  ``append(`` (replayed with ``getattr(client, method)``) against the
-  client proxy;
+  side's extras, a journal ``append(`` (replayed with
+  ``getattr(client, method)``) against the client proxy;
 * exactly one class under ``telemetry/`` is generated from the table
   through ``call`` — :data:`CALL_PROXY`, the remote-shard client whose
   session list *is* replication — so a second proxy class beside it
@@ -50,6 +54,10 @@ QUERY = "src/repro/telemetry/query_server.py"
 TRANSPORT = "src/repro/telemetry/transport.py"
 
 TABLE = "READ_SURFACE"
+#: The rules the facade's generated reads dispatch on, by their keys.
+MERGES = "MERGES"
+#: The rule of a read ``ShardedMetricStore`` answers itself.
+FACADE_RULE = "facade"
 STORE_CLASSES = (("MetricStore", STORE), ("ShardedMetricStore", SHARDING))
 #: The one class decorated ``forward_reads("call")``; with the table
 #: names generated onto it, what ``getattr(client, method)`` resolves
@@ -81,6 +89,18 @@ def _literal(src: Optional[SourceFile], name: str):
             except ValueError:
                 break
     return None, 1
+
+
+def _merge_rules(sharding: Optional[SourceFile]) -> Set[str]:
+    """The string keys of the module-level ``MERGES = {...}``."""
+    for node in sharding.tree.body if sharding is not None else ():
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == MERGES for t in node.targets)
+            and isinstance(node.value, ast.Dict)
+        ):
+            return {str_const(key) for key in node.value.keys} - {None}
+    return set()
 
 
 def _with_bases(cls: ast.ClassDef, store: SourceFile) -> ast.ClassDef:
@@ -178,14 +198,29 @@ def run(files: Dict[str, SourceFile]) -> Findings:
     table, table_line = _literal(store_src, TABLE)
     if not (
         isinstance(table, dict)
-        and all(isinstance(k, str) and isinstance(v, bool) for k, v in table.items())
+        and all(
+            isinstance(k, str) and isinstance(v, tuple) and len(v) == 2
+            and isinstance(v[0], bool) and isinstance(v[1], str)
+            for k, v in table.items()
+        )
     ):
         out.append((
             STORE, 1,
             f"must define {TABLE} as a literal dict of read name -> "
-            f"is-a-property — it is the one declaration of the RPC surface",
+            f"(is-a-property, merge rule) — it is the one declaration of "
+            f"the RPC surface",
         ))
         return out
+    workers, query, sharding = (files.get(r) for r in (WORKERS, QUERY, SHARDING))
+    rules = _merge_rules(sharding) | {FACADE_RULE}
+    for name, (_is_property, rule) in table.items():
+        if sharding is not None and rule not in rules:
+            out.append((
+                STORE, table_line,
+                f"{TABLE} merges {name!r} by {rule!r}, which is not a rule "
+                f"of sharding.{MERGES} nor {FACADE_RULE!r}",
+            ))
+    facade_rows = {name for name, (_p, rule) in table.items() if rule == FACADE_RULE}
     live_extras, live_line = _literal(files.get(QUERY), "LIVE_EXTRAS")
     shard_extras, shard_line = _literal(files.get(WORKERS), "SHARD_EXTRAS")
     live_extras, shard_extras = set(live_extras or ()), set(shard_extras or ())
@@ -197,9 +232,20 @@ def run(files: Dict[str, SourceFile]) -> Findings:
             continue
         merged = _with_bases(cls, store_src)
         methods = method_defs(merged)
+        answered = set(table)
         if cls_name == "MetricStore":
             metric_methods = set(methods)
-        for name in sorted(set(table) - set(methods)):
+        else:
+            answered = facade_rows
+            for name in sorted((set(table) - facade_rows) & set(methods)):
+                out.append((
+                    rel if name in method_defs(cls) else STORE,
+                    methods[name].lineno,
+                    f"{cls_name} defines {name!r}, but {TABLE} generates "
+                    f"that read from its {table[name][1]!r} rule — a merge "
+                    f"is chosen by the table row, not forked in a method",
+                ))
+        for name in sorted(answered - set(methods)):
             out.append((
                 STORE, table_line,
                 f"{TABLE} lists {name!r}, but {cls_name} defines no such "
@@ -219,7 +265,6 @@ def run(files: Dict[str, SourceFile]) -> Findings:
                 f"store state — live readers must never reach a mutator",
             ))
 
-    workers, query, sharding = (files.get(r) for r in (WORKERS, QUERY, SHARDING))
     live_cls = find_class(query.tree, "LiveQuerySurface") if query else None
     if live_cls is not None:
         for name in sorted(live_extras - set(method_defs(live_cls))):
@@ -243,7 +288,6 @@ def run(files: Dict[str, SourceFile]) -> Findings:
     sites = [
         (workers, "call", set(table) | shard_extras, "a shard session"),
         (query, "call", set(table) | live_extras, "the live query surface"),
-        (sharding, "_union", set(table), "a shard"),
     ]
     for src, attr, legal, answerer in sites:
         for name, line in string_method_calls(src.tree, attr) if src else ():
