@@ -624,8 +624,9 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--alarm-pool", default=None, metavar="POOL",
         help="streaming mode: run the online regression alarm on this "
-             "pool — the regression gate re-fitted once per block "
-             "against a baseline profiled from the start of the run; "
+             "pool — the regression gate checked once per block "
+             "against a baseline profiled from the start of the run "
+             "(refitted in batch only when the verdict could fail); "
              "a named alert is printed the block it fires",
     )
     simulate.add_argument(

@@ -40,19 +40,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.simulation import Simulator
-from repro.core.regression_analysis import OnlineRegressionAlarm, RegressionAlert
-from repro.telemetry.counters import Counter
-from repro.telemetry.query_server import LiveQuerySurface, QueryServer
-
-#: The counters the online alarm's response profiles are fitted from;
-#: tracked incrementally (mean) so per-block alarm evaluation never
-#: re-gathers or touches spill.
-ALARM_COUNTERS = (
-    Counter.REQUESTS.value,
-    Counter.PROCESSOR_UTILIZATION.value,
-    Counter.LATENCY_P95.value,
-    Counter.MEMORY_WORKING_SET.value,
+from repro.core.regression_analysis import (
+    ALARM_COUNTERS,
+    OnlineRegressionAlarm,
+    RegressionAlert,
 )
+from repro.telemetry.query_server import LiveQuerySurface, QueryServer
 
 
 @dataclass

@@ -16,14 +16,18 @@ the change reaches production.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.stats.regression import LinearModel, PolynomialModel, fit_linear, fit_polynomial
 from repro.telemetry.counters import Counter
 from repro.telemetry.store import MetricStore
+
+#: A working set growing faster than this (0.1 MB per window) is a leak.
+LEAK_SLOPE_BYTES_PER_WINDOW = 1e5
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,7 @@ class ResponseProfile:
     @property
     def has_memory_leak(self) -> bool:
         """Working set growing steadily over the run indicates a leak."""
-        return self.memory_slope_bytes_per_window > 1e5  # > 0.1 MB / window
+        return self.memory_slope_bytes_per_window > LEAK_SLOPE_BYTES_PER_WINDOW
 
 
 def profile_response(
@@ -228,19 +232,125 @@ class RegressionAlert:
     detail: str
 
 
+#: The counters the online alarm's response profiles are fitted from,
+#: in the order its ring holds them: the workload (x of both response
+#: fits), the CPU and latency responses, and the working set.  A
+#: streaming driver tracks them incrementally (mean), so an
+#: observation never re-gathers rows or touches spill.
+ALARM_COUNTERS = (
+    Counter.REQUESTS.value,
+    Counter.PROCESSOR_UTILIZATION.value,
+    Counter.LATENCY_P95.value,
+    Counter.MEMORY_WORKING_SET.value,
+)
+
+#: Unit roundoff of float64.
+_ROUNDOFF = 2.0 ** -53
+
+#: Roundings the skip test allows per unit of a fit's error factor
+#: (see :meth:`OnlineRegressionAlarm._clearly_passes`).
+_SLACK_ROUNDINGS = 16.0
+
+
+def _inverse(m: List[List[float]]) -> Optional[List[List[float]]]:
+    """Inverse of a positive definite 2×2 or 3×3 matrix by cofactors;
+    ``None`` when its determinant is not positive."""
+    if len(m) == 2:
+        (a, b), (c, d) = m
+        adjugate = [[d, -b], [-c, a]]
+        det = a * d - b * c
+    else:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        adjugate = [
+            [e * i - f * h, c * h - b * i, b * f - c * e],
+            [f * g - d * i, a * i - c * g, c * d - a * f],
+            [d * h - e * g, b * g - a * h, a * e - b * d],
+        ]
+        det = a * adjugate[0][0] + b * adjugate[1][0] + c * adjugate[2][0]
+    if not det > 0:
+        return None
+    return [[v / det for v in row] for row in adjugate]
+
+
+def _horner(coefficients: Iterable[float], x: float) -> float:
+    """A polynomial (highest power first) at ``x``, in Python floats."""
+    value = 0.0
+    for coefficient in coefficients:
+        value = value * x + coefficient
+    return value
+
+
+def _unit_range_fit(
+    x: np.ndarray, y: np.ndarray, degree: int
+) -> Optional[Tuple[List[float], float, float, float]]:
+    """Least squares of ``y`` on the powers ``u**k``, ``k <= degree`` (1 or 2).
+
+    ``u = (x - c) / h``, with ``c`` and ``h`` the centre and half-width
+    of ``x``'s range, so ``u`` spans [-1, 1] and the normal equations —
+    built from Σuᵏ for k ≤ 2·degree and Σuᵏy for k ≤ degree — stay well
+    conditioned whatever the offset of ``x``.  Returns
+    ``(coefficients, c, h, error)``: the coefficients, lowest power
+    first, and the factor by which ``2⁻⁵³ · scale`` bounds how far a
+    value of this fit on ``x``'s range may sit from the same fit solved
+    on raw ``x`` by ``lstsq`` / ``polyfit``.  ``None`` when ``x`` has
+    no spread or the normal matrix is singular.
+    """
+    x_lo, x_hi = float(x.min()), float(x.max())
+    c, h = 0.5 * (x_lo + x_hi), 0.5 * (x_hi - x_lo)
+    if not h > 0:
+        return None
+    u = (x - c) / h
+    sums = [float(u.size), float(u.sum()), float(u @ u)]
+    moments = [float(y.sum()), float(u @ y)]
+    if degree == 2:
+        u2 = u * u
+        sums += [float(u2 @ u), float(u2 @ u2)]
+        moments.append(float(u2 @ y))
+    normal = [sums[i : i + degree + 1] for i in range(degree + 1)]
+    inverse = _inverse(normal)
+    if inverse is None:
+        return None
+    coefficients = [sum(v * t for v, t in zip(row, moments)) for row in inverse]
+    # κ of the design in u, from κ_F of the normal matrix (≥ its κ₂ =
+    # κ_u²); and a bound on κ₁ of the change of basis between u and raw
+    # x (its columns sum to (|c| + h)ᵏ, its inverse's to
+    # ((1 + |c|) / h)ᵏ), so κ_u·κ_basis bounds the raw design's κ.
+    kappa = math.sqrt(math.sqrt(
+        sum(v * v for row in normal for v in row)
+        * sum(v * v for row in inverse for v in row)
+    ))
+    basis = (1 + abs(c) + h) * max(1.0, (1 + abs(c)) / h)
+    kappa_basis = basis * basis if degree == 2 else basis
+    return coefficients, c, h, u.size * kappa * (kappa + kappa_basis)
+
+
 class OnlineRegressionAlarm:
     """The :class:`RegressionGate` run *online*, once per sealed block.
 
     The streaming counterpart of ``examples/regression_gate.py``: the
     first ``baseline_windows`` of the live run are fitted once into the
-    baseline :class:`ResponseProfile`; from then on every
-    :meth:`observe` re-fits the trailing ``recent_windows`` and gates
-    the recent profile against the baseline.  The first failing verdict
-    is latched as a named :class:`RegressionAlert` — a long-running
-    fleet raises it within a bounded number of blocks of a mid-stream
-    regression (bounded by ``recent_windows`` plus one block: once the
-    trailing window is fully post-change, the shifted response curve is
-    what gets fitted).
+    baseline :class:`ResponseProfile`; from then on each
+    :meth:`observe` gates the trailing ``recent_windows`` against it.
+    The first failing verdict is latched as a named
+    :class:`RegressionAlert` — a long-running fleet raises it within a
+    bounded number of blocks of a mid-stream regression (bounded by
+    ``recent_windows`` plus one block: once the trailing window is fully
+    post-change, the shifted response curve is what gets fitted).
+
+    An observation reads only the windows sealed since the previous
+    one.  The alarm keeps a ring of ``recent_windows`` rows, each
+    window's pool means of :data:`ALARM_COUNTERS`, with a window that
+    has no sample of a counter marked missing for that counter (so
+    pairs align per pair, as :meth:`TimeSeries.align_with` aligns
+    them).  From the ring it solves the two response fits in closed
+    form and bounds the gate's deltas by their *continuous* maximum
+    over the common workload range, which is at least the gate's grid
+    maximum: a conservative filter.  When every bound clears its
+    tolerance by more than a rounding slack, the batch verdict is
+    proved a pass and nothing is fitted.  Every other observation runs
+    :func:`profile_response` and :meth:`RegressionGate.compare` on the
+    trailing range, as the batch gate does, so every alert (name,
+    window, detail and report) is the batch path's by construction.
 
     Works against any store with the query surface (single or sharded,
     any backend).  Observations before enough telemetry exists — or
@@ -270,6 +380,16 @@ class OnlineRegressionAlarm:
         self._baseline: Optional[ResponseProfile] = None
         #: The first failing verdict, latched; ``None`` while healthy.
         self.alert: Optional[RegressionAlert] = None
+        #: The ring: row ``w % recent_windows`` holds window ``w`` — its
+        #: index (as the float the memory fit takes), and per ring
+        #: counter its pool mean and whether it had a sample.
+        self._ring_windows = np.zeros(recent_windows)
+        self._ring_values = np.zeros((len(ALARM_COUNTERS), recent_windows))
+        self._ring_present = np.zeros(
+            (len(ALARM_COUNTERS), recent_windows), dtype=bool
+        )
+        #: ``(store, through_window)`` the ring was last filled from.
+        self._ring_source: Optional[Tuple[object, int]] = None
 
     @property
     def fired(self) -> bool:
@@ -290,12 +410,15 @@ class OnlineRegressionAlarm:
         if through_window + 1 < self.baseline_windows + self.recent_windows:
             return None
         try:
+            self._slide(store, through_window)
             if self._baseline is None:
                 self._baseline = profile_response(
                     store, self.pool_id, "baseline",
                     datacenter_id=self.datacenter_id,
                     start=0, stop=self.baseline_windows,
                 )
+            if self._clearly_passes():
+                return None
             recent = profile_response(
                 store, self.pool_id, "recent",
                 datacenter_id=self.datacenter_id,
@@ -335,3 +458,137 @@ class OnlineRegressionAlarm:
             detail=detail,
         )
         return self.alert
+
+    def _slide(self, store, through_window: int) -> None:
+        """Read the windows sealed since the last call into the ring."""
+        size = self.recent_windows
+        stop = through_window + 1
+        start = stop - size
+        if self._ring_source is not None:
+            source, through = self._ring_source
+            if source is store and through <= through_window:
+                start = max(start, through + 1)
+        # A read that raises leaves the ring to be refilled in full.
+        self._ring_source = None
+        if start < stop:
+            windows = np.arange(start, stop)
+            rows = windows % size
+            self._ring_windows[rows] = windows
+            self._ring_present[:, rows] = False
+            for counter, values, present in zip(
+                ALARM_COUNTERS, self._ring_values, self._ring_present
+            ):
+                series = store.pool_window_aggregate(
+                    self.pool_id, counter, datacenter_id=self.datacenter_id,
+                    start=start, stop=stop,
+                )
+                rows = series.windows % size
+                values[rows] = series.values
+                present[rows] = True
+        self._ring_source = (store, through_window)
+
+    def _clearly_passes(self) -> bool:
+        """Whether the batch verdict on the ring's windows is proved a pass.
+
+        Raises ``ValueError`` where the batch path raises too, on the
+        same checks: fewer than 10 aligned samples for either response
+        fit, or no workload range in common with the baseline.  ``False`` means "not
+        proved": the caller refits in batch.
+
+        The filter's fits and the batch's solve the same least-squares
+        problems in float64 (unit roundoff 2⁻⁵³), the filter by normal
+        equations in a centred, scaled ``u``, the batch by ``lstsq`` /
+        ``polyfit`` on raw ``x``.  A backward-stable solve of n points
+        puts a fitted value within about n·κ·2⁻⁵³ of the data's scale
+        of the exact fit, κ the design's condition number; the normal
+        equations square κ.  So the two fits' values on the common range
+        differ by at most n·κ_u·(κ_u + κ_basis)·2⁻⁵³·scale, the factor
+        :func:`_unit_range_fit` returns, with κ_u·κ_basis bounding the
+        raw design's κ.  ``scale`` is the largest response plus the
+        magnitudes of the terms both sides evaluate, which also covers
+        ``polyval``'s rounding on the gate's grid.  The vertex is found
+        to within rounding too, and the delta is flat there, so its
+        error is second order.  A margin counts as proved only when it
+        clears its tolerance by ``_SLACK_ROUNDINGS`` (16) times that
+        bound: a constant factor of slack over first-order error bounds
+        that are themselves worst cases.  On the benchmark's streamed
+        fleets the slack stays under 1 % of each tolerance (about 0.1 %
+        for latency), so it costs next to no skips.
+        """
+        baseline, gate = self._baseline, self.gate
+        rps, cpu, latency, memory = self._ring_values
+        has_rps, has_cpu, has_latency, has_memory = self._ring_present
+        on_cpu = has_rps & has_cpu
+        on_latency = has_rps & has_latency
+        if np.count_nonzero(on_cpu) < 10 or np.count_nonzero(on_latency) < 10:
+            raise ValueError(f"insufficient ramp telemetry for pool {self.pool_id!r}")
+        x = rps[on_latency]
+        lo = max(baseline.rps_range[0], float(x.min()))
+        hi = min(baseline.rps_range[1], float(x.max()))
+        if hi <= lo:
+            raise ValueError("profiles have no overlapping workload range")
+        with np.errstate(all="ignore"):
+            return (
+                self._delta_bound(
+                    x, latency[on_latency],
+                    baseline.latency_model.coefficients, lo, hi,
+                )
+                < gate.latency_tolerance_ms
+                and self._delta_bound(
+                    rps[on_cpu], cpu[on_cpu],
+                    (baseline.cpu_model.slope, baseline.cpu_model.intercept),
+                    lo, hi,
+                )
+                < gate.cpu_tolerance_pct
+                and (
+                    baseline.has_memory_leak
+                    or self._memory_bound(
+                        self._ring_windows[has_memory], memory[has_memory]
+                    )
+                    <= LEAK_SLOPE_BYTES_PER_WINDOW
+                )
+            )
+
+    def _delta_bound(
+        self, x, y, baseline: Tuple[float, ...], lo: float, hi: float
+    ) -> float:
+        """Max over [lo, hi] of the recent fit of ``y`` on ``x`` minus the
+        ``baseline`` polynomial (``polyval`` order, degree 1 or 2), plus
+        slack: a line peaks at an end of the range, a concave quadratic
+        may also peak at its vertex."""
+        degree = len(baseline) - 1
+        fit = _unit_range_fit(x, y, degree)
+        if fit is None:
+            return math.inf
+        a, c, h, error = fit
+        points = [lo, hi]
+        if degree == 2:
+            # The delta in u is d2·u² + d1·u + d0.
+            b2, b1, _b0 = baseline
+            d2 = a[2] - b2 * h * h
+            d1 = a[1] - (2 * b2 * c + b1) * h
+            if d2 < 0:
+                vertex = c - h * d1 / (2 * d2)
+                if lo < vertex < hi:
+                    points.append(vertex)
+        delta = max(
+            _horner(a[::-1], (p - c) / h) - _horner(baseline, p) for p in points
+        )
+        m = max(abs(lo), abs(hi))
+        scale = (
+            float(np.abs(y).max()) + sum(map(abs, a))
+            + _horner(map(abs, baseline), m)
+        )
+        return delta + _SLACK_ROUNDINGS * error * _ROUNDOFF * scale
+
+    def _memory_bound(self, windows, y) -> float:
+        """The recent working-set slope per window, plus slack; 0 with
+        fewer than 10 samples, as :func:`profile_response` has it."""
+        if y.size < 10:
+            return 0.0
+        fit = _unit_range_fit(windows, y, 1)
+        if fit is None:
+            return math.inf
+        (a0, a1), _c, h, error = fit
+        scale = (float(np.abs(y).max()) + abs(a0) + abs(a1)) / h
+        return a1 / h + _SLACK_ROUNDINGS * error * _ROUNDOFF * scale

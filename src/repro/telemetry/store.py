@@ -233,33 +233,45 @@ class _TrackedAggregate:
     window, so the per-block partials are bit-identical to what one
     full-horizon recompute would produce — the incremental-maintenance
     invariant ``tests/test_streaming.py`` asserts.
+
+    The series lives in capacity-doubling buffers, so an append costs
+    amortised O(its rows) and a read is a view: rows of the series are
+    never written again (a grown buffer is a new one), so views handed
+    out stay valid and unchanged.
     """
 
-    __slots__ = ("reducer", "sealed_through", "_window_parts", "_value_parts")
+    __slots__ = ("reducer", "sealed_through", "_size", "_windows", "_values")
 
     def __init__(self, reducer: str) -> None:
         self.reducer = reducer
         #: Largest window whose aggregate is final; -1 before any seal.
         self.sealed_through = -1
-        self._window_parts: List[np.ndarray] = [np.array([], dtype=np.int64)]
-        self._value_parts: List[np.ndarray] = [np.array([], dtype=float)]
+        #: Rows of the series; the buffers' capacity may exceed it.
+        self._size = 0
+        self._windows = np.empty(0, dtype=np.int64)
+        self._values = np.empty(0, dtype=float)
 
     def extend(
         self, windows: np.ndarray, values: np.ndarray, through: int
     ) -> None:
         """Append one sealed block's aggregate rows (ascending windows)."""
-        if windows.size:
-            self._window_parts.append(windows)
-            self._value_parts.append(values)
+        size, end = self._size, self._size + windows.size
+        if end > self._windows.size:
+            capacity = max(end, 2 * self._windows.size, 64)
+            for name in ("_windows", "_values"):
+                old = getattr(self, name)
+                grown = np.empty(capacity, dtype=old.dtype)
+                grown[:size] = old[:size]
+                setattr(self, name, grown)
+        self._windows[size:end] = windows
+        self._values[size:end] = values
+        self._size = end
         self.sealed_through = through
 
     def columns(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The full (windows, values) series, read-only."""
-        if len(self._window_parts) > 1:
-            # Re-chunk so repeated reads stay O(1).
-            self._window_parts = [np.concatenate(self._window_parts)]
-            self._value_parts = [np.concatenate(self._value_parts)]
-        windows, values = self._window_parts[0], self._value_parts[0]
+        """The full (windows, values) series, as read-only views."""
+        windows = self._windows[: self._size]
+        values = self._values[: self._size]
         windows.setflags(write=False)
         values.setflags(write=False)
         return windows, values

@@ -13,7 +13,9 @@ Guarantees protecting ``simulate --stream``:
   per window, while totals (and every query) still see all history;
 * the online regression alarm fires a named alert within a bounded
   number of blocks of a mid-stream injected latency regression, and
-  never fires on a clean run of the same seed.
+  never fires on a clean run of the same seed; its alerts are those of
+  the batch gate run at every sealed window, while it fits in batch
+  only the baseline and the verdicts that could fail.
 """
 
 import numpy as np
@@ -24,11 +26,12 @@ from repro.cluster.deployment import leak_fix_with_latency_regression
 from repro.cluster.faults import RandomFailures
 from repro.cluster.simulation import DEFAULT_COUNTERS, SimulationConfig, Simulator
 from repro.cluster.streaming import ALARM_COUNTERS, StreamingSimulator
-from repro.core.regression_analysis import OnlineRegressionAlarm
+from repro.core import regression_analysis
+from repro.core.regression_analysis import OnlineRegressionAlarm, profile_response
 from repro.telemetry.counters import Counter
 from repro.telemetry.export import export_store
 from repro.telemetry.sharding import BACKENDS, ShardedMetricStore
-from repro.telemetry.store import SpillArchive
+from repro.telemetry.store import MetricStore, SpillArchive, _TrackedAggregate
 
 WINDOWS = 192
 RETAIN = 48
@@ -265,15 +268,23 @@ ALARM_HORIZON = 720
 INJECT_AT = 480
 
 
-def _alarm_run(inject: bool, seed: int = ALARM_SEED):
+def _alarm_stream(
+    inject: bool,
+    seed: int = ALARM_SEED,
+    block: int = ALARM_BLOCK,
+    horizon: int = ALARM_HORIZON,
+    store=None,
+):
+    """Stream the alarm fleet; returns (store, alarm, report)."""
     fleet = build_single_pool_fleet(
         "B", n_datacenters=1, servers_per_deployment=8, seed=seed
     )
     counters = tuple(dict.fromkeys(DEFAULT_COUNTERS + ALARM_COUNTERS))
     sim = Simulator(
         fleet,
+        store=store,
         seed=seed,
-        config=SimulationConfig(block_windows=ALARM_BLOCK, counters=counters),
+        config=SimulationConfig(block_windows=block, counters=counters),
     )
     alarm = OnlineRegressionAlarm("B")
     stream = StreamingSimulator(sim, retain_windows=512, alarm=alarm)
@@ -284,8 +295,94 @@ def _alarm_run(inject: bool, seed: int = ALARM_SEED):
                 "B", leak_fix_with_latency_regression(queue_multiplier=3.0)
             ),
         )
-    report = stream.run(max_windows=ALARM_HORIZON)
+    report = stream.run(max_windows=horizon)
+    return sim.store, alarm, report
+
+
+def _alarm_run(inject: bool, seed: int = ALARM_SEED):
+    _store, alarm, report = _alarm_stream(inject, seed)
     return alarm, report
+
+
+def _alert_fields(alert):
+    report = alert.report
+    return (
+        alert.name, alert.window, alert.detail,
+        report.max_latency_regression_ms, report.max_cpu_regression_pct,
+    )
+
+
+def _batch_gate(store, alarm, observed):
+    """The batch gate at every observed window, as a plain loop.
+
+    Returns the alerts it raises (at most the first failing verdict, as
+    :func:`_alert_fields`) and the windows whose verdict passed.
+    """
+    gate, baseline, passed = alarm.gate, None, set()
+    for window in observed:
+        if window + 1 < alarm.baseline_windows + alarm.recent_windows:
+            continue
+        try:
+            if baseline is None:
+                baseline = profile_response(
+                    store, "B", "baseline", start=0, stop=alarm.baseline_windows
+                )
+            recent = profile_response(
+                store, "B", "recent",
+                start=window + 1 - alarm.recent_windows, stop=window + 1,
+            )
+            report = gate.compare(baseline, recent)
+        except ValueError:
+            continue
+        if report.passed:
+            passed.add(window)
+            continue
+        if report.latency_regressed:
+            name = "latency-regression"
+            detail = (
+                f"max latency delta {report.max_latency_regression_ms:+.1f} ms "
+                f"> {gate.latency_tolerance_ms:.1f} ms tolerance"
+            )
+        elif report.cpu_regressed:
+            name = "cpu-regression"
+            detail = (
+                f"max CPU delta {report.max_cpu_regression_pct:+.1f} pts "
+                f"> {gate.cpu_tolerance_pct:.1f} pts tolerance"
+            )
+        else:
+            name = "memory-leak"
+            detail = (
+                "working set growing "
+                f"{recent.memory_slope_bytes_per_window / 1e6:.2f} MB/window"
+            )
+        fields = (
+            name, window, detail,
+            report.max_latency_regression_ms, report.max_cpu_regression_pct,
+        )
+        return [fields], passed
+    return [], passed
+
+
+def _spy_alarm(monkeypatch):
+    """Record every observed window, and those whose batch fit the
+    alarm's closed-form filter skipped as proved passing."""
+    observed, skipped = [], []
+    observe = OnlineRegressionAlarm.observe
+    clearly_passes = OnlineRegressionAlarm._clearly_passes
+
+    def spy_observe(self, store, through_window):
+        observed.append(through_window)
+        return observe(self, store, through_window)
+
+    def spy_clearly_passes(self):
+        proved = clearly_passes(self)
+        if proved:
+            skipped.append(observed[-1])
+        return proved
+
+    monkeypatch.setattr(OnlineRegressionAlarm, "observe", spy_observe)
+    monkeypatch.setattr(OnlineRegressionAlarm, "_clearly_passes", spy_clearly_passes)
+    return observed, skipped
 
 
 class TestOnlineAlarm:
@@ -314,6 +411,102 @@ class TestOnlineAlarm:
         alarm, report = _alarm_run(inject=True)
         assert len(report.alerts) == 1
         assert alarm.observe(None, ALARM_HORIZON + 10_000) is None
+
+    @pytest.mark.parametrize("inject", [True, False], ids=["injected", "clean"])
+    @pytest.mark.parametrize("block", [1, 16, 64])
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_alarm_is_the_batch_gate(self, monkeypatch, seed, block, inject):
+        """Same alerts as the batch gate run at every sealed window, and
+        a batch fit skipped only where the batch verdict passed."""
+        observed, skipped = _spy_alarm(monkeypatch)
+        store, alarm, report = _alarm_stream(inject, seed=seed, block=block)
+        expected, passed = _batch_gate(store, alarm, observed)
+        assert [_alert_fields(alert) for alert in report.alerts] == expected
+        assert len(expected) == int(inject)
+        assert skipped and set(skipped) <= passed
+
+    def test_sharded_store_gives_the_single_store_alert(self):
+        _store, _alarm, single = _alarm_stream(inject=True)
+        with ShardedMetricStore(n_shards=3, backend="serial") as store:
+            _store, _alarm, sharded = _alarm_stream(inject=True, store=store)
+        assert single.alerts
+        assert [_alert_fields(alert) for alert in sharded.alerts] == [
+            _alert_fields(alert) for alert in single.alerts
+        ]
+
+
+class TestAlarmCost:
+    """The batch fit is the exception and each window is read once,
+    pinned by counting."""
+
+    HORIZON = 1440
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        fits = []
+
+        def counting(*args, **kwargs):
+            fits.append(args[2])
+            return profile_response(*args, **kwargs)
+
+        monkeypatch.setattr(regression_analysis, "profile_response", counting)
+        return fits
+
+    def test_clean_run_fits_only_the_baseline(self, fits):
+        _store, _alarm, report = _alarm_stream(inject=False, horizon=self.HORIZON)
+        assert report.alerts == []
+        assert fits == ["baseline"]
+
+    def test_injected_run_refits_a_handful_of_times(self, fits):
+        _store, _alarm, report = _alarm_stream(inject=True, horizon=self.HORIZON)
+        assert len(report.alerts) == 1
+        assert 2 <= len(fits) <= 3
+
+    @pytest.mark.parametrize("inject", [True, False], ids=["injected", "clean"])
+    def test_each_window_is_read_about_once(self, monkeypatch, inject):
+        requested = []
+        aggregate = MetricStore.pool_window_aggregate
+
+        def counting(self, pool_id, counter, datacenter_id=None, start=None,
+                     stop=None, reducer="mean"):
+            if counter == Counter.REQUESTS.value:
+                requested.append(stop - start)
+            return aggregate(
+                self, pool_id, counter, datacenter_id, start, stop, reducer
+            )
+
+        monkeypatch.setattr(MetricStore, "pool_window_aggregate", counting)
+        _store, alarm, _report = _alarm_stream(inject, horizon=self.HORIZON)
+        # Not one trailing range per block: 90 blocks here would ask
+        # for 68 × 120 windows.
+        assert sum(requested) <= self.HORIZON + alarm.recent_windows
+
+
+class TestTrackedSeriesAppend:
+    """A tracked series appends in amortised O(new windows): counted as
+    the elements each read after a seal had to copy (a read sharing
+    memory with the previous one copied only the appended rows)."""
+
+    @staticmethod
+    def _copied(seals: int) -> int:
+        tracker = _TrackedAggregate("mean")
+        copied, previous = 0, None
+        for seal in range(seals):
+            windows = np.arange(4 * seal, 4 * seal + 4)
+            tracker.extend(windows, windows * 0.5, int(windows[-1]))
+            current = tracker.columns()
+            for old, new in zip(previous or (), current):
+                assert np.array_equal(old, new[: old.size])
+            for i, new in enumerate(current):
+                shared = previous is not None and np.shares_memory(previous[i], new)
+                copied += new.size - previous[i].size if shared else new.size
+            previous = current
+        assert np.array_equal(current[0], np.arange(4 * seals))
+        return copied
+
+    def test_reads_after_each_seal_copy_linearly(self):
+        n = 256
+        assert self._copied(4 * n) <= 4.4 * self._copied(n)
 
 
 class TestSpillReadsAtBlockOne:
