@@ -21,11 +21,14 @@ around an end-to-end columnar data flow:
   retention spilled them to: the values bit for bit, the windows and
   server indices as offsets in the narrowest unsigned dtype their span
   allows — 10 B per row for a 64-window block of up to 256 servers).
-  One range read selects chunks by span and yields their rows in
-  batches: hot chunks as they are, runs of cold ones read with one
-  ``preadv`` per chunk into one scratch buffer and handled in one
-  vectorised pass per batch, so a read that keeps few rows — one
-  server's series — never holds the table.
+  The first read below the watermark coalesces them into records of a
+  scratch buffer's worth of rows, sorted by server when the rows allow
+  (a stream nobody reads back never pays for it).  One range read
+  selects chunks by span and yields their rows in batches: hot chunks
+  as they are, each cold record read with one ``preadv`` into one
+  scratch buffer, so a read that keeps few rows — one server's series
+  — never holds the table, and reads only its own rows of a sorted
+  record.
 * **Queries** (:meth:`pool_window_aggregate`, :meth:`per_server_values`,
   :meth:`pool_matrix`) group with ``np.bincount`` / stable argsort over
   the gathered columns instead of per-sample Python loops, and the
@@ -298,13 +301,18 @@ _OFFSET_DTYPES = {
     for dtype in map(np.dtype, (np.uint8, np.uint16, np.uint32, np.uint64))
 }
 
-#: Bytes of the one buffer a store reads cold chunks into, a batch at a time.
+#: Bytes of the buffer a store reads a cold record into.  It also sets
+#: when a record is closed: once it holds as many rows as this holds at
+#: its layout (:attr:`_Chunk.floor`).
 _SCRATCH_BYTES = 512 << 10
 
 
 def _offset_size(span: int) -> int:
     """Itemsize of the narrowest unsigned dtype that holds ``span``."""
-    return next(size for size in (1, 2, 4, 8) if span < 1 << 8 * size)
+    for size in (1, 2, 4):
+        if span < 1 << 8 * size:
+            return size
+    return 8
 
 
 def _offsets(column: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -326,6 +334,24 @@ def _add_origin(offsets: np.ndarray, origin: int, out=None) -> np.ndarray:
     )
 
 
+def _canonical(windows: np.ndarray, servers: np.ndarray) -> bool:
+    """Whether the (window, server) keys are non-decreasing, row to row."""
+    later, earlier = windows[1:], windows[:-1]
+    return bool(np.all(
+        (later > earlier) | ((later == earlier) & (servers[1:] >= servers[:-1]))
+    ))
+
+
+def _by_server(servers: np.ndarray) -> tuple:
+    """The stable order that sorts a record's server offsets, and its
+    directory: the servers present and where each one's run starts."""
+    order = np.argsort(servers, kind="stable")
+    counts = np.bincount(servers)
+    present = np.flatnonzero(counts)
+    starts = np.concatenate(([0], np.cumsum(counts[present])))
+    return order, (present.astype(servers.dtype), starts)
+
+
 def _concat_columns(parts: List[Columns]) -> Columns:
     """One (windows, server indices, values) triple from aligned parts."""
     if not parts:
@@ -337,19 +363,21 @@ def _concat_columns(parts: List[Columns]) -> Columns:
 
 
 class _Chunk(NamedTuple):
-    """Rows of one table that were appended (or fused) together."""
+    """Rows of one table that were appended (or fused, or spilled) together."""
 
     lo: int  #: smallest window among the rows
     hi: int  #: largest window among the rows
     rows: int
     columns: Optional[Columns]  #: hot: the rows themselves
     offset: Optional[int]  #: cold: where its record starts in the spill log
-    #: cold: the record's layout (see :class:`_ColdLog`) — the itemsizes
-    #: of its window and server offset columns, and its smallest server
-    #: index, which the server offsets count from.
-    window_size: int = 0
-    server_size: int = 0
-    server_base: int = 0
+    #: cold: the smallest and largest server index among the rows; the
+    #: record's server offsets count from the first.
+    server_lo: int = 0
+    server_hi: int = 0
+    #: cold, server-major records only (see :class:`_ColdLog`): the
+    #: server offsets present, ascending, and the row each one's run
+    #: starts at, then the row count.
+    directory: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @classmethod
     def of(cls, columns: Columns) -> "_Chunk":
@@ -358,39 +386,56 @@ class _Chunk(NamedTuple):
             int(windows.min()), int(windows.max()), windows.size, columns, None
         )
 
+    def joint(self, other: "_Chunk") -> "_Chunk":
+        """The spans and row count of both chunks' rows together, as a
+        chunk that holds no rows of its own."""
+        return _Chunk(
+            min(self.lo, other.lo), max(self.hi, other.hi),
+            self.rows + other.rows, None, None,
+            min(self.server_lo, other.server_lo),
+            max(self.server_hi, other.server_hi),
+        )
+
     @property
-    def layout(self) -> Tuple[int, int, int]:
-        """What cold chunks must share to be read as one batch."""
-        return self.window_size, self.server_size, self.server_base
+    def dtypes(self) -> Tuple[np.dtype, np.dtype, np.dtype]:
+        """A record's column dtypes: values, window and server offsets."""
+        return (
+            _COLUMN_DTYPES[2],
+            _OFFSET_DTYPES[_offset_size(self.hi - self.lo)],
+            _OFFSET_DTYPES[_offset_size(self.server_hi - self.server_lo)],
+        )
+
+    @property
+    def floor(self) -> int:
+        """Rows a ``_SCRATCH_BYTES`` scratch holds at this record layout,
+        a multiple of 8 so column regions align: a record this long is closed."""
+        window, server = self.hi - self.lo, self.server_hi - self.server_lo
+        return _SCRATCH_BYTES // (8 + _offset_size(window) + _offset_size(server)) & ~7
 
 
 class _Batch(NamedTuple):
     """Rows a range read yields at once, in append order.
 
-    Row ``i`` is window ``origins[k] + windows[i]``, server index
-    ``base + servers[i]`` and value ``values[i]``, where ``k`` is the
-    chunk whose rows end (exclusive) at the first ``ends[k] > i``.  A
-    hot batch (``origins`` None) is wide columns as stored; a cold one
-    views the store's scratch in its record's narrow dtypes and is
-    valid only until the read moves on, so consumers keep copies
-    (:meth:`select`, :meth:`widen_into`), never the batch.
+    Row ``i`` is window ``origin + windows[i]``, server index ``base +
+    servers[i]`` and value ``values[i]``.  A hot batch (``origin``
+    None) is wide columns as stored; a cold one is one record's narrow
+    columns, which view the store's scratch and are valid only until
+    the read moves on, so consumers keep copies (:meth:`select`,
+    :meth:`widen_into`), never the batch.  A one-server read's batch
+    has no server column (``servers`` None) and is only ``select``-ed.
     """
 
     windows: np.ndarray
     servers: np.ndarray
     values: np.ndarray
     base: int = 0
-    origins: Optional[np.ndarray] = None
-    ends: Optional[np.ndarray] = None
+    origin: Optional[int] = None
 
     def _windows_into(self, out: np.ndarray, shift: int = 0) -> None:
-        if self.origins is None:
+        if self.origin is None:
             np.subtract(self.windows, shift, out=out)
-            return
-        start = 0
-        for origin, end in zip(self.origins.tolist(), self.ends.tolist()):
-            _add_origin(self.windows[start:end], origin - shift, out[start:end])
-            start = end
+        else:
+            _add_origin(self.windows, self.origin - shift, out)
 
     def window_column(self, shift: int = 0) -> np.ndarray:
         """Every row's window minus ``shift``, as a new ``int64`` array."""
@@ -410,7 +455,7 @@ class _Batch(NamedTuple):
 
     def columns(self) -> Columns:
         """The rows as wide columns: a hot batch's own, else new ones."""
-        if self.origins is None:
+        if self.origin is None:
             return self.windows, self.servers, self.values
         out = tuple(np.empty(self.values.size, dtype) for dtype in _COLUMN_DTYPES)
         self.widen_into(out, 0)
@@ -424,12 +469,14 @@ class _Batch(NamedTuple):
 
     def select(self, server: int) -> Tuple[np.ndarray, np.ndarray]:
         """(windows, values) of one server index's rows: one compare on
-        the stored server column, and only the rows kept are widened."""
+        the stored server column, and only the rows kept are widened —
+        or, from :meth:`_ColdLog.rows_of`, the batch as it is."""
+        if self.servers is None:
+            return self.windows, self.values
         rows = np.flatnonzero(self.servers == server - self.base)
         windows = self.windows[rows]
-        if self.origins is not None:
-            chunk = np.searchsorted(self.ends, rows, side="right")
-            windows = _add_origin(windows, self.origins[chunk])
+        if self.origin is not None:
+            windows = _add_origin(windows, self.origin)
         return windows, self.values[rows]
 
     def server_column(self, lookup: np.ndarray) -> np.ndarray:
@@ -438,112 +485,133 @@ class _Batch(NamedTuple):
 
 
 class _ColdLog:
-    """Where a store's cold chunks live, and the one way back.
+    """Where a store's cold chunks live, and the ways back.
 
-    A record is one chunk's values (``float64``, bit for bit), then its
-    windows as offsets from the chunk's ``lo``, then its server indices
-    as offsets from their smallest, back to back in native byte order
-    with no header.  Each offset column takes the narrowest unsigned
-    dtype its span fits (:func:`_offsets`) and the chunk remembers the
-    two itemsizes and the smallest server index: 10 B per row for a 64-window
-    block of up to 256 servers, 24 at most.  Records go to one
-    :class:`SpillArchive` and come back a batch at a time:
-    :meth:`batches` reads a run of whole chunks that share a layout
-    with one ``preadv`` per chunk, scattering the chunk's three columns
-    straight into a scratch buffer allocated once.
+    A record is its rows' values (``float64``, bit for bit), then their
+    windows as offsets from the chunk's ``lo``, then their server
+    indices as offsets from its ``server_lo``, back to back with no
+    header, each offset column in the narrowest unsigned dtype its span
+    fits (:attr:`_Chunk.dtypes`): 10 B a row for a 64-window block of up
+    to 256 servers, 24 at most.  A closed record whose (window, server)
+    keys are non-decreasing — the order every engine emits — is stored
+    *server-major*, stably sorted by server, its chunk keeping a
+    directory of where each server's run starts: one server's rows are
+    two ``pread`` s (:meth:`rows_of`).  Every other read takes a whole
+    record with one ``preadv`` into a scratch buffer, grown to the
+    largest record read (:meth:`load`), and a server-major one gets
+    append order back by one stable argsort by window — exact, as
+    sorting (window, server)-ordered rows stably by server and then by
+    window returns them to that order.  Other records, open ones
+    included, stay in append order.
     """
 
     def __init__(self) -> None:
         self.archive = SpillArchive()
         self._scratch = np.empty(_SCRATCH_BYTES, np.uint8)
 
-    def write(self, chunk: _Chunk) -> _Chunk:
-        """Append a hot chunk's record; returns the chunk made cold."""
-        windows, servers, values = chunk.columns
-        base = int(servers.min())
-        windows = _offsets(windows, chunk.lo, chunk.hi)
-        servers = _offsets(servers, base, int(servers.max()))
-        return chunk._replace(
+    def write(self, columns: Columns, span: _Chunk, closed: bool) -> _Chunk:
+        """Append ``columns``' record (``span``: their spans and row
+        count; ``closed``: whether it is); returns the cold chunk."""
+        windows = _offsets(columns[0], span.lo, span.hi)
+        servers = _offsets(columns[1], span.server_lo, span.server_hi)
+        return self._append(columns[2], windows, servers, span, closed)
+
+    def coalesce(self, tail: List[_Chunk], span: _Chunk) -> _Chunk:
+        """Append one closed record of the open ``tail`` records' rows
+        (``span``: all of theirs), each read back into place with one
+        ``preadv``; returns the cold chunk."""
+        values, windows, servers = (np.empty(span.rows, d) for d in span.dtypes)
+        at = 0
+        for chunk in tail:  # open, so in append order
+            end = at + chunk.rows
+            offsets = [np.empty(chunk.rows, dtype) for dtype in chunk.dtypes[1:]]
+            self.archive.read_into(
+                chunk.offset, [values[at:end]] + offsets,
+                chunk.rows * sum(dtype.itemsize for dtype in chunk.dtypes),
+            )
+            shifts = chunk.lo - span.lo, chunk.server_lo - span.server_lo
+            for column, narrow, shift in zip((windows, servers), offsets, shifts):
+                np.add(narrow, shift, out=column[at:end], dtype=column.dtype)
+            at = end
+        return self._append(values, windows, servers, span, True)
+
+    def _append(
+        self, values: np.ndarray, windows: np.ndarray, servers: np.ndarray,
+        span: _Chunk, closed: bool,
+    ) -> _Chunk:
+        """Append one record, server-major if it is ``closed`` and its
+        keys allow it; returns the cold chunk."""
+        directory = None
+        if closed and _canonical(windows, servers):
+            order, directory = _by_server(servers)
+            values, windows = values[order], windows[order]
+            servers = np.repeat(directory[0], np.diff(directory[1]))
+        return span._replace(
             columns=None,
             offset=self.archive.append((values, windows, servers)),
-            window_size=windows.itemsize,
-            server_size=servers.itemsize,
-            server_base=base,
+            directory=directory,
         )
 
-    @staticmethod
-    def _capacity(chunk: _Chunk) -> int:
-        """Rows of ``chunk``'s layout the scratch holds (a multiple of 8,
-        so every column region starts aligned)."""
-        return _SCRATCH_BYTES // (8 + chunk.window_size + chunk.server_size) & ~7
+    def load(self, chunk: _Chunk) -> _Batch:
+        """A cold chunk's rows in append order: its record read with one
+        ``preadv`` into the scratch, each column region row-aligned."""
+        dtypes = chunk.dtypes
+        padded = -(-chunk.rows // 8) * 8
+        row_bytes = sum(dtype.itemsize for dtype in dtypes)
+        if self._scratch.size < padded * row_bytes:
+            self._scratch = np.empty(padded * row_bytes, np.uint8)
+        regions, start = [], 0
+        for dtype in dtypes:
+            regions.append(self._scratch[start:start + dtype.itemsize * chunk.rows])
+            start += dtype.itemsize * padded
+        self.archive.read_into(chunk.offset, regions, chunk.rows * row_bytes)
+        values, windows, servers = (
+            region.view(dtype) for region, dtype in zip(regions, dtypes)
+        )
+        if chunk.directory is not None:
+            order = np.argsort(windows, kind="stable")
+            values, windows, servers = values[order], windows[order], servers[order]
+        return _Batch(windows, servers, values, chunk.server_lo, chunk.lo)
+
+    def rows_of(self, chunk: _Chunk, server: int, lo: float, hi: float) -> _Batch:
+        """One server index's rows with ``lo <= window < hi`` of a
+        server-major chunk — its run's values and window offsets, one
+        ``pread`` each — as a batch with no server column."""
+        present, starts = chunk.directory
+        target = server - chunk.server_lo
+        inside = chunk.server_lo <= server <= chunk.server_hi
+        at = np.searchsorted(present, target) if inside else 0
+        if at == present.size or present[at] != target:
+            return _Batch(np.empty(0, np.int64), None, np.empty(0))
+        begin, end = int(starts[at]), int(starts[at + 1])
+        window_dtype = chunk.dtypes[1]
+        values = np.empty(end - begin)
+        windows = np.empty(end - begin, window_dtype)
+        self.archive.read_into(chunk.offset + 8 * begin, [values], values.nbytes)
+        self.archive.read_into(
+            chunk.offset + 8 * chunk.rows + window_dtype.itemsize * begin,
+            [windows], windows.nbytes,
+        )
+        windows = _add_origin(windows, chunk.lo)
+        if not (lo <= chunk.lo and chunk.hi < hi):
+            keep = (windows >= lo) & (windows < hi)
+            windows, values = windows[keep], values[keep]
+        return _Batch(windows, None, values)
 
     def batches(
-        self, chunks: List[_Chunk], lo: float, hi: float
+        self, chunks: List[_Chunk], lo: float, hi: float,
+        server: Optional[int] = None,
     ) -> Iterator[_Batch]:
-        """The rows with ``lo <= window < hi`` of the cold ``chunks``, in
-        order: each run of whole chunks with one layout that fits the
-        scratch is one batch; a chunk the range covers only partly is a
-        batch of its own, widened and masked."""
-        run: List[_Chunk] = []
-        rows = capacity = 0
+        """The rows with ``lo <= window < hi`` of the cold ``chunks``, one
+        batch a chunk (of a server-major one, only ``server``'s rows, if
+        given); a chunk the range covers only partly is widened and masked."""
         for chunk in chunks:
-            whole = lo <= chunk.lo and chunk.hi < hi
-            if run and (
-                not whole
-                or chunk.layout != layout
-                or rows + chunk.rows > capacity
-            ):
-                yield self._load(run, rows)
-                run, rows = [], 0
-            if not run:
-                layout, capacity = chunk.layout, self._capacity(chunk)
-            run.append(chunk)
-            rows += chunk.rows
-            if not whole:
-                yield self._load(run, rows).within(lo, hi)
-                run, rows = [], 0
-        if run:
-            yield self._load(run, rows)
-
-    def _load(self, run: List[_Chunk], rows: int) -> _Batch:
-        """Read ``run`` (``rows`` rows, one layout) into the scratch — or,
-        for one chunk bigger than it, a buffer of its own."""
-        first = run[0]
-        sizes = (8, first.window_size, first.server_size)
-        capacity = self._capacity(first)
-        buffer = self._scratch
-        if rows > capacity:
-            capacity = -(-rows // 8) * 8
-            buffer = np.empty(capacity * sum(sizes), np.uint8)
-        regions, start = [], 0
-        for size in sizes:
-            regions.append(memoryview(buffer[start:start + capacity * size]))
-            start += capacity * size
-        values, windows, servers = regions
-        _, window_size, server_size = sizes
-        row_bytes = sum(sizes)
-        ends, at = [], 0
-        for chunk in run:
-            end = at + chunk.rows
-            self.archive.read_into(
-                chunk.offset,
-                (
-                    values[8 * at:8 * end],
-                    windows[window_size * at:window_size * end],
-                    servers[server_size * at:server_size * end],
-                ),
-                row_bytes * chunk.rows,
-            )
-            ends.append(end)
-            at = end
-        return _Batch(
-            np.frombuffer(windows, _OFFSET_DTYPES[window_size], at),
-            np.frombuffer(servers, _OFFSET_DTYPES[server_size], at),
-            np.frombuffer(values, np.float64, at),
-            first.server_base,
-            np.array([chunk.lo for chunk in run], np.int64),
-            np.array(ends),
-        )
+            if server is not None and chunk.directory is not None:
+                yield self.rows_of(chunk, server, lo, hi)
+            elif lo <= chunk.lo and chunk.hi < hi:
+                yield self.load(chunk)
+            else:
+                yield self.load(chunk).within(lo, hi)
 
 
 class _Table:
@@ -556,20 +624,26 @@ class _Table:
        rows in the order they were evicted, then the rest as appended).
     2. Each chunk's ``(lo, hi)`` is the min/max of its window column
        and ``rows`` its length; a cold chunk holds an offset and no
-       columns, a hot chunk columns and no offset.
+       columns (and the min/max of its server column), a hot chunk
+       columns and no offset.
     3. ``n_rows`` is the row sum over all chunks, ``hot_rows`` over
        ``_hot``.
+    4. The last ``_open`` cold chunks are the open tail — what eviction
+       wrote since the last :meth:`compact` — and ``_tail`` is their
+       joint span (None when there are none); every cold chunk before
+       them is closed, at or above its :attr:`~_Chunk.floor`.
 
     Each mutator preserves it: :meth:`append_batch` adds one hot chunk
     at the end with the span its caller measured; :meth:`spill_below`
     changes nothing and :meth:`settle` then moves the chunks it wrote
     to the end of ``_cold`` in hot order, both halves of a split one
-    measured, in one step that cannot fail; the fuse in :meth:`read`
-    replaces all hot chunks by their concatenation in list order under
-    their joint span.
+    measured, in one step that cannot fail; :meth:`compact` swaps each
+    closed record in for the open run it holds, in one such step; the
+    fuse in :meth:`read` replaces all hot chunks by their concatenation
+    in list order under their joint span.
     """
 
-    __slots__ = ("_cold", "_hot", "n_rows", "hot_rows")
+    __slots__ = ("_cold", "_hot", "n_rows", "hot_rows", "_open", "_tail")
 
     def __init__(self) -> None:
         self._cold: List[_Chunk] = []
@@ -577,6 +651,8 @@ class _Table:
         self.n_rows: int = 0
         #: Rows still held in memory (total minus spilled).
         self.hot_rows: int = 0
+        self._open: int = 0
+        self._tail: Optional[_Chunk] = None
 
     def append_batch(self, lo: int, hi: int, columns: Columns) -> None:
         """Append rows whose windows span exactly ``[lo, hi]``."""
@@ -587,16 +663,19 @@ class _Table:
 
     def spill_below(
         self, before: int, log: _ColdLog
-    ) -> Tuple[List[_Chunk], List[_Chunk]]:
+    ) -> Tuple[List[_Chunk], List[_Chunk], int]:
         """Write every hot row with ``window < before`` to ``log``.
 
-        Whole chunks go as they are, one record each; only a chunk that
-        straddles the cutoff is split.  The table is unchanged: the
-        result is the ``(moved, kept)`` chunk lists for :meth:`settle`,
-        so a write that fails leaves no row in two places.
+        Whole chunks go as they are, one open record each; only a chunk
+        that straddles the cutoff is split, and one that reaches its
+        floor alone with no open record before it (a wide fleet's block)
+        is written closed.  The table is unchanged: the result is the
+        ``(moved, kept, opened)`` for :meth:`settle`, so a write that
+        fails leaves no row in two places.
         """
         moved: List[_Chunk] = []
         kept: List[_Chunk] = []
+        opened = 0
         for chunk in self._hot:
             if chunk.lo >= before:
                 kept.append(chunk)
@@ -605,16 +684,43 @@ class _Table:
                 mask = chunk.columns[0] < before
                 kept.append(_Chunk.of(tuple(c[~mask] for c in chunk.columns)))
                 chunk = _Chunk.of(tuple(c[mask] for c in chunk.columns))
-            moved.append(log.write(chunk))
-        return moved, kept
+            servers = chunk.columns[1]
+            chunk = chunk._replace(
+                server_lo=int(servers.min()), server_hi=int(servers.max())
+            )
+            closed = not (self._open or opened) and chunk.rows >= chunk.floor
+            moved.append(log.write(chunk.columns, chunk, closed))
+            opened += not closed
+        return moved, kept, opened
 
-    def settle(self, moved: List[_Chunk], kept: List[_Chunk]) -> int:
+    def settle(self, moved: List[_Chunk], kept: List[_Chunk], opened: int) -> int:
         """Make the chunks :meth:`spill_below` wrote cold; returns rows moved."""
         rows = sum(chunk.rows for chunk in moved)
+        for chunk in moved[len(moved) - opened:]:
+            self._tail = chunk if self._tail is None else self._tail.joint(chunk)
         self._cold += moved
+        self._open += opened
         self._hot = kept
         self.hot_rows -= rows
         return rows
+
+    def compact(self, log: _ColdLog) -> None:
+        """Coalesce the open tail: each run of its records that reaches
+        the floor of its joint layout is read back and written as one
+        closed record, the rest stays open.  Every record is written
+        before the tail is swapped, in one step that cannot fail."""
+        if self._tail is None or self._tail.rows < self._tail.floor:
+            return
+        first = len(self._cold) - self._open
+        closed, start, joint = [], first, None
+        for at in range(first, len(self._cold)):
+            joint = self._cold[at] if joint is None else joint.joint(self._cold[at])
+            if joint.rows >= joint.floor:
+                closed.append(log.coalesce(self._cold[start:at + 1], joint))
+                start, joint = at + 1, None
+        self._cold[first:start] = closed
+        self._open -= start - first
+        self._tail = joint
 
     def overlapping(self, lo: float, hi: float, cold: bool) -> List[_Chunk]:
         """The chunks whose span meets ``[lo, hi)`` — the cold ones only
@@ -632,20 +738,22 @@ class _Table:
         lo: float,
         hi: float,
         log: Optional[_ColdLog],
+        server: Optional[int] = None,
     ) -> Iterator[_Batch]:
         """The rows with ``lo <= window < hi`` of ``chunks`` (what
         :meth:`overlapping` picked), as batches in append order.
 
-        Cold chunks come back through ``log`` a batch at a time (see
-        :meth:`_ColdLog.batches`), each read before the next is loaded —
-        a consumer that keeps a selection of each holds one batch, not
+        Cold chunks come back through ``log`` one record a batch (see
+        :meth:`_ColdLog.batches`; a ``server`` hint narrows server-major
+        ones to its rows), each read before the next is loaded — a
+        consumer that keeps a selection of each holds one batch, not
         the table.  Hot chunks are yielded as they are, a partial
         overlap masked.  A read that takes every hot chunk whole leaves
         them fused, so full reads concatenate once.
         """
         cold = sum(chunk.columns is None for chunk in chunks)
         if cold:
-            yield from log.batches(chunks[:cold], lo, hi)
+            yield from log.batches(chunks[:cold], lo, hi, server)
         hot: List[_Batch] = []
         whole_hot = 0
         for chunk in chunks[cold:]:
@@ -1118,12 +1226,13 @@ LiveQuerySurface` takes it around every read, so a live reader only
 
         The rolling-retention primitive of streaming mode: hot memory
         stays bounded by the retained window span while queries keep
-        answering *exactly* — each table's evicted chunks become cold
-        in place (one spill record per chunk, hot order: its values,
-        then its window and server columns narrowed, see
-        :class:`_ColdLog`), so ranges that dip below the watermark
-        read them back ahead of the hot chunks and ranges above it
-        never touch the disk.  Requires rows to have arrived in
+        answering *exactly* — each table's evicted rows become cold in
+        place (one record per chunk: its values, then its window and
+        server columns narrowed, see :class:`_ColdLog`; the first read
+        below the watermark coalesces them, :meth:`_Table.compact`), so
+        ranges that dip below the
+        watermark read them back ahead of the hot chunks and ranges
+        above it never touch the disk.  Requires rows to have arrived in
         non-decreasing block order (which the simulation engine's
         emission guarantees) for that read-back to be the original
         append order; returns the number of rows evicted.  Evicting is
@@ -1253,19 +1362,25 @@ LiveQuerySurface` takes it around every read, so a live reader only
         return lo, hi
 
     def _parts(
-        self, tables: List[_Table], lo: float, hi: float
+        self, tables: List[_Table], lo: float, hi: float,
+        server: Optional[int] = None,
     ) -> Tuple[List[_Chunk], Iterator[_Batch]]:
         """The one range read over many tables: the chunks it touches,
         and their rows as batches — tables in the order given, append
-        order within each.
+        order within each (``server``: see :meth:`_Table.read`).
 
         Ranges entirely above the eviction watermark skip the cold
-        chunks (no disk reads on the streaming hot path).
+        chunks (no disk reads on the streaming hot path); one below it
+        first compacts the tables' open tails, so a write that fails
+        fails the read and leaves the store as it was.
         """
         log = self._spill if lo < self._evicted_before else None
+        for table in tables if log is not None else ():
+            table.compact(log)
         picked = [table.overlapping(lo, hi, log is not None) for table in tables]
         batches = chain.from_iterable(
-            table.read(chunks, lo, hi, log) for table, chunks in zip(tables, picked)
+            table.read(chunks, lo, hi, log, server)
+            for table, chunks in zip(tables, picked)
         )
         return [chunk for chunks in picked for chunk in chunks], batches
 
@@ -1316,9 +1431,10 @@ LiveQuerySurface` takes it around every read, so a live reader only
 
         Selects the server's rows batch by batch — one compare on the
         stored (for cold chunks, narrow) server column, hot or cold
-        alike — and widens and concatenates only the selections, so the
-        cost is one pass over the range's record bytes and the memory
-        one batch plus the answer, never the table.
+        alike — and widens and concatenates only the selections.  A
+        server-major cold record reads only the server's own rows; any
+        other is one pass over its bytes.  The memory is one batch plus
+        the answer, never the table.
         """
         index = self._interner.index.get(server_id)
         window_parts: List[np.ndarray] = [np.array([], dtype=int)]
@@ -1326,7 +1442,7 @@ LiveQuerySurface` takes it around every read, so a live reader only
         if index is not None:
             tables = self._matching_tables(pool_id, counter, None)
             _chunks, batches = self._parts(
-                tables, *self._window_range(start, stop)
+                tables, *self._window_range(start, stop), index
             )
             for batch in batches:
                 windows, values = batch.select(index)

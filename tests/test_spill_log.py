@@ -2,16 +2,20 @@
 
 ``SpillArchive`` is a positional byte log; a cold chunk is one record
 in it (its values, then its windows and server indices as narrow
-offsets); range reads come back a batch of chunks at a time and
-``server_series`` selects one server's rows per batch.  Every case here
-compares bytes (or a never-evicted twin's answers), and the memory
-bound and the bytes read are counted (``tracemalloc``, ``preadv``
-calls), not timed.
+offsets), and a table's open records are coalesced into one once they
+fill a scratch buffer, stored by server when their keys allow it;
+range reads come back a record at a time and ``server_series`` reads
+only its own rows of a server-major record.  Every case here compares
+bytes (or a never-evicted twin's answers), and the memory bound, the
+records and the bytes read and written are counted (``tracemalloc``,
+``preadv`` calls, the log's length), not timed.
 """
 
 import errno
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -23,6 +27,7 @@ from hypothesis.extra.numpy import arrays
 from repro.telemetry import store as store_module
 from repro.telemetry.export import export_store
 from repro.telemetry.store import REDUCERS, MetricStore, SpillArchive, _Table
+from tests.conftest import chunk_list_rows
 
 #: Cutoff above every generated window (and inside int64).
 _ABOVE = 1 << 62
@@ -226,12 +231,18 @@ class TestColdChunkRoundTrip:
 
 class TestOneServerReadHoldsOneChunk:
     """``server_series`` over a mostly spilled table: the answer of the
-    never-evicted twin, from one chunk of memory at a time."""
+    never-evicted twin, from one record of memory at a time.  A 64 kB
+    scratch closes a record every few chunks, so the table holds many."""
 
     SERVERS, BLOCK, CHUNKS = 64, 32, 80
+    SCRATCH = 64 << 10
 
     @pytest.fixture(scope="class")
     def twins(self):
+        with mock.patch.object(store_module, "_SCRATCH_BYTES", self.SCRATCH):
+            yield self._twins()
+
+    def _twins(self):
         evicting, reference = MetricStore(), MetricStore()
         rng = np.random.default_rng(5)
         for store in (evicting, reference):
@@ -247,8 +258,27 @@ class TestOneServerReadHoldsOneChunk:
             for store in (evicting, reference):
                 store.record_columns("B", "DC1", "rps", windows, servers, values)
         evicting.evict_windows((self.CHUNKS - 1) * self.BLOCK)
-        assert len(evicting._tables["B", "DC1", "rps"]._cold) == self.CHUNKS - 1 >= 64
+        table = evicting._tables["B", "DC1", "rps"]
+        assert table._open == len(table._cold) == self.CHUNKS - 1
+        evicting.sample_count()  # no read below the watermark: still open
+        assert table._open == self.CHUNKS - 1
+        evicting.gather_columns("B", "rps", None, 0, 1)  # this one coalesces
         return evicting, reference
+
+    def test_cold_records_fill_a_scratch(self, twins):
+        """At most one record per scratch of evicted rows, plus the open
+        tail: every closed record is at or above its floor and stored by
+        server, every open one below it and in append order."""
+        evicting, _reference = twins
+        table = evicting._tables["B", "DC1", "rps"]
+        closed = table._cold[:len(table._cold) - table._open]
+        tail = table._cold[len(closed):]
+        floor = min(chunk.floor for chunk in closed)
+        evicted = sum(chunk.rows for chunk in table._cold)
+        assert len(table._cold) <= math.ceil(evicted / floor) + len(tail)
+        assert len(closed) >= 16 and floor >= self.SCRATCH // 11 - 8
+        assert all(c.rows >= c.floor and c.directory is not None for c in closed)
+        assert all(c.rows < c.floor and c.directory is None for c in tail)
 
     def test_every_server_matches_the_twin(self, twins):
         evicting, reference = twins
@@ -307,11 +337,14 @@ class TestOneServerReadHoldsOneChunk:
         ).read_bytes()
 
     def test_reads_only_the_narrow_records_it_touches(self, twins):
-        """One ``preadv`` per cold chunk the range touches, of exactly its
-        record — 10 B a row for 32 windows of 64 servers — so the bytes
-        read grow with the range: 4x the chunks, at most 4.4x the bytes."""
+        """From each server-major record the range touches, one ``pread``
+        of the server's values and one of its window offsets — exactly its
+        own rows, 9 B a row here; an open record is read whole, with one
+        ``preadv``.  So the bytes read grow with the range: 4x the chunks,
+        at most 4.4x the bytes."""
         evicting, _reference = twins
         cold = evicting._tables["B", "DC1", "rps"]._cold
+        server = evicting._interner.index["s3"]
         calls = []
         preadv = store_module.os.preadv
 
@@ -319,22 +352,29 @@ class TestOneServerReadHoldsOneChunk:
             calls.append((offset, preadv(fd, buffers, offset)))
             return calls[-1][1]
 
+        def expected(chunk):
+            dtypes = chunk.dtypes
+            if chunk.directory is None:
+                return [(chunk.offset, chunk.rows * sum(d.itemsize for d in dtypes))]
+            present, starts = chunk.directory
+            (at,) = np.flatnonzero(present == server - chunk.server_lo)
+            begin, end = starts[at], starts[at + 1]
+            return [
+                (chunk.offset + 8 * begin, 8 * (end - begin)),
+                (chunk.offset + 8 * chunk.rows + dtypes[1].itemsize * begin,
+                 dtypes[1].itemsize * (end - begin)),
+            ]
+
         read = {}
         with mock.patch.object(store_module.os, "preadv", counting):
-            for chunks in (8, 32, len(cold)):
+            for chunks in (8, 32, self.CHUNKS):
                 calls.clear()
-                evicting.server_series("B", "rps", "s3", 0, chunks * self.BLOCK)
-                touched = cold[:chunks]
-                assert [offset for offset, _n in calls] == [
-                    chunk.offset for chunk in touched
-                ]
-                rows = sum(chunk.rows for chunk in touched)
-                record_bytes = sum(
-                    chunk.rows * (8 + chunk.window_size + chunk.server_size)
-                    for chunk in touched
-                )
+                answer = evicting.server_series("B", "rps", "s3", 0, chunks * self.BLOCK)
+                touched = [c for c in cold if c.lo < chunks * self.BLOCK]
+                assert calls == [call for c in touched for call in expected(c)]
                 read[chunks] = sum(nbytes for _offset, nbytes in calls)
-                assert read[chunks] == record_bytes <= 10 * rows
+                if all(c.directory is not None for c in touched):
+                    assert read[chunks] <= 9 * len(answer)
         assert read[32] <= 4.4 * read[8]
 
     def test_a_short_read_fails_the_query(self, twins):
@@ -342,16 +382,312 @@ class TestOneServerReadHoldsOneChunk:
         is the located ``OSError``, never a partial answer — and the
         store answers in full once the file reads whole again."""
         evicting, reference = twins
+        first = evicting._tables["B", "DC1", "rps"]._cold[0]
+        run = first.directory[1][evicting._interner.index["s3"] - first.server_lo]
         with _short_preadv(100):
-            for read in (
-                lambda store: store.server_series("B", "rps", "s3"),
-                lambda store: store.pool_matrix("B", "rps"),
-                lambda store: store.gather_columns("B", "rps"),
+            for read, offset in (
+                (lambda store: store.server_series("B", "rps", "s3"),
+                 first.offset + 8 * run),
+                (lambda store: store.pool_matrix("B", "rps"), first.offset),
+                (lambda store: store.gather_columns("B", "rps"), first.offset),
             ):
                 with pytest.raises(
-                    OSError, match=r"holds 100 of the \d+ bytes expected at offset 0"
+                    OSError,
+                    match=rf"holds 100 of the \d+ bytes expected at offset {offset}$",
                 ):
                     read(evicting)
         got = evicting.server_series("B", "rps", "s3")
         want = reference.server_series("B", "rps", "s3")
         assert _bits(got.values) == _bits(want.values)
+
+
+class TestCompactionCosts:
+    """What eviction and the compactions of reads below the watermark
+    write, counted at n and 4n blocks: records of a scratch each, and
+    every evicted row written at most twice."""
+
+    SERVERS, BLOCK = 48, 16
+
+    def _evicted(self, blocks):
+        store = MetricStore()
+        rng = np.random.default_rng(blocks)
+        servers = np.tile(np.arange(self.SERVERS), self.BLOCK)
+        with mock.patch.object(store_module, "_SCRATCH_BYTES", 32 << 10):
+            for block in range(blocks):
+                windows = np.repeat(
+                    np.arange(block * self.BLOCK, (block + 1) * self.BLOCK),
+                    self.SERVERS,
+                )
+                for counter in ("rps", "cpu"):
+                    store.record_columns(
+                        "B", "DC1", counter, windows, servers,
+                        rng.standard_normal(windows.size),
+                    )
+                store.evict_windows((block + 1) * self.BLOCK)
+                if block % 7 == 6 or block == blocks - 1:
+                    for counter in ("rps", "cpu"):
+                        store.gather_columns("B", counter, None, 0, 1)
+            floors = {
+                key: min([c.floor for c in table._cold[:len(table._cold) - table._open]]
+                         or [math.inf])
+                for key, table in store._tables.items()
+            }
+        return store, floors
+
+    @pytest.mark.parametrize("blocks", [40, 160])
+    def test_records_and_bytes_written_are_linear(self, blocks):
+        store, floors = self._evicted(blocks)
+        evicted = store.sample_count() - store.hot_sample_count()
+        assert evicted == 2 * blocks * self.BLOCK * self.SERVERS
+        row_bytes = 0
+        for key, table in store._tables.items():
+            rows = sum(chunk.rows for chunk in table._cold)
+            assert len(table._cold) <= math.ceil(rows / floors[key]) + table._open
+            assert table._open < floors[key] / (self.BLOCK * self.SERVERS)
+            row_bytes = max(
+                [row_bytes] + [sum(d.itemsize for d in c.dtypes) for c in table._cold]
+            )
+        appended = store._spill.archive.append([])
+        assert evicted * 10 <= appended <= 2 * evicted * row_bytes
+
+
+def _blocks(draw, rng, mode, start, watermark):
+    """One ingest batch of ``mode`` for windows from ``start`` (``late``:
+    below ``watermark``) over up to five servers."""
+    width = draw(st.integers(1, 3))
+    first = max(watermark - 4, 0) if mode == "late" else start
+    windows, servers = [], []
+    for window in range(first, first + width):
+        present = np.flatnonzero(rng.random(5) < 0.8)
+        if mode == "shuffled":
+            present = rng.permutation(present)
+        if mode == "duplicates" and present.size:
+            present = np.sort(np.concatenate([present, present[:2]]))
+        windows += [window] * present.size
+        servers += present.tolist()
+    return (np.array(windows, np.int64), np.array(servers, np.int64),
+            rng.standard_normal(len(windows)))
+
+
+def _snapshot(store):
+    return store._evicted_before, [
+        (table._cold[:], table._hot[:], table._open, table._tail,
+         table.n_rows, table.hot_rows)
+        for table in store._tables.values()
+    ]
+
+
+def _assert_same_snapshot(before, after):
+    assert before[0] == after[0]
+    for old, new in zip(before[1], after[1], strict=True):
+        for old_list, new_list in zip(old[:2], new[:2]):
+            assert len(old_list) == len(new_list)
+            assert all(a is b for a, b in zip(old_list, new_list))
+        assert old[2] == new[2] and old[3] is new[3] and old[4:] == new[4:]
+
+
+def _failing_pwrite(fail_at):
+    """An ``os.pwrite`` that writes at most 97 bytes per call and fails
+    its ``fail_at``-th call as a full disk would."""
+    pwrite, calls = store_module.os.pwrite, []
+
+    def failing(fd, data, offset):
+        calls.append(offset)
+        if len(calls) == fail_at:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return pwrite(fd, memoryview(data)[:97], offset)
+
+    return mock.patch.object(store_module.os, "pwrite", failing)
+
+
+def _assert_records_keep_their_order(store):
+    """A record is server-major exactly when it is closed and its keys
+    are in (window, server) order; every other one is stored as its rows
+    came."""
+    log = store._spill
+    for table in store._tables.values():
+        for at, chunk in enumerate(table._cold):
+            windows, servers, values = log.load(chunk).columns()
+            closed = at < len(table._cold) - table._open
+            assert not closed or chunk.rows >= chunk.floor
+            major = closed and store_module._canonical(windows, servers)
+            assert (chunk.directory is not None) == major
+            value_dtype, window_dtype, server_dtype = chunk.dtypes
+            data = log.archive.read(
+                chunk.offset,
+                chunk.rows * sum(d.itemsize for d in chunk.dtypes),
+            )
+            stored_values = np.frombuffer(data, value_dtype, chunk.rows)
+            stored_windows = np.frombuffer(
+                data, window_dtype, chunk.rows, 8 * chunk.rows
+            ).astype(np.int64) + chunk.lo
+            order = np.argsort(servers, kind="stable") if major else slice(None)
+            assert _bits(stored_values) == _bits(values[order])
+            assert _bits(stored_windows) == _bits(windows[order])
+
+
+
+class TestCompactionKeepsAppendOrder:
+    """Evictions that cross compaction boundaries, over rows in
+    canonical order, shuffled within a window, with duplicate cells and
+    late rows below the watermark: every read answers what the
+    never-evicted twin answers (fed the rows in the order eviction
+    defines: evicted rows as evicted, then the rest as appended), a
+    compaction that fails leaves the store exactly as it was, and only
+    closed records whose keys are in order are stored by server."""
+
+    MODES = st.sampled_from(["canonical", "shuffled", "duplicates", "late"])
+
+    @given(data=st.data(), seed=st.integers(0, 1 << 16))
+    @settings(max_examples=30, deadline=None)
+    def test_reads_match_the_twin(self, data, seed):
+        with mock.patch.object(store_module, "_SCRATCH_BYTES", 512):
+            self._run(data.draw, np.random.default_rng(seed))
+
+    def _run(self, draw, rng):
+        store = MetricStore()
+        store.intern_servers([f"s{i}" for i in range(5)])
+        cold = {"DC1": [], "DC2": []}
+        hot = {"DC1": [], "DC2": []}
+        start = watermark = 0
+        for _step in range(draw(st.integers(1, 24))):
+            columns = _blocks(draw, rng, draw(self.MODES), start, watermark)
+            if columns[0].size == 0:
+                continue
+            start = max(start, int(columns[0].max()) + 1)
+            for dc, scale in (("DC1", 1.0), ("DC2", 3.0)):
+                part = columns[:2] + (columns[2] * scale,)
+                store.record_columns("B", dc, "rps", *part)
+                hot[dc].append(part)
+            if draw(st.booleans()):
+                self._read(store, draw(st.integers(0, 20)))
+            if not draw(st.booleans()):
+                continue
+            before = start - draw(st.integers(0, 2))
+            fail_at = draw(st.integers(0, 20))
+            if fail_at and before > watermark:
+                snapshot = _snapshot(store)
+                try:
+                    with _failing_pwrite(fail_at):
+                        store.evict_windows(before)
+                except OSError:
+                    _assert_same_snapshot(snapshot, _snapshot(store))
+            store.evict_windows(before)  # a no-op if the first try got through
+            if before > watermark:
+                watermark = before
+                for dc in hot:
+                    kept = []
+                    for w, s, v in hot[dc]:
+                        moved = w < before
+                        if moved.any():
+                            cold[dc].append((w[moved], s[moved], v[moved]))
+                        if (~moved).any():
+                            kept.append((w[~moved], s[~moved], v[~moved]))
+                    hot[dc] = kept
+        twin = MetricStore()
+        twin.intern_servers([f"s{i}" for i in range(5)])
+        for dc in ("DC1", "DC2"):
+            for part in cold[dc] + hot[dc]:
+                twin.record_columns("B", dc, "rps", *part)
+        self._assert_same(store, twin, watermark)
+
+    @staticmethod
+    def _read(store, fail_at):
+        """A read below the watermark, which compacts what it can; with
+        ``fail_at``, one whose ``fail_at``-th write fails, leaving the
+        store exactly as it was."""
+        if fail_at:
+            snapshot = _snapshot(store)
+            try:
+                with _failing_pwrite(fail_at):
+                    store.gather_columns("B", "rps", "DC1", 0, 1)
+            except OSError:
+                _assert_same_snapshot(snapshot, _snapshot(store))
+        store.gather_columns("B", "rps", "DC1", 0, 1)
+
+    @staticmethod
+    def _assert_same(store, twin, watermark):
+        assert store.evicted_before == watermark
+        rows = chunk_list_rows(store)
+        for key, *columns in twin.iter_tables():
+            assert all(_bits(a) == _bits(b) for a, b in zip(rows[key], columns))
+        if store._spill is not None:
+            _assert_records_keep_their_order(store)
+        top = twin.max_window + 1
+        for name in ("pools", "datacenters", "max_window"):
+            assert getattr(store, name) == getattr(twin, name)
+        for name, args in (
+            ("counters_for_pool", ("B",)),
+            ("servers_in_pool", ("B",)),
+            ("datacenters_for_pool", ("B",)),
+            ("datacenters_for_pool_counter", ("B", "rps")),
+            ("server_name", (3,)),
+            ("sample_count", ()),
+        ):
+            assert getattr(store, name)(*args) == getattr(twin, name)(*args)
+        for got, want in zip(store.iter_tables(), twin.iter_tables(), strict=True):
+            assert got[0] == want[0]
+            assert all(_bits(a) == _bits(b) for a, b in zip(got[1:], want[1:]))
+        for start, stop in ((None, None), (watermark - 2, top), (1, watermark + 1)):
+            for dc in (None, "DC1", "DC2"):
+                args = ("B", "rps", dc, start, stop)
+                assert all(_bits(a) == _bits(b) for a, b in zip(
+                    store.gather_columns(*args), twin.gather_columns(*args)
+                ))
+                for reducer in REDUCERS:
+                    a = store.pool_window_aggregate(*args, reducer=reducer)
+                    b = twin.pool_window_aggregate(*args, reducer=reducer)
+                    assert _bits(a.windows) == _bits(b.windows)
+                    assert _bits(a.values) == _bits(b.values)
+                a, b = store.per_server_values(*args), twin.per_server_values(*args)
+                assert list(a) == list(b)
+                assert all(_bits(a[name]) == _bits(b[name]) for name in b)
+                a, b = store.pool_matrix(*args), twin.pool_matrix(*args)
+                assert _bits(a[0]) == _bits(b[0]) and a[1] == b[1]
+                assert _bits(a[2]) == _bits(b[2])
+            for server in [f"s{i}" for i in range(5)]:
+                a = store.server_series("B", "rps", server, start, stop)
+                b = twin.server_series("B", "rps", server, start, stop)
+                assert _bits(a.windows) == _bits(b.windows)
+                assert _bits(a.values) == _bits(b.values)
+        with tempfile.TemporaryDirectory() as scratch:
+            export_store(store, Path(scratch) / "a.csv")
+            export_store(twin, Path(scratch) / "b.csv")
+            assert (Path(scratch) / "a.csv").read_bytes() == (
+                Path(scratch) / "b.csv"
+            ).read_bytes()
+
+    def test_a_failed_compaction_leaves_the_store_as_it_was(self):
+        """Evictions leave their records open; the first read below the
+        watermark coalesces them.  When its one write fails, the read
+        fails and the store is exactly as before it; the retry closes
+        the records."""
+        store, twin = MetricStore(), MetricStore()
+        for target in (store, twin):
+            target.intern_servers([f"s{i}" for i in range(8)])
+        servers = np.tile(np.arange(8), 4)
+        with mock.patch.object(store_module, "_SCRATCH_BYTES", 1024):
+            for block in range(12):
+                windows = np.repeat(np.arange(4 * block, 4 * block + 4), 8)
+                values = np.arange(32.0) + block
+                for target in (store, twin):
+                    target.record_columns("B", "DC1", "rps", windows, servers, values)
+                store.evict_windows(4 * block + 4)
+            table = store._tables["B", "DC1", "rps"]
+            assert table._open == len(table._cold) == 12
+            assert table._tail.rows >= table._tail.floor
+            snapshot, calls = _snapshot(store), []
+
+            def full_on_compaction(log, buffers):
+                calls.append(len(calls))
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            with mock.patch.object(SpillArchive, "append", full_on_compaction):
+                with pytest.raises(OSError, match="No space left"):
+                    store.server_series("B", "rps", "s3")
+            assert calls == [0]
+            _assert_same_snapshot(snapshot, _snapshot(store))
+            self._assert_same(store, twin, store.evicted_before)
+            # Four closed records of three blocks (96 rows: a 1 kB floor).
+            assert table._open == 0 and len(table._cold) == 4
+            assert all(chunk.directory is not None for chunk in table._cold)
