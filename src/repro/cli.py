@@ -26,7 +26,7 @@ from repro.cluster.builders import PAPER_DATACENTERS, build_paper_fleet
 from repro.cluster.service import service_catalog
 from repro.cluster.simulation import DEFAULT_COUNTERS, SimulationConfig, Simulator
 from repro.telemetry.sharding import BACKENDS, ShardedMetricStore
-from repro.telemetry.store import REDUCERS, MetricStore
+from repro.telemetry.store import CLASSES, REDUCERS, MetricStore
 from repro.telemetry.workers import ShardServer
 from repro.core.availability import study_fleet_availability
 from repro.core.metric_validation import MetricValidator
@@ -118,6 +118,11 @@ def _check_distributed_flags(args: argparse.Namespace):
         for address in replica_addrs:
             if address is not None:
                 parse_address(address)
+    n_shards = len(shard_addrs) if shard_addrs else args.shards
+    if n_shards > CLASSES:
+        raise ValueError(
+            f"at most {CLASSES} shards (one per server class); got {n_shards}"
+        )
     fault_spec = None
     if args.inject_fault is not None:
         if args.shard_backend != "tcp":

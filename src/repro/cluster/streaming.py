@@ -192,8 +192,9 @@ class StreamingSimulator:
                 # mutates under the store lock, so a live query-server
                 # reader only ever observes sealed block boundaries
                 # (every visible window final), never a half-ingested
-                # block.  Between iterations the lock is free and
-                # readers drain.
+                # block.  Between blocks the lock goes to every reader
+                # already waiting for it before the next block takes it.
+                store.lock.hand_over()
                 with store.lock:
                     self._fire_due_actions(sim.current_window + step)
                     sim.run_block(step)

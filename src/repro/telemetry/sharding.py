@@ -3,11 +3,14 @@
 The paper's production pipeline ingests ~3 GB/s by spreading counter
 rows across many trace-store machines and merging scoped queries over
 the partitions.  :class:`ShardedMetricStore` is that topology behind
-one facade: N shards, rows routed by
-``interned_server_index % n_shards``, one shared
+one facade: N shards, rows routed by server class —
+``(interned_server_index & 63) % n_shards``, so one shard holds all of
+a class (:data:`~repro.telemetry.store.CLASSES`, which also caps
+``n_shards`` at 64) — and one shared
 :class:`~repro.telemetry.store.ServerInterner` (or a replicated copy
 per remote shard) so indices — and thus query ordering — stay
-globally consistent.
+globally consistent.  For a power-of-two shard count the rule is
+``index % n_shards``.
 
 Two interchangeable **backends** decide where the shards live:
 
@@ -21,10 +24,11 @@ Two interchangeable **backends** decide where the shards live:
     in ``shard_addrs``; the same address may repeat — every
     connection gets its own fresh store) plus one more per replica in
     ``replica_addrs``, fed coalesced ingest frames and queried over
-    synchronous RPC.  Its duty is placement, capacity and failover —
-    shard memory and query CPU live in another process or on another
-    machine, and outlive a peer's death — paid for with one wire
-    crossing per row.  See :mod:`repro.telemetry.workers` for the
+    RPC: a read sends every shard its call frame before it reads any
+    reply, so the shards answer at once.  Its duty is placement,
+    capacity and failover — shard memory and query CPU live in another
+    process or on another machine, and outlive a peer's death — paid
+    for with one wire crossing per row.  See :mod:`repro.telemetry.workers` for the
     message protocol and ``docs/DISTRIBUTED.md`` for the wire format,
     operations and the measured cost of the seam.
 
@@ -44,27 +48,31 @@ every backend, and each rule is one function here (:data:`MERGES`):
   exporter regroups rows per server, so exports are byte-identical);
 * ``canonical_rows`` — per datacenter, rows concatenated and stably
   reordered by (window, server index), the order every engine appends
-  in, so float sums downstream match to the bit: ``gather_columns``;
+  in: ``gather_columns``;
+* ``partials`` — per-window partial aggregates on the union of
+  windows: counts add, maxima take the maximum, and each server class's
+  sums are placed on zeros, never added to another shard's float,
+  because a class lives on one shard: ``window_partials``, which every
+  aggregate reduces;
 * ``column_stack`` / ``column_stack_per_dc`` — a server's column lives
   on one shard and is placed, never combined, in index order:
   ``pool_matrix`` (rows on the union of windows), ``per_server_values``
   (per datacenter, as the single store groups it per table);
 * ``facade`` — answered by the facade itself: ``evicted_before``,
-  ``server_name``, and ``pool_window_aggregate``, whose ``count`` /
-  ``max`` reduce per-shard partials (associative, hence exact) and
-  ``sum`` / ``mean`` the ``canonical_rows`` gather (float addition is
-  not associative).
+  ``server_name``, and ``pool_window_aggregate`` (the tracked series
+  and memo of :class:`~repro.telemetry.store._AggregateFront` over the
+  merged ``window_partials``).
 
 The per-datacenter rules ask the ``union`` read which datacenters hold
 (pool, counter) rows once per ingest; the answer is memoized beside the
 aggregates.
 
-The result: every query on a :class:`ShardedMetricStore` fed by the
-batch (or blocked-batch) simulation engine is **bit-identical** to the
-same query on a single :class:`MetricStore` fed by the same engine —
-for both backends, including byte-identical archive exports —
-proven by ``tests/test_sharded_store.py`` and
-``tests/test_sim_equivalence.py``.
+The result: every query on a :class:`ShardedMetricStore` is
+**bit-identical** to the same query on a single :class:`MetricStore`
+fed the same rows, in any order — for both backends, including
+byte-identical archive exports — proven by
+``tests/test_sharded_store.py``, ``tests/test_sim_equivalence.py`` and
+the Hypothesis property in ``tests/test_window_partials.py``.
 """
 
 from __future__ import annotations
@@ -77,7 +85,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.telemetry.series import TimeSeries
 from repro.telemetry.transport import (
     DEFAULT_CONNECT_TIMEOUT,
     DEFAULT_IO_TIMEOUT,
@@ -87,10 +94,13 @@ from repro.telemetry.transport import (
 )
 from repro.telemetry.workers import DEFAULT_FLUSH_ROWS, TcpShardClient
 from repro.telemetry.store import (
+    CLASSES,
     READ_SURFACE,
     MetricStore,
     ServerInterner,
     SpillArchive,
+    TurnLock,
+    WindowPartials,
     _COLUMN_DTYPES,
     _AggregateFront,
     _axis,
@@ -99,7 +109,6 @@ from repro.telemetry.store import (
     _RecordVerbs,
     _TrackedAggregate,
     forward_reads,
-    window_aggregate_arrays,
 )
 
 #: Valid values of the ``backend`` constructor knob.
@@ -269,10 +278,34 @@ def _bind(name: str, args: tuple, kwargs: dict) -> inspect.BoundArguments:
 
 
 def _answers(facade, name, args, kwargs) -> list:
-    """Every shard's answer to one read, in shard order."""
-    if READ_SURFACE[name][0]:
-        return [getattr(shard, name) for shard in facade._shards]
-    return [getattr(shard, name)(*args, **kwargs) for shard in facade._shards]
+    """Every shard's answer to one read, in shard order.
+
+    On tcp the read is scattered, then gathered: every shard's call
+    frame is sent before any reply is read, so the shards compute at
+    once.  A failure — an ``err`` reply, a shard whose last session
+    died — is raised only once every reply already asked for has been
+    read, so no session is left holding one.
+    """
+    if facade._backend != "tcp":
+        if READ_SURFACE[name][0]:
+            return [getattr(shard, name) for shard in facade._shards]
+        return [getattr(shard, name)(*args, **kwargs) for shard in facade._shards]
+    sent, failure = [], None
+    for shard in facade._shards:
+        try:
+            sent.append((shard, shard.send_call(name, args, kwargs)))
+        except Exception as error:  # noqa: BLE001 — raised below
+            failure = error
+            break
+    answers = []
+    for shard, ticket in sent:
+        try:
+            answers.append(shard.receive(ticket))
+        except Exception as error:  # noqa: BLE001 — raised below
+            failure = failure or error
+    if failure is not None:
+        raise failure
+    return answers
 
 
 def _per_datacenter(facade, name, args, kwargs) -> List[Tuple[tuple, dict]]:
@@ -320,11 +353,7 @@ def _shard_order(facade, name, args, kwargs) -> Iterator:
     )
 
 
-def _canonical_rows(
-    facade, name, args, kwargs, keep: Tuple[int, ...] = (0, 1, 2)
-) -> Tuple[np.ndarray, ...]:
-    """``keep`` names the columns returned; the others are sorted by
-    but never permuted."""
+def _canonical_rows(facade, name, args, kwargs) -> Tuple[np.ndarray, ...]:
     merged = []
     for dc_args, dc_kwargs in _per_datacenter(facade, name, args, kwargs):
         parts = [
@@ -334,10 +363,37 @@ def _canonical_rows(
         if parts:
             columns = _concat_columns(parts)
             order = _window_server_order(columns[0], columns[1])
-            merged.append(tuple(columns[i][order] for i in keep))
+            merged.append(tuple(column[order] for column in columns))
     if not merged:
-        return tuple(np.array([], dtype=_COLUMN_DTYPES[i]) for i in keep)
+        return tuple(np.array([], dtype=dtype) for dtype in _COLUMN_DTYPES)
     return tuple(np.concatenate(column) for column in zip(*merged))
+
+
+def _partials(facade, name, args, kwargs) -> WindowPartials:
+    answers = _answers(facade, name, args, kwargs)
+    parts = [part for part in answers if part.windows.size]
+    if len(parts) < 2:
+        return parts[0] if parts else answers[0]
+    windows = np.unique(np.concatenate([part.windows for part in parts]))
+    classes = np.sort(np.concatenate([part.classes for part in parts]))
+    counts = np.zeros(windows.size, dtype=np.int64)
+    sums = np.zeros((classes.size, windows.size))
+    maxima = np.full(windows.size if parts[0].maxima.size else 0, -np.inf)
+    for part in parts:
+        at = np.searchsorted(windows, part.windows)
+        counts[at] += part.counts
+        if part.classes.size:
+            rows = np.searchsorted(classes, part.classes)
+            sums[np.ix_(rows, at)] += part.sums
+        if maxima.size:
+            before = maxima[at]
+            merged = np.maximum(before, part.maxima)
+            # The IEEE maximum of two zeros is their sum: +0.0 unless
+            # both are -0.0, as WindowPartials.of decides within a shard.
+            zeros = (before == 0) & (part.maxima == 0)
+            merged[zeros] = before[zeros] + part.maxima[zeros]
+            maxima[at] = merged
+    return WindowPartials(windows, counts, classes, sums, maxima)
 
 
 def _column_stack(facade, name, args, kwargs):
@@ -384,6 +440,7 @@ MERGES = {
     "owner": _owner,
     "shard_order": _shard_order,
     "canonical_rows": _canonical_rows,
+    "partials": _partials,
     "column_stack": _column_stack,
     "column_stack_per_dc": _column_stack_per_dc,
 }
@@ -396,20 +453,17 @@ class ShardedMetricStore(_RecordVerbs, _AggregateFront):
     Drop-in replacement for a single :class:`MetricStore`: the public
     surface (interning, ``record*`` ingest, every query, and
     :meth:`iter_tables` for the archive exporter) matches.  Query
-    results are bit-identical to a single store fed the same batches —
-    independent of ``backend`` — provided each table's rows arrive in
-    canonical (window asc, server asc) order, which every simulation
-    engine guarantees; for arbitrary ingest orders, ``sum``/``mean``
-    aggregates may differ from the single store in the last ulp (the
-    facade re-accumulates in canonical order, the single store in raw
-    append order), while all other queries remain exact.
+    results are bit-identical to a single store fed the same batches,
+    in any row order and independent of ``backend``: aggregates merge
+    per-class partials (:class:`~repro.telemetry.store.WindowPartials`),
+    and every other read places rows or columns it never combines.
 
     Parameters
     ----------
     n_shards:
-        Number of partitions.  Rows are routed by
-        ``server_index % n_shards``, so one server's history always
-        lives on one shard.
+        Number of partitions, at most 64.  Rows are routed by server
+        class, ``(server_index & 63) % n_shards``, so one server's
+        history — and all of its class's — lives on one shard.
     backend:
         ``"serial"`` or ``"tcp"`` (see the module docstring for the
         trade-offs).  ``None`` (default) means ``"serial"``.
@@ -506,6 +560,11 @@ class ShardedMetricStore(_RecordVerbs, _AggregateFront):
                 raise ValueError(
                     "journal_rows is only meaningful with backend='tcp'"
                 )
+        if n_shards > CLASSES:
+            raise ValueError(
+                f"n_shards must be <= {CLASSES}, the number of server "
+                f"classes a shard owns whole; got {n_shards}"
+            )
         self._backend = backend
         self._interner = ServerInterner()
         self._tcp_kwargs = dict(
@@ -552,7 +611,7 @@ class ShardedMetricStore(_RecordVerbs, _AggregateFront):
         #: server) — same contract as :attr:`MetricStore.lock`: the
         #: facade stays single-owner, a streaming writer holds the lock
         #: across each block span and readers take it per query.
-        self._lock = threading.RLock()
+        self._lock = TurnLock()
         # One-entry partition memo: the blocked engine hands the same
         # (windows, server_indices) array pair to record_columns once
         # per counter, so the shard routing of a block is computed once
@@ -562,7 +621,7 @@ class ShardedMetricStore(_RecordVerbs, _AggregateFront):
         self._partition_cache: Optional[Tuple] = None
 
     @property
-    def lock(self) -> "threading.RLock":
+    def lock(self) -> TurnLock:
         """Reentrant lock serializing a clock-loop writer and readers.
 
         Queries on the tcp backend flush shard ingest buffers, so a
@@ -597,8 +656,9 @@ LiveQuerySurface` takes it around every read.
         return tuple(self._shards)
 
     def shard_of(self, server_index: int) -> int:
-        """The shard that owns a server's rows (any backend)."""
-        return server_index % len(self._shards)
+        """The shard that owns a server's rows (any backend): its
+        class's, ``(server_index & 63) % n_shards``."""
+        return (server_index & (CLASSES - 1)) % len(self._shards)
 
     def _dial_shard(self, shard_id: int, addresses: Tuple[str, ...]) -> Shard:
         """Connect one tcp shard: one session per address, primary first."""
@@ -769,7 +829,7 @@ LiveQuerySurface` takes it around every read.
                 # for the same reason the unsharded store may receive
                 # one windows array for all counters: stores never
                 # mutate ingested columns.
-                shard_ids = server_indices % n
+                shard_ids = (server_indices & (CLASSES - 1)) % n
                 routing = []
                 for shard_id in range(n):
                     rows = np.flatnonzero(shard_ids == shard_id)
@@ -839,45 +899,3 @@ LiveQuerySurface` takes it around every read.
         """Every generated read: the shards' answers, merged by the rule
         the name's :data:`READ_SURFACE` row names (:data:`MERGES`)."""
         return MERGES[READ_SURFACE[name][1]](self, name, args, kwargs)
-
-    def _compute_window_aggregate(
-        self,
-        pool_id: str,
-        counter: str,
-        datacenter_id: Optional[str],
-        start: Optional[int],
-        stop: Optional[int],
-        reducer: str,
-    ) -> TimeSeries:
-        """The uncached shard-merged aggregate behind
-        :meth:`pool_window_aggregate` and :meth:`seal_through`: one
-        :func:`window_aggregate_arrays` pass over rows that reduce to
-        the single store's answer.
-
-        For ``count`` and ``max`` those rows are the per-shard partials
-        — per window, a sum of integer counts or a maximum of maxima,
-        exact in any order, and only the small partial series crosses
-        the wire.  ``sum`` and ``mean`` reduce the ``canonical_rows``
-        gather of all shard rows (window and value columns only), so
-        their float accumulation order — and therefore every output bit
-        — matches the unsharded store, at the cost of moving the raw
-        columns.
-        """
-        scope = (pool_id, counter, datacenter_id, start, stop)
-        if reducer in ("count", "max"):
-            partials = [
-                shard.pool_window_aggregate(*scope, reducer)
-                for shard in self._shards
-            ]
-            windows = np.concatenate([part.windows for part in partials])
-            values = np.concatenate([part.values for part in partials])
-            reducer = "sum" if reducer == "count" else "max"
-        else:
-            windows, values = _canonical_rows(
-                self, "gather_columns", scope, {}, keep=(0, 2)
-            )
-        if windows.size == 0:
-            return TimeSeries(np.array([], dtype=int), np.array([], dtype=float))
-        return TimeSeries.from_sorted(
-            *window_aggregate_arrays(windows, values, reducer)
-        )

@@ -104,44 +104,185 @@ class ServerInterner:
         return len(self.names)
 
 
-#: The per-window reducers :func:`window_aggregate_arrays` implements —
-#: the one spelling every aggregate entry point and the CLI validate
-#: against.
+class TurnLock:
+    """A reentrant lock its holder can hand to the threads waiting for it.
+
+    The lock of :attr:`MetricStore.lock` and the sharded facade's: a
+    streaming writer holds it across each block, live readers take it
+    per read.  A plain lock is not fair — a writer that releases it and
+    takes it again for the next block usually wins, and a reader starves
+    for the whole run.  Here a thread that has to wait says so first,
+    and :meth:`hand_over`, called by the writer between blocks, returns
+    only once every thread waiting at that moment has taken the lock.  An
+    uncontended acquire and a hand-over with nobody waiting never touch
+    that bookkeeping.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.RLock()
+        self._turns = threading.Condition(threading.Lock())
+        self._waiting: Set[object] = set()
+
+    def acquire(self) -> bool:
+        if self._lock.acquire(blocking=False):
+            return True
+        ticket = object()
+        with self._turns:
+            self._waiting.add(ticket)
+        try:
+            return self._lock.acquire()
+        finally:
+            with self._turns:
+                self._waiting.discard(ticket)
+                self._turns.notify_all()
+
+    def release(self) -> None:
+        self._lock.release()
+
+    def __enter__(self) -> bool:
+        return self.acquire()
+
+    def __exit__(self, *exc_info) -> None:
+        self.release()
+
+    @property
+    def waiting(self) -> int:
+        """Threads blocked in :meth:`acquire` right now."""
+        return len(self._waiting)
+
+    def hand_over(self) -> None:
+        """Return once every thread waiting now has taken the lock; at
+        once when none waits.  Call it without holding the lock."""
+        if not self._waiting:
+            return
+        with self._turns:
+            waiting = set(self._waiting)
+            self._turns.wait_for(lambda: waiting.isdisjoint(self._waiting))
+
+
+#: The per-window reducers :class:`WindowPartials` reduce to — the one
+#: spelling every aggregate entry point and the CLI validate against.
 REDUCERS = ("mean", "sum", "max", "count")
 
+#: Server classes: a row's class is the low six bits of its server
+#: index, ``index & (CLASSES - 1)``.  A ``sum`` / ``mean`` partial holds
+#: one sum per (class, window), and the sharded facade routes a whole
+#: class to one shard, so partials merge without adding two floats.
+CLASSES = 64
 
-def window_aggregate_arrays(
-    windows: np.ndarray,
-    values: np.ndarray,
-    reducer: str,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Group ``values`` by window with ``np.bincount``.
 
-    The aggregation kernel behind
-    :meth:`MetricStore.pool_window_aggregate`, shared with the sharded
-    facade so both paths accumulate in exactly the same order (bit-for-
-    bit identical floating-point sums).  Returns ``(out_windows,
-    out_values)`` for the windows that have at least one sample.
+class WindowPartials(NamedTuple):
+    """Per-window partial aggregates of a scope's rows, mergeable exactly.
+
+    What :meth:`MetricStore.window_partials` answers and the sharded
+    facade's ``partials`` rule merges.  ``windows`` are the windows with
+    rows, ascending, and ``counts`` their rows; per reducer the rest is
+    ``classes`` — the server classes with rows, ascending — and
+    ``sums[k, j]``, class ``classes[k]``'s rows of window ``windows[j]``
+    summed in row order (``sum``/``mean``), or the per-window
+    ``maxima`` (``max``); fields a reducer does not need are empty.
+
+    A class's sum only ever meets its own rows, and the total folds the
+    classes in ascending order, so the answer depends on the order of
+    rows within one (class, window) and nothing else: the same on one
+    store, on any shards, for any ingest interleaving of classes.
     """
-    base = int(windows.min())
-    shifted = windows - base
-    length = int(shifted.max()) + 1
-    counts = np.bincount(shifted, minlength=length)
-    present = counts > 0
-    out_windows = np.flatnonzero(present) + base
-    if reducer == "count":
-        out_values = counts[present].astype(float)
-    elif reducer == "max":
-        maxima = np.full(length, -np.inf)
-        np.maximum.at(maxima, shifted, values)
-        out_values = maxima[present]
-    else:
-        sums = np.bincount(shifted, weights=values, minlength=length)
-        if reducer == "sum":
-            out_values = sums[present]
-        else:  # mean
-            out_values = sums[present] / counts[present]
-    return out_windows, out_values
+
+    windows: np.ndarray
+    counts: np.ndarray
+    classes: np.ndarray
+    sums: np.ndarray
+    maxima: np.ndarray
+
+    @classmethod
+    def of(
+        cls,
+        windows: np.ndarray,
+        servers: np.ndarray,
+        values: np.ndarray,
+        reducer: str,
+    ) -> "WindowPartials":
+        """The partials of gathered rows: one ``np.bincount`` over a
+        (class, window) key folds each class's rows sequentially; only
+        classes present get a row of ``sums``."""
+        if reducer not in REDUCERS:
+            raise ValueError(f"unknown reducer {reducer!r}")
+        empty = np.empty(0)
+        if windows.size == 0:
+            return cls(
+                np.empty(0, np.int64), np.empty(0, np.int64),
+                np.empty(0, np.int64), np.empty((0, 0)), empty,
+            )
+        lo, hi = int(windows.min()), int(windows.max())
+        length = hi - lo + 1
+        # Windows bin as they are when that costs at most a bin per row
+        # — no shifted copy of the column — else from the lowest.
+        origin = 0 if 0 <= lo <= windows.size else lo
+        index = windows if origin == 0 else windows - origin
+        counts = np.bincount(index, minlength=hi - origin + 1)[lo - origin:]
+        dense = bool(counts.all())
+        present = np.arange(length) if dense else counts.nonzero()[0]
+        classes, sums, maxima = np.empty(0, np.int64), np.empty((0, 0)), empty
+        if reducer == "max":
+            maxima = np.full(hi - origin + 1, -np.inf)
+            np.maximum.at(maxima, index, values)
+            # IEEE maximum(-0.0, +0.0) is +0.0 whichever comes first, so
+            # the sign of a zero maximum does not depend on row order.
+            zero = maxima == 0
+            if zero.any():
+                plus_zero = np.zeros(maxima.size, dtype=bool)
+                plus_zero[index[(values == 0) & ~np.signbit(values)]] = True
+                maxima[plus_zero & zero] = 0.0
+            maxima = maxima[lo - origin:]
+            maxima = maxima if dense else maxima[present]
+        elif reducer != "count":
+            # key = rank of the row's class among those present x
+            # length + window - lo, built in the one array it needs.
+            key = servers & (CLASSES - 1)
+            seen = np.bincount(key, minlength=CLASSES)
+            classes = seen.nonzero()[0]
+            if classes.size < CLASSES:
+                np.take(np.cumsum(seen > 0) - 1, key, out=key, mode="clip")
+            key *= length
+            key += index
+            if lo > origin:
+                key -= lo - origin
+            sums = np.bincount(
+                key, weights=values, minlength=classes.size * length
+            ).reshape(classes.size, length)
+            sums = sums if dense else sums[:, present]
+        return cls(
+            present + lo, counts if dense else counts[present],
+            classes, sums, maxima,
+        )
+
+    def series(self, reducer: str) -> TimeSeries:
+        """The reduced per-window series: counts, maxima, or the classes'
+        sums folded in ascending class order into one array (a
+        sequential fold, where ``np.sum`` promises no order), divided by
+        the counts for ``mean``."""
+        if reducer == "count":
+            values = self.counts.astype(float)
+        elif reducer == "max":
+            values = self.maxima
+        elif self.windows.size == 0:
+            values = np.empty(0)
+        elif self.sums.size <= 1 << 13:
+            # A few cache lines: one accumulate (sequential by
+            # definition) is cheaper than a loop of row adds.
+            values = np.add.accumulate(self.sums, axis=0)[-1]
+        else:
+            values = self.sums[0].copy()
+            for row in self.sums[1:]:
+                values += row
+        if reducer == "mean":
+            values = values / self.counts
+        nan = np.isnan(values)
+        if nan.any():
+            # Which NaN an add of two NaNs keeps varies with the SIMD
+            # path numpy takes, so every NaN answer is the one quiet NaN.
+            values = np.where(nan, np.nan, values)
+        return TimeSeries.from_sorted(self.windows, values)
 
 
 def _axis(
@@ -150,7 +291,7 @@ def _axis(
     """``np.unique(column, return_inverse=True)`` for integers known to
     lie in ``[base, base + length)``, by presence instead of a sort.
 
-    O(rows + length), the way :func:`window_aggregate_arrays` finds its
+    O(rows + length), the way :meth:`WindowPartials.of` finds its
     windows; a span much wider than the column (sparse windows) is not
     worth allocating and goes through the sort.
     """
@@ -232,8 +373,8 @@ class _TrackedAggregate:
     of re-gathering the whole table on every query after every ingest,
     :meth:`MetricStore.seal_through` appends each newly *sealed* block
     of windows' aggregate values here exactly once.  Per-window bins of
-    :func:`window_aggregate_arrays` only ever mix rows of their own
-    window, so the per-block partials are bit-identical to what one
+    :class:`WindowPartials` only ever mix rows of their own window, so
+    the per-block partials are bit-identical to what one
     full-horizon recompute would produce — the incremental-maintenance
     invariant ``tests/test_streaming.py`` asserts.
 
@@ -932,6 +1073,7 @@ READ_SURFACE = {
     "hot_sample_count": (False, "sum"),
     "iter_tables": (False, "shard_order"),
     "gather_columns": (False, "canonical_rows"),
+    "window_partials": (False, "partials"),
     "pool_window_aggregate": (False, "facade"),
     "per_server_values": (False, "column_stack_per_dc"),
     "server_series": (False, "owner"),
@@ -976,11 +1118,10 @@ class _AggregateFront:
 
     Written once for :class:`MetricStore` and
     :class:`~repro.telemetry.sharding.ShardedMetricStore`, which supply
-    ``_tracked`` / ``_agg_cache`` / ``max_window`` and their own
-    ``_compute_window_aggregate(pool_id, counter, datacenter_id, start,
-    stop, reducer)``; how the rows of a window range are gathered and
-    reduced (one store's tables, or a merge across shards) is the only
-    thing that differs between them.
+    ``_tracked`` / ``_agg_cache`` / ``max_window`` and the
+    ``window_partials`` read; where the partials come from (one store's
+    tables, or the shards' partials merged) is the only thing that
+    differs between them, and every aggregate reduces them here.
     """
 
     def track_aggregate(
@@ -1025,10 +1166,10 @@ class _AggregateFront:
         for (pool_id, counter, datacenter_id, reducer), tracker in self._tracked.items():
             if window <= tracker.sealed_through:
                 continue
-            series = self._compute_window_aggregate(
+            series = self.window_partials(
                 pool_id, counter, datacenter_id,
                 tracker.sealed_through + 1, window + 1, reducer,
-            )
+            ).series(reducer)
             tracker.extend(series.windows, series.values, window)
 
     def pool_window_aggregate(
@@ -1059,9 +1200,9 @@ class _AggregateFront:
         cache_key = (pool_id, counter, datacenter_id, start, stop, reducer)
         series = self._agg_cache.get(cache_key)
         if series is None:
-            series = self._compute_window_aggregate(
+            series = self.window_partials(
                 pool_id, counter, datacenter_id, start, stop, reducer
-            )
+            ).series(reducer)
             # The memoized object is shared across callers; freeze its
             # arrays so an accidental in-place mutation raises instead
             # of silently poisoning the cache.
@@ -1148,16 +1289,17 @@ ShardedMetricStore` uses to keep one global id space across shards.
         #: not self-lock — but a writer holding :attr:`lock` across a
         #: mutation span and readers taking it per query observe the
         #: store only at the boundaries the writer chooses.
-        self._lock = threading.RLock()
+        self._lock = TurnLock()
 
     @property
-    def lock(self) -> "threading.RLock":
+    def lock(self) -> TurnLock:
         """Reentrant lock serializing a clock-loop writer and readers.
 
         The streaming loop holds it across each ingest→seal→evict
-        block span; :class:`~repro.telemetry.query_server.\
-LiveQuerySurface` takes it around every read, so a live reader only
-        ever sees sealed block boundaries, never a half-ingested block.
+        block span and hands it over to waiting readers between blocks;
+        :class:`~repro.telemetry.query_server.LiveQuerySurface` takes
+        it around every read, so a live reader only ever sees sealed
+        block boundaries, never a half-ingested block.
         """
         return self._lock
 
@@ -1453,25 +1595,21 @@ LiveQuerySurface` takes it around every read, so a live reader only
             np.concatenate(window_parts), np.concatenate(value_parts)
         )
 
-    def _compute_window_aggregate(
+    def window_partials(
         self,
         pool_id: str,
         counter: str,
-        datacenter_id: Optional[str],
-        start: Optional[int],
-        stop: Optional[int],
-        reducer: str,
-    ) -> TimeSeries:
-        """The uncached aggregate behind :meth:`pool_window_aggregate`
-        and :meth:`seal_through`: one gather, then a pair of
-        ``np.bincount`` calls over the window column."""
-        windows, _servers, values = self.gather_columns(
-            pool_id, counter, datacenter_id, start, stop
-        )
-        if windows.size == 0:
-            return TimeSeries(np.array([], dtype=int), np.array([], dtype=float))
-        return TimeSeries.from_sorted(
-            *window_aggregate_arrays(windows, values, reducer)
+        datacenter_id: Optional[str] = None,
+        start: Optional[int] = None,
+        stop: Optional[int] = None,
+        reducer: str = "mean",
+    ) -> WindowPartials:
+        """Per-window partials of the rows :meth:`gather_columns` reads,
+        for ``reducer`` (see :class:`WindowPartials`): what every
+        aggregate reduces, and all a shard sends the facade for one."""
+        return WindowPartials.of(
+            *self.gather_columns(pool_id, counter, datacenter_id, start, stop),
+            reducer,
         )
 
     def per_server_values(

@@ -36,10 +36,20 @@ little-endian)::
     u32 n_commands
     per command:
         3 x (u32 byte_len, utf-8 bytes)   pool, datacenter, counter
+        2 x u32 reference                  windows, server indices
         u64 n_rows
-        n_rows x i64 (LE)                  windows
-        n_rows x i64 (LE)                  server indices
+        n_rows x i64 (LE)                  windows, if its reference is 0
+        n_rows x i64 (LE)                  server indices, likewise
         n_rows x f64 (LE)                  values
+
+A key column (windows or server indices) crosses once per frame: the
+encoder numbers the key columns it writes, 1, 2, ... in frame order,
+and a command whose key column is the same array as one already
+written refers to it by that number instead of repeating it (the
+engine hands one key pair to several counters, and the sharded
+facade's partition keeps them shared).  Reference 0 means "the column
+follows"; a reference to a column not yet written, or of another
+length, is a malformed frame.
 
 Both ends of a connection must run the same tree — nothing is
 negotiated.  Frames are strictly sequential per connection (the
@@ -71,6 +81,7 @@ import numpy as np
 _HEADER = struct.Struct(">Q")
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
+_REFERENCES = struct.Struct(">II")
 
 #: Header frame kinds.
 FRAME_PICKLE = 0
@@ -106,8 +117,9 @@ _SENDV_COALESCE_BYTES = 1 << 16
 #: a big-endian host byte-swaps on the way out and in).
 _COLUMN_DTYPES = (np.dtype("<i8"), np.dtype("<i8"), np.dtype("<f8"))
 
-#: Bytes one row occupies across the three columns of a kind-1 frame.
-_ROW_BYTES = sum(dtype.itemsize for dtype in _COLUMN_DTYPES)
+#: The fixed fields of one kind-1 command: three empty texts, the two
+#: key references and the row count.
+_COMMAND_BYTES = 3 * _U32.size + _REFERENCES.size + _U64.size
 
 
 def parse_address(address: str) -> Tuple[str, int]:
@@ -337,7 +349,8 @@ def encode_binary_ingest(names, commands) -> List:
     out.  The buffers after the header are the payload
     :func:`decode_binary_ingest` takes, which is also how a
     :class:`~repro.telemetry.sharding.ShardJournal` keeps a spilled
-    batch.
+    batch.  A key column already written to this frame — the same array
+    object — is sent as its reference (module docstring).
     """
     fields = bytearray()
     buffers: List = [b""]  # header placeholder, filled in below
@@ -348,15 +361,27 @@ def encode_binary_ingest(names, commands) -> List:
     fields += _U32.pack(len(commands))
     buffers.append(fields)
     total = len(fields)
+    #: id() of each key column written -> its reference; the commands
+    #: hold the arrays, so no id is reused while this runs.
+    written: dict = {}
     for pool_id, datacenter_id, counter, *columns in commands:
         meta = bytearray()
         for text in (pool_id, datacenter_id, counter):
             encoded = text.encode("utf-8")
             meta += _U32.pack(len(encoded)) + encoded
+        references = []
+        for key in columns[:2]:
+            reference = written.get(id(key), 0)
+            if not reference:
+                written[id(key)] = len(written) + 1
+            references.append(reference)
+        meta += _REFERENCES.pack(*references)
         meta += _U64.pack(columns[0].size)
         buffers.append(meta)
         total += len(meta)
-        for array, dtype in zip(columns, _COLUMN_DTYPES):
+        for array, dtype, reference in zip(columns, _COLUMN_DTYPES, references + [0]):
+            if reference:
+                continue
             if not dtype.isnative:  # pragma: no cover - BE hosts
                 array = array.astype(dtype)
             data = memoryview(array).cast("B")
@@ -380,11 +405,12 @@ def decode_binary_ingest(payload: bytearray):
 
     Column arrays are writable ndarray views sharing the received
     buffer — one allocation per frame, no per-array copy (the store
-    takes ownership of them).  Every count and length the payload
-    claims is bounded by the bytes actually left *before* anything is
-    allocated or sliced, and every failure raises
-    :class:`ConnectionError`: the same not-speaking-the-protocol
-    verdict as a bad frame header.
+    takes ownership of them), and a referenced key column is the very
+    array it refers to.  Every count and length the payload claims is
+    bounded by the bytes actually left *before* anything is allocated
+    or sliced, every reference by the key columns already read, and
+    every failure raises :class:`ConnectionError`: the same
+    not-speaking-the-protocol verdict as a bad frame header.
     """
     view = memoryview(payload)
     try:
@@ -398,25 +424,45 @@ def decode_binary_ingest(payload: bytearray):
             names.append(name)
         (n_commands,) = _U32.unpack_from(view, offset)
         offset += _U32.size
-        if n_commands * (3 * _U32.size + _U64.size) > len(view) - offset:
+        if n_commands * _COMMAND_BYTES > len(view) - offset:
             raise ValueError(f"{n_commands} commands overrun the frame")
         commands = []
+        keys: List[np.ndarray] = []  # key columns read, by reference - 1
         for _ in range(n_commands):
             command = []
             for _field in range(3):
                 text, offset = _decode_text(view, offset)
                 command.append(text)
+            references = _REFERENCES.unpack_from(view, offset)
+            offset += _REFERENCES.size
             (n_rows,) = _U64.unpack_from(view, offset)
             offset += _U64.size
-            if n_rows * _ROW_BYTES > len(view) - offset:
-                raise ValueError(f"{n_rows} rows overrun the frame")
-            for dtype in _COLUMN_DTYPES:
+            for column, dtype in enumerate(_COLUMN_DTYPES):
+                reference = references[column] if column < 2 else 0
+                if reference:
+                    if reference > len(keys):
+                        raise ValueError(
+                            f"reference {reference} is to none of the "
+                            f"{len(keys)} key columns before it"
+                        )
+                    array = keys[reference - 1]
+                    if array.size != n_rows:
+                        raise ValueError(
+                            f"reference {reference} is to {array.size} "
+                            f"rows, not {n_rows}"
+                        )
+                    command.append(array)
+                    continue
+                if n_rows * dtype.itemsize > len(view) - offset:
+                    raise ValueError(f"{n_rows} rows overrun the frame")
                 array = np.frombuffer(view, dtype=dtype, count=n_rows,
                                       offset=offset)
                 if not dtype.isnative:  # pragma: no cover - BE hosts
                     array = array.astype(dtype.newbyteorder("="))
                 command.append(array)
                 offset += n_rows * dtype.itemsize
+                if column < 2:
+                    keys.append(array)
             commands.append(tuple(command))
         if offset != len(payload):
             raise ValueError("trailing bytes")

@@ -34,8 +34,10 @@ strictly FIFO; the wire encoding is the transport's business):
     and wakeup cost across many appends.  This is the one message that
     never crosses as pickle (see :mod:`repro.telemetry.transport`).
 ``("call", names, method, args, kwargs)``
-    Synchronous query RPC.  The serve loop answers only a ``method``
-    the served object declares — the read table plus
+    Query RPC: the client sends the frame, then reads its one reply
+    (the sharded facade sends every shard its frame before it reads
+    any reply).  The serve loop answers only a ``method`` the served
+    object declares — the read table plus
     :data:`SHARD_EXTRAS` for a shard session — resolving it on its
     store (plain attributes answer property reads, generators are
     materialised into lists so they can cross the connection), and
@@ -325,18 +327,31 @@ class ClientSession:
         except (EOFError, OSError) as error:
             raise self._connection_lost(error) from error
 
-    def round_trip(
+    def send_call(
         self, names: List[str], method: str, args: tuple, kwargs: dict
-    ) -> Tuple[str, Any]:
-        """Send one ``call`` frame and return the ``(kind, payload)``
-        reply; :func:`answer` turns it into a result or a raise."""
+    ) -> None:
+        """Send one ``call`` frame; :meth:`receive` reads its reply."""
         try:
             self.transport.send(
                 ("call", self._names_delta(names), method, args, kwargs)
             )
+        except (EOFError, OSError) as error:
+            raise self._connection_lost(error) from error
+
+    def receive(self) -> Tuple[str, Any]:
+        """The ``(kind, payload)`` reply to the oldest call sent;
+        :func:`answer` turns it into a result or a raise."""
+        try:
             return self.transport.recv()
         except (EOFError, OSError) as error:
             raise self._connection_lost(error) from error
+
+    def round_trip(
+        self, names: List[str], method: str, args: tuple, kwargs: dict
+    ) -> Tuple[str, Any]:
+        """:meth:`send_call`, then :meth:`receive`."""
+        self.send_call(names, method, args, kwargs)
+        return self.receive()
 
     def goodbye(self) -> None:
         """End the session: ``("stop",)``, tolerate a dead peer, close.
@@ -563,26 +578,61 @@ class TcpShardClient:
         )
 
     def call(self, method: str, *args: Any, **kwargs: Any) -> Any:
-        """Synchronous RPC: flush pending ingest, run ``store.method``.
+        """RPC: run ``store.method`` on the shard — :meth:`send_call`,
+        then :meth:`receive`.
+
+        Exceptions raised in the remote shard — deferred ingest errors
+        included — are re-raised here, for a mutating call only once
+        every live session has answered, so an ``err`` leaves no
+        session one call behind the others.  The result pays one pickle
+        round trip and is otherwise exactly what the local shard would
+        have returned.
+        """
+        return self.receive(self.send_call(method, args, kwargs))
+
+    def send_call(self, method: str, args: tuple, kwargs: dict) -> tuple:
+        """The send half of :meth:`call`: flush pending ingest, then
+        send the call frame; returns the ticket :meth:`receive` takes.
 
         The flush puts every buffered row on every live wire ahead of
         the call frame, so the answer is ordered after all prior ingest
-        whichever session gives it.  A read asks the first live session
-        and fails over to the next; a mutating call
-        (:data:`SHARD_EXTRAS`) goes to every live session, because they
-        must stay mirrors.  Exceptions raised in the remote shard —
-        deferred ingest errors included — are re-raised here, for a
-        mutating call only once every live session has been asked, so
-        an ``err`` leaves no session one call behind the others.  The
-        result pays one pickle round trip and is otherwise exactly what
-        the local shard would have returned.
+        whichever session gives it.  A read is sent to the first live
+        session; a mutating call (:data:`SHARD_EXTRAS`) to every live
+        session, because they must stay mirrors.  The sharded facade
+        sends every shard its frame before it receives any reply.
         """
         self.flush()
         names = self._interner.names
-        replies = self._each_live(
-            lambda session: session.round_trip(names, method, args, kwargs),
-            every=method in SHARD_EXTRAS,
-        )
+
+        def send(session: ClientSession) -> ClientSession:
+            session.send_call(names, method, args, kwargs)
+            return session
+
+        sessions = self._each_live(send, every=method in SHARD_EXTRAS)
+        return method, args, kwargs, sessions
+
+    def receive(self, ticket: tuple) -> Any:
+        """The receive half of :meth:`call`: every reply the ticket's
+        sessions owe, read in full before any ``err`` is raised.
+
+        A session that fails mid-flight is retired; if no session that
+        was asked answers, the shard is asked again through the usual
+        failover (the next live session, or every one for a mutating
+        call).
+        """
+        method, args, kwargs, sessions = ticket
+        replies = []
+        for session in sessions:
+            try:
+                replies.append(session.receive())
+            except ShardConnectionError as error:
+                self._retire(session, error)
+        if not replies:
+            names = self._interner.names
+            replies = self._each_live(
+                lambda session: session.round_trip(names, method, args, kwargs),
+                every=method in SHARD_EXTRAS,
+            )
         return [answer(reply) for reply in replies][0]
 
     def evict_windows(self, before: int) -> int:

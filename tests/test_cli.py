@@ -183,6 +183,20 @@ class TestSimulateExecution:
                          "--shard-addrs", "127.0.0.1:9400"]
         ) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--shards", "65"],
+            ["--shard-backend", "tcp",
+             "--shard-addrs", ",".join(["127.0.0.1:9"] * 65)],
+        ],
+    )
+    def test_more_than_64_shards_is_a_usage_error(self, flags, capsys):
+        """65 shards would split a server class: exit 2 before any dial,
+        with the limit named."""
+        assert main(self.BASE + flags) == 2
+        assert "at most 64 shards" in capsys.readouterr().err
+
     def test_tcp_backend_without_addrs_fails_cleanly(self):
         assert main(self.BASE + ["--shard-backend", "tcp"]) == 2
 

@@ -58,6 +58,7 @@ from repro.telemetry.workers import (
     ShardConnectionError,
     ShardServer,
     TcpShardClient,
+    serve_shard,
 )
 
 REDUCERS = ("mean", "sum", "max", "count")
@@ -87,6 +88,26 @@ def _fill_windows(store, start, stop, n_servers=16):
                         + window * 1.25 + offset * 10.0 + base
                     )
                     store.record_batch(pool, dc, counter, window, indices, values)
+    return store
+
+
+def _fill_shared(store, start, stop, n_servers=16):
+    """``_fill_windows``'s rows, handed over the engine's way: one
+    (windows, servers) pair per table for every counter, so the
+    facade's partition and each ingest frame share key columns."""
+    for pool in ("A", "B"):
+        for dc in ("dc1", "dc2"):
+            ids = [f"{dc}.{pool}.s{i:03d}" for i in range(n_servers)]
+            indices = store.intern_servers(ids)
+            base = float(ord(pool) * 7 + ord(dc[-1]))
+            windows = np.repeat(np.arange(start, stop, dtype=np.int64), n_servers)
+            servers = np.tile(indices, stop - start)
+            for offset, counter in enumerate(("cpu", "rps")):
+                values = (
+                    np.tile(np.arange(n_servers, dtype=np.float64) * 0.75, stop - start)
+                    + windows * 1.25 + offset * 10.0 + base
+                )
+                store.record_columns(pool, dc, counter, windows, servers, values)
     return store
 
 
@@ -229,6 +250,33 @@ class TestRestartRejoin:
                 assert [s.hot_sample_count() for s in store.shards] == hot
                 assert store.sample_count() > sum(hot)
                 _assert_twins(single, store, tmp_path, "rejoin-evicted")
+        finally:
+            store.close()
+            victim.stop()
+
+    def test_rejoin_replays_frames_with_shared_keys(self, tmp_path):
+        """A spilled journal batch is a kind-1 payload, references and
+        all: its replay hands the shard one key array per shared pair,
+        and the rejoined shard answers like a never-crashed twin."""
+        single = _fill_windows(MetricStore(), 0, 12)
+        victim = ShardServer("127.0.0.1:0").start()
+        store = ShardedMetricStore(
+            backend="tcp", shard_addrs=[victim.address, victim.address],
+            journal_rows=300, flush_rows=128, io_timeout=30,
+        )
+        try:
+            _fill_shared(store, 0, 12)
+            journal = store._journals[1]
+            assert journal.spilled_batches > 0
+            # One table's cpu and rps, decoded from the first spill.
+            (_m, cpu), (_m, rps) = list(journal.replay())[:2]
+            assert (cpu[2], rps[2]) == ("cpu", "rps")
+            assert cpu[3] is rps[3] and cpu[4] is rps[4]
+            victim.stop()
+            with ShardServer("127.0.0.1:0") as reborn:
+                for shard_id in (0, 1):
+                    store.rejoin_shard(shard_id, address=reborn.address)
+                _assert_twins(single, store, tmp_path, "rejoin-shared")
         finally:
             store.close()
             victim.stop()
@@ -841,3 +889,89 @@ class TestCliFaultSurface:
         finally:
             shard_server_processes.reap(primary)
             shard_server_processes.reap(replica)
+
+
+class _RefusesFirstPartials(ShardServer):
+    """The first session's store answers its first ``window_partials``
+    with an ``err``; every other session is an ordinary shard."""
+
+    def __init__(self) -> None:
+        super().__init__("127.0.0.1:0")
+        self._first = True
+
+    def _session_store(self):
+        if not self._first:
+            return None
+        self._first = False
+
+        class RefusingStore(MetricStore):
+            refused = False
+
+            def window_partials(self, *args, **kwargs):
+                if not self.refused:
+                    self.refused = True
+                    raise ValueError("refused once")
+                return super().window_partials(*args, **kwargs)
+
+        return RefusingStore()
+
+
+class _DiesMidRead(ShardServer):
+    """A primary whose sessions die on their first ``window_partials``:
+    after the call frame arrived, before any reply."""
+
+    def _serve_session(self, transport) -> None:
+        class DyingStore(MetricStore):
+            def window_partials(self, *args, **kwargs):
+                transport.close()
+                raise ConnectionError("died mid-read")
+
+        serve_shard(transport, store=DyingStore())
+
+
+class TestScatterGather:
+    """A read sends every shard its call before reading any reply; what
+    that could break is a session left holding a reply."""
+
+    def test_err_from_one_shard_leaves_every_session_in_step(self):
+        single = _fill_windows(MetricStore(), 0, 10)
+        with _RefusesFirstPartials() as server:
+            store = ShardedMetricStore(
+                backend="tcp", shard_addrs=[server.address] * 3, io_timeout=10
+            )
+            try:
+                _fill_windows(store, 0, 10)
+                with pytest.raises(ValueError, match="refused once"):
+                    store.pool_window_aggregate("A", "cpu", reducer="sum")
+                # The other shards' replies were read, so every later
+                # reply answers the call it belongs to.
+                assert store.sample_count() == single.sample_count()
+                for reducer in REDUCERS:
+                    a = single.pool_window_aggregate("A", "cpu", reducer=reducer)
+                    b = store.pool_window_aggregate("A", "cpu", reducer=reducer)
+                    assert a.windows.tolist() == b.windows.tolist()
+                    assert a.values.tobytes() == b.values.tobytes()
+                assert all(
+                    shard.live_addresses == (server.address,)
+                    for shard in store.shards
+                )
+            finally:
+                store.close()
+
+    def test_primary_dying_between_scatter_and_gather_fails_over(self, tmp_path):
+        single = _fill_windows(MetricStore(), 0, 10)
+        with _DiesMidRead("127.0.0.1:0") as primary, \
+                ShardServer("127.0.0.1:0") as replica:
+            store = ShardedMetricStore(
+                backend="tcp",
+                shard_addrs=[primary.address] * 2,
+                replica_addrs=[replica.address] * 2,
+                io_timeout=10,
+            )
+            try:
+                _fill_windows(store, 0, 10)
+                _assert_twins(single, store, tmp_path, "scatter-failover")
+                for shard in store.shards:
+                    assert shard.live_addresses == (replica.address,)
+            finally:
+                store.close()

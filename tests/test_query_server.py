@@ -230,6 +230,32 @@ class TestConcurrentHammer:
         assert len(final["windows"]) == self.HAMMER_WINDOWS
 
 
+class TestReaderHandoff:
+    """Between blocks the clock loop hands the lock to every reader
+    already waiting for it, so a live reader is never starved."""
+
+    def test_waiting_reader_reads_before_the_next_block(self):
+        sim = _simulator()
+        stream = StreamingSimulator(sim, track=TRACK)
+        surface = LiveQuerySurface(sim.store, streamer=stream)
+        seen = []
+        reader = threading.Thread(
+            target=lambda: seen.append(surface.status()["sealed_through"])
+        )
+
+        def start_reader():
+            # Runs under the lock, as block [40, 48) begins: the reader
+            # is left waiting for the whole block.
+            reader.start()
+            while sim.store.lock.waiting == 0:
+                time.sleep(0.001)
+
+        stream.schedule(40, start_reader)
+        stream.run(max_windows=WINDOWS)
+        reader.join()
+        assert seen == [47]
+
+
 class TestReadOnlySurface:
     """The surface has no mutators; the wire cannot perturb the store."""
 

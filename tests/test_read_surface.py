@@ -36,6 +36,7 @@ ARGS = {
     "hot_sample_count": (),
     "iter_tables": (),
     "gather_columns": ("A", "cpu"),
+    "window_partials": ("A", "cpu", None, 1, 5, "mean"),
     "pool_window_aggregate": ("A", "cpu", None, 1, 5, "sum"),
     "per_server_values": ("B", "rps", "dc1"),
     "server_series": ("A", "cpu", "dc1.A.s1"),

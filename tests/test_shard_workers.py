@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.telemetry.sharding import ShardedMetricStore
+from repro.telemetry.store import MetricStore
 
 
 def _fill(store, n_servers=6, n_windows=4):
@@ -159,6 +160,21 @@ class TestIngestProtocol:
             # must have been shipped at least once before any query.
             assert all(shard._pending_rows < 8 for shard in store.shards)
             assert store.sample_count() == 20
+
+    def test_scattered_read_sees_every_pending_row(self, shard_server):
+        """No frame has left any shard's buffer when the read is sent:
+        each shard flushes before its call frame, so the scattered read
+        still sees every row written before it."""
+        single = _fill(MetricStore())
+        with _tcp(shard_server, n_shards=3, flush_rows=1 << 30) as store:
+            _fill(store)
+            assert all(shard._pending for shard in store.shards)
+            for reducer in ("mean", "sum", "max", "count"):
+                a = single.pool_window_aggregate("P", "cpu", reducer=reducer)
+                b = store.pool_window_aggregate("P", "cpu", reducer=reducer)
+                assert a.windows.tolist() == b.windows.tolist()
+                assert a.values.tobytes() == b.values.tobytes()
+            assert not any(shard._pending for shard in store.shards)
 
     def test_facade_flush_is_explicit_barrier(self, shard_server):
         with _tcp(shard_server, flush_rows=10_000) as store:

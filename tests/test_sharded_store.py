@@ -64,10 +64,44 @@ class TestConstruction:
         assert sum(counts) == sharded.sample_count()
 
     def test_shard_routing_by_index(self, pair):
-        _single, sharded = pair
+        """Every row is on its server's ``shard_of`` shard and on no
+        other: the shards' rows add up to the single store's."""
+        single, sharded = pair
         for shard_id, shard in enumerate(sharded.shards):
             for _key, _w, servers, _v in shard.iter_tables():
-                assert np.all(servers % sharded.n_shards == shard_id)
+                owners = [sharded.shard_of(int(i)) for i in servers]
+                assert owners == [shard_id] * servers.size
+        assert sum(shard.sample_count() for shard in sharded.shards) == (
+            single.sample_count()
+        )
+
+
+class TestRouting:
+    """Rows go by server class, ``(index & 63) % n``: a class is whole
+    on one shard, so its partial sums merge without a float add."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_power_of_two_counts_route_by_index_modulo(self, n):
+        store = ShardedMetricStore(n_shards=n)
+        assert [store.shard_of(i) for i in range(1000)] == [
+            i % n for i in range(1000)
+        ]
+
+    def test_three_shards_own_22_21_21_classes(self):
+        store = ShardedMetricStore(n_shards=3)
+        owners = [store.shard_of(c) for c in range(64)]
+        assert [owners.count(k) for k in range(3)] == [22, 21, 21]
+        # A server's shard is its class's.
+        assert all(store.shard_of(i) == owners[i % 64] for i in range(500))
+
+    def test_more_than_64_shards_refused(self):
+        with pytest.raises(ValueError, match="<= 64"):
+            ShardedMetricStore(n_shards=65)
+        with pytest.raises(ValueError, match="<= 64"):
+            ShardedMetricStore(
+                backend="tcp", shard_addrs=["127.0.0.1:1"] * 65
+            )
+        ShardedMetricStore(n_shards=64).close()
 
 
 class TestQueryEquivalence:

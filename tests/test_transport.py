@@ -15,6 +15,7 @@ clear error on the client, never a hang.
 """
 
 import socket
+import struct
 import threading
 import time
 
@@ -453,9 +454,47 @@ def _commands(draw):
     )
 
 
-_frames = st.tuples(
-    st.lists(_text, max_size=5), st.lists(_commands(), max_size=6)
-)
+@st.composite
+def _sharing(draw):
+    """Commands that share key columns the way the engine hands them
+    over: one windows array, one server array (or a fresh one), and
+    a values column per counter."""
+    first = draw(_commands())
+    commands = [first]
+    for _ in range(draw(st.integers(0, 2))):
+        n_rows = first[3].size
+        servers = first[4] if draw(st.booleans()) else draw(
+            arrays(np.int64, n_rows)
+        )
+        commands.append((
+            draw(_text), draw(_text), draw(_text), first[3], servers,
+            draw(arrays(np.float64, n_rows, elements=st.floats(allow_nan=False))),
+        ))
+    return commands
+
+
+@st.composite
+def _frames(draw):
+    """A frame's names and commands, the sharing groups interleaved."""
+    groups = draw(st.lists(_sharing(), max_size=4))
+    commands = [command for group in groups for command in group]
+    return (
+        draw(st.lists(_text, max_size=5)),
+        draw(st.permutations(commands)),
+    )
+
+
+def _handmade(*commands) -> bytearray:
+    """A kind-1 payload spelled out field by field, no names: each
+    command is ``(n_rows, windows reference, servers reference)``, its
+    inline columns zeros."""
+    out = bytearray(struct.pack(">II", 0, len(commands)))
+    for n_rows, *references in commands:
+        for text in ("P", "dc", "c"):
+            out += struct.pack(">I", len(text)) + text.encode()
+        out += struct.pack(">IIQ", *references, n_rows)
+        out += bytes(8 * n_rows * (1 + references.count(0)))
+    return out
 
 
 def _assert_well_formed(message):
@@ -529,7 +568,7 @@ class TestBinaryFrames:
             client.close()
             server.close()
 
-    @given(frame=_frames)
+    @given(frame=_frames())
     @settings(max_examples=60, deadline=None)
     def test_encode_decode_is_the_identity(self, frame):
         """Arbitrary unicode names/keys, zero-row and many-command
@@ -545,9 +584,54 @@ class TestBinaryFrames:
             for a, b in zip(sent[3:], received[3:]):
                 assert a.dtype == b.dtype
                 np.testing.assert_array_equal(a, b)
+        # A key column shared on the way in is one array on the way out.
+        sent_keys = [key for command in commands for key in command[3:5]]
+        got_keys = [key for command in got_commands for key in command[3:5]]
+        for i, (a, got_a) in enumerate(zip(sent_keys, got_keys)):
+            for b, got_b in zip(sent_keys[i + 1:], got_keys[i + 1:]):
+                assert (a is b) == (got_a is got_b)
+
+    @given(frame=_frames())
+    @settings(max_examples=60, deadline=None)
+    def test_a_shared_key_column_crosses_once(self, frame):
+        names, commands = frame
+        copied = [
+            (*command[:3], command[3].copy(), command[4].copy(), command[5])
+            for command in commands
+        ]
+        keys = [key for command in commands for key in command[3:5]]
+        saved = sum(
+            8 * key.size for i, key in enumerate(keys)
+            if any(key is other for other in keys[:i])
+        )
+        assert len(_payload(names, copied)) - len(_payload(names, commands)) == saved
+
+    def test_references_resolve_to_the_column_they_name(self):
+        _tag, _names, commands = decode_binary_ingest(
+            _handmade((3, 0, 0), (3, 1, 2), (3, 0, 1))
+        )
+        assert commands[1][3] is commands[0][3]
+        assert commands[1][4] is commands[0][4]
+        assert commands[2][4] is commands[0][3]
+        assert commands[2][3] is not commands[0][3]
+
+    @pytest.mark.parametrize(
+        "commands, problem",
+        [
+            # Key 2 is the next command's windows: written after.
+            (((3, 0, 2), (3, 0, 0)), "reference 2 is to none of the 1"),
+            (((3, 0, 0), (3, 7, 1)), "reference 7 is to none of the 2"),
+            (((3, 1, 0),), "reference 1 is to none of the 0"),
+            (((3, 0, 0), (2, 1, 0)), "reference 1 is to 3 rows, not 2"),
+        ],
+        ids=["forward", "dangling", "self", "wrong-length"],
+    )
+    def test_bad_reference_is_a_connection_error(self, commands, problem):
+        with pytest.raises(ConnectionError, match=problem):
+            decode_binary_ingest(_handmade(*commands))
 
     @given(
-        frame=_frames,
+        frame=_frames(),
         damage=st.one_of(
             st.tuples(st.just("truncate"), st.integers(0, 2**16)),
             st.tuples(st.just("flip"), st.integers(0, 2**16),
