@@ -94,8 +94,9 @@ class StreamingSimulator:
         whose sessions share one read-only
         :class:`~repro.telemetry.query_server.LiveQuerySurface` over
         ``sim.store``.  The clock loop holds the store's lock across
-        every whole block, so readers observe only sealed block
-        boundaries — a live answer for any window ``w <=
+        every whole block and hands it to waiting readers between
+        blocks, so readers observe only sealed block boundaries and
+        are never starved — a live answer for any window ``w <=
         sealed_through`` is bit-identical to a finished batch twin.
         The server outlives :meth:`run` (so a finished run stays
         queryable); call :meth:`close` to stop it.

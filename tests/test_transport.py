@@ -630,6 +630,37 @@ class TestBinaryFrames:
         with pytest.raises(ConnectionError, match=problem):
             decode_binary_ingest(_handmade(*commands))
 
+    @given(st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 6), st.integers(0, 6)),
+        max_size=5,
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_exactly_the_resolvable_references_decode(self, commands):
+        """Any reference — forward, dangling, to another length — is
+        refused, and every other one resolves to the column it names."""
+        lengths = []  # rows of each key column written so far
+        valid = True
+        for n_rows, *references in commands:
+            for reference in references:
+                if reference == 0:
+                    lengths.append(n_rows)
+                elif reference > len(lengths) or lengths[reference - 1] != n_rows:
+                    valid = False
+        try:
+            _tag, _names, decoded = decode_binary_ingest(_handmade(*commands))
+        except ConnectionError:
+            assert not valid
+            return
+        assert valid
+        keys = []
+        for (n_rows, *references), command in zip(commands, decoded):
+            for reference, column in zip(references, command[3:5]):
+                assert column.size == n_rows
+                if reference:
+                    assert column is keys[reference - 1]
+                else:
+                    keys.append(column)
+
     @given(
         frame=_frames(),
         damage=st.one_of(
