@@ -4,14 +4,12 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-stream test-faults test-server test-archive test-store bench-e2e bench-e2e-smoke docs-check hygiene-check lint run-checks check
+.PHONY: test test-stream test-faults test-server test-archive test-store bench-e2e bench-e2e-smoke lint
 
-# The static gates run first so doc drift, tracked build artifacts, or
-# a lint invariant violation fail tier-1 locally, before the (slower)
-# pytest pass starts.  `run-checks` wraps docs-check, hygiene-check and
-# lint with uniform PASS/FAIL reporting; each also remains an
-# individual target.
-test: run-checks
+# The static gate runs first so doc drift, tracked build artifacts, an
+# area over its line budget or a lint invariant violation fail tier-1
+# locally, before the (slower) pytest pass starts.
+test: lint
 	$(PYTHON) -m pytest -x -q
 
 # The streaming suite on its own: streaming-vs-batch bit-identity
@@ -55,25 +53,10 @@ bench-e2e:
 bench-e2e-smoke:
 	python3 benchmarks/e2e/run.py --smoke
 
-# Fails when README/docs drift from the actual CLI flags (both
-# directions: stale flags mentioned, new flags undocumented).
-docs-check:
-	$(PYTHON) tools/docs_check.py
-
-# Fails when build artifacts (__pycache__, *.pyc, .pytest_cache,
-# *.egg-info) are tracked by git.
-hygiene-check:
-	$(PYTHON) tools/hygiene_check.py
-
-# AST-based invariant checks over src/repro: determinism (no hidden
-# entropy or wall-clock reads), lock discipline (single-owner seam),
-# rpc-surface (string dispatch resolves; query surface stays
-# read-only).  See docs/LINTING.md; `--json` gives machine-readable findings.
+# The one static gate (tools/repro_lint): AST invariants over src/repro
+# (determinism, lock discipline, rpc-surface), README/docs drift from
+# the live CLI, tracked files that .gitignore ignores, and per-area
+# line budgets.  See docs/LINTING.md; `--json` gives machine-readable
+# findings.
 lint:
 	$(PYTHON) tools/repro_lint
-
-# All three checkers behind one entry point with uniform PASS/FAIL.
-run-checks:
-	$(PYTHON) tools/run_checks.py
-
-check: run-checks test

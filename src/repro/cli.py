@@ -26,7 +26,7 @@ from repro.cluster.builders import PAPER_DATACENTERS, build_paper_fleet
 from repro.cluster.service import service_catalog
 from repro.cluster.simulation import DEFAULT_COUNTERS, SimulationConfig, Simulator
 from repro.telemetry.sharding import BACKENDS, ShardedMetricStore
-from repro.telemetry.store import CLASSES, REDUCERS, MetricStore
+from repro.telemetry.store import REDUCERS, MetricStore
 from repro.telemetry.workers import ShardServer
 from repro.core.availability import study_fleet_availability
 from repro.core.metric_validation import MetricValidator
@@ -74,55 +74,26 @@ def _pool_letters(text: str) -> Optional[List[str]]:
     return letters
 
 
-def _check_distributed_flags(args: argparse.Namespace):
-    """Validate the tcp/addrs flag combination before any work starts.
+def _distributed_flags(args: argparse.Namespace):
+    """Split the address lists and check ``--inject-fault``.
 
     Returns ``(shard_addrs, replica_addrs, fault_spec)`` (each ``None``
-    when not used) or raises ``ValueError`` with a usage-style message
-    — the flag mistakes below must fail in argument validation, not as
-    a late crash deep in fleet build or store construction.
+    when not used) or raises ``ValueError``.  The shard topology — tcp
+    and addresses go together, replicas align with shards, every
+    address parses, at most 64 shards — is ``ShardedMetricStore``'s to
+    check, which it does before it dials anything.
     """
     shard_addrs = (
         [addr.strip() for addr in args.shard_addrs.split(",") if addr.strip()]
         if args.shard_addrs is not None
         else None
     )
-    if shard_addrs is not None and args.shard_backend != "tcp":
-        raise ValueError("--shard-addrs requires --shard-backend tcp")
-    if args.shard_backend == "tcp":
-        if not shard_addrs:
-            raise ValueError(
-                "--shard-backend tcp requires --shard-addrs "
-                "(comma-separated host:port list, one per shard)"
-            )
-        from repro.telemetry.transport import parse_address
-
-        for address in shard_addrs:
-            parse_address(address)  # ValueError names the bad input
-    replica_addrs = None
-    if args.replica_addrs is not None:
-        if args.shard_backend != "tcp":
-            raise ValueError("--replica-addrs requires --shard-backend tcp")
-        # Keep empty entries: "a,,b" replicates shards 0 and 2 only.
-        replica_addrs = [
-            addr.strip() or None for addr in args.replica_addrs.split(",")
-        ]
-        if len(replica_addrs) != len(shard_addrs):
-            raise ValueError(
-                f"--replica-addrs must list one address per shard "
-                f"(got {len(replica_addrs)}, have {len(shard_addrs)} "
-                f"shards); leave an entry empty to skip a shard"
-            )
-        from repro.telemetry.transport import parse_address
-
-        for address in replica_addrs:
-            if address is not None:
-                parse_address(address)
-    n_shards = len(shard_addrs) if shard_addrs else args.shards
-    if n_shards > CLASSES:
-        raise ValueError(
-            f"at most {CLASSES} shards (one per server class); got {n_shards}"
-        )
+    # Keep empty entries: "a,,b" replicates shards 0 and 2 only.
+    replica_addrs = (
+        [addr.strip() or None for addr in args.replica_addrs.split(",")]
+        if args.replica_addrs is not None
+        else None
+    )
     fault_spec = None
     if args.inject_fault is not None:
         if args.shard_backend != "tcp":
@@ -215,7 +186,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     import time
 
     try:
-        shard_addrs, replica_addrs, fault_spec = _check_distributed_flags(args)
+        shard_addrs, replica_addrs, fault_spec = _distributed_flags(args)
         _check_stream_flags(args)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -233,7 +204,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         else int(round(args.days * 720))
     )
     try:
-        if args.shards > 1 or args.shard_backend is not None:
+        # A lone --shard-addrs or --replica-addrs goes to the store too,
+        # which refuses it rather than letting it be ignored.
+        if args.shards > 1 or any(
+            flag is not None
+            for flag in (args.shard_backend, shard_addrs, replica_addrs)
+        ):
             store = ShardedMetricStore(
                 n_shards=args.shards,
                 backend=args.shard_backend,

@@ -562,8 +562,8 @@ class ShardedMetricStore(_RecordVerbs, _AggregateFront):
                 )
         if n_shards > CLASSES:
             raise ValueError(
-                f"n_shards must be <= {CLASSES}, the number of server "
-                f"classes a shard owns whole; got {n_shards}"
+                f"at most {CLASSES} shards (n_shards <= {CLASSES}, the "
+                f"server classes a shard owns whole); got {n_shards}"
             )
         self._backend = backend
         self._interner = ServerInterner()

@@ -208,3 +208,37 @@ def shard_server():
 
     with ShardServer("127.0.0.1:0") as server:
         yield server
+
+
+@pytest.fixture(scope="session")
+def engine():
+    """The repro-lint engine (``tools/repro_lint/engine.py``), loaded by
+    path; it puts its own directory on sys.path, so the rule modules
+    resolve however the engine itself was loaded."""
+    import importlib.util
+
+    path = REPO_ROOT / "tools" / "repro_lint" / "engine.py"
+    spec = importlib.util.spec_from_file_location("repro_lint_engine", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclass processing resolves string annotations through
+    # sys.modules[cls.__module__], so register before executing.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture()
+def tree(tmp_path):
+    """A scratch git work tree holding a copy of what the lint rules
+    read — src/repro, README.md, docs/, .gitignore and the one file
+    outside them that README links to — ready to be mutated."""
+    import shutil
+
+    root = tmp_path / "tree"
+    shutil.copytree(REPO_ROOT / "src" / "repro", root / "src" / "repro")
+    shutil.copytree(REPO_ROOT / "docs", root / "docs")
+    for rel in ("README.md", ".gitignore", "benchmarks/e2e/README.md"):
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(REPO_ROOT / rel, root / rel)
+    subprocess.run(["git", "init", "-q", str(root)], check=True)
+    return root

@@ -6,7 +6,6 @@ distributed path: ``repro shard-server`` hosting remote shards that
 ``simulate --shard-backend tcp`` writes through.
 """
 
-import importlib.util
 from pathlib import Path
 
 import pytest
@@ -15,14 +14,6 @@ from repro.cli import build_parser, main
 from repro.telemetry.sharding import BACKENDS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-
-
-def _load_docs_check():
-    path = Path(__file__).resolve().parent.parent / "tools" / "docs_check.py"
-    spec = importlib.util.spec_from_file_location("docs_check", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 class TestSimulateParsing:
@@ -388,115 +379,170 @@ class TestUnreadableArchive:
 
 
 class TestDocsCheck:
-    """The docs-check tool: README and the CLI must agree."""
+    """The ``docs-drift`` lint rule: README/docs and the CLI must agree.
 
-    def test_repo_readme_passes(self):
-        docs_check = _load_docs_check()
-        assert docs_check.check() == []
+    Each canary edits the docs of a scratch copy of the tree and runs
+    the rule over it, as ``python tools/repro_lint --root COPY`` would.
+    """
 
-    def test_detects_unknown_flag(self, tmp_path):
-        docs_check = _load_docs_check()
-        bad = tmp_path / "README.md"
-        bad.write_text(
-            "```bash\npython -m repro simulate --warp-speed 9\n```\n"
-            + "".join(
-                f"`{flag}` "
-                for flag in sorted(docs_check.cli_options()["simulate"])
-            )
+    @staticmethod
+    def _drift(engine, root):
+        found, _ = engine.run(root, only=["docs-drift"])
+        return [f"{f.path}:{f.line}: {f.message}" for f in found]
+
+    @staticmethod
+    def _append(root, rel, text):
+        path = root / rel
+        path.write_text(path.read_text() + text)
+
+    def test_repo_readme_passes(self, engine):
+        assert self._drift(engine, REPO_ROOT) == []
+
+    def test_detects_unknown_flag(self, engine, tree):
+        self._append(
+            tree, "README.md",
+            "```bash\npython -m repro simulate --warp-speed 9\n```\n",
         )
-        errors = docs_check.check(bad)
+        errors = self._drift(engine, tree)
         assert any("--warp-speed" in error for error in errors)
 
-    def test_detects_undocumented_simulate_flag(self, tmp_path):
-        docs_check = _load_docs_check()
-        bare = tmp_path / "README.md"
-        bare.write_text("no flags documented at all\n")
-        errors = docs_check.check(bare)
+    def test_detects_undocumented_simulate_flag(self, engine, tree):
+        (tree / "README.md").write_text("no flags documented at all\n")
+        errors = self._drift(engine, tree)
         assert any("--shards" in error for error in errors)
         assert any("--block-windows" in error for error in errors)
         assert any("--shard-backend" in error for error in errors)
 
-    def test_detects_stale_inline_flag_mention(self, tmp_path):
+    def test_detects_stale_inline_flag_mention(self, engine, tree):
         """The reverse drift direction: prose naming a removed flag."""
-        docs_check = _load_docs_check()
-        bad = tmp_path / "README.md"
-        bad.write_text(
-            "Pass `--warp-speed` to go faster.\n"
-            + "".join(
-                f"`{flag}` "
-                for flag in sorted(docs_check.cli_options()["simulate"])
-            )
-        )
-        errors = docs_check.check(bad)
+        self._append(tree, "README.md", "Pass `--warp-speed` to go faster.\n")
+        errors = self._drift(engine, tree)
         assert any(
             "--warp-speed" in error and "mentions" in error for error in errors
         )
 
-    def test_fenced_code_of_any_language_is_not_flag_checked(self, tmp_path):
+    def test_fenced_code_of_any_language_is_not_flag_checked(
+        self, engine, tree
+    ):
         """Flags inside non-bash fences (e.g. python) are not prose."""
-        docs_check = _load_docs_check()
-        ok = tmp_path / "README.md"
-        ok.write_text(
-            "```python\n# pass ``--not-a-real-flag`` here\nx = 1\n```\n"
-            + "".join(
-                f"`{flag}` "
-                for flag in sorted(docs_check.cli_options()["simulate"])
-            )
+        self._append(
+            tree, "README.md",
+            "```python\n# pass ``--not-a-real-flag`` here\nx = 1\n```\n",
         )
-        assert docs_check.check(ok) == []
+        assert self._drift(engine, tree) == []
 
-    def test_non_cli_tool_flags_are_allowlisted(self, tmp_path):
-        docs_check = _load_docs_check()
-        ok = tmp_path / "README.md"
-        ok.write_text(
-            "Run the benchmark with `--smoke`, the linter with `--json`.\n"
-            + "".join(
-                f"`{flag}` "
-                for flag in sorted(docs_check.cli_options()["simulate"])
-            )
+    def test_non_cli_tool_flags_are_allowlisted(self, engine, tree):
+        self._append(
+            tree, "README.md",
+            "Run the benchmark with `--smoke`, the linter with `--json`.\n",
         )
-        assert docs_check.check(ok) == []
+        assert self._drift(engine, tree) == []
 
-    def test_undocumented_command_detected(self):
+    def test_undocumented_command_detected(self, engine, tree):
         """Direction 4: a CLI command no doc mentions is drift."""
-        docs_check = _load_docs_check()
-        commands = docs_check.cli_options()
-        assert "shard-server" in commands
-        errors = docs_check.undocumented_commands(
-            commands, "only `simulate`, `plan`, `validate`, `availability`"
+        assert not any(
+            "is not mentioned in" in error
+            for error in self._drift(engine, tree)
         )
-        assert any("shard-server" in error for error in errors)
-        everything = " ".join(commands)
-        assert docs_check.undocumented_commands(commands, everything) == []
+        for path in [tree / "README.md", *(tree / "docs").glob("*.md")]:
+            path.write_text(path.read_text().replace("shard-server", "server"))
+        errors = self._drift(engine, tree)
+        assert any(
+            "'shard-server' is not mentioned in README.md or any docs"
+            in error for error in errors
+        )
 
-    def test_distributed_doc_must_cover_shard_server_surface(self, tmp_path):
+    def test_distributed_doc_must_cover_shard_server_surface(
+        self, engine, tree
+    ):
         """Direction 5: DISTRIBUTED.md owns the shard-server docs, so a
         copy that drops the command or any of its live parser flags
         (or the distributed simulate flags) fails the check."""
-        docs_check = _load_docs_check()
-        readme = tmp_path / "README.md"
-        readme.write_text(
-            "".join(
-                f"`{flag}` "
-                for flag in sorted(docs_check.cli_options()["simulate"])
-            )
+        (tree / "docs" / "DISTRIBUTED.md").write_text(
+            "all about distributed ingest, naming nothing\n"
         )
-        bare = tmp_path / "DISTRIBUTED.md"
-        bare.write_text("all about distributed ingest, naming nothing\n")
-        errors = docs_check.check(readme, doc_paths=[readme, bare])
+        errors = self._drift(engine, tree)
         assert any(
             "shard-server" in error and "command" in error for error in errors
         )
         for flag in ("--listen", "--max-sessions", "--shard-addrs"):
             assert any(flag in error for error in errors), flag
 
-    def test_repo_distributed_doc_covers_all_server_flags(self):
+    def test_repo_distributed_doc_covers_all_server_flags(self, engine):
         """The real docs/DISTRIBUTED.md satisfies its coverage contract
         against the live parser (so a new shard-server flag cannot land
         without a docs update)."""
-        docs_check = _load_docs_check()
+        import rule_docs_drift  # on sys.path once the engine is loaded
+
         text = (REPO_ROOT / "docs" / "DISTRIBUTED.md").read_text()
-        for flag in sorted(docs_check.cli_options()["shard-server"]):
+        flags = rule_docs_drift.cli_options(REPO_ROOT)["shard-server"]
+        for flag in sorted(flags):
             if flag in ("-h", "--help"):
                 continue
             assert flag in text, f"docs/DISTRIBUTED.md misses {flag}"
+
+
+class TestStreamAndQueryPaths:
+    """The streamed ``simulate`` run and the one-shot aggregate
+    ``query`` at the surface, flags and printed output included."""
+
+    FLEET = ["--servers", "3", "--datacenters", "1", "--pools", "B",
+             "--seed", "5", "--block-windows", "64"]
+
+    def test_retaining_stream_writes_the_batch_archive(self, tmp_path, capsys):
+        streamed, batch = tmp_path / "streamed.csv", tmp_path / "batch.csv"
+        assert main(
+            ["simulate", str(streamed), "--stream", "--max-windows", "300",
+             "--retain-windows", "64"] + self.FLEET
+        ) == 0
+        assert "retention kept" in capsys.readouterr().err
+        assert main(
+            ["simulate", str(batch), "--windows", "300"] + self.FLEET
+        ) == 0
+        assert streamed.read_bytes() == batch.read_bytes()
+
+    def test_injected_regression_raises_one_alert(self, capsys):
+        """The alarm fleet of tests/test_streaming.py, through the CLI."""
+        assert main([
+            "simulate", "--stream", "--max-windows", "720",
+            "--servers", "8", "--datacenters", "1", "--pools", "B",
+            "--seed", "42", "--block-windows", "16",
+            "--retain-windows", "512",
+            "--alarm-pool", "B", "--inject-regression", "480",
+        ]) == 0
+        alerts = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("ALERT")
+        ]
+        assert len(alerts) == 1
+        assert ": pool B at window" in alerts[0]
+
+    def test_query_prints_the_last_windows_at_repr_precision(self, capsys):
+        import numpy as np
+
+        from repro.telemetry.query_server import (
+            LiveQuerySurface,
+            QueryClient,
+            QueryServer,
+        )
+        from repro.telemetry.store import MetricStore
+
+        store = MetricStore()
+        rng = np.random.default_rng(11)
+        for dc in ("DC1", "DC2"):
+            indices = store.intern_servers([f"{dc}-s{i}" for i in range(3)])
+            for window in range(8):
+                store.record_batch("B", dc, "C", window, indices, rng.random(3))
+        expected = store.pool_window_aggregate(
+            "B", "C", datacenter_id="DC1", reducer="max"
+        )
+        with QueryServer(LiveQuerySurface(store)) as server:
+            assert main([
+                "query", server.address, "--pool", "B", "--counter", "C",
+                "--dc", "DC1", "--reducer", "max", "--last", "3",
+            ]) == 0
+        printed = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert printed == [
+            [str(int(window)), repr(float(value))]
+            for window, value in zip(expected.windows[-3:], expected.values[-3:])
+        ]

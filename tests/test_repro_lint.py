@@ -1,49 +1,22 @@
 """repro-lint: each pass fires, suppressions work, and the tree is clean.
 
-The canary tests mutate a *copy* of ``src/repro`` textually and assert
-the relevant rule produces a named finding — proof that the gate would
-catch the same drift landing in the real tree.  The clean-tree test is
-the other half: zero findings on the repo as committed.
+The canary tests mutate a *copy* of the tree (the ``tree`` fixture: a
+git work tree holding src/repro, README.md and docs/) textually and
+assert the relevant rule produces a named finding — proof that the gate
+would catch the same drift landing in the real tree.  The docs-drift
+canaries live beside the CLI they hold the docs to, in
+``tests/test_cli.py``.  The clean-tree test is the other half: zero
+findings on the repo as committed.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import shutil
-import sys
+import subprocess
 from pathlib import Path
 
-import pytest
-
 REPO_ROOT = Path(__file__).resolve().parent.parent
-LINT_DIR = REPO_ROOT / "tools" / "repro_lint"
-
-
-def _load(module_name: str, path: Path):
-    spec = importlib.util.spec_from_file_location(module_name, path)
-    module = importlib.util.module_from_spec(spec)
-    # dataclass processing resolves string annotations through
-    # sys.modules[cls.__module__], so register before executing.
-    sys.modules[module_name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(scope="module")
-def engine():
-    # engine.py puts its own directory on sys.path, so the rule modules
-    # resolve regardless of how the engine itself was loaded.
-    return _load("repro_lint_engine_under_test", LINT_DIR / "engine.py")
-
-
-@pytest.fixture()
-def tree(tmp_path):
-    """A scratch copy of src/repro, ready to be mutated."""
-    root = tmp_path / "tree"
-    (root / "src").mkdir(parents=True)
-    shutil.copytree(REPO_ROOT / "src" / "repro", root / "src" / "repro")
-    return root
 
 
 def _findings(engine, root, rule=None):
@@ -371,12 +344,99 @@ class TestCliSurface:
         capsys.readouterr()
         assert code == 0  # the determinism canary is out of scope
 
-    def test_run_checks_wraps_lint(self, capsys):
-        run_checks = _load(
-            "run_checks_under_test", REPO_ROOT / "tools" / "run_checks.py"
+    def test_every_gate_reports_through_the_engine(self, engine, capsys):
+        """Docs drift, hygiene and line budgets are engine rules: one
+        exit code and one clean line for all of them."""
+        code = engine.main(
+            ["--only", "docs-drift", "--only", "hygiene",
+             "--only", "line-budget"]
         )
-        code = run_checks.main(["--only", "lint", "--only", "hygiene"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "[PASS] repro-lint" in out
-        assert "[PASS] hygiene-check" in out
+        assert "clean" in out
+        assert "(rules: docs-drift, hygiene, line-budget)" in out
+
+    def test_list_rules_names_all_six(self, engine, capsys):
+        assert engine.main(["--list-rules"]) == 0
+        assert capsys.readouterr().out.split() == [
+            "determinism", "lock-discipline", "rpc-surface",
+            "docs-drift", "hygiene", "line-budget",
+        ]
+
+    def test_docs_finding_names_a_markdown_line(self, engine, tree, capsys):
+        readme = tree / "README.md"
+        lines = readme.read_text().splitlines()
+        readme.write_text("\n".join(lines + ["Pass `--warp-speed`."]) + "\n")
+        code = engine.main(["--root", str(tree), "--only", "docs-drift"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert (
+            f"README.md:{len(lines) + 1}: [docs-drift] mentions --warp-speed"
+            in err
+        )
+
+
+class TestDocsDriftRegistry:
+    def test_undocumented_rule_fires(self, engine, tree):
+        """Direction 6 reads the registry: a rule LINTING.md stops
+        naming is a finding."""
+        linting = tree / "docs" / "LINTING.md"
+        linting.write_text(linting.read_text().replace("line-budget", "budget"))
+        found = _findings(engine, tree, "docs-drift")
+        assert [(f.path, f.message) for f in found] == [
+            ("docs/LINTING.md", "does not document lint rule 'line-budget'")
+        ]
+
+
+def _git(root, *args):
+    subprocess.run(["git", *args], cwd=root, check=True, capture_output=True)
+
+
+class TestHygiene:
+    def test_force_added_ignored_files_fire(self, engine, tree):
+        """The listing is git's: anything .gitignore matches that is
+        tracked anyway, whatever kind of artifact it is."""
+        for rel in (".hypothesis/examples/a", "benchmarks/e2e/.work/run.json",
+                    "src/repro/__pycache__/cli.cpython-311.pyc"):
+            (tree / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tree / rel).write_text("artifact\n")
+            _git(tree, "add", "-f", rel)
+        _git(tree, "add", "README.md")  # tracked, not ignored: no finding
+        found = _findings(engine, tree, "hygiene")
+        assert sorted(f.path for f in found) == [
+            ".hypothesis/examples/a", "benchmarks/e2e/.work/run.json",
+            "src/repro/__pycache__/cli.cpython-311.pyc",
+        ]
+        assert all("git rm --cached" in f.message for f in found)
+
+    def test_not_a_work_tree_is_a_finding(self, engine, tree):
+        shutil.rmtree(tree / ".git")
+        (found,) = _findings(engine, tree, "hygiene")
+        assert "cannot list tracked files" in found.message
+
+
+class TestLineBudget:
+    def test_repo_areas_are_within_budget(self, engine):
+        import rule_line_budget as rule  # on sys.path once the engine is
+
+        assert rule.BUDGETS["src/repro/telemetry/*.py"] == 5020
+        assert rule.BUDGETS["README.md docs/*.md"] <= 1487
+        assert rule.BUDGETS["tools/**/*.py"] <= 1500
+        assert _findings(engine, REPO_ROOT, "line-budget") == []
+
+    def test_growing_telemetry_past_its_budget_fires(self, engine, tree):
+        import rule_line_budget as rule
+
+        area = "src/repro/telemetry/*.py"
+        count = sum(
+            len(path.read_text().splitlines()) for path in tree.glob(area)
+        )
+        store = tree / "src" / "repro" / "telemetry" / "store.py"
+        extra = rule.BUDGETS[area] - count + 1
+        store.write_text(store.read_text() + "#\n" * extra)
+        (found,) = _findings(engine, tree, "line-budget")
+        assert found.path == area
+        assert found.message == (
+            f"{area} holds {rule.BUDGETS[area] + 1} lines, over its budget "
+            f"of {rule.BUDGETS[area]}"
+        )

@@ -1,9 +1,10 @@
 """Shared AST helpers for the repro-lint rule passes.
 
 Rule modules (``rule_*.py``) depend only on this module and the
-standard library, never on the engine — the engine imports *them*, so
-the dependency graph stays a straight line (astutil <- rules <-
-engine) and each rule is importable on its own in tests.
+standard library — the engine imports *them*, so the dependency graph
+stays a straight line (astutil <- rules <- engine) and each rule is
+importable on its own in tests.  The one exception is ``docs-drift``,
+which reads the engine's registry when it runs, not when imported.
 """
 
 from __future__ import annotations

@@ -1,17 +1,21 @@
 """repro-lint engine: rule registry, file walk, suppressions, output.
 
-The engine parses every ``src/repro/**/*.py`` file once, hands the
-parsed-file map to each registered rule pass, and post-processes the
-findings against ``# repro-lint: disable=<rule>`` suppression comments
-(same-line; comma-separate to silence several rules).  A suppression
-that silences nothing is itself a finding (``unused-suppression``), so
-stale opt-outs cannot accumulate.
+The repo's one static gate.  The engine parses every
+``src/repro/**/*.py`` file once and hands the parsed-file map and the
+repository root to each registered rule pass; the AST passes read the
+map, the docs, hygiene and line-budget passes read the root.  Findings
+are post-processed against ``# repro-lint: disable=<rule>`` suppression
+comments (same-line; comma-separate to silence several rules), which
+only python sources can carry.  A suppression that silences nothing is
+itself a finding (``unused-suppression``), so stale opt-outs cannot
+accumulate.
 
-Exit codes match the other checkers (``docs_check``/``hygiene_check``):
-0 clean, 1 findings, and findings go to stderr one per line.  Pass
-``--json`` for a machine-readable report on stdout, ``--only RULE``
-(repeatable) to run a subset, ``--root DIR`` to lint a different tree
-(the test suite lints mutated copies this way).
+Exit codes: 0 clean, 1 findings, and findings go to stderr one per line
+as ``path:line: [rule] message`` (the path may name any file of the
+tree, ``README.md:12`` included).  Pass ``--json`` for a
+machine-readable report on stdout, ``--only RULE`` (repeatable) to run a
+subset, ``--root DIR`` to lint a different tree (the test suite lints
+mutated copies this way).
 
 Run via ``make lint`` (part of ``make test``) or directly:
 ``python tools/repro_lint [--json]``.
@@ -39,12 +43,15 @@ REPO_ROOT = _HERE.parent.parent
 
 #: The rule registry: module name -> imported lazily by
 #: :func:`load_rules`.  A new pass is one module with a ``RULE_NAME``
-#: string and a ``run(files) -> [(rel_path, line, message), ...]``
+#: string and a ``run(files, root) -> [(rel_path, line, message), ...]``
 #: function, plus one entry here.
 RULE_MODULES = (
     "rule_determinism",
     "rule_lock_discipline",
     "rule_rpc_surface",
+    "rule_docs_drift",
+    "rule_hygiene",
+    "rule_line_budget",
 )
 
 _SUPPRESS = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_, -]+)")
@@ -134,7 +141,7 @@ def run(
         rules = {name: fn for name, fn in rules.items() if name in only}
 
     for name, fn in rules.items():
-        for rel, line, message in fn(files):
+        for rel, line, message in fn(files, root):
             findings.append(Finding(rel, line, name, message))
 
     suppressions = _suppression_map(files)
@@ -166,8 +173,8 @@ def run(
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
-        description="AST-based invariant checks for src/repro "
-        "(determinism, lock discipline, RPC surface).",
+        description="The repo's static gate: AST invariants over "
+        "src/repro, docs drift, tracked artifacts, line budgets.",
     )
     parser.add_argument(
         "--root",
@@ -199,12 +206,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     findings, n_files = run(args.root, only=args.only)
+    rules = list(load_rules()) if args.only is None else args.only
 
     if args.json:
         report = {
             "root": str(args.root),
             "files": n_files,
-            "rules": list(load_rules()) if args.only is None else args.only,
+            "rules": rules,
             "clean": not findings,
             "findings": [dataclasses.asdict(f) for f in findings],
         }
@@ -217,8 +225,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"repro-lint: {len(findings)} finding(s)", file=sys.stderr)
         return 1
     print(
-        f"repro-lint: {n_files} files clean under src/repro "
-        f"(rules: {', '.join(load_rules())})"
+        f"repro-lint: clean, {n_files} files under src/repro "
+        f"(rules: {', '.join(rules)})"
     )
     return 0
 

@@ -27,6 +27,7 @@ pacing never feed results.
 from __future__ import annotations
 
 import ast
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from astutil import SourceFile
@@ -180,7 +181,9 @@ def _check_file(src: SourceFile, out: List[Tuple[str, int, str]]) -> None:
             )
 
 
-def run(files: Dict[str, SourceFile]) -> List[Tuple[str, int, str]]:
+def run(
+    files: Dict[str, SourceFile], root: Path
+) -> List[Tuple[str, int, str]]:
     findings: List[Tuple[str, int, str]] = []
     for src in files.values():
         _check_file(src, findings)

@@ -1,0 +1,34 @@
+"""line-budget: each area of the tree stays within its line budget.
+
+``BUDGETS`` is literal data: area (space-separated globs under the
+root) -> the most lines its files may hold together.  Raising a budget
+means editing it here, and the change's CHANGES.md entry names the
+bench row the growth wins (docs/LINTING.md).
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+from typing import List, Tuple
+
+RULE_NAME = "line-budget"
+
+BUDGETS = {
+    "src/repro/telemetry/*.py": 5020,
+    "tools/**/*.py": 1474,
+    "README.md docs/*.md": 1486,
+}
+
+
+def run(files: dict, root: Path) -> List[Tuple[str, int, str]]:
+    out = []
+    for area, budget in BUDGETS.items():
+        count = sum(
+            len(path.read_text().splitlines())
+            for pattern in area.split()
+            for path in root.glob(pattern)
+        )
+        if count > budget:
+            out.append((area, 1, f"{area} holds {count} lines, over its "
+                        f"budget of {budget}"))
+    return out

@@ -20,6 +20,7 @@ shape:
 from __future__ import annotations
 
 import ast
+from pathlib import Path
 from typing import Dict, List, Tuple
 
 from astutil import SourceFile, method_defs
@@ -105,7 +106,9 @@ def _check_surface_class(
             ))
 
 
-def run(files: Dict[str, SourceFile]) -> List[Tuple[str, int, str]]:
+def run(
+    files: Dict[str, SourceFile], root: Path
+) -> List[Tuple[str, int, str]]:
     findings: List[Tuple[str, int, str]] = []
     for src in files.values():
         for node in src.tree.body:

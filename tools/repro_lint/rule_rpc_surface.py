@@ -33,6 +33,7 @@ few extras a served object declares — ``workers.SHARD_EXTRAS``,
 from __future__ import annotations
 
 import ast
+from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from astutil import (
@@ -190,7 +191,7 @@ def _call_proxies(files: Dict[str, SourceFile]) -> Findings:
     return out
 
 
-def run(files: Dict[str, SourceFile]) -> Findings:
+def run(files: Dict[str, SourceFile], root: Path) -> Findings:
     out = _pickle_imports(files) + _call_proxies(files)
     store_src = files.get(STORE)
     if store_src is None:
