@@ -52,12 +52,25 @@ _positive_int = _int_at_least(1)
 _nonnegative_int = _int_at_least(0)
 
 
-def _nonnegative_days(text: str) -> float:
-    """argparse type for ``--days``: a finite number >= 0."""
-    value = float(text)
-    if not 0 <= value < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
-    return value
+def _finite_float(positive: bool):
+    """argparse type for a finite float flag, > 0 if ``positive`` else
+    >= 0 (``nan`` and ``inf`` are refused: clean error, exit 2)."""
+    bound = "> 0" if positive else ">= 0"
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not (0 < value if positive else 0 <= value) or value == float("inf"):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {bound}, got {text}"
+            )
+        return value
+
+    parse.__name__ = "float"  # argparse: "invalid float value: 'x'"
+    return parse
+
+
+_nonnegative_float = _finite_float(positive=False)
+_positive_float = _finite_float(positive=True)
 
 
 def _pool_letters(text: str) -> Optional[List[str]]:
@@ -511,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="archive path (.csv or .csv.gz); omit to only print throughput "
              "(large-fleet benchmarking runs)",
     )
-    simulate.add_argument("--days", type=_nonnegative_days, default=2.0)
+    simulate.add_argument("--days", type=_nonnegative_float, default=2.0)
     simulate.add_argument(
         "--windows", type=_nonnegative_int, default=None,
         help="simulate exactly N windows (overrides --days; 720 windows = 1 day)",
@@ -565,12 +578,12 @@ def build_parser() -> argparse.ArgumentParser:
              "(--shard-backend tcp only)",
     )
     simulate.add_argument(
-        "--connect-timeout", type=float, default=5.0, metavar="SECONDS",
+        "--connect-timeout", type=_nonnegative_float, default=5.0, metavar="SECONDS",
         help="how long each tcp shard connection retries a refused dial "
              "before failing (--shard-backend tcp only)",
     )
     simulate.add_argument(
-        "--io-timeout", type=float, default=60.0, metavar="SECONDS",
+        "--io-timeout", type=_nonnegative_float, default=60.0, metavar="SECONDS",
         help="per-operation socket timeout for tcp shards: a send or "
              "recv stuck this long fails with a clear per-shard error "
              "instead of hanging on a hung-but-alive server (0 = no "
@@ -684,15 +697,15 @@ def build_parser() -> argparse.ArgumentParser:
              "status line) every --interval seconds",
     )
     query.add_argument(
-        "--interval", type=float, default=1.0, metavar="SECONDS",
+        "--interval", type=_positive_float, default=1.0, metavar="SECONDS",
         help="watch-mode poll interval",
     )
     query.add_argument(
-        "--connect-timeout", type=float, default=5.0, metavar="SECONDS",
+        "--connect-timeout", type=_nonnegative_float, default=5.0, metavar="SECONDS",
         help="how long to retry a refused dial before failing",
     )
     query.add_argument(
-        "--io-timeout", type=float, default=60.0, metavar="SECONDS",
+        "--io-timeout", type=_nonnegative_float, default=60.0, metavar="SECONDS",
         help="per-operation socket timeout: a query stuck this long "
              "fails with a clear error instead of hanging on a "
              "hung-but-alive server (0 = no timeout)",

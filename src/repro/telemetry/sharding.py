@@ -80,7 +80,7 @@ from __future__ import annotations
 import inspect
 import threading
 from functools import lru_cache
-from itertools import chain, groupby
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -88,8 +88,6 @@ import numpy as np
 from repro.telemetry.transport import (
     DEFAULT_CONNECT_TIMEOUT,
     DEFAULT_IO_TIMEOUT,
-    decode_binary_ingest,
-    encode_binary_ingest,
     parse_address,
 )
 from repro.telemetry.workers import DEFAULT_FLUSH_ROWS, TcpShardClient
@@ -98,7 +96,6 @@ from repro.telemetry.store import (
     READ_SURFACE,
     MetricStore,
     ServerInterner,
-    SpillArchive,
     TurnLock,
     WindowPartials,
     _COLUMN_DTYPES,
@@ -133,96 +130,6 @@ def _window_server_order(windows: np.ndarray, servers: np.ndarray) -> np.ndarray
 #: read, which is what lets the facade treat "where does this shard
 #: live" as a construction detail.
 Shard = Union[MetricStore, TcpShardClient]
-
-
-class ShardJournal:
-    """Replayable log of one shard's ingest commands, spillable to disk.
-
-    The raw material of :meth:`ShardedMetricStore.rejoin_shard`: every
-    ingest command the facade dispatches to a shard is also appended
-    here, so a restarted shard server can be replayed back to the
-    exact pre-crash store state (commands re-run in the original
-    order produce bit-identical tables).
-
-    Memory is bounded: commands are journaled *by reference* (stores
-    never mutate ingested columns, so no copy is needed), and once
-    ``memory_rows`` rows are buffered the batch leaves the buffer and
-    the references are dropped.  Its ``record_columns`` commands go to
-    a :class:`~repro.telemetry.store.SpillArchive` as the payload the
-    wire already carries them in (one kind-1 ingest frame body per run
-    of consecutive commands, no names — see
-    :func:`~repro.telemetry.transport.encode_binary_ingest`),
-    remembered as ``(offset, nbytes)``; a command without columns
-    (``evict_windows`` and its cutoff) is a few bytes and stays in the
-    entry list, in position.  Steady-state memory is one batch plus
-    one small entry per spill or eviction, however long the run.
-    ``replay`` decodes spilled runs back by offset first, then the
-    still-buffered tail, in exact append order; it holds no position
-    in the log, so an abandoned replay leaves nothing behind.
-
-    Single-owner, like the facade's ingest path; not thread-safe.
-    """
-
-    def __init__(self, memory_rows: int) -> None:
-        if memory_rows < 1:
-            raise ValueError("memory_rows must be >= 1")
-        self._memory_rows = memory_rows
-        self._commands: List[Tuple[str, tuple]] = []
-        self._rows = 0
-        self._log: Optional[SpillArchive] = None
-        #: What left the buffer, in order: ``(None, (offset, nbytes))``
-        #: for a spilled run, ``(method, args)`` for a kept command.
-        self._entries: List[Tuple[Optional[str], tuple]] = []
-        #: How many batches left the buffer (observable spill
-        #: behaviour, asserted by the fault-tolerance tests).
-        self.spilled_batches = 0
-
-    def append(self, method: str, args: tuple, n_rows: int) -> None:
-        self._commands.append((method, args))
-        self._rows += n_rows
-        if self._rows < self._memory_rows:
-            return
-        if self._log is None:
-            self._log = SpillArchive()
-        entries: List[Tuple[Optional[str], tuple]] = []
-        for has_columns, run in groupby(
-            self._commands, key=lambda command: command[0] == "record_columns"
-        ):
-            if has_columns:
-                # The frame without its header: what the decoder takes.
-                batches = [columns for _method, columns in run]
-                payload = encode_binary_ingest([], batches)[1:]
-                nbytes = sum(len(buffer) for buffer in payload)
-                entries.append((None, (self._log.append(payload), nbytes)))
-            else:
-                entries.extend(run)
-        # Only now, every write done, does the batch change hands.
-        self._entries += entries
-        self._commands = []
-        self._rows = 0
-        self.spilled_batches += 1
-
-    def replay(self) -> Iterator[Tuple[str, tuple]]:
-        """Yield every journaled ``(method, args)`` in append order."""
-        for method, args in self._entries:
-            if method is None:
-                _tag, _names, commands = decode_binary_ingest(
-                    self._log.read(*args)
-                )
-                for command in commands:
-                    yield "record_columns", command
-            else:
-                yield method, args
-        yield from list(self._commands)
-
-    def close(self) -> None:
-        """Drop the buffer and delete the spill file; idempotent."""
-        if self._log is not None:
-            self._log.close()
-            self._log = None
-        self._entries = []
-        self._commands = []
-        self._rows = 0
 
 
 def _shard_member_addresses(
@@ -500,13 +407,13 @@ class ShardedMetricStore(_RecordVerbs, _AggregateFront):
         every live session has been sent the same frames, so failover
         is invisible in every answer and export.  The run only fails
         when a shard's *last* session dies.
-    journal_rows:
-        TCP backend only: enable the per-shard ingest journal that
-        :meth:`rejoin_shard` replays into a restarted shard server,
-        keeping at most this many rows buffered in memory per shard
-        before spilling the batch to an anonymous temp file.  ``None``
-        (default) disables journaling — and with it ``rejoin_shard``
-        — at zero cost.
+    journal:
+        TCP backend only: each shard's client journals the frames and
+        cutoffs it sends to an anonymous temp file
+        (:class:`~repro.telemetry.workers.ShardJournal`), which
+        :meth:`rejoin_shard` replays into a restarted shard server.
+        ``False`` (default) disables journaling — and with it
+        ``rejoin_shard`` — at zero cost.
 
     A store with remote shards owns connections, so treat it like a
     file: use the context-manager form or call :meth:`close` when
@@ -523,7 +430,7 @@ class ShardedMetricStore(_RecordVerbs, _AggregateFront):
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
         io_timeout: Optional[float] = DEFAULT_IO_TIMEOUT,
         replica_addrs: Optional[Sequence] = None,
-        journal_rows: Optional[int] = None,
+        journal: bool = False,
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
@@ -545,8 +452,6 @@ class ShardedMetricStore(_RecordVerbs, _AggregateFront):
             # get a stop message.
             shard_addresses = _shard_member_addresses(shard_addrs, replica_addrs)
             n_shards = len(shard_addresses)
-            if journal_rows is not None and journal_rows < 1:
-                raise ValueError("journal_rows must be >= 1 (or None)")
         else:
             if shard_addrs is not None:
                 raise ValueError(
@@ -556,10 +461,8 @@ class ShardedMetricStore(_RecordVerbs, _AggregateFront):
                 raise ValueError(
                     "replica_addrs is only meaningful with backend='tcp'"
                 )
-            if journal_rows is not None:
-                raise ValueError(
-                    "journal_rows is only meaningful with backend='tcp'"
-                )
+            if journal:
+                raise ValueError("journal is only meaningful with backend='tcp'")
         if n_shards > CLASSES:
             raise ValueError(
                 f"at most {CLASSES} shards (n_shards <= {CLASSES}, the "
@@ -571,11 +474,7 @@ class ShardedMetricStore(_RecordVerbs, _AggregateFront):
             flush_rows=flush_rows,
             connect_timeout=connect_timeout,
             io_timeout=io_timeout,
-        )
-        self._journals: Optional[List[ShardJournal]] = (
-            [ShardJournal(journal_rows) for _ in range(n_shards)]
-            if backend == "tcp" and journal_rows is not None
-            else None
+            journal=journal,
         )
         self._shards: List[Shard]
         if backend == "tcp":
@@ -672,20 +571,18 @@ LiveQuerySurface` takes it around every read.
         The recovery path for the tcp backend: after shard
         ``shard_id``'s server died (its queries raise the per-shard
         connection error) and was restarted — on the same address or,
-        with ``address``, somewhere new — this drops the dead session,
-        dials a fresh one, sends the ``resync`` RPC (the serve loop
-        swaps in an empty store and receives the *full* interner name
-        table), and replays every journaled ingest command in original
-        order.  The rejoined shard's store is then **bit-identical**
-        to the pre-crash one: same commands, same order, same tables —
-        every query and export answers as if the crash never happened.
+        with ``address``, somewhere new — this dials a fresh client and
+        hands it to :meth:`TcpShardClient.rejoin`, which resyncs it,
+        replays the shard's journal and takes over its sessions.  The
+        rejoined shard's store is then **bit-identical** to the
+        pre-crash one: every query and export answers as if the crash
+        never happened.
 
-        Requires ``journal_rows`` (journaling) to have been enabled at
-        construction; raises ``RuntimeError`` otherwise.  For a
-        replicated shard every session is re-dialled and re-seeded.
-        On any failure the half-built client is closed and the old
-        (dead) handle stays in place, so ``rejoin_shard`` can simply
-        be retried.
+        Requires ``journal=True`` at construction; raises
+        ``RuntimeError`` otherwise.  For a replicated shard every
+        session is re-dialled and re-seeded.  On any failure the shard
+        keeps its handle, journal and buffered rows, so
+        ``rejoin_shard`` can simply be retried.
         """
         self._ensure_open()
         if self._backend != "tcp":
@@ -695,34 +592,16 @@ LiveQuerySurface` takes it around every read.
                 f"shard_id {shard_id} out of range "
                 f"(store has {len(self._shards)} shards)"
             )
-        if self._journals is None:
+        if not self._tcp_kwargs["journal"]:
             raise RuntimeError(
                 "rejoin_shard requires the ingest journal — construct "
-                "the store with journal_rows=N"
+                "the store with journal=True"
             )
-        old = self._shards[shard_id]
-        addresses = (
-            (address,) if address is not None else tuple(old.addresses)
-        )
+        shard = self._shards[shard_id]
+        addresses = (address,) if address is not None else shard.addresses
         for member in addresses:
             parse_address(member)
-        try:
-            old.close()
-        except Exception:  # pragma: no cover - dead peer teardown
-            pass
-        client = self._dial_shard(shard_id, addresses)
-        try:
-            client.resync()
-            for method, args in self._journals[shard_id].replay():
-                getattr(client, method)(*args)
-            client.flush()
-        except BaseException:
-            try:
-                client.close()
-            except Exception:  # pragma: no cover - best effort
-                pass
-            raise
-        self._shards[shard_id] = client
+        shard.rejoin(self._dial_shard(shard_id, addresses))
         self._agg_cache.clear()
 
     def close(self) -> None:
@@ -748,9 +627,6 @@ LiveQuerySurface` takes it around every read.
         if self._backend == "tcp":
             for shard in self._shards:
                 shard.close()
-        if self._journals is not None:
-            for journal in self._journals:
-                journal.close()
 
     def __enter__(self) -> "ShardedMetricStore":
         return self
@@ -848,13 +724,6 @@ LiveQuerySurface` takes it around every read.
                 )
                 for shard_id, rows, shard_windows, shard_indices in cached[2]
             ]
-        if self._journals is not None:
-            # Journal before dispatch: rows being sent to a shard that
-            # dies mid-dispatch must still be replayable.
-            for shard_id, args in parts:
-                self._journals[shard_id].append(
-                    "record_columns", args, int(args[5].size)
-                )
         for shard_id, args in parts:
             self._shards[shard_id].record_columns(*args)
         if self._agg_cache:
@@ -873,17 +742,14 @@ LiveQuerySurface` takes it around every read.
 
         Same contract as :meth:`MetricStore.evict_windows`, fanned out
         to all shards (each shard owns its servers' rows, so the union
-        of shard evictions is exactly the unsharded eviction).  The
-        command is journaled like ingest, so a rejoined shard replays
-        its eviction history and reproduces the same hot/spill split.
-        Returns the total rows evicted across shards.
+        of shard evictions is exactly the unsharded eviction).  A tcp
+        shard's client journals the cutoff like ingest, so a rejoined
+        shard replays its eviction history and reproduces the same
+        hot/spill split.  Returns the total rows evicted across shards.
         """
         self._ensure_open()
         if before <= self._evicted_before:
             return 0
-        if self._journals is not None:
-            for journal in self._journals:
-                journal.append("evict_windows", (before,), 0)
         evicted = 0
         for shard in self._shards:
             evicted += int(shard.evict_windows(before) or 0)

@@ -308,8 +308,8 @@ class SpillArchive:
 
     What this process wrote and may want back but need not keep in
     memory: the cold chunks of rolling retention
-    (:meth:`MetricStore.evict_windows`) and the spilled batches of a
-    :class:`~repro.telemetry.sharding.ShardJournal`.  The log knows
+    (:meth:`MetricStore.evict_windows`) and the frames of a
+    :class:`~repro.telemetry.workers.ShardJournal`.  The log knows
     bytes and nothing else: :meth:`append` writes buffers back to back
     at the end and returns where they start, :meth:`read_into` scatters
     a byte range back into the caller's buffers (:meth:`read` into a

@@ -348,8 +348,8 @@ def encode_binary_ingest(names, commands) -> List:
     through as memoryviews, so large arrays are never copied on the way
     out.  The buffers after the header are the payload
     :func:`decode_binary_ingest` takes, which is also how a
-    :class:`~repro.telemetry.sharding.ShardJournal` keeps a spilled
-    batch.  A key column already written to this frame — the same array
+    :class:`~repro.telemetry.workers.ShardJournal` keeps a flushed
+    frame.  A key column already written to this frame — the same array
     object — is sent as its reference (module docstring).
     """
     fields = bytearray()

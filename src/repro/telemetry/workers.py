@@ -53,10 +53,9 @@ One method name is reserved: ``resync`` makes the serve loop drop this
 session's store and start over from the client's authoritative state —
 the *full* interner name table rides the resync call's names field
 (not a delta), and the client follows up with ordinary ingest frames
-replaying its journal.  This is the rejoin path for a restarted shard
-server: the rebuilt session reconverges to the exact pre-crash store
-state (see
-:meth:`~repro.telemetry.sharding.ShardedMetricStore.rejoin_shard`).
+replaying its :class:`ShardJournal`.  This is the rejoin path for a
+restarted shard server: the rebuilt session reconverges to the exact
+pre-crash store state (see :meth:`TcpShardClient.rejoin`).
 
 **Replication** is a property of the one client, not a second class:
 a :class:`TcpShardClient` owns a list of sessions, one per configured
@@ -108,6 +107,7 @@ from repro.telemetry.store import (
     READ_SURFACE,
     MetricStore,
     ServerInterner,
+    SpillArchive,
     _check_columns,
     forward_reads,
 )
@@ -115,6 +115,8 @@ from repro.telemetry.transport import (
     DEFAULT_CONNECT_TIMEOUT,
     DEFAULT_IO_TIMEOUT,
     TcpTransport,
+    decode_binary_ingest,
+    encode_binary_ingest,
     format_address,
     parse_address,
 )
@@ -384,6 +386,53 @@ def answer(reply: Tuple[str, Any]) -> Any:
     return payload
 
 
+class ShardJournal:
+    """The ordered frames and cutoffs one shard was sent, on disk.
+
+    :meth:`append` writes one flushed command list to a
+    :class:`~repro.telemetry.store.SpillArchive` as the body of one
+    kind-1 ingest frame without names
+    (:func:`~repro.telemetry.transport.encode_binary_ingest`) and keeps
+    its ``(offset, nbytes)``; :meth:`cutoff` keeps an ``evict_windows``
+    cutoff in position.  Memory is one small entry per frame or cutoff,
+    and what a failed append wrote is overwritten by the next.
+    :meth:`replay` yields ``("record_columns", args)`` and
+    ``("evict_windows", (before,))`` in append order, holding no
+    position in the log.  Single-owner; not thread-safe.
+    """
+
+    def __init__(self) -> None:
+        self._log: Optional[SpillArchive] = None
+        #: ``(offset, nbytes)`` of a frame body, or a cutoff's ``before``.
+        self._entries: List[Union[Tuple[int, int], int]] = []
+
+    def append(self, commands: List[tuple]) -> None:
+        if self._log is None:
+            self._log = SpillArchive()
+        payload = encode_binary_ingest([], commands)[1:]
+        nbytes = sum(len(buffer) for buffer in payload)
+        self._entries.append((self._log.append(payload), nbytes))
+
+    def cutoff(self, before: int) -> None:
+        self._entries.append(before)
+
+    def replay(self) -> Iterator[Tuple[str, tuple]]:
+        for entry in self._entries:
+            if isinstance(entry, int):
+                yield "evict_windows", (entry,)
+            else:
+                _tag, _names, commands = decode_binary_ingest(self._log.read(*entry))
+                for command in commands:
+                    yield "record_columns", command
+
+    def close(self) -> None:
+        """Delete the log; idempotent."""
+        if self._log is not None:
+            self._log.close()
+            self._log = None
+        self._entries = []
+
+
 @forward_reads("call")
 class TcpShardClient:
     """Client-side proxy to one shard: a ``MetricStore`` on a
@@ -413,12 +462,16 @@ class TcpShardClient:
     happened at every address, its ``__cause__`` the last transport
     error.
 
+    With ``journal`` the client records in a :class:`ShardJournal` every
+    frame it flushes (once, however many sessions it goes to) and every
+    eviction cutoff: what :meth:`rejoin` replays into restarted servers.
+
     What replication cannot save: rows still buffered here when the
-    *caller* dies; and a retired session is gone for good — re-attach a
-    replacement via the facade's ``rejoin_shard``, which needs the
-    journal.  Not thread-safe for ingest and queries: one owner (the
-    facade) talks to one shard.  :meth:`close` is idempotent, fork-safe
-    and may race a retirement on another thread.
+    *caller* dies; and a retired session is gone for good — re-attach
+    replacements with :meth:`rejoin`, which needs the journal.  Not
+    thread-safe for ingest and queries: one owner (the facade) talks to
+    one shard.  :meth:`close` is idempotent, fork-safe and may race a
+    retirement on another thread.
     """
 
     def __init__(
@@ -429,6 +482,7 @@ class TcpShardClient:
         flush_rows: int = DEFAULT_FLUSH_ROWS,
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
         io_timeout: Optional[float] = DEFAULT_IO_TIMEOUT,
+        journal: bool = False,
     ) -> None:
         if flush_rows < 1:
             raise ValueError("flush_rows must be >= 1")
@@ -443,6 +497,7 @@ class TcpShardClient:
         #: Buffered ``record_columns`` argument tuples, oldest first.
         self._pending: List[tuple] = []
         self._pending_rows = 0
+        self._journal = ShardJournal() if journal else None
         self._closed = False
         # Guards the session list and the closed flag: a retirement
         # runs on whichever thread saw the failure while close() may
@@ -517,7 +572,8 @@ class TcpShardClient:
         The closed flag is a lock-guarded test-and-set, so of any
         number of concurrent callers exactly one runs the teardown
         (:meth:`ClientSession.goodbye`) and late ones wait for it.
-        Rows still buffered are dropped — archive before closing.
+        Rows still buffered and the journal are dropped — archive
+        before closing.
         """
         with self._lock:
             if self._closed:
@@ -528,6 +584,8 @@ class TcpShardClient:
             for session in self._sessions:
                 session.goodbye()
             self._sessions.clear()
+            if self._journal is not None:
+                self._journal.close()
 
     def _each_live(self, step, every: bool) -> list:
         """Run ``step(session)`` down the live list; return the results.
@@ -564,12 +622,16 @@ class TcpShardClient:
         writes.  Frames are encoded and sent on the caller's thread:
         ``sendall`` under ``io_timeout`` is the backpressure against a
         slow shard, and a dead or timed-out last session surfaces here
-        as a :class:`ShardConnectionError` — never a hang.
+        as a :class:`ShardConnectionError` — never a hang.  The journal
+        is written first: a failed write leaves the buffer and sends
+        nothing, and a sent frame is always replayable.
         """
         if self._closed:
             raise RuntimeError("TcpShardClient is closed")
         if not self._pending:
             return
+        if self._journal is not None:
+            self._journal.append(self._pending)
         pending, self._pending = self._pending, []
         self._pending_rows = 0
         names = self._interner.names
@@ -638,10 +700,13 @@ class TcpShardClient:
     def evict_windows(self, before: int) -> int:
         """Evict windows below ``before`` on the remote store(s).
 
-        Rides the ordered command stream like ingest (``call`` flushes
-        buffered rows first), so eviction observes every previously
-        ingested row.
+        Rides the ordered command stream like ingest: buffered rows are
+        flushed first, so eviction observes every previously ingested
+        row, and the journal holds the cutoff between the same frames.
         """
+        self.flush()
+        if self._journal is not None:
+            self._journal.cutoff(before)
         return self.call("evict_windows", before)
 
     def resync(self) -> None:
@@ -649,15 +714,51 @@ class TcpShardClient:
 
         Zeroes every session's names counter so the *full* name table —
         not a delta — rides the reserved ``resync`` call, and each
-        serve loop swaps in a fresh store for its session.  The caller
-        (:meth:`~repro.telemetry.sharding.ShardedMetricStore.\
-rejoin_shard`) then replays its journal as ordinary ingest, after
-        which the rejoined shard's store is bit-identical to the one
-        that crashed.
+        serve loop swaps in a fresh store for its session.
         """
         for session in self._live():
             session.names_sent = 0
         self.call("resync")
+
+    def rejoin(self, fresh: "TcpShardClient") -> None:
+        """Rebuild this shard on ``fresh``, a client just dialled to
+        restarted servers (same interner, ``journal=True``).
+
+        ``fresh`` is resynced, the journal is replayed through its
+        ordinary ingest path — same rows, same order, so its stores are
+        bit-identical to the ones that died — and flushed; then this
+        client takes over its sessions, addresses and journal (which
+        holds exactly the frames they were sent) and retires its own.
+        Rows still buffered here follow at the next flush.  If the
+        replay fails, ``fresh`` alone is closed, so a rejoin can be
+        retried.
+        """
+        if self._journal is None:
+            fresh.close()
+            raise RuntimeError(
+                "rejoin needs the ingest journal — construct the client "
+                "with journal=True"
+            )
+        try:
+            fresh.resync()
+            for method, args in self._journal.replay():
+                if method == "evict_windows":
+                    fresh.evict_windows(*args)
+                else:
+                    fresh.record_columns(*args)
+            fresh.flush()
+        except BaseException:
+            fresh.close()
+            raise
+        with self._lock, fresh._lock:
+            retired, self._sessions = self._sessions, fresh._sessions
+            fresh._sessions = []
+            self._journal, fresh._journal = fresh._journal, self._journal
+            self._addresses = fresh._addresses
+            self._failures = []
+        for session in retired:
+            session.goodbye()
+        fresh.close()
 
     # ------------------------------------------------------------------
     # Ingest (buffered, fire-and-forget)

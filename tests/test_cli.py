@@ -318,6 +318,44 @@ class TestQueryCliValidation:
         assert err.startswith("error:")
         assert str(port) in err
 
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["query", "127.0.0.1:9400"],
+    ], ids=["simulate", "query"])
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--io-timeout", "nan", "must be finite and >= 0, got nan"),
+        ("--io-timeout", "inf", "must be finite and >= 0, got inf"),
+        ("--io-timeout", "-1", "must be finite and >= 0, got -1"),
+        ("--connect-timeout", "-1", "must be finite and >= 0, got -1"),
+        ("--connect-timeout", "nan", "must be finite and >= 0, got nan"),
+    ])
+    def test_timeout_mistakes_are_usage_errors(
+        self, command, flag, value, named, capsys
+    ):
+        """Once a ``ValueError`` traceback from the socket layer
+        (rc 1); now one ``error:`` line naming the flag, exit 2."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + [flag, value])
+        assert excinfo.value.code == 2
+        assert f"error: argument {flag}: {named}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, named", [
+        ("-1", "must be finite and > 0, got -1"),
+        ("nan", "must be finite and > 0, got nan"),
+        ("0", "must be finite and > 0, got 0"),
+    ])
+    def test_interval_mistakes_are_usage_errors(self, value, named, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["query", "127.0.0.1:9400", "--watch", "--interval", value])
+        assert excinfo.value.code == 2
+        assert f"error: argument --interval: {named}" in capsys.readouterr().err
+
+    def test_zero_timeouts_still_parse(self):
+        args = build_parser().parse_args(
+            ["query", "127.0.0.1:9400", "--io-timeout", "0",
+             "--connect-timeout", "0"]
+        )
+        assert (args.io_timeout, args.connect_timeout) == (0.0, 0.0)
+
 
 _ARCHIVE_HEADER = "window,server_id,pool_id,datacenter_id,counter,value\r\n"
 
@@ -517,14 +555,14 @@ class TestStreamAndQueryPaths:
         assert len(alerts) == 1
         assert ": pool B at window" in alerts[0]
 
-    def test_query_prints_the_last_windows_at_repr_precision(self, capsys):
+    QUERY = ["--pool", "B", "--counter", "C", "--dc", "DC1",
+             "--reducer", "max", "--last", "3"]
+
+    @staticmethod
+    def _finished_store():
+        """A store of 8 windows, and the last 3 lines QUERY must print."""
         import numpy as np
 
-        from repro.telemetry.query_server import (
-            LiveQuerySurface,
-            QueryClient,
-            QueryServer,
-        )
         from repro.telemetry.store import MetricStore
 
         store = MetricStore()
@@ -536,13 +574,43 @@ class TestStreamAndQueryPaths:
         expected = store.pool_window_aggregate(
             "B", "C", datacenter_id="DC1", reducer="max"
         )
-        with QueryServer(LiveQuerySurface(store)) as server:
-            assert main([
-                "query", server.address, "--pool", "B", "--counter", "C",
-                "--dc", "DC1", "--reducer", "max", "--last", "3",
-            ]) == 0
-        printed = [line.split() for line in capsys.readouterr().out.splitlines()]
-        assert printed == [
+        return store, [
             [str(int(window)), repr(float(value))]
             for window, value in zip(expected.windows[-3:], expected.values[-3:])
         ]
+
+    def test_query_prints_the_last_windows_at_repr_precision(self, capsys):
+        from repro.telemetry.query_server import LiveQuerySurface, QueryServer
+
+        store, expected = self._finished_store()
+        with QueryServer(LiveQuerySurface(store)) as server:
+            assert main(["query", server.address] + self.QUERY) == 0
+        printed = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert printed == expected
+
+    def test_watch_prints_the_backlog_then_only_new_windows(
+        self, capsys, monkeypatch
+    ):
+        """Two polls of a finished store: the first prints the --last
+        backlog, the second has nothing newly sealed and prints no
+        window; Ctrl-C (in the second sleep) is a clean exit 0."""
+        import time
+
+        from repro.telemetry.query_server import LiveQuerySurface, QueryServer
+
+        sleeps = []
+
+        def sleep(seconds):
+            sleeps.append(seconds)
+            if len(sleeps) == 2:
+                raise KeyboardInterrupt
+
+        store, expected = self._finished_store()
+        monkeypatch.setattr(time, "sleep", sleep)
+        with QueryServer(LiveQuerySurface(store)) as server:
+            assert main(["query", server.address, "--watch",
+                         "--interval", "0.25"] + self.QUERY) == 0
+        assert sleeps == [0.25, 0.25]
+        out = capsys.readouterr()
+        assert [line.split() for line in out.out.splitlines()] == expected
+        assert out.err.count("# sealed through window 7") == 1

@@ -8,11 +8,12 @@ test-faults``, and small enough to ride in tier-1 too):
   through ingest; the run completes via replica failover and the
   exported archive is *byte-identical* to an unsharded twin's.
 * **restart/rejoin round-trip** — a shard's server is stopped, a fresh
-  one started, and ``rejoin_shard`` replays the ingest journal through
-  the ``resync`` RPC; every query class and the export then match a
-  never-crashed twin bit-for-bit, including when the journal spilled
-  to disk, and including after a first rejoin that itself died
-  mid-replay while ingest kept arriving.
+  one started, and ``rejoin_shard`` replays the shard client's journal
+  through the ``resync`` RPC; every query class and the export then
+  match a never-crashed twin bit-for-bit, including after a first
+  rejoin that itself died mid-replay while ingest kept arriving, for a
+  replicated shard that lost every session, and with rows still
+  unflushed when the shard died.
 * **fault matrix** — every :mod:`repro.telemetry.faultinject` failure
   mode against an *un-replicated* shard surfaces as the named
   per-shard error within the ``io_timeout`` bound: never a hang.
@@ -31,6 +32,7 @@ suites; this file is exclusively about runs where something dies.
 """
 
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -52,10 +54,11 @@ from repro.telemetry.faultinject import (
     inject_store,
     parse_fault_spec,
 )
-from repro.telemetry.sharding import ShardedMetricStore, ShardJournal
-from repro.telemetry.store import MetricStore, ServerInterner
+from repro.telemetry.sharding import ShardedMetricStore
+from repro.telemetry.store import MetricStore, ServerInterner, SpillArchive
 from repro.telemetry.workers import (
     ShardConnectionError,
+    ShardJournal,
     ShardServer,
     TcpShardClient,
     serve_shard,
@@ -176,30 +179,30 @@ class TestKillPrimaryMidIngest:
             shard_server_processes.reap(replica)
 
 
+def _frames(client):
+    """How many flushed frames a shard client's journal holds."""
+    return sum(isinstance(entry, tuple) for entry in client._journal._entries)
+
+
 class TestRestartRejoin:
     """Stop a shard's server, restart, resync — bit-identical again."""
 
-    @pytest.mark.parametrize(
-        "journal_rows", [1 << 20, 200], ids=["in-memory", "spilled"]
-    )
-    def test_rejoin_matches_never_crashed_twin(self, tmp_path, journal_rows):
+    def test_rejoin_matches_never_crashed_twin(self, tmp_path):
         single = _fill_windows(MetricStore(), 0, 30)
         with ShardServer("127.0.0.1:0") as keeper:
             victim = ShardServer("127.0.0.1:0").start()
             store = ShardedMetricStore(
                 backend="tcp",
                 shard_addrs=[keeper.address, victim.address],
-                journal_rows=journal_rows,
+                journal=True,
                 flush_rows=128,
                 io_timeout=30,
             )
             try:
                 _fill_windows(store, 0, 30)
                 assert store.sample_count() == single.sample_count()
-                if journal_rows == 200:
-                    # The small journal must actually have exercised the
-                    # disk spill, or the "spilled" case proves nothing.
-                    assert store._journals[1].spilled_batches > 0
+                # Several flushes, or the replay proves little.
+                assert _frames(store.shards[1]) > 5
                 victim.stop()  # takes its sessions down with it: a crash
                 with pytest.raises(RuntimeError, match="shard 1"):
                     # An uncached query that must touch the dead shard.
@@ -207,13 +210,13 @@ class TestRestartRejoin:
                 with ShardServer("127.0.0.1:0") as reborn:
                     store.rejoin_shard(1, address=reborn.address)
                     assert store.shards[1].address == reborn.address
-                    _assert_twins(single, store, tmp_path, f"rejoin-{journal_rows}")
+                    _assert_twins(single, store, tmp_path, "rejoin")
             finally:
                 store.close()
                 victim.stop()
 
     def test_rejoin_replays_evictions_where_they_happened(self, tmp_path):
-        """Evictions are journaled between the batches they fell
+        """Evictions are journaled between the frames they fell
         between (and a zero-row batch is not journaled at all), so the
         rejoined shard has the pre-crash hot/cold split, not only the
         pre-crash rows."""
@@ -221,7 +224,7 @@ class TestRestartRejoin:
         victim = ShardServer("127.0.0.1:0").start()
         store = ShardedMetricStore(
             backend="tcp", shard_addrs=[victim.address, victim.address],
-            journal_rows=200, flush_rows=128, io_timeout=30,
+            journal=True, flush_rows=128, io_timeout=30,
         )
         try:
             _fill_windows(store, 0, 10)
@@ -231,9 +234,9 @@ class TestRestartRejoin:
             _fill_windows(store, 10, 20)
             assert store.evict_windows(15) > 0
             hot = [shard.hot_sample_count() for shard in store.shards]
-            for journal in store._journals:
-                assert journal.spilled_batches > 2
-                replayed = list(journal.replay())
+            for shard in store.shards:
+                assert _frames(shard) > 2
+                replayed = list(shard._journal.replay())
                 cutoffs = [
                     (position, args) for position, (method, args)
                     in enumerate(replayed) if method == "evict_windows"
@@ -255,21 +258,20 @@ class TestRestartRejoin:
             victim.stop()
 
     def test_rejoin_replays_frames_with_shared_keys(self, tmp_path):
-        """A spilled journal batch is a kind-1 payload, references and
-        all: its replay hands the shard one key array per shared pair,
-        and the rejoined shard answers like a never-crashed twin."""
+        """A journaled frame is a kind-1 payload, references and all:
+        its replay hands the shard one key array per shared pair, and
+        the rejoined shard answers like a never-crashed twin."""
         single = _fill_windows(MetricStore(), 0, 12)
         victim = ShardServer("127.0.0.1:0").start()
         store = ShardedMetricStore(
             backend="tcp", shard_addrs=[victim.address, victim.address],
-            journal_rows=300, flush_rows=128, io_timeout=30,
+            journal=True, flush_rows=128, io_timeout=30,
         )
         try:
             _fill_shared(store, 0, 12)
-            journal = store._journals[1]
-            assert journal.spilled_batches > 0
-            # One table's cpu and rps, decoded from the first spill.
-            (_m, cpu), (_m, rps) = list(journal.replay())[:2]
+            assert _frames(store.shards[1]) > 0
+            # One table's cpu and rps, decoded from the first frame.
+            (_m, cpu), (_m, rps) = list(store.shards[1]._journal.replay())[:2]
             assert (cpu[2], rps[2]) == ("cpu", "rps")
             assert cpu[3] is rps[3] and cpu[4] is rps[4]
             victim.stop()
@@ -285,12 +287,12 @@ class TestRestartRejoin:
         with ShardedMetricStore(
             backend="tcp", shard_addrs=[shard_server.address]
         ) as store:
-            with pytest.raises(RuntimeError, match="journal_rows"):
+            with pytest.raises(RuntimeError, match="journal=True"):
                 store.rejoin_shard(0)
 
     def test_rejoin_validation(self, shard_server):
         with ShardedMetricStore(
-            backend="tcp", shard_addrs=[shard_server.address], journal_rows=100
+            backend="tcp", shard_addrs=[shard_server.address], journal=True
         ) as store:
             with pytest.raises(ValueError, match="out of range"):
                 store.rejoin_shard(5)
@@ -303,15 +305,17 @@ class TestRestartRejoin:
         victim = ShardServer("127.0.0.1:0").start()
         store = ShardedMetricStore(
             backend="tcp", shard_addrs=[victim.address],
-            journal_rows=1 << 20, io_timeout=30, connect_timeout=0.3,
+            journal=True, io_timeout=30, connect_timeout=0.3,
         )
         try:
             _fill_windows(store, 0, 10)
             store.flush()
+            shard = store.shards[0]
             victim.stop()
             # Rejoin towards a dead address fails cleanly ...
             with pytest.raises((RuntimeError, ConnectionError)):
                 store.rejoin_shard(0)
+            assert store.shards[0] is shard and not shard.closed
             # ... and a retry against a live server still succeeds.
             with ShardServer("127.0.0.1:0") as reborn:
                 store.rejoin_shard(0, address=reborn.address)
@@ -320,32 +324,35 @@ class TestRestartRejoin:
             store.close()
             victim.stop()
 
-
     def test_rejoin_that_dies_mid_replay_loses_nothing(self, tmp_path):
         """A rejoin whose new shard dies after ``resync``, ingest that
-        keeps arriving (journaled before the dead shard refuses it),
-        then a rejoin that works: still the never-crashed twin."""
+        keeps arriving (buffered, or journaled at a flush before the
+        dead shard refuses it), then a rejoin that works: still the
+        never-crashed twin."""
         single = _fill_windows(MetricStore(), 0, 30)
         with ShardServer("127.0.0.1:0") as keeper:
             victim = ShardServer("127.0.0.1:0").start()
             store = ShardedMetricStore(
                 backend="tcp",
                 shard_addrs=[keeper.address, victim.address],
-                journal_rows=200,
+                journal=True,
                 flush_rows=128,
                 io_timeout=30,
             )
             try:
                 _fill_windows(store, 0, 20)
-                assert store._journals[1].spilled_batches > 2
+                assert _frames(store.shards[1]) > 2
+                victim_address = victim.address
                 victim.stop()
                 dial = store._dial_shard
+                doomed_clients = []
 
                 def doomed_dial(shard_id, addresses):
                     # resync and two ingest frames pass, then the
-                    # socket dies: mid-replay, inside the spilled part.
+                    # socket dies: mid-replay.
                     client = dial(shard_id, addresses)
                     inject_client(client, FaultSpec("kill", after_frames=3))
+                    doomed_clients.append(client)
                     return client
 
                 with ShardServer("127.0.0.1:0") as doomed:
@@ -353,6 +360,11 @@ class TestRestartRejoin:
                     with pytest.raises(RuntimeError, match="connection lost"):
                         store.rejoin_shard(1, address=doomed.address)
                     store._dial_shard = dial
+                # The fresh client alone was closed; the shard's own
+                # handle keeps its journal and buffer.
+                assert [client.closed for client in doomed_clients] == [True]
+                assert not store.shards[1].closed
+                assert store.shards[1].address == victim_address
                 _fill_windows(_RefusedByDeadShard(store), 20, 30)
                 with ShardServer("127.0.0.1:0") as reborn:
                     store.rejoin_shard(1, address=reborn.address)
@@ -361,88 +373,231 @@ class TestRestartRejoin:
                 store.close()
                 victim.stop()
 
+    def test_replicated_shard_rejoins_after_losing_every_session(self, tmp_path):
+        """Primary dies (failover), then the replica: both servers come
+        back on their addresses and one rejoin re-seeds both sessions
+        from a journal written once per flush, not once per session."""
+        single = _fill_windows(MetricStore(), 0, 30)
+        with ShardServer("127.0.0.1:0") as keeper:
+            primary = ShardServer("127.0.0.1:0").start()
+            replica = ShardServer("127.0.0.1:0").start()
+            addresses = (primary.address, replica.address)
+            store = ShardedMetricStore(
+                backend="tcp",
+                shard_addrs=[keeper.address, primary.address],
+                replica_addrs=["", replica.address],
+                journal=True,
+                flush_rows=128,
+                io_timeout=30,
+            )
+            try:
+                _fill_windows(store, 0, 10)
+                assert store.sample_count() > 0
+                # Equal rows per call on both shards, so equal flushes.
+                assert _frames(store.shards[1]) == _frames(store.shards[0]) > 2
+                primary.stop()
+                _fill_windows(store, 10, 20)
+                assert store.sample_count() > 0
+                assert store.shards[1].live_addresses == (replica.address,)
+                replica.stop()
+                _fill_windows(_RefusedByDeadShard(store), 20, 30)
+                with pytest.raises(RuntimeError, match="shard 1"):
+                    store.pool_window_aggregate("B", "rps", reducer="max")
+                assert store.shards[1].live_addresses == ()
+                with ShardServer(addresses[0]) as again, ShardServer(addresses[1]):
+                    store.rejoin_shard(1)
+                    assert store.shards[1].live_addresses == addresses
+                    assert store.shards[1].address == again.address
+                    _assert_twins(single, store, tmp_path, "rejoin-replicated")
+            finally:
+                store.close()
+                primary.stop()
+                replica.stop()
+
+    def test_rows_unflushed_at_death_are_in_the_rejoined_shard(self, tmp_path):
+        """Rows still in the client's buffer when its server died never
+        reached the journal; the rejoin carries them over to the new
+        sessions instead of dropping them."""
+        single = _fill_windows(MetricStore(), 0, 10)
+        with ShardServer("127.0.0.1:0") as keeper:
+            victim = ShardServer("127.0.0.1:0").start()
+            store = ShardedMetricStore(
+                backend="tcp",
+                shard_addrs=[keeper.address, victim.address],
+                journal=True,
+                flush_rows=1 << 20,
+                io_timeout=30,
+            )
+            try:
+                _fill_windows(store, 0, 5)
+                store.flush()
+                _fill_windows(store, 5, 10)
+                assert _frames(store.shards[1]) == 1
+                assert store.shards[1]._pending
+                victim.stop()
+                with ShardServer("127.0.0.1:0") as reborn:
+                    store.rejoin_shard(1, address=reborn.address)
+                    _assert_twins(single, store, tmp_path, "rejoin-unflushed")
+                    assert _frames(store.shards[1]) == 2
+            finally:
+                store.close()
+                victim.stop()
+
 
 class _RefusedByDeadShard:
-    """``_fill_windows`` target: every batch must raise — the dead
-    shard's half of it — after the facade journaled all of it."""
+    """``_fill_windows`` target: each batch is buffered, or refused at a
+    flush by the dead shard 1 — whose half is journaled all the same."""
 
     def __init__(self, store):
         self._store = store
         self.intern_servers = store.intern_servers
 
     def record_batch(self, *args):
-        with pytest.raises(RuntimeError, match="closed"):
+        try:
             self._store.record_batch(*args)
+        except ShardConnectionError as error:
+            assert str(error).startswith("shard 1 ")
+
+
+def _command(step, rows, rng):
+    """A ``record_columns`` command whose keys hold ``,`` ``"`` and
+    non-ASCII: the journal holds bytes, not CSV."""
+    return (
+        f'po,ol"{step}', "dc-\u00e9", "Requ\u00eates/sec,\u4e16",
+        np.full(rows, step - 4, dtype=np.int64),
+        rng.integers(0, 1 << 40, rows),
+        rng.standard_normal(rows),
+    )
+
+
+def _assert_same_commands(got, want):
+    assert [method for method, _ in got] == [method for method, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        if len(b) == 1:  # a cutoff
+            assert a == b
+            continue
+        assert a[:3] == b[:3]
+        for x, y in zip(a[3:], b[3:]):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 class TestShardJournal:
-    """The journal itself: order, spill, replay, close."""
+    """The journal itself: order, frames on disk, replay, close."""
 
     def test_replay_preserves_order_across_spills(self):
-        journal = ShardJournal(memory_rows=3)
-        for i in range(10):
-            journal.append("record_fast", (i,), 1)
-        assert journal.spilled_batches > 0
-        replayed = [args[0] for _method, args in journal.replay()]
-        assert replayed == list(range(10))
+        journal = ShardJournal()
+        rng = np.random.default_rng(1)
+        sent = [("record_columns", _command(i, 1, rng)) for i in range(10)]
+        for lo, hi in ((0, 3), (3, 4), (4, 10)):  # frames of 3, 1, 6
+            journal.append([args for _m, args in sent[lo:hi]])
+        _assert_same_commands(list(journal.replay()), sent)
         # Replay is repeatable (rejoin may be retried).
-        assert [args[0] for _m, args in journal.replay()] == list(range(10))
+        _assert_same_commands(list(journal.replay()), sent)
         journal.close()
         journal.close()  # idempotent
+        assert list(journal.replay()) == []
 
     def test_abandoned_replay_then_append_keeps_order(self):
-        journal = ShardJournal(memory_rows=2)
-        for i in range(6):
-            journal.append("record_fast", (i,), 1)
+        journal = ShardJournal()
+        rng = np.random.default_rng(2)
+        sent = [("record_columns", _command(i, 2, rng)) for i in range(8)]
+        for i in range(0, 6, 2):
+            journal.append([sent[i][1], sent[i + 1][1]])
         replay = journal.replay()
-        assert next(replay) == ("record_fast", (0,))
-        replay.close()  # rejoin_shard's new shard died mid-replay
-        for i in (6, 7):
-            journal.append("record_fast", (i,), 1)
-        assert [args[0] for _m, args in journal.replay()] == list(range(8))
+        _assert_same_commands([next(replay)], sent[:1])
+        replay.close()  # the rejoin's fresh shard died mid-replay
+        journal.append([sent[6][1], sent[7][1]])
+        _assert_same_commands(list(journal.replay()), sent)
         journal.close()
 
     def test_spilled_columns_and_evictions_replay_in_position(self):
-        """What the facade journals: ``record_columns`` batches — keys
-        with ``,`` ``"`` and non-ASCII, the log holds bytes, not CSV —
-        around ``evict_windows`` cutoffs, through several spills."""
-        journal = ShardJournal(memory_rows=5)
+        """What a shard client journals: flushed frames of
+        ``record_columns`` commands around ``evict_windows`` cutoffs."""
+        journal = ShardJournal()
         rng = np.random.default_rng(3)
-        sent = []
+        sent, frame = [], []
         for step in range(13):
             if step % 4 == 3:
+                if frame:
+                    journal.append(frame)
+                    frame = []
                 sent.append(("evict_windows", (step,)))
-                journal.append(*sent[-1], 0)
+                journal.cutoff(step)
                 continue
-            rows = 1 + step % 3
-            sent.append(("record_columns", (
-                f'po,ol"{step}', "dc-\u00e9", "Requ\u00eates/sec,\u4e16",
-                np.full(rows, step - 4, dtype=np.int64),
-                rng.integers(0, 1 << 40, rows),
-                rng.standard_normal(rows),
-            )))
-            journal.append(*sent[-1], rows)
-        assert journal.spilled_batches >= 3
-        assert 0 < len(journal._commands) < len(sent)
+            sent.append(("record_columns", _command(step, 1 + step % 3, rng)))
+            frame.append(sent[-1][1])
+        journal.append(frame)
+        assert sum(isinstance(entry, tuple) for entry in journal._entries) == 4
         for _ in range(2):  # replay is repeatable
-            replayed = list(journal.replay())
-            assert [method for method, _ in replayed] == [m for m, _ in sent]
-            for (_, got), (_, want) in zip(replayed, sent):
-                assert got[:3] == want[:3]
-                for a, b in zip(got[3:], want[3:]):
-                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            _assert_same_commands(list(journal.replay()), sent)
         journal.close()
 
     def test_memory_stays_bounded(self):
-        journal = ShardJournal(memory_rows=5)
-        for i in range(100):
-            journal.append("record_fast", (i,), 1)
-        assert len(journal._commands) < 5
+        """The journal keeps no row in memory: the arrays it was handed
+        are free once the caller drops them, and each frame or cutoff
+        is one small entry."""
+        journal = ShardJournal()
+        rng = np.random.default_rng(4)
+        handed = []
+        for step in range(100):
+            command = _command(step, 64, rng)
+            handed.append(weakref.ref(command[5]))
+            journal.append([command])
+            if step % 10 == 9:
+                journal.cutoff(step)
+            del command
+        assert all(ref() is None for ref in handed)
+        assert len(journal._entries) == 110
+        assert all(
+            isinstance(entry, int)
+            or all(isinstance(field, int) for field in entry)
+            for entry in journal._entries
+        )
+        assert sum(1 for _ in journal.replay()) == 110
         journal.close()
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ShardJournal(memory_rows=0)
+    def test_failed_write_keeps_the_buffer_and_sends_nothing(
+        self, shard_server, monkeypatch
+    ):
+        interner = ServerInterner()
+        servers = np.array([interner.intern(f"s{i}") for i in range(4)])
+        client = TcpShardClient(0, interner, shard_server.address, journal=True)
+        try:
+            client.record_columns(
+                "A", "dc", "cpu", np.zeros(4, dtype=np.int64), servers,
+                np.arange(4.0),
+            )
+
+            def full_disk(self, buffers):
+                raise OSError("no space left on device")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(SpillArchive, "append", full_disk)
+                with pytest.raises(OSError, match="no space"):
+                    client.flush()
+            assert len(client._pending) == 1 and _frames(client) == 0
+            # Had the failed flush sent its frame, the shard would
+            # now hold the rows twice.
+            assert client.sample_count() == 4
+            assert _frames(client) == 1
+        finally:
+            client.close()
+
+    def test_validation(self, shard_server):
+        with pytest.raises(ValueError, match="backend='tcp'"):
+            ShardedMetricStore(n_shards=2, journal=True)
+        # A client without a journal refuses to rejoin, and the fresh
+        # client it was handed is closed, not leaked.
+        interner = ServerInterner()
+        client = TcpShardClient(0, interner, shard_server.address)
+        fresh = TcpShardClient(0, interner, shard_server.address, journal=True)
+        try:
+            with pytest.raises(RuntimeError, match="journal=True"):
+                client.rejoin(fresh)
+            assert fresh.closed and not client.closed
+        finally:
+            client.close()
+            fresh.close()
 
 
 class TestFaultMatrix:

@@ -14,8 +14,8 @@ from typing import List, Tuple
 RULE_NAME = "line-budget"
 
 BUDGETS = {
-    "src/repro/telemetry/*.py": 5020,
-    "tools/**/*.py": 1474,
+    "src/repro/telemetry/*.py": 4987,
+    "tools/**/*.py": 1444,
     "README.md docs/*.md": 1486,
 }
 

@@ -17,10 +17,9 @@ few extras a served object declares — ``workers.SHARD_EXTRAS``,
 * no table name and no live-surface extra is a statically detected
   mutator on either store class, and every extra is defined where it
   is served;
-* every string method name at a dispatch site resolves: a ``.call(``
-  in ``workers.py`` / ``query_server.py`` against the table or that
-  side's extras, a journal ``append(`` (replayed with
-  ``getattr(client, method)``) against the client proxy;
+* every string method name at a ``.call(`` dispatch site in
+  ``workers.py`` / ``query_server.py`` resolves against the table or
+  that side's extras;
 * exactly one class under ``telemetry/`` is generated from the table
   through ``call`` — :data:`CALL_PROXY`, the remote-shard client whose
   session list *is* replication — so a second proxy class beside it
@@ -41,7 +40,6 @@ from astutil import (
     find_class,
     method_defs,
     mutating_methods,
-    self_attr_root,
     str_const,
     string_method_calls,
 )
@@ -60,9 +58,8 @@ MERGES = "MERGES"
 #: The rule of a read ``ShardedMetricStore`` answers itself.
 FACADE_RULE = "facade"
 STORE_CLASSES = (("MetricStore", STORE), ("ShardedMetricStore", SHARDING))
-#: The one class decorated ``forward_reads("call")``; with the table
-#: names generated onto it, what ``getattr(client, method)`` resolves
-#: against.  A ratchet like :data:`PICKLE_SITES`: nothing joins it.
+#: The one class decorated ``forward_reads("call")``.  A ratchet like
+#: :data:`PICKLE_SITES`: nothing joins it.
 CALL_PROXY = (WORKERS, "TcpShardClient")
 #: Wire verbs the serve loop answers itself, without a store method.
 RESERVED_WIRE_METHODS = {"resync"}
@@ -116,23 +113,6 @@ def _with_bases(cls: ast.ClassDef, store: SourceFile) -> ast.ClassDef:
         name=cls.name, bases=[], keywords=[], decorator_list=[],
         body=[*body, *cls.body],
     )
-
-
-def _journal_appends(sharding: SourceFile):
-    """``(name, line)`` of every ``<journal>.append("name", args, n)``."""
-    for node in ast.walk(sharding.tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "append"
-            and len(node.args) >= 2
-            and str_const(node.args[0]) is not None
-        ):
-            target = node.func.value
-            if self_attr_root(target) == "_journals" or (
-                isinstance(target, ast.Name) and "journal" in target.id
-            ):
-                yield str_const(node.args[0]), node.lineno
 
 
 def _pickle_imports(files: Dict[str, SourceFile]) -> Findings:
@@ -282,9 +262,6 @@ def run(files: Dict[str, SourceFile], root: Path) -> Findings:
                 f"such method and it is not a reserved verb",
             ))
 
-    client_cls = find_class(workers.tree, CALL_PROXY[1]) if workers else None
-    client_surface = set(table)
-    client_surface |= set(method_defs(client_cls)) if client_cls else set()
     # (source, call attribute, names that resolve, what answers them)
     sites = [
         (workers, "call", set(table) | shard_extras, "a shard session"),
@@ -298,11 +275,4 @@ def run(files: Dict[str, SourceFile], root: Path) -> Findings:
                     f"dispatches {name!r} through {attr}(), but {answerer} "
                     f"answers no such name ({TABLE} and its declared extras)",
                 ))
-    for name, line in _journal_appends(sharding) if sharding and workers else ():
-        if name not in client_surface:
-            out.append((
-                sharding.rel, line,
-                f"journals command {name!r}, but no client class defines "
-                f"it — rejoin replay would fail",
-            ))
     return out
