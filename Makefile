@@ -39,9 +39,11 @@ test-archive:
 	$(PYTHON) -m pytest tests/test_telemetry_export.py tests/test_archive_codec.py -q
 
 # The storage layer on its own: the store's queries and chunk list,
-# the spill log's byte round trip and the one-server read's memory
-# bound, sharded-vs-single bit-identity, and the Hypothesis retention
-# and interleaving suites (all of it also rides in `make test`).
+# the spill log's byte round trip, the one-server read's memory bound,
+# `preadv` calls and by-server index builds (counted per mutation),
+# sharded-vs-single bit-identity, and the Hypothesis retention and
+# interleaving suites, sliced one-server reads included (all of it
+# also rides in `make test`).
 test-store:
 	$(PYTHON) -m pytest tests/test_telemetry_store.py tests/test_spill_log.py tests/test_sharded_store.py tests/test_property_based.py -q
 

@@ -26,9 +26,8 @@ around an end-to-end columnar data flow:
   (a stream nobody reads back never pays for it).  One range read
   selects chunks by span and yields their rows in batches: hot chunks
   as they are, each cold record read with one ``preadv`` into one
-  scratch buffer, so a read that keeps few rows — one server's series
-  — never holds the table, and reads only its own rows of a sorted
-  record.
+  scratch buffer.  One server's series reads only its own rows of a
+  sorted record and takes the rest from an in-memory by-server index.
 * **Queries** (:meth:`pool_window_aggregate`, :meth:`per_server_values`,
   :meth:`pool_matrix`) group with ``np.bincount`` / stable argsort over
   the gathered columns instead of per-sample Python loops, and the
@@ -484,13 +483,35 @@ def _canonical(windows: np.ndarray, servers: np.ndarray) -> bool:
 
 
 def _by_server(servers: np.ndarray) -> tuple:
-    """The stable order that sorts a record's server offsets, and its
-    directory: the servers present and where each one's run starts."""
-    order = np.argsort(servers, kind="stable")
-    counts = np.bincount(servers)
-    present = np.flatnonzero(counts)
-    starts = np.concatenate(([0], np.cumsum(counts[present])))
-    return order, (present.astype(servers.dtype), starts)
+    """The stable order that sorts unsigned server offsets, and its
+    directory: the offsets present and where each one's run starts,
+    then the row count.  O(rows): numpy sorts 16-bit keys stably by
+    radix, so wider ones go 16 bits at a time, least significant first."""
+    order = np.argsort(servers.astype(np.uint16), kind="stable")
+    for shift in range(16, 8 * servers.itemsize, 16):
+        order = order[np.argsort((servers[order] >> shift).astype(np.uint16), kind="stable")]
+    ordered = servers[order]
+    starts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    return order, (ordered[np.r_[0, starts]], np.r_[0, starts, servers.size])
+
+
+def _run(directory: Tuple[np.ndarray, np.ndarray], server: int) -> slice:
+    """The rows of server offset ``server``'s run in rows grouped by
+    ``directory`` (see :func:`_by_server`); empty if it has none."""
+    present, starts = directory
+    at = int(present.searchsorted(server)) if 0 <= server <= present[-1] else 0
+    if present[at] != server:
+        return slice(0, 0)
+    return slice(int(starts[at]), int(starts[at + 1]))
+
+
+def _clip(windows: np.ndarray, values: np.ndarray, span: "_Chunk", lo: float, hi: float):
+    """``(windows, values)`` with ``lo <= window < hi`` of rows within
+    ``span``: as they are if the range covers it, else masked."""
+    if lo <= span.lo and span.hi < hi:
+        return windows, values
+    keep = (windows >= lo) & (windows < hi)
+    return windows[keep], values[keep]
 
 
 def _concat_columns(parts: List[Columns]) -> Columns:
@@ -562,8 +583,7 @@ class _Batch(NamedTuple):
     None) is wide columns as stored; a cold one is one record's narrow
     columns, which view the store's scratch and are valid only until
     the read moves on, so consumers keep copies (:meth:`select`,
-    :meth:`widen_into`), never the batch.  A one-server read's batch
-    has no server column (``servers`` None) and is only ``select``-ed.
+    :meth:`widen_into`), never the batch.
     """
 
     windows: np.ndarray
@@ -610,10 +630,7 @@ class _Batch(NamedTuple):
 
     def select(self, server: int) -> Tuple[np.ndarray, np.ndarray]:
         """(windows, values) of one server index's rows: one compare on
-        the stored server column, and only the rows kept are widened —
-        or, from :meth:`_ColdLog.rows_of`, the batch as it is."""
-        if self.servers is None:
-            return self.windows, self.values
+        the stored server column, and only the rows kept are widened."""
         rows = np.flatnonzero(self.servers == server - self.base)
         windows = self.windows[rows]
         if self.origin is not None:
@@ -655,12 +672,12 @@ class _ColdLog:
         count; ``closed``: whether it is); returns the cold chunk."""
         windows = _offsets(columns[0], span.lo, span.hi)
         servers = _offsets(columns[1], span.server_lo, span.server_hi)
-        return self._append(columns[2], windows, servers, span, closed)
+        return self.append(columns[2], windows, servers, span, closed)
 
-    def coalesce(self, tail: List[_Chunk], span: _Chunk) -> _Chunk:
-        """Append one closed record of the open ``tail`` records' rows
-        (``span``: all of theirs), each read back into place with one
-        ``preadv``; returns the cold chunk."""
+    def read_tail(self, tail: List[_Chunk], span: _Chunk) -> Tuple[np.ndarray, ...]:
+        """The open ``tail`` records' rows (``span``: all of theirs) as one
+        record's values, window and server offsets, each record read
+        back into place with one ``preadv``."""
         values, windows, servers = (np.empty(span.rows, d) for d in span.dtypes)
         at = 0
         for chunk in tail:  # open, so in append order
@@ -674,9 +691,9 @@ class _ColdLog:
             for column, narrow, shift in zip((windows, servers), offsets, shifts):
                 np.add(narrow, shift, out=column[at:end], dtype=column.dtype)
             at = end
-        return self._append(values, windows, servers, span, True)
+        return values, windows, servers
 
-    def _append(
+    def append(
         self, values: np.ndarray, windows: np.ndarray, servers: np.ndarray,
         span: _Chunk, closed: bool,
     ) -> _Chunk:
@@ -685,8 +702,7 @@ class _ColdLog:
         directory = None
         if closed and _canonical(windows, servers):
             order, directory = _by_server(servers)
-            values, windows = values[order], windows[order]
-            servers = np.repeat(directory[0], np.diff(directory[1]))
+            values, windows, servers = values[order], windows[order], servers[order]
         return span._replace(
             columns=None,
             offset=self.archive.append((values, windows, servers)),
@@ -714,45 +730,76 @@ class _ColdLog:
             values, windows, servers = values[order], windows[order], servers[order]
         return _Batch(windows, servers, values, chunk.server_lo, chunk.lo)
 
-    def rows_of(self, chunk: _Chunk, server: int, lo: float, hi: float) -> _Batch:
-        """One server index's rows with ``lo <= window < hi`` of a
-        server-major chunk — its run's values and window offsets, one
-        ``pread`` each — as a batch with no server column."""
-        present, starts = chunk.directory
-        target = server - chunk.server_lo
-        inside = chunk.server_lo <= server <= chunk.server_hi
-        at = np.searchsorted(present, target) if inside else 0
-        if at == present.size or present[at] != target:
-            return _Batch(np.empty(0, np.int64), None, np.empty(0))
-        begin, end = int(starts[at]), int(starts[at + 1])
+    def rows_of(
+        self, chunk: _Chunk, server: int, lo: float, hi: float
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One server index's (windows, values) with ``lo <= window <
+        hi`` of a closed chunk: of a server-major one, its run's values
+        and window offsets, one ``pread`` each; of any other, the record
+        read whole and its server column compared."""
+        if chunk.directory is None:
+            return _clip(*self.load(chunk).select(server), chunk, lo, hi)
+        run = _run(chunk.directory, server - chunk.server_lo)
         window_dtype = chunk.dtypes[1]
-        values = np.empty(end - begin)
-        windows = np.empty(end - begin, window_dtype)
-        self.archive.read_into(chunk.offset + 8 * begin, [values], values.nbytes)
-        self.archive.read_into(
-            chunk.offset + 8 * chunk.rows + window_dtype.itemsize * begin,
-            [windows], windows.nbytes,
-        )
-        windows = _add_origin(windows, chunk.lo)
-        if not (lo <= chunk.lo and chunk.hi < hi):
-            keep = (windows >= lo) & (windows < hi)
-            windows, values = windows[keep], values[keep]
-        return _Batch(windows, None, values)
+        values = np.empty(run.stop - run.start)
+        windows = np.empty(values.size, window_dtype)
+        if values.size:
+            self.archive.read_into(chunk.offset + 8 * run.start, [values], values.nbytes)
+            self.archive.read_into(
+                chunk.offset + 8 * chunk.rows + window_dtype.itemsize * run.start,
+                [windows], windows.nbytes,
+            )
+        return _clip(_add_origin(windows, chunk.lo), values, chunk, lo, hi)
 
-    def batches(
-        self, chunks: List[_Chunk], lo: float, hi: float,
-        server: Optional[int] = None,
-    ) -> Iterator[_Batch]:
+    def batches(self, chunks: List[_Chunk], lo: float, hi: float) -> Iterator[_Batch]:
         """The rows with ``lo <= window < hi`` of the cold ``chunks``, one
-        batch a chunk (of a server-major one, only ``server``'s rows, if
-        given); a chunk the range covers only partly is widened and masked."""
+        batch a chunk; a chunk the range covers only partly is widened
+        and masked."""
         for chunk in chunks:
-            if server is not None and chunk.directory is not None:
-                yield self.rows_of(chunk, server, lo, hi)
-            elif lo <= chunk.lo and chunk.hi < hi:
+            if lo <= chunk.lo and chunk.hi < hi:
                 yield self.load(chunk)
             else:
                 yield self.load(chunk).within(lo, hi)
+
+
+class _Runs(NamedTuple):
+    """One part of a table's by-server index (:meth:`_Table.series`):
+    rows grouped by server as a server-major record groups them.  The
+    open tail's part is a copy (values, and windows as offsets from
+    ``origin``) stably sorted by server; the hot part copies nothing —
+    the one hot chunk's own columns behind ``order``, their stable
+    by-server permutation.  ``of`` is what it indexes, by identity."""
+
+    of: _Chunk
+    windows: np.ndarray
+    values: np.ndarray
+    order: Optional[np.ndarray]
+    directory: Tuple[np.ndarray, np.ndarray]
+    base: int  #: the server index the directory's offsets count from
+    origin: int  #: the window ``windows`` count from
+
+    @classmethod
+    def tail(cls, span: _Chunk, values, windows, servers) -> "_Runs":
+        order, directory = _by_server(servers)
+        return cls(span, windows[order], values[order], None, directory,
+                   span.server_lo, span.lo)
+
+    @classmethod
+    def hot(cls, chunk: _Chunk) -> "_Runs":
+        windows, servers, values = chunk.columns
+        base = int(servers.min())
+        order, directory = _by_server(_offsets(servers, base, int(servers.max())))
+        order = order.astype(_OFFSET_DTYPES[_offset_size(chunk.rows)])
+        return cls(chunk, windows, values, order, directory, base, 0)
+
+    def rows(self, server: int, lo: float, hi: float) -> Tuple[np.ndarray, np.ndarray]:
+        """One server index's (windows, values) with ``lo <= window <
+        hi``, in append order."""
+        rows = _run(self.directory, server - self.base)
+        if self.order is not None:
+            rows = self.order[rows]
+        windows = _add_origin(self.windows[rows], self.origin)
+        return _clip(windows, self.values[rows], self.of, lo, hi)
 
 
 class _Table:
@@ -780,11 +827,13 @@ class _Table:
     to the end of ``_cold`` in hot order, both halves of a split one
     measured, in one step that cannot fail; :meth:`compact` swaps each
     closed record in for the open run it holds, in one such step; the
-    fuse in :meth:`read` replaces all hot chunks by their concatenation
-    in list order under their joint span.
+    fuse (:meth:`_fuse`) replaces all hot chunks by their concatenation
+    in list order under their joint span.  ``_index`` is derived state,
+    current by construction (:meth:`series`); :meth:`settle` drops it so
+    it holds no evicted row.
     """
 
-    __slots__ = ("_cold", "_hot", "n_rows", "hot_rows", "_open", "_tail")
+    __slots__ = ("_cold", "_hot", "n_rows", "hot_rows", "_open", "_tail", "_index")
 
     def __init__(self) -> None:
         self._cold: List[_Chunk] = []
@@ -794,6 +843,7 @@ class _Table:
         self.hot_rows: int = 0
         self._open: int = 0
         self._tail: Optional[_Chunk] = None
+        self._index: Tuple[Optional[_Runs], Optional[_Runs]] = (None, None)
 
     def append_batch(self, lo: int, hi: int, columns: Columns) -> None:
         """Append rows whose windows span exactly ``[lo, hi]``."""
@@ -843,6 +893,7 @@ class _Table:
         self._open += opened
         self._hot = kept
         self.hot_rows -= rows
+        self._index = (None, None)
         return rows
 
     def compact(self, log: _ColdLog) -> None:
@@ -857,7 +908,8 @@ class _Table:
         for at in range(first, len(self._cold)):
             joint = self._cold[at] if joint is None else joint.joint(self._cold[at])
             if joint.rows >= joint.floor:
-                closed.append(log.coalesce(self._cold[start:at + 1], joint))
+                rows = log.read_tail(self._cold[start:at + 1], joint)
+                closed.append(log.append(*rows, joint, True))
                 start, joint = at + 1, None
         self._cold[first:start] = closed
         self._open -= start - first
@@ -874,27 +926,20 @@ class _Table:
         ]
 
     def read(
-        self,
-        chunks: List[_Chunk],
-        lo: float,
-        hi: float,
-        log: Optional[_ColdLog],
-        server: Optional[int] = None,
+        self, chunks: List[_Chunk], lo: float, hi: float, log: Optional[_ColdLog]
     ) -> Iterator[_Batch]:
         """The rows with ``lo <= window < hi`` of ``chunks`` (what
         :meth:`overlapping` picked), as batches in append order.
 
         Cold chunks come back through ``log`` one record a batch (see
-        :meth:`_ColdLog.batches`; a ``server`` hint narrows server-major
-        ones to its rows), each read before the next is loaded — a
-        consumer that keeps a selection of each holds one batch, not
-        the table.  Hot chunks are yielded as they are, a partial
-        overlap masked.  A read that takes every hot chunk whole leaves
-        them fused, so full reads concatenate once.
+        :meth:`_ColdLog.batches`), each read before the next is loaded.
+        Hot chunks are yielded as they are, a partial overlap masked.  A
+        read that takes every hot chunk whole leaves them fused, so full
+        reads concatenate once.
         """
         cold = sum(chunk.columns is None for chunk in chunks)
         if cold:
-            yield from log.batches(chunks[:cold], lo, hi, server)
+            yield from log.batches(chunks[:cold], lo, hi)
         hot: List[_Batch] = []
         whole_hot = 0
         for chunk in chunks[cold:]:
@@ -905,14 +950,53 @@ class _Table:
                 batch = batch.within(lo, hi)
             hot.append(batch)
         if whole_hot == len(self._hot) > 1:
-            fused = _concat_columns([chunk.columns for chunk in self._hot])
+            self._fuse()
+            hot = [_Batch(*self._hot[0].columns)]
+        yield from hot
+
+    def _fuse(self) -> None:
+        if len(self._hot) > 1:
             self._hot = [_Chunk(
                 min(chunk.lo for chunk in self._hot),
-                max(chunk.hi for chunk in self._hot),
-                self.hot_rows, fused, None,
+                max(chunk.hi for chunk in self._hot), self.hot_rows,
+                _concat_columns([chunk.columns for chunk in self._hot]), None,
             )]
-            hot = [_Batch(*fused)]
-        yield from hot
+
+    def series(
+        self, server: int, lo: float, hi: float, log: Optional[_ColdLog]
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """One server index's (windows, values) with ``lo <= window <
+        hi``, in append order.
+
+        With ``log`` (the range dips below the watermark) the tail is
+        compacted, and each closed record the range meets gives its rows
+        (:meth:`_ColdLog.rows_of`).  Every other row comes from the
+        by-server index, one run a part (:class:`_Runs`): the open
+        tail's, read from ``log`` and sorted, and the hot chunks', fused
+        first.  A part is built by the first read that needs it and kept
+        while what it indexes — ``_tail``, the one hot chunk — is still
+        the table's, by identity: ingest, fuse, eviction and compaction
+        replace that, never the part, so a stale part is never used.
+        """
+        tail, hot = self._index
+        if log is not None:
+            self.compact(log)
+            for chunk in self._cold[:len(self._cold) - self._open]:
+                if chunk.hi >= lo and chunk.lo < hi:
+                    yield log.rows_of(chunk, server, lo, hi)
+            span = self._tail
+            if span is not None and span.hi >= lo and span.lo < hi:
+                if tail is None or tail.of is not span:
+                    run = self._cold[len(self._cold) - self._open:]
+                    tail = _Runs.tail(span, *log.read_tail(run, span))
+                    self._index = (tail, hot)
+                yield tail.rows(server, lo, hi)
+        if any(chunk.hi >= lo and chunk.lo < hi for chunk in self._hot):
+            if hot is None or len(self._hot) > 1 or hot.of is not self._hot[0]:
+                self._fuse()
+                hot = _Runs.hot(self._hot[0])
+                self._index = (tail, hot)
+            yield hot.rows(server, lo, hi)
 
 
 #: Key of one stored table: (pool_id, datacenter_id, counter).
@@ -1504,12 +1588,11 @@ ShardedMetricStore` uses to keep one global id space across shards.
         return lo, hi
 
     def _parts(
-        self, tables: List[_Table], lo: float, hi: float,
-        server: Optional[int] = None,
+        self, tables: List[_Table], lo: float, hi: float
     ) -> Tuple[List[_Chunk], Iterator[_Batch]]:
         """The one range read over many tables: the chunks it touches,
         and their rows as batches — tables in the order given, append
-        order within each (``server``: see :meth:`_Table.read`).
+        order within each.
 
         Ranges entirely above the eviction watermark skip the cold
         chunks (no disk reads on the streaming hot path); one below it
@@ -1521,7 +1604,7 @@ ShardedMetricStore` uses to keep one global id space across shards.
             table.compact(log)
         picked = [table.overlapping(lo, hi, log is not None) for table in tables]
         batches = chain.from_iterable(
-            table.read(chunks, lo, hi, log, server)
+            table.read(chunks, lo, hi, log)
             for table, chunks in zip(tables, picked)
         )
         return [chunk for chunks in picked for chunk in chunks], batches
@@ -1571,26 +1654,26 @@ ShardedMetricStore` uses to keep one global id space across shards.
     ) -> TimeSeries:
         """Series of one counter on one server, optionally window-sliced.
 
-        Selects the server's rows batch by batch — one compare on the
-        stored (for cold chunks, narrow) server column, hot or cold
-        alike — and widens and concatenates only the selections.  A
-        server-major cold record reads only the server's own rows; any
-        other is one pass over its bytes.  The memory is one batch plus
-        the answer, never the table.
+        Per table: each closed record the range meets gives the server's
+        own rows through its directory (one without a directory is read
+        and compared), and every other row — the open tail and the hot
+        chunks — comes from the table's by-server index, one slice a
+        part, masked by window for a sliced read (:meth:`_Table.series`).
+        The index is built by the first read after a mutation: at most
+        one floor of tail rows copied, plus 4 B per hot row.  Beyond it,
+        a read holds one record and the answer, never the table.
         """
         index = self._interner.index.get(server_id)
         window_parts: List[np.ndarray] = [np.array([], dtype=int)]
         value_parts: List[np.ndarray] = [np.array([], dtype=float)]
         if index is not None:
-            tables = self._matching_tables(pool_id, counter, None)
-            _chunks, batches = self._parts(
-                tables, *self._window_range(start, stop), index
-            )
-            for batch in batches:
-                windows, values = batch.select(index)
-                if values.size:
-                    window_parts.append(windows)
-                    value_parts.append(values)
+            lo, hi = self._window_range(start, stop)
+            log = self._spill if lo < self._evicted_before else None
+            for table in self._matching_tables(pool_id, counter, None):
+                for windows, values in table.series(index, lo, hi, log):
+                    if values.size:
+                        window_parts.append(windows)
+                        value_parts.append(values)
         return TimeSeries(
             np.concatenate(window_parts), np.concatenate(value_parts)
         )
@@ -1623,22 +1706,19 @@ ShardedMetricStore` uses to keep one global id space across shards.
         """All window values per server (for percentile feature vectors).
 
         Values keep their append (window) order within each server;
-        grouping is one stable argsort over the interned server column.
+        grouping is one stable by-server order (:func:`_by_server`).
         """
         lo, hi = self._window_range(start, stop)
         out: Dict[str, np.ndarray] = {}
         for table in self._matching_tables(pool_id, counter, datacenter_id):
             _windows, servers, values = self._gather([table], lo, hi)
-            if values.size == 0:
-                continue
-            order = np.argsort(servers, kind="stable")
-            sorted_servers = servers[order]
-            sorted_values = values[order]
-            boundaries = np.flatnonzero(np.diff(sorted_servers)) + 1
-            starts = np.concatenate(([0], boundaries))
-            pieces = np.split(sorted_values, boundaries)
-            for offset, piece in zip(starts, pieces):
-                out[self._interner.name(sorted_servers[offset])] = piece
+            if values.size:
+                base = int(servers.min())
+                order, (present, starts) = _by_server(
+                    _offsets(servers, base, int(servers.max()))
+                )
+                for offset, piece in zip(present, np.split(values[order], starts[1:-1])):
+                    out[self._interner.name(base + int(offset))] = piece
         return out
 
     def pool_matrix(

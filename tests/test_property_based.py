@@ -409,18 +409,31 @@ class StreamedStoreMachine(RuleBasedStateMachine):
         np.testing.assert_array_equal(series.windows, windows)
         np.testing.assert_array_equal(series.values, values)
 
-    @rule(server=st.integers(min_value=0, max_value=_SM_N - 1))
-    def query_server_series(self, server):
+    @rule(
+        server=st.integers(min_value=0, max_value=_SM_N - 1),
+        window=st.none() | st.tuples(
+            st.integers(min_value=-2, max_value=40),
+            st.integers(min_value=0, max_value=12),
+        ),
+    )
+    def query_server_series(self, server, window):
+        """One server's series, whole or over ``[start, start + width)``:
+        sliced reads and the by-server index's rebuilds under every
+        interleaving of ingest, seal and evict."""
         dc = _SM_DCS[server // _SM_SERVERS_PER_DC]
         index = self.idx[server]
+        start, stop = (None, None) if window is None else (
+            window[0], window[0] + window[1]
+        )
         expected = sorted(
             (w, by_server[index])
             for w, by_server in self.rows[dc].items()
             if index in by_server
+            and (window is None or start <= w < stop)
         )
-        if not expected:
-            return
-        series = self.surface.server_series("B", "rps", self.names[server])
+        series = self.surface.server_series(
+            "B", "rps", self.names[server], start, stop
+        )
         np.testing.assert_array_equal(
             series.windows, np.array([w for w, _ in expected], dtype=np.int64)
         )

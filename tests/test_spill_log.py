@@ -11,6 +11,7 @@ records and the bytes read and written are counted (``tracemalloc``,
 ``preadv`` calls, the log's length), not timed.
 """
 
+import contextlib
 import errno
 import math
 import tempfile
@@ -24,7 +25,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.cluster.builders import build_single_pool_fleet
+from repro.cluster.simulation import SimulationConfig, Simulator
+from repro.cluster.streaming import StreamingSimulator
 from repro.telemetry import store as store_module
+from repro.telemetry.counters import Counter
 from repro.telemetry.export import export_store
 from repro.telemetry.store import REDUCERS, MetricStore, SpillArchive, _Table
 from tests.conftest import chunk_list_rows
@@ -336,14 +341,19 @@ class TestOneServerReadHoldsOneChunk:
             tmp_path / "reference.csv"
         ).read_bytes()
 
-    def test_reads_only_the_narrow_records_it_touches(self, twins):
+    def test_reads_only_the_narrow_records_it_touches(self):
         """From each server-major record the range touches, one ``pread``
         of the server's values and one of its window offsets — exactly its
-        own rows, 9 B a row here; an open record is read whole, with one
-        ``preadv``.  So the bytes read grow with the range: 4x the chunks,
-        at most 4.4x the bytes."""
-        evicting, _reference = twins
-        cold = evicting._tables["B", "DC1", "rps"]._cold
+        own rows, 9 B a row here.  The open tail is read whole, one
+        ``preadv`` a record, once per version of it: by the first read
+        that reaches it, by no read after that, and again only once an
+        eviction has made a new tail.  So the bytes read grow with the
+        range: 4x the chunks, at most 4.4x the bytes."""
+        with mock.patch.object(store_module, "_SCRATCH_BYTES", self.SCRATCH):
+            self._read_records_once(*self._twins())  # no one-server read yet
+
+    def _read_records_once(self, evicting, reference):
+        table = evicting._tables["B", "DC1", "rps"]
         server = evicting._interner.index["s3"]
         calls = []
         preadv = store_module.os.preadv
@@ -352,10 +362,11 @@ class TestOneServerReadHoldsOneChunk:
             calls.append((offset, preadv(fd, buffers, offset)))
             return calls[-1][1]
 
-        def expected(chunk):
+        def whole(chunk):
+            return chunk.offset, chunk.rows * sum(d.itemsize for d in chunk.dtypes)
+
+        def narrow(chunk):
             dtypes = chunk.dtypes
-            if chunk.directory is None:
-                return [(chunk.offset, chunk.rows * sum(d.itemsize for d in dtypes))]
             present, starts = chunk.directory
             (at,) = np.flatnonzero(present == server - chunk.server_lo)
             begin, end = starts[at], starts[at + 1]
@@ -365,17 +376,46 @@ class TestOneServerReadHoldsOneChunk:
                  dtypes[1].itemsize * (end - begin)),
             ]
 
-        read = {}
+        def read(stop, tail_read, coalesced=()):
+            """Read ``s3`` below ``stop`` and check every call it made:
+            the open records compaction consumed, read whole; two
+            ``pread`` s per closed record touched; the tail, if read."""
+            calls.clear()
+            answer = evicting.server_series("B", "rps", "s3", 0, stop)
+            want = reference.server_series("B", "rps", "s3", 0, stop)
+            assert _bits(answer.windows) == _bits(want.windows)
+            assert _bits(answer.values) == _bits(want.values)
+            closed = table._cold[:len(table._cold) - table._open]
+            assert all(chunk.directory is not None for chunk in closed)
+            tail = table._cold[len(closed):] if tail_read else []
+            assert calls == (
+                [whole(c) for c in coalesced if all(c is not d for d in table._cold)]
+                + [call for c in closed if c.lo < stop for call in narrow(c)]
+                + [whole(c) for c in tail]
+            )
+            nbytes = sum(nbytes for _offset, nbytes in calls)
+            if not (coalesced or tail):
+                assert nbytes <= 9 * len(answer)
+            return nbytes
+
         with mock.patch.object(store_module.os, "preadv", counting):
-            for chunks in (8, 32, self.CHUNKS):
-                calls.clear()
-                answer = evicting.server_series("B", "rps", "s3", 0, chunks * self.BLOCK)
-                touched = [c for c in cold if c.lo < chunks * self.BLOCK]
-                assert calls == [call for c in touched for call in expected(c)]
-                read[chunks] = sum(nbytes for _offset, nbytes in calls)
-                if all(c.directory is not None for c in touched):
-                    assert read[chunks] <= 9 * len(answer)
-        assert read[32] <= 4.4 * read[8]
+            every = self.CHUNKS * self.BLOCK
+            read_8, read_32 = (read(n * self.BLOCK, False) for n in (8, 32))
+            assert read_32 <= 4.4 * read_8
+            read(every, tail_read=True)
+            read(every, tail_read=False)
+            windows = np.repeat(np.arange(every, every + self.BLOCK), self.SERVERS)
+            servers = np.tile(np.arange(self.SERVERS), self.BLOCK)
+            for store in (evicting, reference):
+                store.record_columns("B", "DC1", "rps", windows, servers,
+                                     np.arange(windows.size, dtype=float))
+            read(every + self.BLOCK, tail_read=False)
+            for before in (every, every + self.BLOCK // 2):  # two new records
+                evicting.evict_windows(before)
+            open_before = table._cold[len(table._cold) - table._open:]
+            read(every + self.BLOCK, tail_read=True, coalesced=open_before)
+            assert table._open == 1 < len(open_before)  # a new, shorter tail
+            read(every + self.BLOCK, tail_read=False)
 
     def test_a_short_read_fails_the_query(self, twins):
         """A spill file that hands back fewer bytes than a record holds
@@ -399,6 +439,102 @@ class TestOneServerReadHoldsOneChunk:
         got = evicting.server_series("B", "rps", "s3")
         want = reference.server_series("B", "rps", "s3")
         assert _bits(got.values) == _bits(want.values)
+
+
+class TestByServerIndexBuilds:
+    """The by-server index counted, not timed: on an idle streamed store
+    a hundred one-server reads, whole and sliced, build each part of
+    each read table's index once, and one mutation makes the next read
+    rebuild only the parts it changed, once each."""
+
+    COUNTER = Counter.REQUESTS.value
+
+    @pytest.fixture
+    def streamed(self):
+        fleet = build_single_pool_fleet(
+            "B", n_datacenters=2, servers_per_deployment=6, seed=3
+        )
+        sim = Simulator(fleet, seed=3, config=SimulationConfig(block_windows=16))
+        StreamingSimulator(sim, retain_windows=48).run(max_windows=400)
+        return sim.store
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _builds():
+        """Every index part built inside the block: (kind, what it indexes)."""
+        built = []
+
+        def spy(kind):
+            build = getattr(store_module._Runs, kind)
+            return mock.patch.object(
+                store_module._Runs, kind,
+                lambda of, *rest: built.append((kind, id(of))) or build(of, *rest),
+            )
+
+        with spy("tail"), spy("hot"):
+            yield built
+
+    def _reads(self, store, n):
+        names = store.servers_in_pool("B")
+        for i in range(n):
+            start, stop = ((None, None), (0, 300), (340, 390))[i % 3]
+            store.server_series("B", self.COUNTER, names[i % len(names)], start, stop)
+
+    def test_a_hundred_reads_build_each_part_once(self, streamed):
+        tables = streamed._matching_tables("B", self.COUNTER, None)
+        assert all(table._open and table._hot for table in tables)
+        with self._builds() as built:
+            self._reads(streamed, 100)
+        assert sorted(built) == sorted(
+            (kind, id(of)) for table in tables
+            for kind, of in (("tail", table._tail), ("hot", table._hot[0]))
+        )
+
+    def test_one_mutation_rebuilds_what_it_changed_once(self, streamed):
+        tables = streamed._matching_tables("B", self.COUNTER, None)
+        self._reads(streamed, 3)
+        with self._builds() as built:
+            streamed.evict_windows(streamed.evicted_before + 16)
+            self._reads(streamed, 10)
+        assert sorted(built) == sorted(
+            (kind, id(of)) for table in tables
+            for kind, of in (("tail", table._tail), ("hot", table._hot[0]))
+        )
+        table = tables[0]
+        windows = np.full(2, streamed.max_window + 1)
+        with self._builds() as built:
+            streamed.record_columns(
+                "B", "DC1", self.COUNTER, windows,
+                streamed.intern_servers(["late0", "late1"]), np.zeros(2),
+            )
+            self._reads(streamed, 10)
+        assert built == [("hot", id(table._hot[0]))]
+        assert table._hot[0].hi == windows[0]
+
+    def test_an_eviction_releases_the_index(self, streamed):
+        table = streamed._matching_tables("B", self.COUNTER, None)[0]
+        self._reads(streamed, 3)
+        assert all(part is not None for part in table._index)
+        streamed.evict_windows(streamed.evicted_before + 16)
+        assert table._index == (None, None)  # holds no evicted row
+
+    def test_a_compaction_rebuilds_the_tail_part(self, streamed):
+        """A compaction replaces the tail without an eviction (here: a
+        smaller scratch lowers the floor under it); the next read builds
+        the tail's part again and answers as before, bit for bit."""
+        names = streamed.servers_in_pool("B")
+        before = [streamed.server_series("B", self.COUNTER, name) for name in names]
+        tables = streamed._matching_tables("B", self.COUNTER, None)
+        with mock.patch.object(store_module, "_SCRATCH_BYTES", 8 << 10):
+            with self._builds() as built:
+                after = [streamed.server_series("B", self.COUNTER, n) for n in names]
+        assert all(table._cold[0].directory is not None and table._open for table in tables)
+        assert sorted(built) == sorted(
+            ("tail", id(table._tail)) for table in tables if table._tail is not None
+        )
+        for got, want in zip(after, before):
+            assert _bits(got.windows) == _bits(want.windows)
+            assert _bits(got.values) == _bits(want.values)
 
 
 class TestCompactionCosts:
