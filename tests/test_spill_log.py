@@ -528,7 +528,7 @@ class TestByServerIndexBuilds:
         with mock.patch.object(store_module, "_SCRATCH_BYTES", 8 << 10):
             with self._builds() as built:
                 after = [streamed.server_series("B", self.COUNTER, n) for n in names]
-        assert all(table._cold[0].directory is not None and table._open for table in tables)
+        assert all(t._cold[0].directory is not None and t._open for t in tables)
         assert sorted(built) == sorted(
             ("tail", id(table._tail)) for table in tables if table._tail is not None
         )
