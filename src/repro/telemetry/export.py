@@ -22,14 +22,23 @@ moved into place with ``os.replace``, so a failed or killed export
 leaves whatever was at ``path`` untouched; a gzip member carries no
 timestamp and no file name, so equal stores give equal bytes.
 
-Reading streams ``csv.reader`` (the only parser) row by row and
-re-resolves table and server only where the four constant fields
-change; rows keep file order and servers are interned in order of
-first appearance.  A file that is not an archive, a row with the wrong
-number of fields and a ``window`` or ``value`` that is not a number all
-raise ``ValueError("{path}:{line}: ...")``, ``line`` being the physical
-line the offending row ends on; so does a gzip member that ends early,
-does not inflate or fails its checksum, ``line`` then being the one the
+Reading takes the archive as bytes, ``_CHUNK`` at a time cut back to
+the last ``\\n``, and parses each canonical chunk (``_parse_chunk``
+says which are; ``export_store`` writes them wherever names need no
+quoting) in numpy, making no object per row and interning a server
+once per run.  From the first chunk that is not canonical to the end
+of the file ``csv.reader`` reads row by row: it owns quoted names,
+other numerals (``+7``, ``1_0.5``), ``\\r``-only row ends and every
+located error, and decodes each line on its own, so a byte that is
+not UTF-8 fails the line holding it.  Both fill one accumulator per
+table, recorded with one ``record_columns``; rows keep file order and
+servers are interned in order of first appearance.
+
+A file that is not an archive, a row with the wrong number of fields
+and a ``window`` or ``value`` that is not a number all raise
+``ValueError("{path}:{line}: ...")``, ``line`` being the physical line
+the offending row ends on; so does a gzip member that ends early, does
+not inflate or fails its checksum, ``line`` then being the one the
 damage cut short.
 """
 
@@ -38,8 +47,10 @@ from __future__ import annotations
 import csv
 import gzip
 import io
+import itertools
 import os
 import zlib
+from collections import defaultdict
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
@@ -128,23 +139,212 @@ def export_store(
 
 
 def _open_archive(path: Path):
-    if path.suffix == ".gz":
-        return gzip.open(path, "rt", encoding="utf-8", newline="")
-    return open(path, "r", encoding="utf-8", newline="")
+    return gzip.open(path, "rb") if path.suffix == ".gz" else open(path, "rb")
 
 
 #: What reading a damaged ``.gz`` raises: the member ends early, does
 #: not inflate, or fails its checksum.
 _DAMAGED = (EOFError, zlib.error, gzip.BadGzipFile)
 
+#: Bytes read at a time; the numpy reader parses them up to their last
+#: ``\n`` and carries the rest over.
+_CHUNK = 1 << 18
+#: Lines (row end excluded) this long or longer go to the row reader.
+_LONGEST = 256
+_HEADER_LINES = tuple(",".join(_HEADER).encode() + end for end in (b"\r\n", b"\n"))
+#: Place values of a window's (at most 16) digits.
+_POWERS = 10 ** np.arange(15, -1, -1, dtype=np.int64)
+#: Each line's separators: five commas, then its ``\n``.
+_SEPARATORS = np.frombuffer(b",,,,,\n", np.uint8)
 
-def _data_rows(handle, path: Path):
-    """A ``csv.reader`` over ``handle``, positioned after the archive header."""
-    reader = csv.reader(handle)
+
+def _blocks(raw) -> Iterator[bytes]:
+    """``raw``'s bytes, about ``_CHUNK`` at a time.
+
+    The bytes read before damage come out as a block of their own
+    before the damage is raised, so errors name the line it cut short.
+    """
+    while True:
+        pieces, size = [], 0
+        try:
+            while size < _CHUNK and (piece := raw.read1(_CHUNK - size)):
+                pieces.append(piece)
+                size += len(piece)
+        except _DAMAGED:
+            if pieces:
+                yield b"".join(pieces)
+            raise
+        if not pieces:
+            return
+        yield b"".join(pieces)
+
+
+def _lines(blocks) -> Iterator[str]:
+    """The physical lines of ``blocks``, each decoded on its own.
+
+    Lines end at ``\\r\\n``, ``\\r`` or ``\\n`` (kept), as ``newline=""``
+    splits them; a byte that is not UTF-8 fails the line holding it.
+    """
+    rest = b""
+    for block in blocks:
+        lines = (rest + block).splitlines(keepends=True)
+        rest = lines.pop() if lines else b""  # may be cut short, or end in ``\r``
+        for line in lines:
+            yield line.decode()
+    if rest:
+        yield rest.decode()
+
+
+def _text(raw: bytes, width: int) -> np.ndarray:
+    """Every ``width``-byte window of ``raw`` as an ``S{width}`` array (a view)."""
+    return np.ndarray((len(raw) - width + 1,), f"S{width}", raw, strides=(1,))
+
+
+def _fields(raw: bytes, offsets: np.ndarray, widths: np.ndarray, width: int) -> np.ndarray:
+    """The fields at ``offsets`` as one ``S{width}`` column, NUL-padded (a copy)."""
+    column = _text(raw, width)[offsets]
+    octets = column.view(np.uint8).reshape(-1, width)
+    octets *= np.arange(width, dtype=np.uint8) < widths.astype(np.uint8)[:, None]
+    return column
+
+
+def _parse_chunk(chunk: bytes):
+    """The rows of ``chunk`` (whole ``\\n``-ended lines) as columns.
+
+    Returns ``None`` unless the chunk is canonical: ASCII with no ``"``
+    or NUL, every ``\\r`` right before a ``\\n``, lines of fewer than
+    ``_LONGEST`` bytes with exactly five commas, windows of 1-16 ASCII
+    digits and values that ``float()`` parses (numpy's ``S`` to float
+    cast calls it); ``csv.reader`` reads all of those as this does.
+    Otherwise returns the windows, the values, the rows at which the
+    ``server,pool,dc,counter`` bytes change, and where those bytes lie.
+    """
+    if not chunk.isascii() or b'"' in chunk or b"\0" in chunk:
+        return None
+    pad = 16  # so a window's digit column may start before the chunk
+    raw = bytes(pad) + chunk + bytes(_LONGEST)
+    octets = np.frombuffer(raw, np.uint8)
+    separators = np.flatnonzero((octets == 44) | (octets == 10))
+    if separators.size % 6:
+        return None
+    separators = separators.reshape(-1, 6)
+    if not (octets[separators] == _SEPARATORS).all():
+        return None
+    first, last, ends = separators[:, 0], separators[:, 4], separators[:, 5]
+    starts = np.concatenate(([pad], ends[:-1] + 1))
+    width = first - starts
+    returns = octets[ends - 1] == 13
+    if (
+        (ends - starts).max() >= _LONGEST
+        or width.min() < 1
+        or width.max() > 16
+        or np.count_nonzero(octets == 13) != np.count_nonzero(returns)
+    ):
+        return None
+    digits = int(width.max())
+    column = _text(raw, digits)[first - digits].view(np.uint8).reshape(-1, digits) - 48
+    column *= np.arange(digits) >= (digits - width)[:, None]
+    if (column > 9).any():
+        return None
+    windows = column @ _POWERS[-digits:]
+    widths = ends - returns - last - 1
+    if widths.min() < 1:
+        return None
+    try:
+        values = _fields(raw, last + 1, widths, int(widths.max())).astype(np.float64)
+    except ValueError:
+        return None
+    widths = last - first - 1
+    keys = _fields(raw, first + 1, widths, -(-int(widths.max()) // 8) * 8)
+    keys = keys.view(np.uint64).reshape(len(windows), -1)
+    runs = np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1
+    runs = np.concatenate(([0], runs))
+    return windows, values, runs, first[runs] + 1 - pad, last[runs] - pad
+
+
+class _Columns:
+    """One table's rows in file order, from whichever reader read them.
+
+    Chunks parsed in numpy add array pieces; the row reader, which only
+    ever reads after them, adds to ``windows``/``values`` one row at a
+    time.  Per run of one server: its interned index and first row.
+    """
+
+    __slots__ = ("window_pieces", "value_pieces", "parsed", "windows", "values",
+                 "servers", "starts")
+
+    def __init__(self):
+        self.window_pieces, self.value_pieces, self.parsed = [], [], 0
+        self.windows, self.values = [], []
+        self.servers, self.starts = [], []
+
+    def add_run(self, server: int, windows: np.ndarray, values: np.ndarray) -> None:
+        self.servers.append(server)
+        self.starts.append(self.parsed)
+        self.window_pieces.append(windows)
+        self.value_pieces.append(values)
+        self.parsed += len(windows)
+
+    def columns(self):
+        windows = np.concatenate(
+            self.window_pieces + [np.asarray(self.windows, dtype=np.int64)]
+        )
+        values = np.concatenate(self.value_pieces + [np.asarray(self.values, dtype=float)])
+        lengths = np.diff(np.asarray(self.starts + [windows.size], dtype=np.int64))
+        return windows, np.repeat(np.asarray(self.servers, dtype=np.int64), lengths), values
+
+
+def _parse_chunks(path: Path, blocks, store: MetricStore, tables: dict):
+    """Read ``blocks`` in numpy chunk by chunk while chunks are canonical.
+
+    Returns the lines read (the header's included) and the bytes left
+    for the row reader: from the first chunk that is not canonical, or
+    what follows the last ``\\n``.
+    """
+    lines, data = 0, b""
+    try:
+        for block in blocks:
+            data += block
+            cut = data.rfind(b"\n") + 1
+            if not cut:
+                if len(data) > _LONGEST:
+                    break
+                continue
+            chunk, data = data[:cut], data[cut:]
+            if not lines:
+                header = chunk[:chunk.index(b"\n") + 1]
+                if header not in _HEADER_LINES:
+                    return 0, chunk + data
+                chunk, lines = chunk[len(header):], 1
+                if not chunk:
+                    continue
+            parsed = _parse_chunk(chunk)
+            if parsed is None:
+                return lines, chunk + data
+            windows, values, runs, key_starts, key_stops = parsed
+            bounds = runs.tolist() + [len(windows)]
+            for run, (start, stop) in enumerate(zip(key_starts.tolist(), key_stops.tolist())):
+                server_id, pool_id, datacenter_id, counter = (
+                    chunk[start:stop].decode("ascii").split(",")
+                )
+                table = tables[pool_id, datacenter_id, counter]
+                low, high = bounds[run], bounds[run + 1]
+                table.add_run(
+                    store.intern_server(server_id), windows[low:high], values[low:high]
+                )
+            lines += len(windows)
+    except _DAMAGED as error:
+        raise ValueError(f"{path}:{lines + 1}: damaged archive ({error})") from None
+    return lines, data
+
+
+def _data_rows(path: Path, lines):
+    """A ``csv.reader`` over ``lines``, positioned after the archive header."""
+    reader = csv.reader(lines)
     try:
         header = next(reader, None)
-    except _DAMAGED as error:
-        raise _located(path, reader, error) from None
+    except (UnicodeDecodeError, *_DAMAGED) as error:
+        raise _located(path, reader.line_num, error) from None
     if header != list(_HEADER):
         raise ValueError(
             f"{path}:1: not a telemetry archive "
@@ -153,73 +353,74 @@ def _data_rows(handle, path: Path):
     return reader
 
 
-def _located(path: Path, reader, error: Exception) -> ValueError:
-    # ``line_num`` counts physical lines, so it stays right for rows
-    # whose quoted fields hold line breaks; damage surfaces while the
-    # line after the last whole one is being read.
-    if isinstance(error, ValueError):
-        return ValueError(f"{path}:{reader.line_num}: malformed row ({error})")
-    return ValueError(f"{path}:{reader.line_num + 1}: damaged archive ({error})")
+def _located(path: Path, line: int, error: Exception) -> ValueError:
+    """``error`` raised with ``line`` lines read, located in ``path``."""
+    # A row's ``line`` is the physical line it ends on, so it stays
+    # right for quoted fields holding line breaks; a byte that does not
+    # decode and damage surface while the next line is being fetched.
+    if isinstance(error, UnicodeDecodeError) or not isinstance(error, ValueError):
+        line += 1
+    what = "malformed row" if isinstance(error, ValueError) else "damaged archive"
+    return ValueError(f"{path}:{line}: {what} ({error})")
+
+
+def _read_rows(path: Path, offset: int, lines, store: MetricStore, tables: dict) -> None:
+    """Read ``lines`` with ``csv.reader``, ``offset`` lines into the file.
+
+    This reader owns quoted names, numerals other than plain digits,
+    ``\\r``-only row ends and every located error; at ``offset`` 0 it
+    checks the header too.
+    """
+    reader = _data_rows(path, lines) if not offset else csv.reader(lines)
+    run_server = run_pool = run_dc = run_counter = None
+    # One handler for the row's three ways of being wrong — field
+    # count (raised by the loop's own unpacking), window, value — and
+    # for the file giving out, or not decoding, under the reader.
+    try:
+        for window, server_id, pool_id, datacenter_id, counter, value in reader:
+            if (
+                server_id != run_server
+                or counter != run_counter
+                or datacenter_id != run_dc
+                or pool_id != run_pool
+            ):
+                run_server, run_pool = server_id, pool_id
+                run_dc, run_counter = datacenter_id, counter
+                table = tables[pool_id, datacenter_id, counter]
+                table.servers.append(store.intern_server(server_id))
+                table.starts.append(table.parsed + len(table.windows))
+                add_window, add_value = table.windows.append, table.values.append
+            add_window(int(window))
+            add_value(float(value))
+    except (ValueError, *_DAMAGED) as error:
+        raise _located(path, offset + reader.line_num, error) from None
 
 
 def import_store(path: PathLike) -> MetricStore:
     """Load a store previously written by :func:`export_store`.
 
     Rows are columnised per (pool, datacenter, counter) table in file
-    order and appended through the store's batch path.
+    order and appended through the store's batch path, one
+    ``record_columns`` per table.
     """
     path = Path(path)
     store = MetricStore()
-    # (pool, datacenter, counter) -> windows, values, and per run of one
-    # server its interned index and the row it starts at.
-    tables: dict = {}
-    with _open_archive(path) as handle:
-        reader = _data_rows(handle, path)
-        run_server = run_pool = run_dc = run_counter = None
-        # One handler for the row's three ways of being wrong — field
-        # count (raised by the loop's own unpacking), window, value —
-        # and for the file giving out under the reader.
-        try:
-            for window, server_id, pool_id, datacenter_id, counter, value in reader:
-                if (
-                    server_id != run_server
-                    or counter != run_counter
-                    or datacenter_id != run_dc
-                    or pool_id != run_pool
-                ):
-                    run_server, run_pool = server_id, pool_id
-                    run_dc, run_counter = datacenter_id, counter
-                    key = (pool_id, datacenter_id, counter)
-                    table = tables.get(key)
-                    if table is None:
-                        table = tables[key] = ([], [], [], [])
-                    windows, values, run_indices, run_starts = table
-                    run_indices.append(store.intern_server(server_id))
-                    run_starts.append(len(windows))
-                    add_window, add_value = windows.append, values.append
-                add_window(int(window))
-                add_value(float(value))
-        except (ValueError, *_DAMAGED) as error:
-            raise _located(path, reader, error) from None
-    for (pool_id, datacenter_id, counter), table in tables.items():
-        windows, values, run_indices, run_starts = table
-        run_lengths = np.diff(np.asarray(run_starts + [len(windows)], dtype=np.int64))
-        store.record_columns(
-            pool_id,
-            datacenter_id,
-            counter,
-            np.asarray(windows, dtype=np.int64),
-            np.repeat(np.asarray(run_indices, dtype=np.int64), run_lengths),
-            np.asarray(values, dtype=float),
-        )
+    tables = defaultdict(_Columns)  # (pool, datacenter, counter) -> rows
+    with _open_archive(path) as raw:
+        blocks = _blocks(raw)
+        lines, rest = _parse_chunks(path, blocks, store, tables)
+        if rest or not lines:
+            _read_rows(path, lines, _lines(itertools.chain([rest], blocks)), store, tables)
+    for key in list(tables):  # popped, so each table's pieces go as it is recorded
+        store.record_columns(*key, *tables.pop(key).columns())
     return store
 
 
 def iter_rows(path: PathLike) -> Iterator[dict]:
     """Stream archive rows as dictionaries (for ad-hoc inspection)."""
     path = Path(path)
-    with _open_archive(path) as handle:
-        reader = _data_rows(handle, path)
+    with _open_archive(path) as raw:
+        reader = _data_rows(path, _lines(_blocks(raw)))
         try:
             for window, server_id, pool_id, datacenter_id, counter, value in reader:
                 yield {
@@ -231,4 +432,4 @@ def iter_rows(path: PathLike) -> Iterator[dict]:
                     "value": float(value),
                 }
         except (ValueError, *_DAMAGED) as error:
-            raise _located(path, reader, error) from None
+            raise _located(path, reader.line_num, error) from None

@@ -7,14 +7,18 @@ references both are compared against.
 
 import csv
 import gzip
+import io
 import os
 import signal
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.telemetry import export
 from repro.telemetry.export import export_store, import_store, iter_rows
 from repro.telemetry.store import MetricStore
 
@@ -86,11 +90,14 @@ def reference_import(path) -> MetricStore:
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         next(reader)
-        for window, server_id, pool_id, datacenter_id, counter, value in reader:
-            bucket = grouped.setdefault((pool_id, datacenter_id, counter), ([], [], []))
-            bucket[0].append(int(window))
-            bucket[1].append(store.intern_server(server_id))
-            bucket[2].append(float(value))
+        try:
+            for window, server_id, pool_id, datacenter_id, counter, value in reader:
+                bucket = grouped.setdefault((pool_id, datacenter_id, counter), ([], [], []))
+                bucket[0].append(int(window))
+                bucket[1].append(store.intern_server(server_id))
+                bucket[2].append(float(value))
+        except ValueError as error:
+            raise ValueError(f"{path}:{reader.line_num}: malformed row ({error})") from None
     for (pool_id, datacenter_id, counter), (windows, indices, values) in grouped.items():
         store.record_columns(
             pool_id, datacenter_id, counter,
@@ -130,7 +137,7 @@ float64_bits = st.integers(min_value=0, max_value=2**64 - 1).map(
 
 
 @st.composite
-def sample_rows(draw):
+def sample_rows(draw, names=names):
     """Samples over a few arbitrary names, in arbitrary (interleaved) order."""
     servers = draw(st.lists(names, min_size=1, max_size=4, unique=True))
     pools = draw(st.lists(names, min_size=1, max_size=2, unique=True))
@@ -208,6 +215,160 @@ class TestCodecProperties:
         ]
 
 
+FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+#: Spellings of a window that ``int()`` reads but the numpy reader
+#: leaves to ``csv.reader``.
+ODD_WINDOWS = [
+    lambda window: f"+{window}",
+    lambda window: f" {window}",
+    lambda window: f"0_{window}",
+    lambda window: str(window).translate(FULLWIDTH),
+]
+ODD_VALUES = ["1e3", "inf", "nan", "1_0.5"]
+plain_names = st.text(st.sampled_from("ab01 ._-"), max_size=5)
+
+
+@st.composite
+def archives(draw):
+    """An archive of ``sample_rows`` in any spelling ``csv.reader`` reads.
+
+    Row ends ``\r\n``, ``\n`` or ``\r``, with or without a final one;
+    odd windows and values in a drawn share of the rows; maybe a quoted
+    name first seen on the last row; maybe one row whose window is not
+    a number, or whose server name holds an unquoted ``\r`` (which
+    ends that row early).
+    """
+    rows = draw(sample_rows(draw(st.sampled_from([plain_names, names]))))
+    end = draw(st.sampled_from(["\r\n", "\n", "\r"]))
+    odd = draw(st.integers(min_value=0, max_value=10))  # in tenths of the rows
+    broken = draw(st.none() | st.integers(min_value=0, max_value=max(len(rows) - 1, 0)))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=end)
+    writer.writerow(HEADER)
+    for number, (window, server, *fields, value) in enumerate(rows):
+        value = repr(value)
+        if draw(st.integers(min_value=1, max_value=10)) <= odd:
+            window = draw(st.sampled_from(ODD_WINDOWS))(window)
+            value = draw(st.sampled_from([value, *ODD_VALUES]))
+        if number == broken:
+            window, server = draw(st.sampled_from([("x", server), (window, "s\ue000")]))
+        writer.writerow((window, server, *fields, value))
+    if draw(st.booleans()):
+        writer.writerow((7, 'late "one"', "B", "DC1", "cpu", "1.5"))
+    text = out.getvalue().replace("\ue000", "\r")
+    if draw(st.booleans()):
+        text = text[:-len(end)]
+    return text.encode()
+
+
+def outcome(read, path):
+    """What ``read`` makes of ``path``: its columns, or its error."""
+    try:
+        return columns(read(path))
+    except ValueError as error:
+        return str(error)
+
+
+def counting_row_reader(monkeypatch):
+    """Patch ``export``; returns the lines ``csv.reader`` will be fed and
+    the chunks the numpy reader will turn down."""
+    fed, refused = [], []
+    lines, parse_chunk = export._lines, export._parse_chunk
+
+    def counted_lines(blocks):
+        for line in lines(blocks):
+            fed.append(line)
+            yield line
+
+    def counted_parse(chunk):
+        parsed = parse_chunk(chunk)
+        if parsed is None:
+            refused.append(chunk)
+        return parsed
+
+    monkeypatch.setattr(export, "_lines", counted_lines)
+    monkeypatch.setattr(export, "_parse_chunk", counted_parse)
+    return fed, refused
+
+
+def fleet_store(windows: int) -> MetricStore:
+    """Two pools, two datacenters, three servers each, ``windows`` windows."""
+    store = MetricStore()
+    values = np.random.default_rng(3).random(windows * 3) * 100
+    for pool in ("A", "B"):
+        for datacenter in ("DC1", "DC2"):
+            names = [f"{datacenter}.{pool}.s{i}" for i in range(3)]
+            store.record_columns(
+                pool, datacenter, "cpu",
+                np.tile(np.arange(windows, dtype=np.int64), 3),
+                np.repeat(store.intern_servers(names), windows),
+                values,
+            )
+    return store
+
+
+class TestTwoReaders:
+    """Canonical chunks are parsed in numpy, the rest by ``csv.reader``."""
+
+    @given(archive=archives(), chunk=st.integers(min_value=1, max_value=64))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_row_reader_at_any_cut(self, tmp_path_factory, archive, chunk):
+        path = tmp_path_factory.mktemp("cuts") / "archive.csv"
+        path.write_bytes(archive)
+        expected = outcome(reference_import, path)
+        with mock.patch.object(export, "_CHUNK", chunk):
+            assert outcome(import_store, path) == expected
+            try:
+                rows = len(list(iter_rows(path)))
+            except ValueError as error:
+                assert str(error) == expected
+            else:
+                assert rows == sum(len(t[0]) for t in expected[0].values())
+
+    def test_exported_archive_never_reaches_the_row_reader(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(export, "_CHUNK", 4096)
+        path = tmp_path / "fleet.csv.gz"
+        rows = export_store(fleet_store(500), path)
+        fed, refused = counting_row_reader(monkeypatch)
+        loaded = import_store(path)
+        assert (fed, refused) == ([], [])
+        assert loaded.sample_count() == rows == 6000
+        path.write_bytes(gzip.decompress(path.read_bytes()))
+        assert columns(loaded) == columns(reference_import(path))
+
+    def test_row_reader_reads_exactly_the_last_chunk(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(export, "_CHUNK", 4096)
+        path = tmp_path / "fleet.csv"
+        export_store(fleet_store(500), path)
+        with open(path, "a", newline="") as handle:
+            csv.writer(handle).writerow((500, 'late,"one"', "A", "DC1", "cpu", 1.5))
+        fed, refused = counting_row_reader(monkeypatch)
+        recorded = []
+        record_columns = MetricStore.record_columns
+        monkeypatch.setattr(MetricStore, "record_columns", lambda store, *args: (
+            recorded.append(args[:3]), record_columns(store, *args)))
+        loaded = import_store(path)
+        assert len(recorded) == len(set(recorded)) == 4  # both readers fill (A, DC1, cpu)
+        [last] = refused
+        assert path.read_bytes().endswith(last) and len(last) <= 4096 + 256
+        assert "".join(fed).encode() == last
+        assert len(fed) == last.count(b"\n") < 6000 // 20
+        assert columns(loaded) == columns(reference_import(path))
+
+    def test_peak_memory_is_columns_and_a_chunk(self, tmp_path, monkeypatch):
+        # A Python object per row, as in a per-row reader, is > 5x this.
+        monkeypatch.setattr(export, "_CHUNK", 1 << 16)
+        path = tmp_path / "fleet.csv"
+        rows = export_store(fleet_store(10_000), path)
+        tracemalloc.start()
+        try:
+            import_store(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 16 * rows + 8 * export._CHUNK
+
+
 class TestLocatedErrors:
     ARCHIVE = (
         'window,server_id,pool_id,datacenter_id,counter,value\r\n'
@@ -243,6 +404,21 @@ class TestLocatedErrors:
         path = tmp_path / "other.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match=rf"^{path}:1: not a telemetry archive .*'window'"):
+            read(path)
+
+    @pytest.mark.parametrize("read", [import_store, lambda p: list(iter_rows(p))],
+                             ids=["import_store", "iter_rows"])
+    @pytest.mark.parametrize("suffix", [".csv", ".csv.gz"])
+    def test_undecodable_byte_names_its_line(self, tmp_path, read, suffix):
+        # A text layer decoding 8 kB ahead of csv.reader named line 1312.
+        lines = [",".join(HEADER).encode()]
+        lines += [f"{window},s0,B,DC1,cpu,{window}.5".encode() for window in range(2000)]
+        lines[1500] = b"1499,s\xff,B,DC1,cpu,1.5"
+        data = b"\r\n".join(lines) + b"\r\n"
+        path = tmp_path / f"fleet{suffix}"
+        path.write_bytes(gzip.compress(data) if suffix == ".csv.gz" else data)
+        with pytest.raises(ValueError, match=rf"^{path}:1501: malformed row "
+                           r"\('utf-8' codec can't decode byte 0xff"):
             read(path)
 
 
