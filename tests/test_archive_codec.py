@@ -232,10 +232,10 @@ plain_names = st.text(st.sampled_from("ab01 ._-"), max_size=5)
 def archives(draw):
     """An archive of ``sample_rows`` in any spelling ``csv.reader`` reads.
 
-    Row ends ``\r\n``, ``\n`` or ``\r``, with or without a final one;
+    Row ends ``\\r\\n``, ``\\n`` or ``\\r``, with or without a final one;
     odd windows and values in a drawn share of the rows; maybe a quoted
     name first seen on the last row; maybe one row whose window is not
-    a number, or whose server name holds an unquoted ``\r`` (which
+    a number, or whose server name holds an unquoted ``\\r`` (which
     ends that row early).
     """
     rows = draw(sample_rows(draw(st.sampled_from([plain_names, names]))))
