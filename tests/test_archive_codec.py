@@ -9,6 +9,7 @@ import csv
 import gzip
 import io
 import os
+import re
 import signal
 import tracemalloc
 from unittest import mock
@@ -424,6 +425,21 @@ class TestLocatedErrors:
 
     @pytest.mark.parametrize("read", [import_store, lambda p: list(iter_rows(p))],
                              ids=["import_store", "iter_rows"])
+    @pytest.mark.parametrize("suffix", [".csv", ".csv.gz"])
+    def test_overlong_field_names_its_line(self, tmp_path, read, suffix):
+        # csv.Error used to escape the reader: a traceback at the CLI.
+        data = (
+            ",".join(HEADER) + "\r\n0,s0,B,DC1,cpu,1.5\r\n"
+            + "1," + "s" * (csv.field_size_limit() + 1) + ",B,DC1,cpu,2.5\r\n"
+        ).encode()
+        path = tmp_path / f"long{suffix}"
+        path.write_bytes(gzip.compress(data) if suffix == ".csv.gz" else data)
+        with pytest.raises(ValueError, match=rf"^{path}:3: malformed row "
+                           r"\(field larger than field limit"):
+            read(path)
+
+    @pytest.mark.parametrize("read", [import_store, lambda p: list(iter_rows(p))],
+                             ids=["import_store", "iter_rows"])
     @pytest.mark.parametrize(
         "damage,what",
         [
@@ -528,3 +544,109 @@ class TestAtomicReplace:
             signal.signal(signal.SIGXFSZ, handler)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == [path.name]
+
+
+SPECIAL_VALUES = [
+    0.0, -0.0, float("inf"), float("-inf"), 5e-324, -5e-324, 2.225073858507201e-308,
+    2.2250738585072014e-308, 1e16, 1e-05, 9999999999999998.0, 0.1 + 0.2, 1e22, 123.0,
+] + [
+    float(np.array(bits, dtype=np.uint64).view(np.float64))  # NaNs, payloads and signs
+    for bits in (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                 0x7FF8000000000BAD, 0xFFFFFFFFFFFFFFFF)
+]
+quoted_names = st.sampled_from(['s0', 'web,1', 'db"2"', "two\nlines", "cr\rhere", "é", "\0"])
+
+
+@st.composite
+def special_rows(draw):
+    """Samples whose values repeat and take every special bit pattern."""
+    values = draw(st.lists(st.sampled_from(SPECIAL_VALUES) | float64_bits,
+                           min_size=1, max_size=6))
+    return draw(st.lists(
+        st.tuples(
+            st.integers(min_value=-3, max_value=2**40) | st.sampled_from([0, 1, 10, 99]),
+            quoted_names, st.sampled_from(["A", 'B,"x"']), st.sampled_from(["DC1", "DC 2"]),
+            st.sampled_from(["cpu", "lat,ms"]), st.sampled_from(values),
+        ),
+        max_size=40,
+    ))
+
+
+class TestWriterDifferential:
+    """``export_store`` writes what the per-row writer writes, byte for byte."""
+
+    @given(rows=special_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_the_per_row_writer(self, tmp_path_factory, rows):
+        scratch = tmp_path_factory.mktemp("writer")
+        source = store_of(rows)
+        reference_export(source, scratch / "old.csv")
+        expected = (scratch / "old.csv").read_bytes()
+        assert export_store(source, scratch / "new.csv") == len(rows)
+        assert (scratch / "new.csv").read_bytes() == expected
+        export_store(source, scratch / "new.csv.gz")
+        # The member as a text layer over GzipFile wrote it: closing the
+        # text layer flushes (Z_SYNC_FLUSH) before the member ends.
+        member = io.BytesIO()
+        packed = gzip.GzipFile(filename="", mode="wb", fileobj=member, mtime=0)
+        with io.TextIOWrapper(packed, encoding="utf-8", newline="") as handle:
+            handle.write(expected.decode())
+        assert (scratch / "new.csv.gz").read_bytes() == member.getvalue()
+
+    def test_batches_split_runs_as_the_one_batch_does(self, tmp_path, monkeypatch):
+        store = fleet_store(50)
+        export_store(store, tmp_path / "whole.csv")
+        monkeypatch.setattr(export, "_BATCH_ROWS", 7)
+        export_store(store, tmp_path / "batched.csv")
+        reference_export(store, tmp_path / "old.csv")
+        assert (tmp_path / "batched.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert (tmp_path / "whole.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@st.composite
+def any_archive_bytes(draw):
+    """Any bytes, often behind a valid header and built from archive-ish pieces."""
+    pieces = st.sampled_from([
+        b",", b"\r\n", b"\n", b"\r", b'"', b"0", b"7", b"-", b"1.5", b"nan", b"e9",
+        b"s0", b"B", b"DC1", b"cpu", b"\xff", b"\xc3\xa9", b"\0", b" ", b"9" * 20,
+    ])
+    names = st.sampled_from([b"s0", b"B", b"DC1", b"cpu"]) | st.lists(
+        pieces, max_size=3).map(b"".join)
+    rows = st.tuples(
+        st.sampled_from([b"0", b"7", b"-3", b"+1", b"9" * 20, b"1.5", b"", b"x"]),
+        names, names, names, names,
+        st.sampled_from([b"1.5", b"-0.0", b"nan", b"1e999", b"", b"x"]),
+    ).map(b",".join)
+    ends = st.sampled_from([b"\r\n", b"\n", b"\r", b""])
+    body = draw(
+        st.binary(max_size=200)
+        | st.lists(pieces, max_size=60).map(b"".join)
+        | st.lists(st.tuples(rows, ends).map(b"".join), max_size=8).map(b"".join)
+    )
+    if draw(st.booleans()):
+        body = ",".join(HEADER).encode() + draw(st.sampled_from([b"\r\n", b"\n"])) + body
+    return body
+
+
+class TestReaderTotality:
+    """Whatever the bytes, a reader returns or raises ``ValueError("path:line: ...")``."""
+
+    @given(data=any_archive_bytes(), packing=st.sampled_from(["raw", "gzip", "gzip-cut"]),
+           chunk=st.sampled_from([7, 64, 1 << 18]))
+    @settings(max_examples=400, deadline=None)
+    def test_returns_or_raises_a_located_value_error(
+        self, tmp_path_factory, data, packing, chunk
+    ):
+        path = tmp_path_factory.mktemp("any") / (
+            "archive.csv" if packing == "raw" else "archive.csv.gz")
+        if packing != "raw":
+            data = gzip.compress(data, mtime=0)
+            if packing == "gzip-cut":
+                data = data[:len(data) // 2]
+        path.write_bytes(data)
+        with mock.patch.object(export, "_CHUNK", chunk):
+            for read in (import_store, lambda p: list(iter_rows(p))):
+                try:
+                    read(path)
+                except ValueError as error:
+                    assert re.match(rf"{re.escape(str(path))}:[1-9][0-9]*: ", str(error))

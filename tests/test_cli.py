@@ -371,8 +371,10 @@ class TestUnreadableArchive:
             (None, "No such file"),
             ("not,an,archive\r\n", ":1: not a telemetry archive"),
             (_ARCHIVE_HEADER + "0,s0,B,DC1,cpu,oops\r\n", ":2: malformed row"),
+            (_ARCHIVE_HEADER + "0,s0,B,DC1,cpu,1.5\r\n1," + "s" * 200_000
+             + ",B,DC1,cpu,2.5\r\n", ":3: malformed row (field larger than field limit"),
         ],
-        ids=["missing", "non-archive", "malformed-row"],
+        ids=["missing", "non-archive", "malformed-row", "overlong-field"],
     )
     def test_exit_2_with_one_error_line(
         self, tmp_path, capsys, command, content, expected

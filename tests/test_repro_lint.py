@@ -419,7 +419,7 @@ class TestLineBudget:
     def test_repo_areas_are_within_budget(self, engine):
         import rule_line_budget as rule  # on sys.path once the engine is
 
-        assert rule.BUDGETS["src/repro/telemetry/*.py"] <= 5268
+        assert rule.BUDGETS["src/repro/telemetry/*.py"] <= 5344
         assert rule.BUDGETS["README.md docs/*.md"] <= 1487
         assert rule.BUDGETS["tools/**/*.py"] <= 1444
         assert _findings(engine, REPO_ROOT, "line-budget") == []

@@ -14,7 +14,7 @@ from typing import List, Tuple
 RULE_NAME = "line-budget"
 
 BUDGETS = {
-    "src/repro/telemetry/*.py": 5268,
+    "src/repro/telemetry/*.py": 5344,
     "tools/**/*.py": 1444,
     "README.md docs/*.md": 1486,
 }
