@@ -9,10 +9,10 @@ figure in the paper's evaluation.
 
 Quickstart::
 
-    import numpy as np
-    from repro import (
-        CapacityPlanner, QoSRequirement, Simulator, build_paper_fleet,
-    )
+    from repro.cluster.builders import build_paper_fleet
+    from repro.cluster.simulation import Simulator
+    from repro.core.planner import CapacityPlanner
+    from repro.core.slo import QoSRequirement
 
     fleet = build_paper_fleet(servers_per_deployment=8)
     simulator = Simulator(fleet, seed=7)
@@ -24,87 +24,3 @@ Quickstart::
 """
 
 __version__ = "0.1.0"
-
-from repro.cluster import (
-    Datacenter,
-    DatacenterOutage,
-    Fleet,
-    HardwareSpec,
-    LatencyModel,
-    MicroServiceProfile,
-    PoolDeployment,
-    Server,
-    ServerPool,
-    SimulationConfig,
-    Simulator,
-    SoftwareVersion,
-    build_paper_fleet,
-    build_single_pool_fleet,
-    service_catalog,
-)
-from repro.core import (
-    CapacityPlanner,
-    FleetPlan,
-    GroupingModel,
-    HeadroomPlan,
-    HeadroomPlanner,
-    MetricValidator,
-    QoSRequirement,
-    RegressionGate,
-    ResponseSurfaceOptimizer,
-    SLO,
-    analyze_natural_experiment,
-    detect_surge_events,
-    identify_server_groups,
-)
-from repro.telemetry import Counter, MetricStore, ShardedMetricStore, TimeSeries
-from repro.workload import (
-    DiurnalPattern,
-    RampPlan,
-    RequestClass,
-    RequestMix,
-    SyntheticWorkloadModel,
-    WorkloadTrace,
-)
-
-__all__ = [
-    "__version__",
-    "Datacenter",
-    "DatacenterOutage",
-    "Fleet",
-    "HardwareSpec",
-    "LatencyModel",
-    "MicroServiceProfile",
-    "PoolDeployment",
-    "Server",
-    "ServerPool",
-    "SimulationConfig",
-    "Simulator",
-    "SoftwareVersion",
-    "build_paper_fleet",
-    "build_single_pool_fleet",
-    "service_catalog",
-    "CapacityPlanner",
-    "FleetPlan",
-    "GroupingModel",
-    "HeadroomPlan",
-    "HeadroomPlanner",
-    "MetricValidator",
-    "QoSRequirement",
-    "RegressionGate",
-    "ResponseSurfaceOptimizer",
-    "SLO",
-    "analyze_natural_experiment",
-    "detect_surge_events",
-    "identify_server_groups",
-    "Counter",
-    "MetricStore",
-    "ShardedMetricStore",
-    "TimeSeries",
-    "DiurnalPattern",
-    "RampPlan",
-    "RequestClass",
-    "RequestMix",
-    "SyntheticWorkloadModel",
-    "WorkloadTrace",
-]

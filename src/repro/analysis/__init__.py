@@ -1,14 +1,1 @@
 """Fleet-wide studies (§III-B): utilization distributions and savings."""
-
-from repro.analysis.utilization import (
-    FleetUtilizationStudy,
-    study_fleet_utilization,
-)
-from repro.analysis.savings import SavingsSummary, summarize_savings
-
-__all__ = [
-    "FleetUtilizationStudy",
-    "study_fleet_utilization",
-    "SavingsSummary",
-    "summarize_savings",
-]

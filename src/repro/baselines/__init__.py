@@ -10,15 +10,3 @@
   headroom fudge factor: the industry default the paper's savings are
   measured against.
 """
-
-from repro.baselines.queuing import MMcPlanner, erlang_c_wait_probability
-from repro.baselines.autoscaler import AutoscalerOutcome, ReactiveAutoscaler
-from repro.baselines.static_peak import StaticPeakPlanner
-
-__all__ = [
-    "MMcPlanner",
-    "erlang_c_wait_probability",
-    "AutoscalerOutcome",
-    "ReactiveAutoscaler",
-    "StaticPeakPlanner",
-]

@@ -19,117 +19,3 @@ Everything here is *black-box*: the only inputs are telemetry queries
 against a :class:`~repro.telemetry.store.MetricStore` and the
 experiment interventions a service operator could perform.
 """
-
-from repro.core.slo import QoSRequirement, SLO
-from repro.core.metric_validation import (
-    MetricValidationReport,
-    MetricValidator,
-    ValidationStatus,
-)
-from repro.core.grouping import (
-    GroupingModel,
-    PoolGroupReport,
-    ServerGroup,
-    identify_server_groups,
-    server_feature_matrix,
-)
-from repro.core.partitions import LoadPartition, partition_by_total_load
-from repro.core.curves import (
-    ServersQoSModel,
-    WorkloadQoSModel,
-    WorkloadResourceModel,
-    fit_pool_response,
-)
-from repro.core.rsm import (
-    ExperimentRunner,
-    ReductionExperiment,
-    ResponseSurfaceOptimizer,
-    RsmIteration,
-    RsmResult,
-)
-from repro.core.natural_experiments import (
-    NaturalExperimentReport,
-    SurgeEvent,
-    analyze_natural_experiment,
-    detect_surge_events,
-)
-from repro.core.headroom import HeadroomPlan, HeadroomPlanner
-from repro.core.availability import (
-    AvailabilityReport,
-    FleetAvailabilityStudy,
-    daily_availability,
-)
-from repro.core.regression_analysis import (
-    RegressionGate,
-    RegressionReport,
-    ResponseProfile,
-)
-from repro.core.attainment import (
-    AttainmentReport,
-    measure_attainment,
-    measure_fleet_attainment,
-)
-from repro.core.forecasting import (
-    DemandForecast,
-    SeasonalTrendForecaster,
-    forecast_pool_demand,
-)
-from repro.core.traffic_shift import (
-    TrafficShiftAnalysis,
-    TrafficShiftReport,
-    balance_window,
-)
-from repro.core.whatif import Scenario, ScenarioOutcome, WhatIfAnalyzer
-from repro.core.planner import CapacityPlanner, FleetPlan
-from repro.core.report import render_table
-
-__all__ = [
-    "QoSRequirement",
-    "SLO",
-    "MetricValidationReport",
-    "MetricValidator",
-    "ValidationStatus",
-    "GroupingModel",
-    "PoolGroupReport",
-    "ServerGroup",
-    "identify_server_groups",
-    "server_feature_matrix",
-    "LoadPartition",
-    "partition_by_total_load",
-    "ServersQoSModel",
-    "WorkloadQoSModel",
-    "WorkloadResourceModel",
-    "fit_pool_response",
-    "ExperimentRunner",
-    "ReductionExperiment",
-    "ResponseSurfaceOptimizer",
-    "RsmIteration",
-    "RsmResult",
-    "NaturalExperimentReport",
-    "SurgeEvent",
-    "analyze_natural_experiment",
-    "detect_surge_events",
-    "HeadroomPlan",
-    "HeadroomPlanner",
-    "AvailabilityReport",
-    "FleetAvailabilityStudy",
-    "daily_availability",
-    "RegressionGate",
-    "RegressionReport",
-    "ResponseProfile",
-    "AttainmentReport",
-    "measure_attainment",
-    "measure_fleet_attainment",
-    "DemandForecast",
-    "SeasonalTrendForecaster",
-    "forecast_pool_demand",
-    "TrafficShiftAnalysis",
-    "TrafficShiftReport",
-    "balance_window",
-    "Scenario",
-    "ScenarioOutcome",
-    "WhatIfAnalyzer",
-    "CapacityPlanner",
-    "FleetPlan",
-    "render_table",
-]

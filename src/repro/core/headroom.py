@@ -32,9 +32,8 @@ class DeploymentPlan:
     ``planned_servers`` is capped at the current allocation: this
     planner right-sizes *headroom* (Table IV reports savings, never
     growth).  A deployment whose ``required_normal`` exceeds
-    ``current_servers`` is under-provisioned — visible in the fields,
-    and the what-if analyzer (:mod:`repro.core.whatif`) is the tool for
-    sizing expansions.
+    ``current_servers`` is under-provisioned — visible in the fields;
+    sizing the expansion is left to the operator.
     """
 
     pool_id: str

@@ -327,8 +327,9 @@ def _unit_range_fit(
 class OnlineRegressionAlarm:
     """The :class:`RegressionGate` run *online*, once per sealed block.
 
-    The streaming counterpart of ``examples/regression_gate.py``: the
-    first ``baseline_windows`` of the live run are fitted once into the
+    The streaming counterpart of
+    ``benchmarks/bench_fig16_regression_gate.py``: the first
+    ``baseline_windows`` of the live run are fitted once into the
     baseline :class:`ResponseProfile`; from then on each
     :meth:`observe` gates the trailing ``recent_windows`` against it.
     The first failing verdict is latched as a named

@@ -1,8 +1,8 @@
 """Plain-text report rendering.
 
 Every evaluation artefact (Tables I-IV, the per-figure data series) is
-rendered as an aligned ASCII table so benches and examples can print
-paper-vs-measured comparisons directly.
+rendered as an aligned ASCII table so the benches and the CLI can
+print paper-vs-measured comparisons directly.
 """
 
 from __future__ import annotations

@@ -55,15 +55,6 @@ class ExperimentRunner(Protocol):
 
 
 @dataclass(frozen=True)
-class ReductionExperiment:
-    """One supervised experiment stage."""
-
-    n_servers: int
-    start_window: int
-    stop_window: int
-
-
-@dataclass(frozen=True)
 class RsmIteration:
     """One model/extrapolate cycle."""
 

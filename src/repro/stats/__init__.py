@@ -6,51 +6,3 @@ cross-validation / ROC analysis, and descriptive statistics — is
 implemented here from scratch on top of numpy so the rest of the library
 has no dependency on scikit-learn or similar packages.
 """
-
-from repro.stats.descriptive import (
-    Cdf,
-    SummaryStats,
-    empirical_cdf,
-    percentile_profile,
-    summarize,
-)
-from repro.stats.regression import (
-    LinearModel,
-    PolynomialModel,
-    fit_linear,
-    fit_polynomial,
-)
-from repro.stats.ransac import RansacModel, RansacRegressor
-from repro.stats.decision_tree import DecisionTreeClassifier, TreeNode
-from repro.stats.clustering import ClusteringResult, KMeans, select_k
-from repro.stats.crossval import (
-    CrossValidationResult,
-    auc_score,
-    confusion_counts,
-    k_fold_indices,
-    roc_curve,
-)
-
-__all__ = [
-    "Cdf",
-    "SummaryStats",
-    "empirical_cdf",
-    "percentile_profile",
-    "summarize",
-    "LinearModel",
-    "PolynomialModel",
-    "fit_linear",
-    "fit_polynomial",
-    "RansacModel",
-    "RansacRegressor",
-    "DecisionTreeClassifier",
-    "TreeNode",
-    "ClusteringResult",
-    "KMeans",
-    "select_k",
-    "CrossValidationResult",
-    "auc_score",
-    "confusion_counts",
-    "k_fold_indices",
-    "roc_curve",
-]

@@ -491,21 +491,3 @@ def import_store(path: PathLike) -> MetricStore:
         store.record_columns(*key, *tables.pop(key).columns())
     return store
 
-
-def iter_rows(path: PathLike) -> Iterator[dict]:
-    """Stream archive rows as dictionaries (for ad-hoc inspection)."""
-    path = Path(path)
-    with _open_archive(path) as raw:
-        reader = _data_rows(path, _lines(_blocks(raw)))
-        try:
-            for window, server_id, pool_id, datacenter_id, counter, value in reader:
-                yield {
-                    "window": int(window),
-                    "server_id": server_id,
-                    "pool_id": pool_id,
-                    "datacenter_id": datacenter_id,
-                    "counter": counter,
-                    "value": float(value),
-                }
-        except (*_MALFORMED, *_DAMAGED) as error:
-            raise _located(path, reader.line_num, error) from None

@@ -6,24 +6,3 @@ with regional phase offsets, weekly modulation, request-class mixes
 with heterogeneous processing costs, and the reproducible synthetic
 workloads of methodology Step 3.
 """
-
-from repro.workload.diurnal import DiurnalPattern, WINDOWS_PER_DAY
-from repro.workload.request_mix import RequestClass, RequestMix
-from repro.workload.traces import WorkloadTrace, generate_trace
-from repro.workload.synthetic import (
-    RampPlan,
-    SyntheticWorkloadModel,
-    WorkloadFidelityReport,
-)
-
-__all__ = [
-    "DiurnalPattern",
-    "WINDOWS_PER_DAY",
-    "RequestClass",
-    "RequestMix",
-    "WorkloadTrace",
-    "generate_trace",
-    "RampPlan",
-    "SyntheticWorkloadModel",
-    "WorkloadFidelityReport",
-]

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.telemetry import export
-from repro.telemetry.export import export_store, import_store, iter_rows
+from repro.telemetry.export import export_store, import_store
 from repro.telemetry.store import MetricStore
 
 HEADER = ("window", "server_id", "pool_id", "datacenter_id", "counter", "value")
@@ -210,10 +210,6 @@ class TestCodecProperties:
                 (window, repr(value))
             )
         assert by_name(loaded) == expected
-        streamed = [tuple(row[name] for name in HEADER) for row in iter_rows(path)]
-        assert [(*fields, repr(value)) for *fields, value in streamed] == [
-            (*fields, repr(value)) for *fields, value in rows
-        ]
 
 
 FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
@@ -319,12 +315,6 @@ class TestTwoReaders:
         expected = outcome(reference_import, path)
         with mock.patch.object(export, "_CHUNK", chunk):
             assert outcome(import_store, path) == expected
-            try:
-                rows = len(list(iter_rows(path)))
-            except ValueError as error:
-                assert str(error) == expected
-            else:
-                assert rows == sum(len(t[0]) for t in expected[0].values())
 
     def test_exported_archive_never_reaches_the_row_reader(self, tmp_path, monkeypatch):
         monkeypatch.setattr(export, "_CHUNK", 4096)
@@ -378,8 +368,7 @@ class TestLocatedErrors:
         "2,s0,B,DC1,cpu,3.0\r\n"
     )
 
-    @pytest.mark.parametrize("read", [import_store, lambda p: list(iter_rows(p))],
-                             ids=["import_store", "iter_rows"])
+    @pytest.mark.parametrize("read", [import_store], ids=["import_store"])
     @pytest.mark.parametrize(
         "row,what",
         [
@@ -398,8 +387,7 @@ class TestLocatedErrors:
         with pytest.raises(ValueError, match=rf"^{path}:4: malformed row .*{what}"):
             read(path)
 
-    @pytest.mark.parametrize("read", [import_store, lambda p: list(iter_rows(p))],
-                             ids=["import_store", "iter_rows"])
+    @pytest.mark.parametrize("read", [import_store], ids=["import_store"])
     @pytest.mark.parametrize("text", ["", "nope,nope\n1,2\n"], ids=["empty", "other"])
     def test_non_archive_names_the_expected_header(self, tmp_path, read, text):
         path = tmp_path / "other.csv"
@@ -407,8 +395,7 @@ class TestLocatedErrors:
         with pytest.raises(ValueError, match=rf"^{path}:1: not a telemetry archive .*'window'"):
             read(path)
 
-    @pytest.mark.parametrize("read", [import_store, lambda p: list(iter_rows(p))],
-                             ids=["import_store", "iter_rows"])
+    @pytest.mark.parametrize("read", [import_store], ids=["import_store"])
     @pytest.mark.parametrize("suffix", [".csv", ".csv.gz"])
     def test_undecodable_byte_names_its_line(self, tmp_path, read, suffix):
         # A text layer decoding 8 kB ahead of csv.reader named line 1312.
@@ -423,8 +410,7 @@ class TestLocatedErrors:
             read(path)
 
 
-    @pytest.mark.parametrize("read", [import_store, lambda p: list(iter_rows(p))],
-                             ids=["import_store", "iter_rows"])
+    @pytest.mark.parametrize("read", [import_store], ids=["import_store"])
     @pytest.mark.parametrize("suffix", [".csv", ".csv.gz"])
     def test_overlong_field_names_its_line(self, tmp_path, read, suffix):
         # csv.Error used to escape the reader: a traceback at the CLI.
@@ -438,8 +424,7 @@ class TestLocatedErrors:
                            r"\(field larger than field limit"):
             read(path)
 
-    @pytest.mark.parametrize("read", [import_store, lambda p: list(iter_rows(p))],
-                             ids=["import_store", "iter_rows"])
+    @pytest.mark.parametrize("read", [import_store], ids=["import_store"])
     @pytest.mark.parametrize(
         "damage,what",
         [
@@ -629,7 +614,7 @@ def any_archive_bytes(draw):
 
 
 class TestReaderTotality:
-    """Whatever the bytes, a reader returns or raises ``ValueError("path:line: ...")``."""
+    """Whatever the bytes, ``import_store`` returns or raises ``ValueError("path:line: ...")``."""
 
     @given(data=any_archive_bytes(), packing=st.sampled_from(["raw", "gzip", "gzip-cut"]),
            chunk=st.sampled_from([7, 64, 1 << 18]))
@@ -645,8 +630,7 @@ class TestReaderTotality:
                 data = data[:len(data) // 2]
         path.write_bytes(data)
         with mock.patch.object(export, "_CHUNK", chunk):
-            for read in (import_store, lambda p: list(iter_rows(p))):
-                try:
-                    read(path)
-                except ValueError as error:
-                    assert re.match(rf"{re.escape(str(path))}:[1-9][0-9]*: ", str(error))
+            try:
+                import_store(path)
+            except ValueError as error:
+                assert re.match(rf"{re.escape(str(path))}:[1-9][0-9]*: ", str(error))

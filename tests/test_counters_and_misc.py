@@ -1,11 +1,7 @@
 """Coverage for small remaining surfaces: diff helpers, describe paths."""
 
-import numpy as np
-import pytest
-
 from repro.core.headroom import DeploymentPlan
 from repro.core.rsm import RsmIteration
-from repro.core.whatif import Scenario, ScenarioOutcome
 from repro.stats.crossval import CrossValidationResult
 from repro.core.metric_validation import AnomalyFinding
 
@@ -37,20 +33,6 @@ class TestDescribeMethods:
             k=5, auc=0.98, r2=0.74, accuracy=0.92, fold_aucs=(0.97, 0.99)
         )
         assert "5-fold" in result.describe()
-
-    def test_scenario_outcome_describe_signs(self):
-        up = ScenarioOutcome(
-            scenario=Scenario(label="up"), required_servers=12,
-            baseline_servers=10, max_rps_per_server=100.0,
-        )
-        down = ScenarioOutcome(
-            scenario=Scenario(label="down"), required_servers=8,
-            baseline_servers=10, max_rps_per_server=100.0,
-        )
-        assert "+2" in up.describe()
-        assert "-2" in down.describe()
-        assert up.delta_fraction == pytest.approx(0.2)
-        assert down.delta_fraction == pytest.approx(-0.2)
 
 
 class TestDeploymentPlan:

@@ -415,28 +415,38 @@ class TestHygiene:
         assert "cannot list tracked files" in found.message
 
 
+def _grow_past_budget(engine, tree, area, grown):
+    """Pad ``grown`` until ``area`` is one line over its budget; return
+    the line-budget findings by area, after checking ``area``'s."""
+    import rule_line_budget as rule  # on sys.path once the engine is
+
+    count = sum(len(path.read_text().splitlines()) for path in tree.glob(area))
+    path = tree / grown
+    path.write_text(path.read_text() + "#\n" * (rule.BUDGETS[area] - count + 1))
+    found = {f.path: f.message for f in _findings(engine, tree, "line-budget")}
+    assert found[area] == (
+        f"{area} holds {rule.BUDGETS[area] + 1} lines, over its budget "
+        f"of {rule.BUDGETS[area]}"
+    )
+    return found
+
+
 class TestLineBudget:
     def test_repo_areas_are_within_budget(self, engine):
         import rule_line_budget as rule  # on sys.path once the engine is
 
-        assert rule.BUDGETS["src/repro/telemetry/*.py"] <= 5344
-        assert rule.BUDGETS["README.md docs/*.md"] <= 1487
+        assert rule.BUDGETS["src/repro/**/*.py"] <= 14599
+        assert rule.BUDGETS["src/repro/telemetry/*.py"] <= 5301
+        assert rule.BUDGETS["README.md docs/*.md"] <= 1484
         assert rule.BUDGETS["tools/**/*.py"] <= 1444
         assert _findings(engine, REPO_ROOT, "line-budget") == []
 
     def test_growing_telemetry_past_its_budget_fires(self, engine, tree):
-        import rule_line_budget as rule
+        found = _grow_past_budget(engine, tree, "src/repro/telemetry/*.py",
+                                  "src/repro/telemetry/store.py")
+        # Telemetry lines count toward the package's budget too.
+        assert set(found) <= {"src/repro/telemetry/*.py", "src/repro/**/*.py"}
 
-        area = "src/repro/telemetry/*.py"
-        count = sum(
-            len(path.read_text().splitlines()) for path in tree.glob(area)
-        )
-        store = tree / "src" / "repro" / "telemetry" / "store.py"
-        extra = rule.BUDGETS[area] - count + 1
-        store.write_text(store.read_text() + "#\n" * extra)
-        (found,) = _findings(engine, tree, "line-budget")
-        assert found.path == area
-        assert found.message == (
-            f"{area} holds {rule.BUDGETS[area] + 1} lines, over its budget "
-            f"of {rule.BUDGETS[area]}"
-        )
+    def test_growing_the_package_past_its_budget_fires(self, engine, tree):
+        found = _grow_past_budget(engine, tree, "src/repro/**/*.py", "src/repro/cli.py")
+        assert set(found) == {"src/repro/**/*.py"}

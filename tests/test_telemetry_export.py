@@ -5,7 +5,7 @@ import pytest
 
 from repro.cli import main
 from repro.telemetry.counters import Counter
-from repro.telemetry.export import export_store, import_store, iter_rows
+from repro.telemetry.export import export_store, import_store
 from repro.telemetry.store import MetricStore
 
 
@@ -53,14 +53,6 @@ class TestRoundTrip:
         loaded = import_store(path)
         series = loaded.server_series("B", "cpu", "s0")
         assert series.values[-1] == 0.1 + 0.2
-
-    def test_iter_rows(self, small_store, tmp_path):
-        path = tmp_path / "rows.csv"
-        export_store(small_store, path)
-        rows = list(iter_rows(path))
-        assert len(rows) == 15
-        assert rows[0]["pool_id"] == "B"
-        assert isinstance(rows[0]["value"], float)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,9 +1,8 @@
 """line-budget: each area of the tree stays within its line budget.
 
 ``BUDGETS`` is literal data: area (space-separated globs under the
-root) -> the most lines its files may hold together.  Raising a budget
-means editing it here, and the change's CHANGES.md entry names the
-bench row the growth wins (docs/LINTING.md).
+root) -> the most lines its files may hold together; docs/LINTING.md
+says when one may rise.
 """
 
 from __future__ import annotations
@@ -14,9 +13,10 @@ from typing import List, Tuple
 RULE_NAME = "line-budget"
 
 BUDGETS = {
-    "src/repro/telemetry/*.py": 5344,
+    "src/repro/**/*.py": 14599,
+    "src/repro/telemetry/*.py": 5301,
     "tools/**/*.py": 1444,
-    "README.md docs/*.md": 1486,
+    "README.md docs/*.md": 1484,
 }
 
 
