@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-stream test-faults test-server test-archive test-store bench-e2e bench-e2e-smoke lint
+.PHONY: test test-stream test-faults test-server test-archive test-store test-sim bench-e2e bench-e2e-smoke lint
 
 # The static gate runs first so doc drift, tracked build artifacts, an
 # area over its line budget or a lint invariant violation fail tier-1
@@ -46,6 +46,13 @@ test-archive:
 # also rides in `make test`).
 test-store:
 	$(PYTHON) -m pytest tests/test_telemetry_store.py tests/test_spill_log.py tests/test_sharded_store.py tests/test_property_based.py -q
+
+# The simulator on its own: the golden stream digests, determinism and
+# sharded/blocked equivalence, the counter kernel, and draw-ahead
+# against the frozen one-thread step (Hypothesis), with its drain rule
+# and schedule replayer (all of it also rides in `make test`).
+test-sim:
+	$(PYTHON) -m pytest tests/test_sim_golden.py tests/test_sim_equivalence.py tests/test_cluster_server.py tests/test_sim_draw_ahead.py -q
 
 # The end-to-end benchmark of BENCHMARK.json (benchmarks/e2e/README.md);
 # the smoke form runs one fast iteration per workload.

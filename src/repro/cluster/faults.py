@@ -65,17 +65,6 @@ def policy_online_mask_block(
 
 
 @dataclass(frozen=True)
-class AlwaysOnline:
-    """No planned downtime at all (used in controlled experiments)."""
-
-    def is_online(self, server_index: int, n_servers: int, window: int) -> bool:
-        return True
-
-    def online_mask_block(self, n_servers: int, windows: np.ndarray) -> np.ndarray:
-        return np.ones((len(windows), n_servers), dtype=bool)
-
-
-@dataclass(frozen=True)
 class RollingMaintenance:
     """Staggered daily maintenance slots.
 

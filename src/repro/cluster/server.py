@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -175,6 +176,40 @@ class _Gates:
         self.working_set = want(Counter.MEMORY_WORKING_SET)
 
 
+@lru_cache(maxsize=256)
+def _gates(counters: Optional[FrozenSet[str]]) -> _Gates:
+    """The (read-only) :class:`_Gates` of a counter set, built once."""
+    return _Gates(counters)
+
+
+#: One generator call: ``(method, positional parameters, size)``.
+Draw = Tuple[str, tuple, object]
+
+
+def observation_draws(
+    profile: MicroServiceProfile,
+    counters: Optional[FrozenSet[str]],
+    n_cells: int,
+) -> List[Draw]:
+    """The generator calls :func:`observe_pool_block` makes, in order:
+    profile constants, each sized by the block's online cell count, so
+    they can be drawn ahead (a replayer checks each call against it)."""
+    gates = _gates(counters)
+    noise = profile.noise
+    calls = (
+        (gates.cpu, "normal", (0.0, noise.idle_cpu_noise_pct)),
+        (gates.cpu, "normal", (1.0, profile.cpu_observation_noise)),
+        (gates.p95, "normal", (1.0, profile.latency_observation_noise)),
+        (gates.bytes, "normal", (1.0, 0.15)),
+        (gates.disk, "normal", (0.0, noise.disk_noise_bytes)),
+        (gates.pages, "normal", (0.0, noise.memory_pages_noise)),
+        (gates.pages, "uniform", (0.5, 1.5)),
+        (gates.queue, "normal", (noise.disk_queue_mean, 1.0)),
+        (gates.errors, "standard_normal", ()),
+    )
+    return [(method, params, n_cells) for on, method, params in calls if on]
+
+
 def observe_pool_block(
     profile: MicroServiceProfile,
     arrays: ServerArrays,
@@ -212,7 +247,8 @@ def observe_pool_block(
     intermediates they depend on); ``None`` emits everything.  Skipped
     counters skip their RNG draws too, so the stream depends on the
     set — but not on anything else, and the emitted draws always come
-    in the same relative order.
+    in the same relative order, the one :func:`observation_draws`
+    declares.
 
     Each draw is sized for the whole block, so a block of W windows
     consumes different draw shapes than W one-window calls: output is
@@ -235,7 +271,7 @@ def observe_pool_block(
     flat_windows = windows[window_pos]
     flat_count = int(window_pos.size)
     noise = profile.noise
-    gates = _Gates(counters)
+    gates = _gates(counters)
     mix = profile.mix
 
     # Per-window reductions over the class axis, accumulated column by
@@ -360,7 +396,7 @@ def observe_pool_block(
             utilization > 0.9, (utilization - 0.9) * total_rps * 0.5, 0.0
         )
         observations[Counter.ERRORS.value] = np.maximum(
-            rng.normal(error_rate, 0.01), 0.0
+            error_rate + 0.01 * rng.standard_normal(size=flat_count), 0.0
         )
 
     for k, name in enumerate(class_names):

@@ -22,6 +22,13 @@ drawn from the same distributions but in block-sized RNG calls, so
 their values are bit-reproducible per (seed, block size) and
 statistically equivalent across block sizes.
 
+Each (deployment, block) step is planned (demand, online grid, emit
+set), then applied, its kernels drawing from the one generator.  With a
+second CPU, consecutive steps of >= :data:`DRAW_AHEAD_CELLS` online
+cells in one call are drawn ahead by schedule, each on a draw thread
+while the step before it applies, and replayed: same calls, same bytes
+(a call off schedule raises; on an error unapplied draws are undone).
+
 The store may be a single :class:`~repro.telemetry.store.MetricStore`
 or a :class:`~repro.telemetry.sharding.ShardedMetricStore`; the
 simulator only uses the shared ingest/interning surface, and sharded
@@ -33,9 +40,10 @@ outages and surges — are the experimental controls of §II-B and §II-D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import os
+from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -50,7 +58,12 @@ from repro.cluster.faults import (
     policy_for_availability,
     policy_online_mask_block,
 )
-from repro.cluster.server import ServerState, observe_pool_block
+from repro.cluster.server import (
+    Draw,
+    ServerState,
+    observation_draws,
+    observe_pool_block,
+)
 from repro.telemetry.counters import Counter, workload_counter
 from repro.telemetry.sharding import ShardedMetricStore
 from repro.telemetry.store import MetricStore
@@ -66,6 +79,96 @@ DEFAULT_COUNTERS: Tuple[str, ...] = (
     Counter.LATENCY_P95.value,
     Counter.AVAILABILITY.value,
 )
+
+
+#: Online cells (window x server) from which a step beside another
+#: such step is drawn ahead, on the draw thread; other steps draw as
+#: they apply.  The measured crossover is in docs/ARCHITECTURE.md.
+DRAW_AHEAD_CELLS = 8_192
+
+
+def _second_cpu() -> bool:
+    """Whether this process may run on more than one CPU."""
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every OS
+    return (len(affinity(0)) if affinity else os.cpu_count() or 1) > 1
+
+
+def _draw(rng: np.random.Generator, step: "_Step",
+          schedule: List[Draw]) -> Tuple["_Replay", float]:
+    """Draw ``step``'s ``schedule`` on ``rng``, keeping the state before
+    it on the step: a replayer of the arrays and the seconds spent."""
+    step.rng_state = rng.bit_generator.state
+    t_start = perf_counter()
+    draws = [getattr(rng, name)(*params, size=size)
+             for name, params, size in schedule]
+    return _Replay(schedule, draws), perf_counter() - t_start
+
+
+class _Replay:
+    """Stands in for the generator: hands out a step's drawn arrays.
+
+    Each call must be the next scheduled ``(method, params, size)``
+    and :meth:`finish` raises on draws left over, so a schedule that
+    drifts from the kernels fails instead of shifting the stream.
+    """
+
+    def __init__(self, schedule: List[Draw], draws: List[np.ndarray]) -> None:
+        self._schedule = schedule
+        self._draws = draws
+        self._next = 0
+
+    def _take(self, method: str, params: tuple, size) -> np.ndarray:
+        at = self._next
+        wanted = self._schedule[at] if at < len(self._schedule) else None
+        if wanted != (method, params, size):
+            raise RuntimeError(
+                f"draw {at}: {method}{params} size={size} is off the "
+                f"schedule, which has {wanted}"
+            )
+        self._next = at + 1
+        return self._draws[at]
+
+    def __getattr__(self, method: str):
+        """Any generator method: ``rng.normal(0, 1, size=n)`` and the like."""
+        if method.startswith("_"):
+            raise AttributeError(method)
+        return lambda *params, size=None: self._take(method, params, size)
+
+    def finish(self) -> None:
+        left = len(self._schedule) - self._next
+        if left:
+            raise RuntimeError(f"{left} scheduled draws left over")
+
+
+@dataclass
+class _Step:
+    """One (deployment, block) step as planned: all but its draws."""
+
+    deployment: PoolDeployment
+    windows: np.ndarray
+    #: Noise-free demand column, made noisy in place by the apply.
+    totals: np.ndarray
+    #: Windows whose demand draws noise (None: no draw), and the
+    #: ``(mean, sigma)`` of that unit-mean lognormal.
+    active: Optional[np.ndarray]
+    n_active: int
+    noise: Tuple[float, float]
+    mask: np.ndarray
+    emit: Optional[FrozenSet[str]]
+    #: Online cells: the size of each observation draw.
+    cells: int
+    #: ``current_window`` once applied, on a block's last step.
+    next_window: Optional[int] = None
+    #: Generator state before the step was drawn ahead (None: not yet).
+    rng_state: Optional[dict] = None
+
+    def schedule(self) -> List[Draw]:
+        """The apply's generator calls in order: demand noise, share jitter,
+        then :func:`~repro.cluster.server.observation_draws`."""
+        calls = [("lognormal", self.noise, self.n_active)] if self.n_active else []
+        calls += self.deployment.mix.share_draws(self.windows.size)
+        profile = self.deployment.pool.profile
+        return calls + observation_draws(profile, self.emit, self.cells)
 
 
 @dataclass
@@ -131,10 +234,12 @@ class Simulator:
         #: Per-deployment cache of the emission counter set passed to
         #: the observe functions (None = emit everything).
         self._emit_cache: Dict[Tuple[str, str], Tuple[tuple, FrozenSet[str]]] = {}
-        #: Cumulative seconds per stage (demand tensor build / counter
-        #: emission / store ingest).
+        #: Cumulative seconds per stage: demand tensor build, counter
+        #: emission (the wait for a step's draws included) and store
+        #: ingest, all on the caller's thread; and ``draw``, generator
+        #: time of steps drawn ahead of their apply, on either thread.
         self.stage_seconds: Dict[str, float] = {
-            "demand": 0.0, "observe": 0.0, "ingest": 0.0,
+            "demand": 0.0, "observe": 0.0, "ingest": 0.0, "draw": 0.0,
         }
         if self.config.apply_availability_policies:
             for deployment in fleet.deployments():
@@ -206,9 +311,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Demand
     # ------------------------------------------------------------------
-    def _outage_active(self, datacenter_id: str, window: int) -> bool:
-        return self._demand_engine.outage_active(datacenter_id, window)
-
     def offered_demand(self, window: int) -> Dict[Tuple[str, str], float]:
         """Noise-free demand per (pool, datacenter) after failover.
 
@@ -231,7 +333,7 @@ class Simulator:
         pool = deployment.pool
         key = (deployment.pool_id, deployment.datacenter_id)
         policy = self._policies.get(key)
-        outage = self._outage_active(deployment.datacenter_id, window)
+        outage = self._demand_engine.outage_active(deployment.datacenter_id, window)
         failures = self.config.random_failures
         n = pool.size
         for index, server in enumerate(pool.servers):
@@ -311,46 +413,88 @@ class Simulator:
             mask[out] = False
         return mask
 
-    def _step_deployment_block(
+    def _plan_steps(self, n_windows: int) -> Iterator[_Step]:
+        """The steps of ``n_windows`` windows, planned a block at a time
+        (measurably faster than one step at a time at block 1)."""
+        deployments = list(self.fleet.deployments())
+        start, stop = self._window, self._window + n_windows
+        while start < stop:
+            windows = np.arange(
+                start, min(start + self.config.block_windows, stop),
+                dtype=np.int64,
+            )
+            start = int(windows[-1]) + 1
+            t_start = perf_counter()
+            block = self._demand_engine.compute_demand_block(windows)
+            self.stage_seconds["demand"] += perf_counter() - t_start
+            steps = [
+                self._plan_step(
+                    deployment, windows,
+                    block.column(deployment.pool_id, deployment.datacenter_id),
+                )
+                for deployment in deployments
+            ]
+            if not steps:
+                self._window = start
+                continue
+            steps[-1].next_window = start
+            yield from steps
+
+    def _plan_step(
         self,
         deployment: PoolDeployment,
         windows: np.ndarray,
         base_demand: np.ndarray,
-    ) -> None:
-        """Advance one deployment a whole block of windows at once.
+    ) -> _Step:
+        """One deployment's noise-free demand column, demand-noise
+        parameters, online grid and emit set: the step without draws."""
+        stage = self.stage_seconds
+        t_start = perf_counter()
+        totals = np.array(base_demand, dtype=float)
+        # Draws are skipped for windows with zero demand (or zero noise).
+        noise = self.config.workload_noise
+        active = totals > 0 if noise > 0 else None
+        n_active = 0 if active is None else int(active.sum())
+        sigma = float(np.sqrt(np.log1p(noise**2)))  # unit mean, CV ``noise``
+        t_demand = perf_counter()
+        mask = self._online_mask_block(deployment, windows)
+        emit = self._emit_counters(deployment)
+        stage["demand"] += t_demand - t_start
+        stage["observe"] += perf_counter() - t_demand
+        return _Step(
+            deployment, windows, totals, active if n_active else None,
+            n_active, (-0.5 * sigma**2, sigma), mask, emit,
+            int(np.count_nonzero(mask)),
+        )
 
-        Consumes one column of the block demand tensor: noisy totals,
-        then the ``(n_windows, n_classes)`` share matrix from
-        :meth:`~repro.workload.request_mix.RequestMix.shares_block`
-        (one jitter draw for the whole block), divided by the online
-        counts — the load balancer's even split; a window with no
-        online server drops its traffic — into the per-server RPS
-        matrix :func:`~repro.cluster.server.observe_pool_block` takes.
+    def _apply_step(self, step: _Step, rng) -> None:
+        """The arithmetic and ingest of one planned step, its kernels
+        drawing from the generator itself or, for a step drawn ahead,
+        from a :class:`_Replay` of the draws.
+
+        Noisy totals times the ``(n_windows, n_classes)`` share matrix
+        of :meth:`~repro.workload.request_mix.RequestMix.shares_block`,
+        divided by the online counts (the load balancer's even split;
+        a window with no online server drops its traffic), is the
+        per-server RPS matrix :func:`~repro.cluster.server.observe_pool_block`
+        takes.
         """
+        deployment = step.deployment
         pool = deployment.pool
         pool_id = deployment.pool_id
         dc_id = deployment.datacenter_id
-        n_windows = int(windows.size)
+        windows = step.windows
         stage = self.stage_seconds
         t_start = perf_counter()
 
-        # Noisy demand per window.  Draws are skipped for windows with
-        # zero demand (or zero noise).
-        noise = self.config.workload_noise
-        totals = np.array(base_demand, dtype=float)
-        if noise > 0:
-            active = totals > 0
-            n_active = int(active.sum())
-            if n_active:
-                sigma = np.sqrt(np.log1p(noise**2))
-                totals[active] *= self._rng.lognormal(
-                    -0.5 * sigma**2, sigma, size=n_active
-                )
+        totals = step.totals
+        if step.active is not None:
+            totals[step.active] *= rng.lognormal(*step.noise, size=step.n_active)
         mix = deployment.mix
-        volumes = totals[:, None] * mix.shares_block(windows, self._rng)
+        volumes = totals[:, None] * mix.shares_block(windows, rng)
         t_demand = perf_counter()
 
-        mask_block = self._online_mask_block(deployment, windows)
+        mask_block = step.mask
         counts = mask_block.sum(axis=1)
         per_server_rps = np.zeros_like(volumes)
         np.divide(
@@ -359,11 +503,13 @@ class Simulator:
         )
 
         arrays = pool.server_arrays()
-        emit = self._emit_counters(deployment)
+        emit = step.emit
         flat_windows, flat_positions, observations = observe_pool_block(
             pool.profile, arrays, mask_block, windows,
-            mix.class_names, per_server_rps, self._rng, emit,
+            mix.class_names, per_server_rps, rng, emit,
         )
+        if isinstance(rng, _Replay):
+            rng.finish()
         t_observe = perf_counter()
 
         store = self.store
@@ -375,7 +521,7 @@ class Simulator:
                 dc_id,
                 availability,
                 np.repeat(windows, pool.size),
-                np.tile(indices, n_windows),
+                np.tile(indices, windows.size),
                 mask_block.astype(float).ravel(),
             )
         if flat_windows.size:
@@ -389,22 +535,8 @@ class Simulator:
         stage["demand"] += t_demand - t_start
         stage["observe"] += t_observe - t_demand
         stage["ingest"] += t_ingest - t_observe
-
-    def _step_block(self, n_windows: int) -> None:
-        """Simulate ``n_windows`` consecutive windows as one block."""
-        windows = np.arange(
-            self._window, self._window + n_windows, dtype=np.int64
-        )
-        t_start = perf_counter()
-        block = self._demand_engine.compute_demand_block(windows)
-        self.stage_seconds["demand"] += perf_counter() - t_start
-        for deployment in self.fleet.deployments():
-            self._step_deployment_block(
-                deployment,
-                windows,
-                block.column(deployment.pool_id, deployment.datacenter_id),
-            )
-        self._window += n_windows
+        if step.next_window is not None:
+            self._window = step.next_window
 
     def step(self) -> None:
         """Simulate one telemetry window (a block of one).
@@ -456,15 +588,60 @@ class Simulator:
         bit-identical to the batch run by construction.  Callers that
         read per-server ``Server.state`` afterwards must call
         :meth:`sync_server_state` themselves — :meth:`run` does both.
+
+        A draw thread, if any step takes it, draws at most one step
+        ahead and is joined on every exit path; on an error the draws of
+        steps never applied are cancelled or rewound, so between calls
+        the generator stands exactly where a one-thread run leaves it.
         """
         if n_windows < 0:
             raise ValueError("n_windows must be non-negative")
-        block = self.config.block_windows
-        remaining = n_windows
-        while remaining > 0:
-            step = min(block, remaining)
-            self._step_block(step)
-            remaining -= step
+        rng = self._rng
+        stage = self.stage_seconds
+        threshold = DRAW_AHEAD_CELLS if _second_cpu() else np.inf
+        #: Steps drawn ahead (or being drawn) whose apply has not begun.
+        unapplied: List[Tuple[_Step, object]] = []
+        pool = None  # the draw thread's executor, made on first use
+
+        def apply_oldest() -> None:
+            step, drawn = unapplied.pop(0)
+            t_wait = perf_counter()
+            replay, seconds = drawn if isinstance(drawn, tuple) else drawn.result()
+            stage["observe"] += perf_counter() - t_wait
+            stage["draw"] += seconds
+            self._apply_step(step, replay)
+
+        def wide(step: Optional[_Step]) -> bool:
+            return step is not None and step.cells >= threshold
+
+        steps = self._plan_steps(n_windows)
+        step = next(steps, None)
+        try:
+            while step is not None:
+                following = next(steps, None)
+                if not wide(step) or not (unapplied or wide(following)):
+                    # No wide neighbour to overlap: draw as it applies.
+                    while unapplied:
+                        apply_oldest()
+                    self._apply_step(step, rng)
+                elif unapplied:
+                    if pool is None:
+                        from concurrent.futures import ThreadPoolExecutor
+                        pool = ThreadPoolExecutor(1, thread_name_prefix="repro-draw")
+                    # One worker: draws run in submission order.
+                    drawn = pool.submit(_draw, rng, step, step.schedule())
+                    unapplied.append((step, drawn))
+                    apply_oldest()
+                else:  # drawn here, so the next draw overlaps its apply
+                    unapplied.append((step, _draw(rng, step, step.schedule())))
+                step = following
+            while unapplied:
+                apply_oldest()
+        finally:
+            if pool is not None:
+                pool.shutdown(wait=True, cancel_futures=True)
+            if unapplied and unapplied[0][0].rng_state is not None:
+                rng.bit_generator.state = unapplied[0][0].rng_state
 
     def run_days(self, days: float) -> None:
         """Simulate a number of days (720 windows per day)."""

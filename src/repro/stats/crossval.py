@@ -76,22 +76,6 @@ def auc_score(labels: Sequence[int], scores: Sequence[float]) -> float:
     return float(np.trapezoid(tpr, fpr))
 
 
-def confusion_counts(
-    labels: Sequence[int],
-    predictions: Sequence[int],
-) -> Tuple[int, int, int, int]:
-    """Return (true_pos, false_pos, true_neg, false_neg)."""
-    y = np.asarray(labels, dtype=int)
-    p = np.asarray(predictions, dtype=int)
-    if y.size != p.size:
-        raise ValueError("labels and predictions must have equal length")
-    tp = int(((y == 1) & (p == 1)).sum())
-    fp = int(((y == 0) & (p == 1)).sum())
-    tn = int(((y == 0) & (p == 0)).sum())
-    fn = int(((y == 1) & (p == 0)).sum())
-    return tp, fp, tn, fn
-
-
 @dataclass(frozen=True)
 class CrossValidationResult:
     """Aggregate metrics from a k-fold cross-validation run."""

@@ -19,6 +19,10 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 
+#: Bounds of the multiplicative per-window share jitter.
+_JITTER = (0.97, 1.03)
+
+
 def _frozen_array(values: Sequence[float], dtype=float) -> np.ndarray:
     """An immutable ndarray for per-mix constants shared across calls."""
     array = np.asarray(values, dtype=dtype)
@@ -97,6 +101,11 @@ class RequestMix:
     # because ``shares_at``/``shares_block`` hand them out as-is on the
     # drift-free fast path.
     # ------------------------------------------------------------------
+    @property
+    def drifts(self) -> bool:
+        """Whether class shares move (and draw jitter) window to window."""
+        return self.drift != 0.0 and len(self.classes) > 1
+
     @cached_property
     def proportions_array(self) -> np.ndarray:
         """Baseline proportions as an immutable float vector."""
@@ -146,7 +155,7 @@ class RequestMix:
         so traces remain reproducible under a fixed seed.
         """
         base = self.proportions_array
-        if self.drift == 0.0 or base.size == 1:
+        if not self.drifts:
             return base
         # Each class share oscillates with its own period; shares are
         # renormalised so they remain a distribution.
@@ -155,7 +164,7 @@ class RequestMix:
         )
         shares = np.clip(base * (1.0 + wobble), 1e-6, None)
         if rng is not None:
-            shares *= rng.uniform(0.97, 1.03, size=shares.size)
+            shares *= rng.uniform(*_JITTER, size=shares.size)
         return shares / shares.sum()
 
     def shares_block(
@@ -175,7 +184,7 @@ class RequestMix:
         """
         windows = np.asarray(windows, dtype=np.int64)
         base = self.proportions_array
-        if self.drift == 0.0 or base.size == 1:
+        if not self.drifts:
             return np.broadcast_to(base, (windows.size, base.size))
         wobble = self.drift * np.sin(
             2.0 * np.pi * windows[:, None] / self._drift_periods
@@ -183,8 +192,15 @@ class RequestMix:
         )
         shares = np.clip(base * (1.0 + wobble), 1e-6, None)
         if rng is not None:
-            shares *= rng.uniform(0.97, 1.03, size=shares.shape)
+            shares *= rng.uniform(*_JITTER, size=shares.shape)
         return shares / shares.sum(axis=1, keepdims=True)
+
+    def share_draws(self, n_windows: int) -> list:
+        """The generator calls :meth:`shares_block` makes for a block,
+        as ``(method, parameters, size)``: one jitter fill, or none."""
+        if not self.drifts:
+            return []
+        return [("uniform", _JITTER, (n_windows, len(self.classes)))]
 
     def cpu_for(self, class_rps: Dict[str, float]) -> float:
         """Ground-truth CPU (percentage points) for a per-class volume."""

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.cluster.faults import (
-    AlwaysOnline,
     DatacenterOutage,
     MaintenancePolicy,
     RandomFailures,
@@ -138,7 +137,6 @@ class TestBlockMasks:
     """Cross-window mask grids match the scalar policies cell for cell."""
 
     POLICIES = (
-        AlwaysOnline(),
         RollingMaintenance(daily_downtime_fraction=0.1),
         MaintenancePolicy(target_availability=0.97),
         RepurposingPolicy(borrowed_fraction=0.4),

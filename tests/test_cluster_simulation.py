@@ -116,8 +116,10 @@ class TestSimulatorBasics:
         sim = Simulator(fleet, seed=5)
         assert sim.config.block_windows == 1
         sim.run(10)
-        assert set(sim.stage_seconds) == {"demand", "observe", "ingest"}
-        assert all(seconds > 0 for seconds in sim.stage_seconds.values())
+        assert set(sim.stage_seconds) == {"demand", "observe", "ingest", "draw"}
+        assert all(sim.stage_seconds[k] > 0 for k in ("demand", "observe", "ingest"))
+        # Small steps draw as they apply: none is drawn ahead.
+        assert sim.stage_seconds["draw"] == 0.0
 
     def test_resize_changes_per_server_load(self, small_sim):
         small_sim.run(20)
@@ -226,11 +228,9 @@ class TestAvailabilityPolicies:
         assert availability.mean() < 0.9
 
     def test_policy_override(self):
-        from repro.cluster.faults import AlwaysOnline
-
         fleet = build_single_pool_fleet("B", servers_per_deployment=10, seed=7)
         sim = Simulator(fleet, seed=7)
-        sim.set_availability_policy("B", "DC1", AlwaysOnline())
+        sim.set_availability_policy("B", "DC1", None)
         sim.run(100)
         availability = np.concatenate(list(
             sim.store.per_server_values("B", Counter.AVAILABILITY.value).values()

@@ -435,7 +435,7 @@ class TestLineBudget:
     def test_repo_areas_are_within_budget(self, engine):
         import rule_line_budget as rule  # on sys.path once the engine is
 
-        assert rule.BUDGETS["src/repro/**/*.py"] <= 14599
+        assert rule.BUDGETS["src/repro/**/*.py"] <= 14801
         assert rule.BUDGETS["src/repro/telemetry/*.py"] <= 5301
         assert rule.BUDGETS["README.md docs/*.md"] <= 1484
         assert rule.BUDGETS["tools/**/*.py"] <= 1444

@@ -5,7 +5,6 @@ import pytest
 
 from repro.stats.crossval import (
     auc_score,
-    confusion_counts,
     cross_validate_classifier,
     k_fold_indices,
     roc_curve,
@@ -55,16 +54,6 @@ class TestRoc:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             roc_curve([1, 1], [0.5, 0.6])
-
-
-class TestConfusion:
-    def test_counts(self):
-        tp, fp, tn, fn = confusion_counts([1, 1, 0, 0], [1, 0, 0, 1])
-        assert (tp, fp, tn, fn) == (1, 1, 1, 1)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            confusion_counts([1], [1, 0])
 
 
 class TestCrossValidate:

@@ -13,7 +13,7 @@ from typing import List, Tuple
 RULE_NAME = "line-budget"
 
 BUDGETS = {
-    "src/repro/**/*.py": 14599,
+    "src/repro/**/*.py": 14801,
     "src/repro/telemetry/*.py": 5301,
     "tools/**/*.py": 1444,
     "README.md docs/*.md": 1484,
